@@ -6,14 +6,14 @@ results, timing_ms (integers and strings only, never floats).
 
 Exit codes: 0 success, 1 negative verdict for predicate-style commands
 (containment missing, no certificate, no extension, family unverified,
-corpus row failed, empty witness search), 2 usage or input errors.
+corpus row failed, empty witness search), 2 usage or input errors,
+unreadable files, and inputs too large to process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -22,7 +22,6 @@ from .decomposition import DecompositionTree, substitution_decompose
 from .class_engine import (
     PermClass,
     ShadingGrid,
-    count_profile,
     enumerate_class,
     enumerate_simples,
     shading_grid,
@@ -41,19 +40,6 @@ def _parse_basis(text: str) -> PermClass:
     if not parts:
         raise ParseError("empty basis")
     return PermClass(tuple(parse_permutation(part) for part in parts))
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("DEFLATE_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ParseError(f"DEFLATE_THREADS must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise ParseError(f"DEFLATE_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _tree_json(tree: DecompositionTree) -> dict:
@@ -131,10 +117,13 @@ def _cmd_simples(args) -> tuple[int, dict, dict, list[str]]:
 
 def _cmd_enumerate(args) -> tuple[int, dict, dict, list[str]]:
     c = _parse_basis(args.basis)
-    members = [str(p) for p in enumerate_class(c, args.max_len)]
-    profile = count_profile(c, args.max_len)
+    counts = [0] * args.max_len
+    members = []
+    for p in enumerate_class(c, args.max_len):
+        counts[len(p) - 1] += 1
+        members.append(str(p))
     inputs = {"basis": [str(b) for b in c.basis], "max_len": args.max_len}
-    results = {"counts": [[n, members_n] for n, members_n, _ in profile], "members": members}
+    results = {"counts": [[n, k] for n, k in enumerate(counts, start=1)], "members": members}
     return 0, inputs, results, members or ["(empty class)"]
 
 
@@ -276,9 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Permutations are whitespace-separated values (quote them) or compact "
             "digit strings for lengths <= 9; a basis is a comma-separated list. "
-            "DEFLATE_THREADS caps internal parallelism (default: machine "
-            "parallelism; the current implementation is sequential). Exit codes: "
-            "0 success, 1 negative verdict, 2 usage/parse error."
+            "Exit codes: 0 success, 1 negative verdict, 2 usage/parse error, "
+            "unreadable file or input too large to process."
         ),
     )
     common = argparse.ArgumentParser(add_help=False)
@@ -351,23 +339,27 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     t0 = time.monotonic()
     try:
-        _thread_cap()
         code, inputs, results, lines = args.func(args)
-    except (ParseError, ValueError) as exc:
+        if getattr(args, "json", False):
+            command = args.command
+            if command == "witness":
+                command = f"witness {args.witness_command}"
+            report = {
+                "command": command,
+                "inputs": inputs,
+                "results": results,
+                "timing_ms": int((time.monotonic() - t0) * 1000),
+            }
+            # encoding a deeply nested tree can itself exhaust the stack
+            lines = [json.dumps(report)]
+    except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "json", False):
-        command = args.command if args.command != "witness" else f"witness {args.witness_command}"
-        report = {
-            "command": command,
-            "inputs": inputs,
-            "results": results,
-            "timing_ms": int((time.monotonic() - t0) * 1000),
-        }
-        print(json.dumps(report))
-    else:
-        for line in lines:
-            print(line)
+    except (RecursionError, MemoryError) as exc:
+        print(f"error: input too large to process ({type(exc).__name__})", file=sys.stderr)
+        return 2
+    for line in lines:
+        print(line)
     return code
 
 

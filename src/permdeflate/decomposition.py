@@ -13,9 +13,9 @@ matching kind).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .perm_core import Permutation, _pattern_of, inflate
+from .perm_core import Permutation, Slot, _pattern_of, inflate
 
 
 @dataclass(frozen=True, order=True)
@@ -100,15 +100,13 @@ def substitution_decompose(p: Permutation) -> DecompositionTree:
     if len(vals) == 1:
         return DecompositionTree(None)
     for kind, skel in (("direct", Permutation((1, 2))), ("skew", Permutation((2, 1)))):
-        comps = _components(vals, kind)
-        if len(comps) > 1:
-            head = comps[0]
-            tail = _concat_components(comps[1:], kind)
+        e = _component_ends(vals, kind)[0]
+        if e < len(vals):
             return DecompositionTree(
                 skel,
                 (
-                    substitution_decompose(Permutation(head)),
-                    substitution_decompose(Permutation(tail)),
+                    substitution_decompose(Permutation(_pattern_of(vals[:e]))),
+                    substitution_decompose(Permutation(_pattern_of(vals[e:]))),
                 ),
             )
     blocks = _maximal_interval_spans(vals)
@@ -130,7 +128,7 @@ def maximal_intervals(p: Permutation) -> list[IntervalSpan]:
     so the block structure is not well-defined.
     """
     vals = p.values
-    if _is_sum_decomposable(vals) or _is_skew_decomposable(vals):
+    if _is_decomposable(vals):
         raise ValueError("maximal intervals not well-defined for decomposable permutations")
     return [IntervalSpan(*span) for span in _maximal_interval_spans(vals)]
 
@@ -152,6 +150,24 @@ def quadrants(p: Permutation, alpha: IntervalSpan) -> QuadrantView:
         bucket = (beta if below else gamma) if left else (epsilon if below else delta)
         bucket.append((i, v))
     return QuadrantView(alpha, tuple(beta), tuple(gamma), tuple(delta), tuple(epsilon))
+
+
+def cut_slots(n: int, span: IntervalSpan) -> frozenset[Slot]:
+    """The slots of a length-``n`` host whose new entry cuts the interval
+    ``span`` without joining it: strictly between its positions with a
+    value neither inside nor next to its value range, or strictly between
+    its values at a position neither inside nor next to its position range.
+
+    >>> sorted((s.pos_slot, s.val_slot) for s in cut_slots(3, IntervalSpan(1, 2, 1, 2)))
+    [(2, 4), (4, 2)]
+    """
+    inner_pos = range(span.pos_lo + 1, span.pos_hi + 1)
+    inner_val = range(span.val_lo + 1, span.val_hi + 1)
+    outer_val = [*range(1, span.val_lo), *range(span.val_hi + 2, n + 2)]
+    outer_pos = [*range(1, span.pos_lo), *range(span.pos_hi + 2, n + 2)]
+    slots = [Slot(ps, vs) for ps in inner_pos for vs in outer_val]
+    slots.extend(Slot(ps, vs) for vs in inner_val for ps in outer_pos)
+    return frozenset(slots)
 
 
 def _check_interval(p: Permutation, span: IntervalSpan) -> None:
@@ -209,71 +225,33 @@ def _is_simple(vals: tuple[int, ...]) -> bool:
     return True
 
 
-def _is_sum_decomposable(vals: tuple[int, ...]) -> bool:
-    mx = 0
-    for i in range(len(vals) - 1):
-        if vals[i] > mx:
-            mx = vals[i]
-        if mx == i + 1:
-            return True
-    return False
-
-
-def _is_skew_decomposable(vals: tuple[int, ...]) -> bool:
-    n = len(vals)
-    mn = n + 1
-    for i in range(n - 1):
-        if vals[i] < mn:
-            mn = vals[i]
-        if mn == n - i:
-            return True
-    return False
+def _component_ends(vals: tuple[int, ...], kind: str) -> list[int]:
+    """End positions (1-based, inclusive) of the direct- or skew-sum
+    components of ``vals``, left to right; the last is always len(vals)."""
+    if kind == "skew":
+        # the skew components are the direct components of the complement
+        n = len(vals)
+        vals = [n + 1 - v for v in vals]
+    elif kind != "direct":
+        raise ValueError(f"kind must be 'direct' or 'skew', got {kind!r}")
+    ends = []
+    top = 0
+    for i, v in enumerate(vals, start=1):
+        if v > top:
+            top = v
+        if top == i:
+            ends.append(i)
+    return ends
 
 
 def _is_decomposable(vals: tuple[int, ...]) -> bool:
-    return _is_sum_decomposable(vals) or _is_skew_decomposable(vals)
+    n = len(vals)
+    return _component_ends(vals, "direct")[0] < n or _component_ends(vals, "skew")[0] < n
 
 
 def _components(vals: tuple[int, ...], kind: str) -> list[tuple[int, ...]]:
-    n = len(vals)
-    comps = []
-    start = 0
-    if kind == "direct":
-        mx = 0
-        for i, v in enumerate(vals):
-            if v > mx:
-                mx = v
-            if mx == i + 1:
-                comps.append(_pattern_of(vals[start : i + 1]))
-                start = i + 1
-    elif kind == "skew":
-        mn = n + 1
-        for i, v in enumerate(vals):
-            if v < mn:
-                mn = v
-            if mn == n - i:
-                comps.append(_pattern_of(vals[start : i + 1]))
-                start = i + 1
-    else:
-        raise ValueError(f"kind must be 'direct' or 'skew', got {kind!r}")
-    return comps
-
-
-def _concat_components(comps: Sequence[tuple[int, ...]], kind: str) -> tuple[int, ...]:
-    """Rebuild the (direct or skew) sum of component patterns."""
-    total = sum(len(c) for c in comps)
-    out: list[int] = []
-    if kind == "direct":
-        offset = 0
-        for c in comps:
-            out.extend(v + offset for v in c)
-            offset += len(c)
-    else:
-        offset = total
-        for c in comps:
-            offset -= len(c)
-            out.extend(v + offset for v in c)
-    return tuple(out)
+    ends = _component_ends(vals, kind)
+    return [_pattern_of(vals[start:end]) for start, end in zip([0, *ends], ends)]
 
 
 def _maximal_interval_spans(vals: tuple[int, ...]) -> list[tuple[int, int, int, int]]:

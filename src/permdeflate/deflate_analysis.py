@@ -19,7 +19,7 @@ members fail to extend to a simple member within a length budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .perm_core import (
     Permutation,
@@ -28,20 +28,25 @@ from .perm_core import (
     SYMMETRY_ORDER,
     _SYMMETRY_FUNCS,
     _SYMMETRY_INVERSE,
+    _bond_scan,
     _contains_any,
     _insert_raw,
     _pattern_of,
 )
 from .decomposition import (
     IntervalSpan,
+    _component_ends,
     _components,
     _is_decomposable,
     _is_simple,
-    _is_sum_decomposable,
+    cut_slots,
     maximal_intervals,
     sd_measure,
 )
 from .class_engine import PermClass, _avoids_raw, _class_levels, _insertion_creates, avoids
+
+if TYPE_CHECKING:
+    from .witness import BondCertificate
 
 #: Bases with no general embedding of members into indecomposable members
 #: (their classes contain permutations with only decomposable extensions).
@@ -125,7 +130,7 @@ class UncoveredMember:
     bond certificate for it if one exists."""
 
     member: Permutation
-    certificate: Optional[object]
+    certificate: Optional[BondCertificate]
 
 
 @dataclass(frozen=True)
@@ -253,23 +258,9 @@ def breaking_extensions(w: Permutation, c: PermClass) -> list[BreakReport]:
     if alpha.size < 2:
         raise ValueError(f"{w} is simple; nothing to break")
 
-    n = len(vals)
-    slots = []
-    for ps in range(alpha.pos_lo + 1, alpha.pos_hi + 1):
-        for vs in range(1, alpha.val_lo):
-            slots.append(Slot(ps, vs))
-        for vs in range(alpha.val_hi + 2, n + 2):
-            slots.append(Slot(ps, vs))
-    for vs in range(alpha.val_lo + 1, alpha.val_hi + 1):
-        for ps in range(1, alpha.pos_lo):
-            slots.append(Slot(ps, vs))
-        for ps in range(alpha.pos_hi + 2, n + 2):
-            slots.append(Slot(ps, vs))
-    slots.sort()
-
     before = sd_measure(w)
     reports = []
-    for slot in slots:
+    for slot in sorted(cut_slots(len(vals), alpha)):
         ext = _insert_raw(vals, slot.pos_slot, slot.val_slot)
         if not _avoids_raw(ext, c):
             continue
@@ -362,12 +353,8 @@ def _ddagger_raw(vals: tuple[int, ...]) -> bool:
     return any(v < threshold for v in vals[after_two:])
 
 
-def _has_increasing_bond(vals: tuple[int, ...]) -> bool:
-    return any(vals[i + 1] == vals[i] + 1 for i in range(len(vals) - 1))
-
-
-def _has_decreasing_bond(vals: tuple[int, ...]) -> bool:
-    return any(vals[i] == vals[i + 1] + 1 for i in range(len(vals) - 1))
+def _has_bond(vals: tuple[int, ...], kind: str) -> bool:
+    return any(k == kind for _, k, _ in _bond_scan(vals))
 
 
 def _one_plus_tail(vals: tuple[int, ...]) -> Optional[tuple[int, ...]]:
@@ -380,19 +367,6 @@ def _one_plus_tail(vals: tuple[int, ...]) -> Optional[tuple[int, ...]]:
 def _form_1n2(vals: tuple[int, ...]) -> bool:
     n = len(vals)
     return n >= 3 and vals[0] == 1 and vals[1] == n and vals[-1] == 2
-
-
-def _sum_component_sizes(vals: tuple[int, ...]) -> list[int]:
-    sizes = []
-    mx = 0
-    start = 0
-    for i, v in enumerate(vals):
-        if v > mx:
-            mx = v
-        if mx == i + 1:
-            sizes.append(i + 1 - start)
-            start = i + 1
-    return sizes
 
 
 def _pred_degenerate(vals: tuple[int, ...]) -> bool:
@@ -408,41 +382,41 @@ def _pred_base_231(vals: tuple[int, ...]) -> bool:
 
 
 def _pred_three_sum(vals: tuple[int, ...]) -> bool:
-    return len(_sum_component_sizes(vals)) >= 3
+    return len(_component_ends(vals, "direct")) >= 3
 
 
 def _pred_two_sum(vals: tuple[int, ...]) -> bool:
-    sizes = _sum_component_sizes(vals)
-    return len(sizes) == 2 and sizes[0] >= 2 and sizes[1] >= 2
+    ends = _component_ends(vals, "direct")
+    return len(ends) == 2 and 2 <= ends[0] <= len(vals) - 2
 
 
 def _pred_t33(vals: tuple[int, ...]) -> bool:
     rho = _one_plus_tail(vals)
-    if rho is None or _is_sum_decomposable(rho) or rho[0] > rho[1]:
+    if rho is None or len(_component_ends(rho, "direct")) > 1 or rho[0] > rho[1]:
         return False
-    return not _has_increasing_bond(rho) or not _has_decreasing_bond(rho)
+    return not _has_bond(rho, "increasing") or not _has_bond(rho, "decreasing")
 
 
 def _pred_t34(vals: tuple[int, ...]) -> bool:
     rho = _one_plus_tail(vals)
     if rho is None or len(vals) < 4 or rho[0] < rho[1]:
         return False
-    return not _has_increasing_bond(rho) and _ddagger_raw(vals)
+    return not _has_bond(rho, "increasing") and _ddagger_raw(vals)
 
 
 def _pred_t35(vals: tuple[int, ...]) -> bool:
-    return _form_1n2(vals) and not _has_increasing_bond(vals[1:])
+    return _form_1n2(vals) and not _has_bond(vals[1:], "increasing")
 
 
 def _pred_t36(vals: tuple[int, ...]) -> bool:
     rho = _one_plus_tail(vals)
     if rho is None or len(vals) < 4 or rho[0] < rho[1]:
         return False
-    return not _has_decreasing_bond(rho) and _ddagger_raw(vals)
+    return not _has_bond(rho, "decreasing") and _ddagger_raw(vals)
 
 
 def _pred_t37(vals: tuple[int, ...]) -> bool:
-    return _form_1n2(vals) and not _has_decreasing_bond(vals)
+    return _form_1n2(vals) and not _has_bond(vals, "decreasing")
 
 
 def _pred_t38(vals: tuple[int, ...]) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 #: Largest supported permutation length.  Everything this package is used
 #: for lives far below this bound (the longest bundled witness has length
@@ -223,7 +223,7 @@ def contains(pattern: Permutation, host: Permutation) -> Optional[Occurrence]:
     Returns None when the host avoids the pattern.
 
     >>> contains(parse_permutation("312"), parse_permutation("2531647"))
-    Occurrence(positions=(2, 4, 6))
+    Occurrence(positions=(2, 3, 6))
     """
     occ = _find_occurrence(pattern.values, host.values)
     if occ is None:
@@ -258,15 +258,7 @@ def delete(p: Permutation, position: int) -> Permutation:
 
 def bonds(p: Permutation) -> list[Bond]:
     """All bonds of ``p`` in left-to-right order."""
-    vals = p.values
-    out = []
-    for i in range(len(vals) - 1):
-        a, b = vals[i], vals[i + 1]
-        if b == a + 1:
-            out.append(Bond(i + 1, "increasing", a))
-        elif a == b + 1:
-            out.append(Bond(i + 1, "decreasing", b))
-    return out
+    return [Bond(*bond) for bond in _bond_scan(p.values)]
 
 
 def inflate(skeleton: Permutation, parts: Sequence[Permutation]) -> Permutation:
@@ -345,6 +337,16 @@ def _delete_raw(vals: tuple[int, ...], index: int) -> tuple[int, ...]:
     return tuple(v - 1 if v > removed else v for i, v in enumerate(vals) if i != index)
 
 
+def _bond_scan(vals: Sequence[int]) -> Iterator[tuple[int, str, int]]:
+    """(left_pos, kind, low_value) of each bond, left to right."""
+    for i in range(len(vals) - 1):
+        a, b = vals[i], vals[i + 1]
+        if b == a + 1:
+            yield i + 1, "increasing", a
+        elif a == b + 1:
+            yield i + 1, "decreasing", b
+
+
 def _pattern_of(values: Sequence[int]) -> tuple[int, ...]:
     """The 1..k pattern of a sequence of distinct integers."""
     rank = {v: i + 1 for i, v in enumerate(sorted(values))}
@@ -370,36 +372,64 @@ def _neighbor_refs(pat: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
     return tuple(lo_ref), tuple(hi_ref)
 
 
-def _find_occurrence(pat: tuple[int, ...], host: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+def _find_occurrence(
+    pat: tuple[int, ...], host: tuple[int, ...], pin_j: int = -1, pin_pos: int = -1
+) -> Optional[list[int]]:
     """Position-lexicographically least occurrence (0-based), or None.
+
+    With ``pin_j >= 0`` only occurrences that place pattern index ``pin_j``
+    at host position ``pin_pos`` count.  Used incrementally: when a host is
+    one insertion away from a known avoider, any new occurrence must
+    involve the inserted entry, so the search can be pinned there.
 
     Depth-first search choosing host positions left to right; the first
     complete assignment found is automatically the lexicographic minimum.
+    The working list itself is returned, without a tuple copy, because the
+    hottest callers only test it for truth.
     """
     k, n = len(pat), len(host)
-    if k > n:
+    # unpinned, with (-1, -1), this reduces to k > n
+    if pin_j > pin_pos or k - pin_j > n - pin_pos:
         return None
     lo_ref, hi_ref = _neighbor_refs(pat)
+    # index j searches positions below tail + j, which leaves room for the
+    # later indices, or below head + j before the pin, which leaves room
+    # for the indices up to the pin
+    tail = n - k + 1
+    head = pin_pos - pin_j + 1
     chosen = [0] * k
     j = 0
     pos = 0
     while True:
-        limit = n - (k - j) + 1
         lo = host[chosen[lo_ref[j]]] if lo_ref[j] >= 0 else 0
         hi = host[chosen[hi_ref[j]]] if hi_ref[j] >= 0 else n + 1
+        if j > pin_j:
+            limit = tail + j
+        elif j < pin_j:
+            limit = head + j
+        else:
+            # forced placement; backtracking skips this level
+            pos = pin_pos
+            limit = pin_pos + 1
         while pos < limit and not lo < host[pos] < hi:
             pos += 1
         if pos < limit:
             chosen[j] = pos
             if j == k - 1:
-                return tuple(chosen)
+                return chosen
             j += 1
             pos += 1
         else:
             j -= 1
+            if j == pin_j:
+                j -= 1
             if j < 0:
                 return None
             pos = chosen[j] + 1
+
+
+# pinned callers use this name: perfbench/tracing.py counts searches per binding name
+_contains_pinned = _find_occurrence
 
 
 def _contains_any(pat: tuple[int, ...], host: tuple[int, ...]) -> bool:
@@ -477,44 +507,3 @@ def _contains_mrv(pat: tuple[int, ...], host: tuple[int, ...]) -> bool:
         return False
 
     return search(0)
-
-
-def _contains_pinned(pat: tuple[int, ...], host: tuple[int, ...], pin_j: int, pin_pos: int) -> bool:
-    """Does ``host`` contain ``pat`` with pattern index ``pin_j`` placed at
-    host position ``pin_pos``?  All indices 0-based.
-
-    Used incrementally: when a host is one insertion away from a known
-    avoider, any new occurrence must involve the inserted entry, so the
-    search can be pinned there.
-    """
-    k, n = len(pat), len(host)
-    if k > n or pin_j > pin_pos or (k - 1 - pin_j) > (n - 1 - pin_pos):
-        return False
-    lo_ref, hi_ref = _neighbor_refs(pat)
-    chosen = [0] * k
-    j = 0
-    pos = 0
-    while True:
-        lo = host[chosen[lo_ref[j]]] if lo_ref[j] >= 0 else 0
-        hi = host[chosen[hi_ref[j]]] if hi_ref[j] >= 0 else n + 1
-        if j == pin_j:
-            # forced placement, no alternatives at this level
-            cand = pin_pos if pos <= pin_pos and lo < host[pin_pos] < hi else -1
-        else:
-            limit = (pin_pos - (pin_j - j) + 1) if j < pin_j else (n - (k - j) + 1)
-            while pos < limit and not lo < host[pos] < hi:
-                pos += 1
-            cand = pos if pos < limit else -1
-        if cand >= 0:
-            chosen[j] = cand
-            if j == k - 1:
-                return True
-            j += 1
-            pos = cand + 1
-        else:
-            j -= 1
-            if j == pin_j:
-                j -= 1
-            if j < 0:
-                return False
-            pos = chosen[j] + 1

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
 from .perm_core import Bond, Permutation, Slot, bonds, inflate, parse_permutation
+from .decomposition import IntervalSpan, cut_slots
 from .class_engine import PermClass, ShadingGrid, _class_levels, avoids, shading_grid
 from .deflate_analysis import extend_to_simple
 
@@ -42,7 +43,6 @@ class BondCertificate:
 
     bond: Bond
     checked_slots: frozenset[Slot]
-    grid: ShadingGrid
 
 
 @dataclass(frozen=True)
@@ -77,16 +77,24 @@ class CorpusRowResult:
 
 def bond_strip_slots(n: int, bond: Bond) -> frozenset[Slot]:
     """The strip slots a certificate must see blocked, for a bond at
-    positions (i, i+1) with values {w, w+1} in a length-n host: the whole
-    vertical strip pos_slot = i+1 except val_slots {w, w+1, w+2}, plus the
-    whole horizontal strip val_slot = w+1 except pos_slots {i, i+1, i+2}.
+    positions (i, i+1) with values {w, w+1} in a length-n host: the cut
+    slots of the bond as a size-2 interval.  That is the whole vertical
+    strip pos_slot = i+1 except val_slots {w, w+1, w+2}, plus the whole
+    horizontal strip val_slot = w+1 except pos_slots {i, i+1, i+2}.
     The exceptions are the crossing cell and the four adjacent cells; the
     same formula covers both bond orientations.
     """
     i, w = bond.left_pos, bond.low_value
-    cells = {Slot(i + 1, vs) for vs in range(1, n + 2) if vs not in (w, w + 1, w + 2)}
-    cells.update(Slot(ps, w + 1) for ps in range(1, n + 2) if ps not in (i, i + 1, i + 2))
-    return frozenset(cells)
+    return cut_slots(n, IntervalSpan(i, i + 1, w, w + 1))
+
+
+def _locked_strips(grid: ShadingGrid, bond: Bond) -> Optional[frozenset[Slot]]:
+    """The strip slots of ``bond`` when there are some and every one is
+    blocked in ``grid``, else None."""
+    cells = bond_strip_slots(len(grid.host), bond)
+    if cells and all(grid.is_blocked(slot) for slot in sorted(cells)):
+        return cells
+    return None
 
 
 def bond_certificate(p: Permutation, c: PermClass) -> Optional[BondCertificate]:
@@ -99,11 +107,10 @@ def bond_certificate(p: Permutation, c: PermClass) -> Optional[BondCertificate]:
     surrounding box to be a proper part of any extension.
     """
     grid = shading_grid(p, c)
-    n = len(p)
     for bond in bonds(p):
-        cells = bond_strip_slots(n, bond)
-        if cells and all(grid.is_blocked(slot) for slot in sorted(cells)):
-            return BondCertificate(bond, cells, grid)
+        cells = _locked_strips(grid, bond)
+        if cells is not None:
+            return BondCertificate(bond, cells)
     return None
 
 
@@ -158,9 +165,7 @@ def inflation_family(theta: Permutation) -> FamilyCheck:
     i = vals.index(3) + 1
     if vals[i] != 4:
         raise AssertionError(f"expected the {{3,4}} bond to survive inflation in {omega_star}")
-    grid = ShadingGrid(omega_star, cls)
-    cells = bond_strip_slots(len(omega_star), Bond(i, "increasing", 3))
-    verified = all(grid.is_blocked(slot) for slot in sorted(cells))
+    verified = _locked_strips(ShadingGrid(omega_star, cls), Bond(i, "increasing", 3)) is not None
     return FamilyCheck(pi_star, omega_star, verified)
 
 

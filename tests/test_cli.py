@@ -149,12 +149,27 @@ def test_enumerate_and_simples(capsys):
     assert set(out.splitlines()) == {"1", "1 2", "2 1"}
 
 
-def test_thread_cap_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("DEFLATE_THREADS", "not-a-number")
-    code, _, err = invoke(capsys, "classify", "2413")
-    assert code == 2 and "DEFLATE_THREADS" in err
-    monkeypatch.setenv("DEFLATE_THREADS", "2")
-    assert invoke(capsys, "classify", "2413")[0] == 0
+def test_enumerate_counts_lengths_without_members(capsys):
+    code, out, _ = invoke(capsys, "enumerate", "--basis", "1", "--max-len", "3", "--json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results == {"counts": [[1, 0], [2, 0], [3, 0]], "members": []}
+
+
+def test_unreadable_corpus_exits_2(capsys, tmp_path):
+    code, out, err = invoke(capsys, "verify-paper", "--corpus", str(tmp_path / "missing.txt"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_too_deep_decomposition_exits_2(capsys):
+    # the identity decomposes into one nested sum per entry, deeper than the
+    # interpreter's default recursion limit
+    identity = " ".join(str(v) for v in range(1, 1201))
+    for extra in ([], ["--json"]):
+        code, out, err = invoke(capsys, "decompose", identity, *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 def test_verify_paper_subset(capsys, tmp_path):

@@ -6,9 +6,17 @@ import itertools
 
 import pytest
 
-from permdeflate.perm_core import Permutation, apply_symmetry, parse_permutation, SYMMETRY_ORDER
+from permdeflate.perm_core import (
+    Permutation,
+    Slot,
+    SYMMETRY_ORDER,
+    apply_symmetry,
+    insert,
+    parse_permutation,
+)
 from permdeflate.decomposition import (
     IntervalSpan,
+    cut_slots,
     is_simple,
     maximal_intervals,
     proper_intervals,
@@ -190,6 +198,30 @@ def test_sd_zero_iff_simple_to_8():
             if _is_decomposable(p.values):
                 continue
             assert (sd_measure(p) == 0) == is_simple(p)
+
+
+def test_cut_slots_split_an_interval_without_joining_it_to_6():
+    # semantic reference: after the insertion neither the interval's entries
+    # nor those entries with the new one occupy contiguous positions and values
+    def is_block(ext, positions):
+        vals = [ext.values[i - 1] for i in positions]
+        return (
+            max(positions) - min(positions) == len(positions) - 1
+            and max(vals) - min(vals) == len(vals) - 1
+        )
+
+    for n in range(2, 7):
+        for p in all_perms(n):
+            for span in proper_intervals(p):
+                positions = range(span.pos_lo, span.pos_hi + 1)
+                expected = set()
+                for ps in range(1, n + 2):
+                    for vs in range(1, n + 2):
+                        ext = insert(p, Slot(ps, vs))
+                        moved = [i if i < ps else i + 1 for i in positions]
+                        if not is_block(ext, moved) and not is_block(ext, moved + [ps]):
+                            expected.add(Slot(ps, vs))
+                assert cut_slots(n, span) == expected, (p, span)
 
 
 def test_quadrants_examples():

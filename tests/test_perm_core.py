@@ -6,7 +6,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from permdeflate.perm_core import (
     Bond,
@@ -27,6 +27,7 @@ from permdeflate.perm_core import (
     skew_sum,
     symmetry_from_name,
     _contains_any,
+    _find_occurrence,
     _pattern_of,
 )
 
@@ -125,6 +126,32 @@ def test_contains_matches_brute_force_randomised():
         assert (occ is not None) == brute_contains(pattern, host)
         if occ is not None:
             assert _pattern_of([host.values[i - 1] for i in occ.positions]) == pattern.values
+
+
+@st.composite
+def searches(draw):
+    """A pattern (k <= 6), a host (n <= 9) and an optional pin (t, q):
+    pattern index t at host position q, both 0-based and possibly
+    impossible to honour."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=9))
+    pat = tuple(draw(st.permutations(range(1, k + 1))))
+    host = tuple(draw(st.permutations(range(1, n + 1))))
+    pin = draw(st.none() | st.tuples(st.integers(0, k - 1), st.integers(0, n - 1)))
+    return pat, host, pin
+
+
+@settings(max_examples=400)
+@given(searches())
+def test_find_occurrence_matches_brute_force(case):
+    pat, host, pin = case
+    combs = itertools.combinations(range(len(host)), len(pat))
+    if pin is not None:
+        combs = (comb for comb in combs if comb[pin[0]] == pin[1])
+    # combinations come in lexicographic order, so the first match is the least
+    expected = next((list(c) for c in combs if _pattern_of([host[i] for i in c]) == pat), None)
+    got = _find_occurrence(pat, host) if pin is None else _find_occurrence(pat, host, *pin)
+    assert got == expected
 
 
 def test_containment_is_a_partial_order_up_to_5():

@@ -14,7 +14,7 @@ from permdeflate.perm_core import (
     apply_symmetry,
     parse_permutation,
 )
-from permdeflate.class_engine import PermClass, avoids
+from permdeflate.class_engine import PermClass, avoids, shading_grid
 from permdeflate.deflate_analysis import extend_to_simple
 from permdeflate.witness import (
     bond_certificate,
@@ -80,10 +80,12 @@ def test_strips_are_symmetric_for_both_orientations():
 
 
 def test_certificate_on_the_bundled_witness():
-    cert = bond_certificate(P("25173486"), PermClass.of("251364"))
+    witness, cls = P("25173486"), PermClass.of("251364")
+    cert = bond_certificate(witness, cls)
     assert cert is not None
     assert (cert.bond.left_pos, cert.bond.kind, cert.bond.low_value) == (5, "increasing", 3)
-    assert all(cert.grid.is_blocked(slot) for slot in cert.checked_slots)
+    grid = shading_grid(witness, cls)
+    assert all(grid.is_blocked(slot) for slot in cert.checked_slots)
 
 
 def test_certificate_absent_without_bonds():
