@@ -13,7 +13,7 @@ matching kind).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .perm_core import Permutation, Slot, _pattern_of, inflate
 
@@ -161,13 +161,23 @@ def cut_slots(n: int, span: IntervalSpan) -> frozenset[Slot]:
     >>> sorted((s.pos_slot, s.val_slot) for s in cut_slots(3, IntervalSpan(1, 2, 1, 2)))
     [(2, 4), (4, 2)]
     """
-    inner_pos = range(span.pos_lo + 1, span.pos_hi + 1)
+    return frozenset(Slot(ps, vs) for ps, vs in _cut_slot_pairs(n, span))
+
+
+def _cut_slot_pairs(n: int, span: IntervalSpan) -> Iterator[tuple[int, int]]:
+    """(pos_slot, val_slot) of each of ``cut_slots(n, span)``, in sorted
+    order, without building the set."""
     inner_val = range(span.val_lo + 1, span.val_hi + 1)
     outer_val = [*range(1, span.val_lo), *range(span.val_hi + 2, n + 2)]
-    outer_pos = [*range(1, span.pos_lo), *range(span.pos_hi + 2, n + 2)]
-    slots = [Slot(ps, vs) for ps in inner_pos for vs in outer_val]
-    slots.extend(Slot(ps, vs) for vs in inner_val for ps in outer_pos)
-    return frozenset(slots)
+    for ps in range(1, n + 2):
+        if span.pos_lo < ps <= span.pos_hi:
+            vals = outer_val
+        elif ps < span.pos_lo or ps > span.pos_hi + 1:
+            vals = inner_val
+        else:
+            continue
+        for vs in vals:
+            yield ps, vs
 
 
 def _check_interval(p: Permutation, span: IntervalSpan) -> None:

@@ -37,9 +37,9 @@ from .decomposition import (
     IntervalSpan,
     _component_ends,
     _components,
+    _cut_slot_pairs,
     _is_decomposable,
     _is_simple,
-    cut_slots,
     maximal_intervals,
     sd_measure,
 )
@@ -260,11 +260,12 @@ def breaking_extensions(w: Permutation, c: PermClass) -> list[BreakReport]:
 
     before = sd_measure(w)
     reports = []
-    for slot in sorted(cut_slots(len(vals), alpha)):
-        ext = _insert_raw(vals, slot.pos_slot, slot.val_slot)
+    for ps, vs in _cut_slot_pairs(len(vals), alpha):
+        ext = _insert_raw(vals, ps, vs)
         if not _avoids_raw(ext, c):
             continue
         extension = Permutation(ext)
+        slot = Slot(ps, vs)
         if _is_decomposable(ext):
             raise AssertionError(f"cut at {slot} left {extension} decomposable")
         if sd_measure(extension) >= before:

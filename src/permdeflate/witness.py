@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
 from .perm_core import Bond, Permutation, Slot, bonds, inflate, parse_permutation
-from .decomposition import IntervalSpan, cut_slots
+from .decomposition import IntervalSpan, _cut_slot_pairs, cut_slots
 from .class_engine import PermClass, ShadingGrid, _class_levels, avoids, shading_grid
 from .deflate_analysis import extend_to_simple
 
@@ -84,17 +84,25 @@ def bond_strip_slots(n: int, bond: Bond) -> frozenset[Slot]:
     The exceptions are the crossing cell and the four adjacent cells; the
     same formula covers both bond orientations.
     """
+    return cut_slots(n, _bond_span(bond))
+
+
+def _bond_span(bond: Bond) -> IntervalSpan:
     i, w = bond.left_pos, bond.low_value
-    return cut_slots(n, IntervalSpan(i, i + 1, w, w + 1))
+    return IntervalSpan(i, i + 1, w, w + 1)
 
 
 def _locked_strips(grid: ShadingGrid, bond: Bond) -> Optional[frozenset[Slot]]:
     """The strip slots of ``bond`` when there are some and every one is
-    blocked in ``grid``, else None."""
-    cells = bond_strip_slots(len(grid.host), bond)
-    if cells and all(grid.is_blocked(slot) for slot in sorted(cells)):
-        return cells
-    return None
+    blocked in ``grid``, else None.  Cells are tested in sorted order and
+    the test stops at the first open one."""
+    cells = []
+    for ps, vs in _cut_slot_pairs(len(grid.host), _bond_span(bond)):
+        slot = Slot(ps, vs)
+        if not grid.is_blocked(slot):
+            return None
+        cells.append(slot)
+    return frozenset(cells) if cells else None
 
 
 def bond_certificate(p: Permutation, c: PermClass) -> Optional[BondCertificate]:

@@ -8,12 +8,14 @@ import random
 import pytest
 
 from permdeflate.perm_core import (
+    Permutation,
     Slot,
     SYMMETRY_ORDER,
     apply_symmetry,
     delete,
     parse_permutation,
     _contains_any,
+    _pattern_of,
 )
 from permdeflate.class_engine import (
     PermClass,
@@ -120,17 +122,79 @@ def test_shading_grid_empty_when_basis_too_long():
     assert grid.blocked == frozenset()
 
 
+def _completing_slots(host: tuple[int, ...], pat: tuple[int, ...]) -> set[Slot]:
+    """Slots whose new entry completes ``pat`` together with k-1 entries of
+    ``host``: for every itertools subsequence matching ``pat`` minus index
+    t, the entry must go between the subsequence's (t-1)th and tth entries
+    in position, and between its entries of rank pat[t]-1 and pat[t] in
+    value.  For a member these are exactly the blocked slots."""
+    n, k = len(host), len(pat)
+    roles: dict[tuple[int, ...], list[int]] = {}
+    for t in range(k):
+        roles.setdefault(_pattern_of(pat[:t] + pat[t + 1 :]), []).append(t)
+    out = set()
+    for where in itertools.combinations(range(1, n + 1), k - 1):
+        vals = [host[i - 1] for i in where]
+        pos = [0, *where, n + 1]
+        ranked = [0, *sorted(vals), n + 1]
+        for t in roles.get(_pattern_of(vals), ()):
+            r = pat[t]
+            out.update(
+                Slot(ps, vs)
+                for ps in range(pos[t] + 1, pos[t + 1] + 1)
+                for vs in range(ranked[r - 1] + 1, ranked[r] + 1)
+            )
+    return out
+
+
+def _near_miss(rng: random.Random, c: PermClass, n: int) -> Permutation:
+    """A random member of length n that some insertions take out of ``c``:
+    a basis element planted in a random permutation, minus one of its
+    entries."""
+    while True:
+        b = rng.choice(c.basis).values
+        host = rng.sample(range(1, n + 2), n + 1)
+        where = sorted(rng.sample(range(n + 1), len(b)))
+        vals = sorted(host[i] for i in where)
+        for i, r in zip(where, b):
+            host[i] = vals[r - 1]
+        p = delete(Permutation(tuple(host)), rng.choice(where) + 1)
+        if avoids(p, c):
+            return p
+
+
 def test_shading_grid_matches_definition():
     from permdeflate.perm_core import insert
 
-    host = P("2143")
-    c = PermClass.of("2413", "3142")
-    grid = shading_grid(host, c)
-    n = len(host)
-    for ps in range(1, n + 2):
-        for vs in range(1, n + 2):
-            extended = insert(host, Slot(ps, vs))
-            assert grid.is_blocked(Slot(ps, vs)) == (not avoids(extended, c))
+    # bases of length 3..8 reach both containment engines (k <= 6 and
+    # k >= 7); every full grid has edge slots where the entry cannot play
+    # most pattern indices
+    rng = random.Random(7)
+    classes = [("2413", "3142"), ("231",), ("25314",), ("251364",), ("4321", "2461357"), ("24681357",)]
+    cases = [(P("2143"), PermClass.of("2413", "3142"))]
+    for basis in classes:
+        c = PermClass.of(*basis)
+        cases.extend((_near_miss(rng, c, n), c) for n in (7, 9))
+    witness = P("5 8 11 2 13 4 14 16 18 9 10 6 1 15 17 3 7 12")
+    cases.append((witness, PermClass.of("2 4 6 8 1 3 5 7")))
+
+    for host, c in cases:
+        n = len(host)
+        expected = set().union(*(_completing_slots(host.values, b.values) for b in c.basis))
+        if n <= 9:
+            # brute force: some itertools subsequence of the extension matches
+            brute = {
+                Slot(ps, vs)
+                for ps in range(1, n + 2)
+                for vs in range(1, n + 2)
+                if any(
+                    _pattern_of(sub) == b.values
+                    for b in c.basis
+                    for sub in itertools.combinations(insert(host, Slot(ps, vs)).values, len(b))
+                )
+            }
+            assert brute == expected, host
+        assert shading_grid(host, c).blocked == expected, (host, c)
 
 
 def _slot_image(slot: Slot, sym, n: int) -> Slot:

@@ -24,6 +24,7 @@ from permdeflate.decomposition import (
     sd_measure,
     substitution_decompose,
     sum_components,
+    _cut_slot_pairs,
     _is_decomposable,
 )
 
@@ -222,6 +223,15 @@ def test_cut_slots_split_an_interval_without_joining_it_to_6():
                         if not is_block(ext, moved) and not is_block(ext, moved + [ps]):
                             expected.add(Slot(ps, vs))
                 assert cut_slots(n, span) == expected, (p, span)
+
+
+def test_cut_slot_pairs_come_sorted_and_once_to_6():
+    for n in range(2, 7):
+        for p in all_perms(n):
+            for span in proper_intervals(p):
+                pairs = list(_cut_slot_pairs(n, span))
+                assert len(set(pairs)) == len(pairs), (p, span)
+                assert pairs == sorted((s.pos_slot, s.val_slot) for s in cut_slots(n, span)), (p, span)
 
 
 def test_quadrants_examples():

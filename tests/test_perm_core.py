@@ -27,6 +27,7 @@ from permdeflate.perm_core import (
     skew_sum,
     symmetry_from_name,
     _contains_any,
+    _contains_mrv,
     _find_occurrence,
     _pattern_of,
 )
@@ -152,6 +153,40 @@ def test_find_occurrence_matches_brute_force(case):
     expected = next((list(c) for c in combs if _pattern_of([host[i] for i in c]) == pat), None)
     got = _find_occurrence(pat, host) if pin is None else _find_occurrence(pat, host, *pin)
     assert got == expected
+
+
+@st.composite
+def long_searches(draw):
+    """A pattern with k in {7, 8}, a host (n <= 10) and an optional pin,
+    possibly impossible to honour, as in ``searches``.  Half the hosts
+    long enough get a planted occurrence, since random ones rarely
+    contain a pattern this long."""
+    k = draw(st.integers(min_value=7, max_value=8))
+    n = draw(st.integers(min_value=1, max_value=10))
+    pat = tuple(draw(st.permutations(range(1, k + 1))))
+    host = list(draw(st.permutations(range(1, n + 1))))
+    if n >= k and draw(st.booleans()):
+        where = sorted(draw(st.permutations(range(n)))[:k])
+        vals = sorted(host[i] for i in where)
+        for i, p in zip(where, pat):
+            host[i] = vals[p - 1]
+    host = tuple(host)
+    pin = draw(st.none() | st.tuples(st.integers(0, k - 1), st.integers(0, n - 1)))
+    return pat, host, pin
+
+
+@settings(max_examples=300)
+@given(long_searches())
+def test_pinned_mrv_matches_brute_force(case):
+    pat, host, pin = case
+    pin = pin or ()
+    combs = itertools.combinations(range(len(host)), len(pat))
+    expected = any(
+        _pattern_of([host[i] for i in comb]) == pat and (not pin or comb[pin[0]] == pin[1])
+        for comb in combs
+    )
+    assert _contains_mrv(pat, host, *pin) == expected
+    assert _contains_any(pat, host, *pin) == expected
 
 
 def test_containment_is_a_partial_order_up_to_5():
