@@ -19,6 +19,7 @@ from .perm_core import (
     _contains_any,
     _contains_pinned,
     _insert_raw,
+    _search_kernel,
     parse_permutation,
 )
 from .decomposition import _is_simple
@@ -75,18 +76,20 @@ def _class_levels(c: PermClass, max_len: int) -> Iterator[list[tuple[int, ...]]]
     Children are generated by inserting the new maximum at every position;
     the incremental membership test only has to look for basis occurrences
     that use the new entry, pinned at the basis element's own maximum.
+    Each level fetches the pinned kernels from ``_search_kernel`` once and
+    calls them directly, so a child costs one call per basis element.
     """
     basis = [(b.values, max(range(len(b)), key=b.values.__getitem__)) for b in c.basis]
     level = [(1,)] if all(len(bv) > 1 for bv, _ in basis) else []
     yield level
     for n in range(2, max_len + 1):
-        relevant = [(bv, t) for bv, t in basis if len(bv) <= n]
+        tests = [_search_kernel(bv, t) for bv, t in basis if len(bv) <= n]
         nxt = []
         for parent in level:
             for q in range(n):
                 child = parent[:q] + (n,) + parent[q:]
-                for bv, t in relevant:
-                    if _contains_pinned(bv, child, t, q):
+                for test in tests:
+                    if test(child, q):
                         break
                 else:
                     nxt.append(child)

@@ -7,9 +7,13 @@ values can be shared freely between threads or worker processes.
 
 Hot paths (class enumeration, membership filtering, slot grids) work on raw
 value tuples via the underscore helpers at the bottom of this module; the
-public functions wrap them.  Containment has two engines: a left-to-right
-DFS, best up to pattern length 6, and a most-constrained-first search for
-longer patterns; ``_contains_any`` picks between them by pattern length.
+public functions wrap them.  Containment has three engines, each with one
+role.  Existence tests for patterns of length k <= 6 run a nested-loop
+kernel compiled once per (pattern, pin); existence tests for k >= 7 run a
+most-constrained-first (MRV) search; ``_search_kernel`` is the one place
+that chooses between them.  ``contains()``, which must report positions,
+runs an interpreted left-to-right DFS that finds the lexicographically
+least occurrence.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 #: Largest supported permutation length.  Everything this package is used
 #: for lives far below this bound (the longest bundled witness has length
@@ -374,45 +378,28 @@ def _neighbor_refs(pat: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
     return tuple(lo_ref), tuple(hi_ref)
 
 
-def _find_occurrence(
-    pat: tuple[int, ...], host: tuple[int, ...], pin_j: int = -1, pin_pos: int = -1
-) -> Optional[list[int]]:
+def _find_occurrence(pat: tuple[int, ...], host: tuple[int, ...]) -> Optional[list[int]]:
     """Position-lexicographically least occurrence (0-based), or None.
-
-    With ``pin_j >= 0`` only occurrences that place pattern index ``pin_j``
-    at host position ``pin_pos`` count.  Used incrementally: when a host is
-    one insertion away from a known avoider, any new occurrence must
-    involve the inserted entry, so the search can be pinned there.
 
     Depth-first search choosing host positions left to right; the first
     complete assignment found is automatically the lexicographic minimum.
-    The working list itself is returned, without a tuple copy, because the
-    hottest callers only test it for truth.
+    Only ``contains()`` needs positions; existence tests use
+    ``_search_kernel``.
     """
     k, n = len(pat), len(host)
-    # unpinned, with (-1, -1), this reduces to k > n
-    if pin_j > pin_pos or k - pin_j > n - pin_pos:
+    if k > n:
         return None
     lo_ref, hi_ref = _neighbor_refs(pat)
     # index j searches positions below tail + j, which leaves room for the
-    # later indices, or below head + j before the pin, which leaves room
-    # for the indices up to the pin
+    # later indices
     tail = n - k + 1
-    head = pin_pos - pin_j + 1
     chosen = [0] * k
     j = 0
     pos = 0
     while True:
         lo = host[chosen[lo_ref[j]]] if lo_ref[j] >= 0 else 0
         hi = host[chosen[hi_ref[j]]] if hi_ref[j] >= 0 else n + 1
-        if j > pin_j:
-            limit = tail + j
-        elif j < pin_j:
-            limit = head + j
-        else:
-            # forced placement; backtracking skips this level
-            pos = pin_pos
-            limit = pin_pos + 1
+        limit = tail + j
         while pos < limit and not lo < host[pos] < hi:
             pos += 1
         if pos < limit:
@@ -423,34 +410,98 @@ def _find_occurrence(
             pos += 1
         else:
             j -= 1
-            if j == pin_j:
-                j -= 1
             if j < 0:
                 return None
             pos = chosen[j] + 1
 
 
-# pinned callers use this name: perfbench/tracing.py counts searches per binding name
-_contains_pinned = _find_occurrence
+@lru_cache(maxsize=4096)
+def _search_kernel(
+    pat: tuple[int, ...], pin_j: int = -1
+) -> Callable[[tuple[int, ...], int], bool]:
+    """The existence test for ``pat``, built once per (pattern, pin) and
+    cached: ``test(host, pin_pos)`` is True iff ``host`` contains ``pat``,
+    with pattern index ``pin_j`` at host position ``pin_pos`` when
+    ``pin_j >= 0`` (``pin_pos`` is ignored otherwise).  This is the one
+    place that picks a containment engine by pattern length.
+
+    For k <= 6 the test is one function of nested ``for`` loops, one per
+    pattern index, built as source text and ``exec``'d.  A pinned search
+    fixes the pinned index first, then places the indices left of it from
+    the nearest outward, then those right of it in order; an unpinned one
+    goes left to right.  Each loop's position range leaves room for the
+    indices still unplaced, and each value test compares only against the
+    nearest placed pattern values below and above, chosen here rather
+    than per call.  The generated text holds only identifiers and integers
+    derived from k, the pin and the loop indices: no host value or other
+    outside text ever reaches ``exec``.
+
+    For k >= 7, where any fixed loop order degenerates on long rigid
+    patterns, the test calls ``_contains_mrv``.  It looks that name up at
+    call time, so a wrapper installed on the module attribute sees every
+    call.
+    """
+    k = len(pat)
+    if k >= 7:
+        return lambda host, pin_pos: _contains_mrv(pat, host, pin_j, pin_pos)
+    if pin_j >= 0:
+        order = [pin_j, *range(pin_j - 1, -1, -1), *range(pin_j + 1, k)]
+    else:
+        order = list(range(k))
+    # the pattern read in placement order: its neighbour refs are, per
+    # step, the earlier steps holding the nearest values below and above
+    lo_ref, hi_ref = _neighbor_refs(tuple(pat[j] for j in order))
+
+    def pos(j: int) -> str:
+        return "q" if j == pin_j else f"p{j}"
+
+    lines = ["def test(host, q):", "    n = len(host)"]
+    if pin_j >= 0:
+        lines.append(f"    if q < {pin_j} or n - q < {k - pin_j}:")
+        lines.append("        return False")
+    indent = "    "
+    for step, j in enumerate(order):
+        if j == pin_j:
+            lines.append(f"{indent}v{j} = host[q]")
+            continue
+        if j < pin_j:
+            bounds = f"{j}, {pos(j + 1)}"
+        else:
+            start = f"{pos(j - 1)} + 1" if j > 0 else "0"
+            bounds = f"{start}, n - {k - 1 - j}" if j < k - 1 else f"{start}, n"
+        lines.append(f"{indent}for p{j} in range({bounds}):")
+        indent += "    "
+        lines.append(f"{indent}v{j} = host[p{j}]")
+        below = f"v{order[lo_ref[step]]} < " if lo_ref[step] >= 0 else ""
+        above = f" < v{order[hi_ref[step]]}" if hi_ref[step] >= 0 else ""
+        if below or above:
+            lines.append(f"{indent}if {below}v{j}{above}:")
+            indent += "    "
+    lines.append(f"{indent}return True")
+    lines.append("    return False")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["test"]
+
+
+def _contains_pinned(
+    pat: tuple[int, ...], host: tuple[int, ...], pin_j: int, pin_pos: int
+) -> bool:
+    """Does ``host`` contain ``pat`` with pattern index ``pin_j`` at host
+    position ``pin_pos``?  Used incrementally: when a host is one insertion
+    away from a known avoider, any new occurrence must involve the inserted
+    entry.  It calls the pinned kernel; it is a name of its own, apart from
+    ``_contains_any``, so that pinned searches can be counted apart."""
+    return _search_kernel(pat, pin_j)(host, pin_pos)
 
 
 def _contains_any(
     pat: tuple[int, ...], host: tuple[int, ...], pin_j: int = -1, pin_pos: int = -1
 ) -> bool:
-    """Existence-only containment test.
-
-    With ``pin_j >= 0`` only occurrences that place pattern index ``pin_j``
-    at host position ``pin_pos`` count, as in ``_find_occurrence``.  The
-    engine is chosen by pattern length: most-constrained-first search for
-    k >= 7, where the left-to-right search degenerates, and the
-    left-to-right search below that, where it is 3-4x faster.
-    """
-    k = len(pat)
-    if k > len(host):
-        return False
-    if k >= 7:
-        return _contains_mrv(pat, host, pin_j, pin_pos)
-    return _find_occurrence(pat, host, pin_j, pin_pos) is not None
+    """Existence-only containment test, pinned as in ``_contains_pinned``
+    when ``pin_j >= 0``: the kernel of ``_search_kernel`` for this pattern
+    and pin, after a length check."""
+    return len(pat) <= len(host) and _search_kernel(pat, pin_j)(host, pin_pos)
 
 
 def _contains_mrv(

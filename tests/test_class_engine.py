@@ -14,7 +14,6 @@ from permdeflate.perm_core import (
     apply_symmetry,
     delete,
     parse_permutation,
-    _contains_any,
     _pattern_of,
 )
 from permdeflate.class_engine import (
@@ -30,11 +29,15 @@ P = parse_permutation
 
 
 def filter_all(c: PermClass, n: int) -> list[tuple[int, ...]]:
-    return sorted(
+    """Members of ``c`` of length ``n`` by brute force over itertools
+    subsequences, with no call into the containment engines."""
+    return [
         q
         for q in itertools.permutations(range(1, n + 1))
-        if all(len(b) > n or not _contains_any(b.values, q) for b in c.basis)
-    )
+        if not any(
+            _pattern_of(s) == b.values for b in c.basis for s in itertools.combinations(q, len(b))
+        )
+    ]
 
 
 def test_basis_normalisation():
@@ -64,12 +67,19 @@ def test_enumerate_counts():
 
 
 def test_enumeration_matches_filter_all():
-    for basis in (["231"], ["321"], ["2413"], ["132", "4321"], ["123", "3214"]):
+    # basis elements of every length 3-6, and one of length 7 beside a
+    # shorter one, so every kernel length and pinned MRV run in the tree
+    bases = (
+        ["231"], ["321"], ["2413"], ["132", "4321"], ["123", "3214"],
+        ["25314"], ["246135"], ["2413", "4135762"],
+    )
+    for basis in bases:
         c = PermClass.of(*basis)
-        levels: dict[int, list[tuple[int, ...]]] = {n: [] for n in range(1, 7)}
-        for p in enumerate_class(c, 6):
+        assert len(c.basis) == len(basis)
+        levels: dict[int, list[tuple[int, ...]]] = {n: [] for n in range(1, 8)}
+        for p in enumerate_class(c, 7):
             levels[len(p)].append(p.values)
-        for n in range(1, 7):
+        for n in range(1, 8):
             assert len(set(levels[n])) == len(levels[n])
             assert sorted(levels[n]) == filter_all(c, n)
 

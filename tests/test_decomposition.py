@@ -75,9 +75,9 @@ def test_is_simple_examples_and_convention():
     assert not is_simple(P("4371265"))
 
 
-def test_simple_counts_to_6():
-    counts = [sum(1 for p in all_perms(n) if is_simple(p)) for n in range(1, 7)]
-    assert counts == [1, 2, 0, 2, 6, 46]
+def test_simple_counts_to_8():
+    counts = [sum(1 for p in all_perms(n) if is_simple(p)) for n in range(1, 9)]
+    assert counts == [1, 2, 0, 2, 6, 46, 338, 2926]
 
 
 def test_simplicity_is_symmetry_invariant_to_7():

@@ -28,8 +28,10 @@ from permdeflate.perm_core import (
     symmetry_from_name,
     _contains_any,
     _contains_mrv,
+    _contains_pinned,
     _find_occurrence,
     _pattern_of,
+    _search_kernel,
 )
 
 P = parse_permutation
@@ -145,14 +147,26 @@ def searches(draw):
 @settings(max_examples=400)
 @given(searches())
 def test_find_occurrence_matches_brute_force(case):
+    """The DFS finds the least occurrence, and the compiled kernel and the
+    entry points that call it find one exactly when itertools does."""
     pat, host, pin = case
-    combs = itertools.combinations(range(len(host)), len(pat))
-    if pin is not None:
-        combs = (comb for comb in combs if comb[pin[0]] == pin[1])
+    matches = [
+        list(comb)
+        for comb in itertools.combinations(range(len(host)), len(pat))
+        if _pattern_of([host[i] for i in comb]) == pat
+    ]
     # combinations come in lexicographic order, so the first match is the least
-    expected = next((list(c) for c in combs if _pattern_of([host[i] for i in c]) == pat), None)
-    got = _find_occurrence(pat, host) if pin is None else _find_occurrence(pat, host, *pin)
-    assert got == expected
+    assert _find_occurrence(pat, host) == (matches[0] if matches else None)
+    if pin is None:
+        expected = bool(matches)
+        assert _search_kernel(pat)(host, -1) == expected
+        assert _contains_any(pat, host) == expected
+    else:
+        t, q = pin
+        expected = any(comb[t] == q for comb in matches)
+        assert _search_kernel(pat, t)(host, q) == expected
+        assert _contains_pinned(pat, host, t, q) == expected
+        assert _contains_any(pat, host, t, q) == expected
 
 
 @st.composite
