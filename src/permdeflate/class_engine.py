@@ -43,7 +43,7 @@ class PermClass:
         minimal = [
             b
             for b in items
-            if not any(o is not b and len(o) <= len(b) and _contains_any(o.values, b.values) for o in items)
+            if not any(o is not b and _contains_any(o.values, b.values) for o in items)
         ]
         object.__setattr__(self, "basis", tuple(minimal))
 
@@ -62,12 +62,7 @@ def avoids(p: Permutation, c: PermClass) -> bool:
 
 
 def _avoids_raw(vals: tuple[int, ...], c: PermClass) -> bool:
-    n = len(vals)
-    for b in c.basis:
-        bv = b.values
-        if len(bv) <= n and _contains_any(bv, vals):
-            return False
-    return True
+    return not any(_contains_any(b.values, vals) for b in c.basis)
 
 
 def _class_levels(c: PermClass, max_len: int) -> Iterator[list[tuple[int, ...]]]:

@@ -8,6 +8,11 @@ the inflation of a unique simple skeleton; for skeletons longer than 2 the
 blocks are the disjoint maximal intervals, while sum- and skew-decomposable
 permutations get a canonical binary tree (first child indecomposable of the
 matching kind).
+
+Proper intervals, simplicity and maximal intervals all read one scan,
+``_intervals_from``.  Maximal intervals are asked of indecomposable input
+only, where they are disjoint, so each block is the longest interval that
+starts where the previous block ended, or a singleton.
 """
 
 from __future__ import annotations
@@ -74,7 +79,12 @@ def proper_intervals(p: Permutation) -> list[IntervalSpan]:
     >>> [(s.pos_lo, s.pos_hi) for s in proper_intervals(Permutation((1, 2, 3)))]
     [(1, 2), (2, 3)]
     """
-    return [IntervalSpan(*span) for span in _proper_interval_spans(p.values)]
+    vals = p.values
+    return [
+        IntervalSpan(i + 1, j + 1, lo, hi)
+        for i in range(len(vals) - 1)
+        for j, lo, hi in _intervals_from(vals, i)
+    ]
 
 
 def is_simple(p: Permutation) -> bool:
@@ -198,22 +208,19 @@ def _check_interval(p: Permutation, span: IntervalSpan) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _proper_interval_spans(vals: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
-    n = len(vals)
-    out = []
-    for i in range(n - 1):
-        lo = hi = vals[i]
-        for j in range(i + 1, n):
-            v = vals[j]
-            if v < lo:
-                lo = v
-            elif v > hi:
-                hi = v
-            if j - i + 1 == n:
-                break
-            if hi - lo == j - i:
-                out.append((i + 1, j + 1, lo, hi))
-    return out
+def _intervals_from(vals: tuple[int, ...], i: int) -> Iterator[tuple[int, int, int]]:
+    """(j, lo, hi) for each proper interval ``vals[i..j]`` (0-based,
+    inclusive), by increasing ``j``; its values are ``lo``..``hi``."""
+    lo = hi = vals[i]
+    # the window starting at 0 stops short of the whole permutation
+    for j in range(i + 1, len(vals) if i else len(vals) - 1):
+        v = vals[j]
+        if v < lo:
+            lo = v
+        elif v > hi:
+            hi = v
+        if hi - lo == j - i:
+            yield j, lo, hi
 
 
 def _is_simple(vals: tuple[int, ...]) -> bool:
@@ -228,17 +235,8 @@ def _is_simple(vals: tuple[int, ...]) -> bool:
             return False
         prev = v
     for i in range(n - 1):
-        lo = hi = vals[i]
-        for j in range(i + 1, n):
-            v = vals[j]
-            if v < lo:
-                lo = v
-            elif v > hi:
-                hi = v
-            if j - i + 1 == n:
-                break
-            if hi - lo == j - i:
-                return False
+        for _ in _intervals_from(vals, i):
+            return False
     return True
 
 
@@ -272,26 +270,22 @@ def _components(vals: tuple[int, ...], kind: str) -> list[tuple[int, ...]]:
 
 
 def _maximal_interval_spans(vals: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
-    """Blocks of the substitution decomposition for indecomposable input:
-    maximal proper intervals plus singletons, disjoint, in position order."""
-    spans = _proper_interval_spans(vals)
-    maximal = [
-        s
-        for s in spans
-        if not any(t is not s and t[0] <= s[0] and s[1] <= t[1] for t in spans)
-    ]
-    maximal.sort()
+    """Blocks of the substitution decomposition: maximal proper intervals
+    plus singletons, disjoint, in position order, as (pos_lo, pos_hi,
+    val_lo, val_hi), 1-based.
+
+    Callers pass only indecomposable input, whose maximal intervals are
+    disjoint.  So the block holding the first position not yet covered
+    starts there, and it contains every interval starting there: the
+    longest of those, or the singleton when there is none, is the block.
+    """
     blocks = []
-    pos = 1
-    for pl, ph, vl, vh in maximal:
-        if pl < pos:
-            raise AssertionError(f"maximal intervals of {vals} overlap; input decomposable?")
-        while pos < pl:
-            blocks.append((pos, pos, vals[pos - 1], vals[pos - 1]))
-            pos += 1
-        blocks.append((pl, ph, vl, vh))
-        pos = ph + 1
-    while pos <= len(vals):
-        blocks.append((pos, pos, vals[pos - 1], vals[pos - 1]))
-        pos += 1
+    i = 0
+    while i < len(vals):
+        j = i
+        lo = hi = vals[i]
+        for j, lo, hi in _intervals_from(vals, i):
+            pass  # keep the last, longest one
+        blocks.append((i + 1, j + 1, lo, hi))
+        i = j + 1
     return blocks

@@ -40,7 +40,7 @@ from .decomposition import (
     _cut_slot_pairs,
     _is_decomposable,
     _is_simple,
-    maximal_intervals,
+    _maximal_interval_spans,
     sd_measure,
 )
 from .class_engine import PermClass, _avoids_raw, _class_levels, _insertion_creates, avoids
@@ -253,16 +253,18 @@ def breaking_extensions(w: Permutation, c: PermClass) -> list[BreakReport]:
         raise ValueError(f"{w} is not a member of {c}")
     if _is_decomposable(vals):
         raise ValueError(f"{w} is decomposable; breakability is defined on indecomposable members")
-    blocks = maximal_intervals(w)
+    blocks = [IntervalSpan(*span) for span in _maximal_interval_spans(vals)]
     alpha = max(blocks, key=lambda s: (s.size, -s.pos_lo))
     if alpha.size < 2:
         raise ValueError(f"{w} is simple; nothing to break")
 
-    before = sd_measure(w)
+    before = sum(s.size - 1 for s in blocks)
     reports = []
     for ps, vs in _cut_slot_pairs(len(vals), alpha):
         ext = _insert_raw(vals, ps, vs)
-        if not _avoids_raw(ext, c):
+        # w avoids c (checked above), so any basis occurrence in ext uses
+        # the new entry, and the pinned incremental test settles membership
+        if _insertion_creates(c, ext, ps - 1):
             continue
         extension = Permutation(ext)
         slot = Slot(ps, vs)

@@ -173,15 +173,66 @@ def test_maximal_intervals_examples():
         maximal_intervals(P("2134"))
 
 
+def _spans(p: Permutation) -> list[tuple[int, int, int, int]]:
+    return [(s.pos_lo, s.pos_hi, s.val_lo, s.val_hi) for s in maximal_intervals(p)]
+
+
 def test_maximal_intervals_partition_positions_to_8():
     for n in range(1, 9):
         for p in all_perms(n):
             if _is_decomposable(p.values):
                 continue
+            blocks = _spans(p)
             covered = []
-            for s in maximal_intervals(p):
-                covered.extend(range(s.pos_lo, s.pos_hi + 1))
+            for pl, ph, _, _ in blocks:
+                covered.extend(range(pl, ph + 1))
             assert covered == list(range(1, n + 1))
+            # maximality: the blocks are intervals, and no interval crosses
+            # a block boundary or contains a block of its own
+            intervals = oracle_intervals(p)
+            assert all(b in intervals for b in blocks if b[0] < b[1]), p
+            for il, ih, _, _ in intervals:
+                assert any(pl <= il and ih <= ph for pl, ph, _, _ in blocks), (p, il, ih)
+
+
+def test_maximal_intervals_of_nested_inflations():
+    import random
+
+    from permdeflate.perm_core import inflate
+
+    rng = random.Random(6)
+    simples = [p for n in (4, 5) for p in all_perms(n) if is_simple(p)]
+
+    def nested(budget):
+        skeleton = rng.choice(simples)
+        parts = []
+        for _ in skeleton:
+            if budget >= 8 and rng.random() < 0.5:
+                parts.append(nested(budget // len(skeleton)))
+            else:
+                m = rng.randint(1, 3)
+                parts.append(Permutation(tuple(rng.sample(range(1, m + 1), m))))
+        return inflate(skeleton, parts)
+
+    def oracle_maximal(p):
+        intervals = oracle_intervals(p)
+        maximal = [
+            s
+            for s in intervals
+            if not any(t != s and t[0] <= s[0] and s[1] <= t[1] for t in intervals)
+        ]
+        inside = {i for pl, ph, _, _ in maximal for i in range(pl, ph + 1)}
+        singles = [
+            (i, i, v, v) for i, v in enumerate(p.values, start=1) if i not in inside
+        ]
+        return sorted(maximal + singles)
+
+    lengths = []
+    for _ in range(40):
+        p = nested(150)
+        lengths.append(len(p))
+        assert _spans(p) == oracle_maximal(p), p
+    assert max(lengths) >= 60
 
 
 def test_sd_measure():

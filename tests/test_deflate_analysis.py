@@ -166,6 +166,39 @@ def test_interval_cut_property_exhaustive_to_6():
                 assert sd_measure(ext) < before
 
 
+def _avoids_by_combinations(vals: tuple[int, ...], basis: list[tuple[int, ...]]) -> bool:
+    # a subsequence has the pattern of b when its entries rise in the order
+    # that b's indices take when sorted by value
+    for b in basis:
+        order = sorted(range(len(b)), key=b.__getitem__)
+        steps = list(zip(order, order[1:]))
+        for sub in itertools.combinations(vals, len(b)):
+            if all(sub[i] < sub[j] for i, j in steps):
+                return False
+    return True
+
+
+def test_breaking_extensions_match_brute_force_membership():
+    # every indecomposable non-simple member of length 4..7: the reports
+    # are the cut slots of the leftmost longest block, in sorted order,
+    # whose literal insertion avoids the basis by itertools; the last basis
+    # (k = 8) sends the length-7 members through pinned MRV
+    for basis in ("321", "2413", "25314", "251364", "2 4 6 8 1 3 5 7"):
+        c = PermClass.of(basis)
+        bv = [b.values for b in c.basis]
+        for w in enumerate_class(c, 7):
+            if len(w) < 4 or _is_decomposable(w.values) or is_simple(w):
+                continue
+            alpha, slots = _qualifying_slots(w)
+            expected = []
+            for slot in sorted(slots, key=lambda s: (s.pos_slot, s.val_slot)):
+                ext = insert(w, slot)
+                if _avoids_by_combinations(ext.values, bv):
+                    expected.append((alpha, slot, ext))
+            got = [(r.interval, r.slot, r.extension) for r in breaking_extensions(w, c)]
+            assert got == expected, (basis, w)
+
+
 # ---------------------------------------------------------------------------
 # extension to simples
 # ---------------------------------------------------------------------------
