@@ -152,6 +152,12 @@ def _insertion_creates(c: PermClass, child: tuple[int, ...], q: int) -> bool:
     return False
 
 
+def _cell_blocked(c: PermClass, vals: tuple[int, ...], ps: int, vs: int) -> bool:
+    """Is slot (ps, vs) of the member ``vals`` of ``c`` blocked?  No grid,
+    no cache and no membership check: the caller vouches for ``vals``."""
+    return _insertion_creates(c, _insert_raw(vals, ps, vs), ps - 1)
+
+
 class ShadingGrid:
     """The (n+1) x (n+1) slot grid of a class member, marking the slots
     whose insertion would create a forbidden pattern.
@@ -172,8 +178,7 @@ class ShadingGrid:
             raise ValueError(f"slot {slot} outside the {n + 1}x{n + 1} grid")
         hit = self._cells.get(slot)
         if hit is None:
-            child = _insert_raw(self.host.values, slot.pos_slot, slot.val_slot)
-            hit = _insertion_creates(self.pclass, child, slot.pos_slot - 1)
+            hit = _cell_blocked(self.pclass, self.host.values, slot.pos_slot, slot.val_slot)
             self._cells[slot] = hit
         return hit
 

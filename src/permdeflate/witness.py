@@ -8,6 +8,10 @@ between its values is blocked — excepting only the crossing cell and the
 four cells adjacent to the bond — then the bond can never be split apart
 by later insertions, so no extension is simple.
 
+The public ``bond_certificate`` checks membership and reads a cached
+``ShadingGrid``; ``find_witnesses`` trusts the generating tree's
+membership proof and scans its raw value tuples without either.
+
 The bundled corpus ships fourteen published witness rows (ten sporadic
 classes and four parallel alternations); ``verify_corpus`` replays the
 whole table.  ``inflation_family`` mechanically checks the inflation
@@ -18,14 +22,14 @@ principal classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
-from .perm_core import Bond, Permutation, Slot, bonds, inflate, parse_permutation
+from .perm_core import Bond, Permutation, Slot, _bond_scan, inflate, parse_permutation
 from .decomposition import IntervalSpan, _cut_slot_pairs, cut_slots
-from .class_engine import PermClass, ShadingGrid, _class_levels, avoids, shading_grid
+from .class_engine import PermClass, ShadingGrid, _cell_blocked, _class_levels, avoids, shading_grid
 from .deflate_analysis import extend_to_simple
 
 #: Witnesses longer than this skip the explicit no-simple-extension search
@@ -84,49 +88,56 @@ def bond_strip_slots(n: int, bond: Bond) -> frozenset[Slot]:
     The exceptions are the crossing cell and the four adjacent cells; the
     same formula covers both bond orientations.
     """
-    return cut_slots(n, _bond_span(bond))
-
-
-def _bond_span(bond: Bond) -> IntervalSpan:
     i, w = bond.left_pos, bond.low_value
-    return IntervalSpan(i, i + 1, w, w + 1)
+    return cut_slots(n, IntervalSpan(i, i + 1, w, w + 1))
 
 
-def _locked_strips(grid: ShadingGrid, bond: Bond) -> Optional[frozenset[Slot]]:
-    """The strip slots of ``bond`` when there are some and every one is
-    blocked in ``grid``, else None.  Cells are tested in sorted order and
-    the test stops at the first open one."""
-    cells = []
-    for ps, vs in _cut_slot_pairs(len(grid.host), _bond_span(bond)):
-        slot = Slot(ps, vs)
-        if not grid.is_blocked(slot):
-            return None
-        cells.append(slot)
-    return frozenset(cells) if cells else None
+def _locked_strips(
+    vals: tuple[int, ...], blocked: Callable[[int, int], bool], bond: Optional[Bond] = None
+) -> Optional[BondCertificate]:
+    """The certificate on the first bond of the member ``vals`` (left to
+    right, or only ``bond``) whose strip slots all pass ``blocked(ps, vs)``,
+    else None.  Cells are tested in sorted order, a bond is dropped at its
+    first open cell, and objects are built only on success.
+    A bond whose strips are entirely exempt (only possible when the bond is
+    the whole permutation, n = 2) certifies nothing: the argument needs the
+    surrounding box to be a proper part of any extension."""
+    n = len(vals)
+    scan = _bond_scan(vals) if bond is None else [(bond.left_pos, bond.kind, bond.low_value)]
+    for i, kind, w in scan:
+        cells = []
+        for cell in _cut_slot_pairs(n, IntervalSpan(i, i + 1, w, w + 1)):
+            if not blocked(*cell):
+                break
+            cells.append(cell)
+        else:
+            if cells:
+                return BondCertificate(Bond(i, kind, w), frozenset(Slot(*c) for c in cells))
+    return None
+
+
+def _grid_test(grid: ShadingGrid) -> Callable[[int, int], bool]:
+    """The cached cell test of ``grid`` as ``blocked(ps, vs)``."""
+    return lambda ps, vs: grid.is_blocked(Slot(ps, vs))
 
 
 def bond_certificate(p: Permutation, c: PermClass) -> Optional[BondCertificate]:
     """The certificate on the first certifying bond of ``p`` (left-to-right
     order), or None.  A returned certificate implies ``p`` witnesses the
-    deflatability of ``c``.
-
-    A bond whose strips are entirely exempt (only possible when the bond is
-    the whole permutation, n = 2) certifies nothing: the argument needs the
-    surrounding box to be a proper part of any extension.
+    deflatability of ``c``.  Raises ValueError when ``p`` is not a member
+    of ``c``: this public entry keeps the membership guard of
+    ``shading_grid`` and reads the grid's cached cells.
     """
-    grid = shading_grid(p, c)
-    for bond in bonds(p):
-        cells = _locked_strips(grid, bond)
-        if cells is not None:
-            return BondCertificate(bond, cells)
-    return None
+    return _locked_strips(p.values, _grid_test(shading_grid(p, c)))
 
 
 def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessReport]:
     """Scan class members in enumeration order for bond certificates,
     returning up to ``limit`` reports.  Each witness is cross-checked by an
     exhaustive search for simple extensions up to max_len + 2, which must
-    come back empty."""
+    come back empty.  The scan trusts the tree's membership proof: it
+    tests raw tuples with the uncached ``_cell_blocked``, without the guard
+    that ``bond_certificate`` keeps, and finds the same certificates."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if limit < 1:
@@ -135,10 +146,10 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
     bound = max_len + 2
     for level in _class_levels(c, max_len):
         for vals in level:
-            member = Permutation(vals)
-            cert = bond_certificate(member, c)
+            cert = _locked_strips(vals, partial(_cell_blocked, c, vals))
             if cert is None:
                 continue
+            member = Permutation(vals)
             if extend_to_simple(member, c, bound) is not None:
                 raise AssertionError(f"certificate for {member} contradicted by a simple extension")
             reports.append(WitnessReport(c.basis, member, cert, bound))
@@ -173,7 +184,8 @@ def inflation_family(theta: Permutation) -> FamilyCheck:
     i = vals.index(3) + 1
     if vals[i] != 4:
         raise AssertionError(f"expected the {{3,4}} bond to survive inflation in {omega_star}")
-    verified = _locked_strips(ShadingGrid(omega_star, cls), Bond(i, "increasing", 3)) is not None
+    grid = ShadingGrid(omega_star, cls)
+    verified = _locked_strips(vals, _grid_test(grid), Bond(i, "increasing", 3)) is not None
     return FamilyCheck(pi_star, omega_star, verified)
 
 

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import json
+from functools import lru_cache, partial
 
 import pytest
 
+from permdeflate import witness
+from permdeflate.cli import run
 from permdeflate.perm_core import (
     Bond,
     Permutation,
@@ -14,7 +18,14 @@ from permdeflate.perm_core import (
     apply_symmetry,
     parse_permutation,
 )
-from permdeflate.class_engine import PermClass, avoids, shading_grid
+from permdeflate.class_engine import (
+    PermClass,
+    _cell_blocked,
+    _class_levels,
+    avoids,
+    enumerate_class,
+    shading_grid,
+)
 from permdeflate.deflate_analysis import extend_to_simple
 from permdeflate.witness import (
     bond_certificate,
@@ -161,6 +172,93 @@ def test_find_witnesses_validates_arguments():
         find_witnesses(PermClass.of("321"), 0, 1)
     with pytest.raises(ValueError):
         find_witnesses(PermClass.of("321"), 5, 0)
+
+
+def _cert_key(cert):
+    return None if cert is None else (cert.bond, cert.checked_slots)
+
+
+@lru_cache(maxsize=None)
+def _public_certificates(basis, max_len):
+    """(member, public certificate or None) in enumeration order; shared by
+    the differential and the order tests."""
+    c = PermClass.of(basis)
+    return [(member, bond_certificate(member, c)) for member in enumerate_class(c, max_len)]
+
+
+@pytest.mark.parametrize(
+    "basis, max_len",
+    [
+        ("251364", 8),
+        ("2413", 8),
+        ("321", 8),
+        ("2 4 6 8 1 3 5 7", 8),
+        ("25314", 7),
+        ("24153", 7),
+        ("23514", 7),
+        ("24513", 7),
+    ],
+)
+def test_raw_certificate_scan_matches_public_certificate(basis, max_len):
+    # the search path skips the membership guard and the cached grid; on
+    # every tree member it must find the public path's bond and cells
+    c = PermClass.of(basis)
+    tree = [vals for level in _class_levels(c, max_len) for vals in level]
+    public = _public_certificates(basis, max_len)
+    assert [member.values for member, _ in public] == tree
+    certified = 0
+    for (_, cert), vals in zip(public, tree):
+        raw = witness._locked_strips(vals, partial(_cell_blocked, c, vals))
+        assert _cert_key(raw) == _cert_key(cert), vals
+        certified += raw is not None
+    assert (certified > 0) == (basis == "251364")
+
+
+def _scan_witnesses(basis, max_len, limit):
+    """Test-local search: the first ``limit`` members in enumeration order
+    that the public ``bond_certificate`` certifies."""
+    found = [(m, cert, max_len + 2) for m, cert in _public_certificates(basis, max_len) if cert]
+    return found[:limit]
+
+
+@pytest.mark.parametrize("basis, max_len, limit", [("251364", 8, 2), ("12", 5, 3), ("321", 8, 4)])
+def test_find_witnesses_order_matches_public_scan(basis, max_len, limit):
+    c = PermClass.of(basis)
+    reports = find_witnesses(c, max_len, limit)
+    assert [(r.witness, r.certificate, r.cross_check_bound) for r in reports] == _scan_witnesses(
+        basis, max_len, limit
+    )
+    assert all(r.class_basis == c.basis for r in reports)
+
+
+@pytest.mark.parametrize(
+    "basis, max_len, found, position, kind",
+    [("12", 5, "3 2 1", 1, "decreasing"), ("251364", 8, "2 5 1 7 3 4 8 6", 5, "increasing")],
+)
+def test_witness_search_json_is_pinned(capsys, basis, max_len, found, position, kind):
+    argv = ["witness", "search", "--basis", basis, "--max-len", str(max_len), "--json"]
+    assert run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    report.pop("timing_ms")
+    row = {
+        "witness": found,
+        "bond_position": position,
+        "bond_kind": kind,
+        "cross_check_bound": max_len + 2,
+    }
+    assert report == {
+        "command": "witness search",
+        "inputs": {"basis": [" ".join(basis)], "max_len": max_len, "limit": 1},
+        "results": {"witnesses": [row]},
+    }
+
+
+def test_find_witnesses_keeps_its_cross_check(monkeypatch):
+    # the raw scan must still hand each certified member to the exhaustive
+    # search, and a simple extension found there must stop the search
+    monkeypatch.setattr(witness, "extend_to_simple", lambda p, c, bound: p)
+    with pytest.raises(AssertionError, match="contradicted by a simple extension"):
+        find_witnesses(PermClass.of("12"), 3, limit=1)
 
 
 # ---------------------------------------------------------------------------
