@@ -56,7 +56,7 @@ def _tree_text(tree: DecompositionTree) -> str:
     if tree.is_leaf:
         return "1"
     parts = [
-        _compact(c.reinflate()) if c.is_leaf or all(g.is_leaf for g in c.children) else _tree_text(c)
+        _compact(c.skeleton) if not c.is_leaf and all(g.is_leaf for g in c.children) else _tree_text(c)
         for c in tree.children
     ]
     return _compact(tree.skeleton) + "[" + ", ".join(parts) + "]"
@@ -103,8 +103,8 @@ def _cmd_contains(args) -> tuple[int, dict, dict, list[str]]:
 def _cmd_decompose(args) -> tuple[int, dict, dict, list[str]]:
     p = parse_permutation(args.perm)
     tree = substitution_decompose(p)
-    results = {"tree": _tree_json(tree), "display": _tree_text(tree)}
-    return 0, {"perm": str(p)}, results, [_tree_text(tree)]
+    text = _tree_text(tree)
+    return 0, {"perm": str(p)}, {"tree": _tree_json(tree), "display": text}, [text]
 
 
 def _cmd_simples(args) -> tuple[int, dict, dict, list[str]]:
@@ -231,6 +231,9 @@ def _cmd_family(args) -> tuple[int, dict, dict, list[str]]:
 
 def _cmd_verify_paper(args) -> tuple[int, dict, dict, list[str]]:
     rows = verify_corpus(args.corpus)
+    if not rows:
+        # a replay that checked nothing must not pass
+        raise ValueError(f"corpus {args.corpus} has no rows")
     out_rows = []
     lines = []
     for row in rows:

@@ -19,6 +19,8 @@ members fail to extend to a simple member within a length budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .perm_core import (
@@ -211,32 +213,25 @@ def _first_symmetry(pred, vals: tuple[int, ...]) -> Symmetry:
 
 def _corner_point_stages(u: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Stages for the case where the (symmetrised) basis starts with 1:
-    anchor below-right, double singleton skew components, link neighbours."""
-    u_hat = tuple(v + 1 for v in u) + (1,)
-    comps = _components(u_hat, "skew")
-    parts = [(1, 2) if c == (1,) else c for c in comps]
+    anchor below-right, double singleton skew components, link neighbours.
 
-    # skew sum of the doubled parts, tracking each part's 1-based positions
-    seq: list[int] = []
-    positions: list[list[int]] = []
-    offset = sum(len(p) for p in parts)
-    pos = 1
-    for part in parts:
-        offset -= len(part)
-        positions.append(list(range(pos, pos + len(part))))
-        seq.extend(v + offset for v in part)
-        pos += len(part)
-    u_bar = tuple(seq)
+    With ``ends`` the running totals of the part lengths, ``u_bar`` puts
+    part i at value offset ``ends[-1] - ends[i]``.  Link i inserts, just
+    before the final point of part i, a point valued just below the topmost
+    point of part i+1.  Each earlier link j < i inserted inside part j, so
+    it moved parts i and i+1 one place right: part i ends at 1-based
+    position ``ends[i] + i`` and part i+1 fills
+    ``linked[ends[i] + i : ends[i + 1] + i]``.
+    """
+    u_hat = tuple(v + 1 for v in u) + (1,)
+    parts = [(1, 2) if c == (1,) else c for c in _components(u_hat, "skew")]
+    ends = list(accumulate(map(len, parts)))
+    u_bar = tuple(v + ends[-1] - end for part, end in zip(parts, ends) for v in part)
 
     linked = u_bar
     for i in range(len(parts) - 1):
-        anchor_pos = max(positions[i])                       # final point of part i
-        top_value = max(linked[p - 1] for p in positions[i + 1])  # topmost of part i+1
-        linked = _insert_raw(linked, anchor_pos, top_value)
-        for plist in positions:
-            for t, p in enumerate(plist):
-                if p >= anchor_pos:
-                    plist[t] = p + 1
+        slot = ends[i] + i
+        linked = _insert_raw(linked, slot, max(linked[slot : ends[i + 1] + i]))
     return (u, u_hat, u_bar, linked)
 
 
@@ -400,26 +395,15 @@ def _pred_t33(vals: tuple[int, ...]) -> bool:
     return not _has_bond(rho, "increasing") or not _has_bond(rho, "decreasing")
 
 
-def _pred_t34(vals: tuple[int, ...]) -> bool:
+def _pred_descent_no_bond(kind: str, vals: tuple[int, ...]) -> bool:
     rho = _one_plus_tail(vals)
     if rho is None or len(vals) < 4 or rho[0] < rho[1]:
         return False
-    return not _has_bond(rho, "increasing") and _ddagger_raw(vals)
+    return not _has_bond(rho, kind) and _ddagger_raw(vals)
 
 
-def _pred_t35(vals: tuple[int, ...]) -> bool:
-    return _form_1n2(vals) and not _has_bond(vals[1:], "increasing")
-
-
-def _pred_t36(vals: tuple[int, ...]) -> bool:
-    rho = _one_plus_tail(vals)
-    if rho is None or len(vals) < 4 or rho[0] < rho[1]:
-        return False
-    return not _has_bond(rho, "decreasing") and _ddagger_raw(vals)
-
-
-def _pred_t37(vals: tuple[int, ...]) -> bool:
-    return _form_1n2(vals) and not _has_bond(vals, "decreasing")
+def _pred_1n2_no_bond(kind: str, vals: tuple[int, ...]) -> bool:
+    return _form_1n2(vals) and not _has_bond(vals, kind)
 
 
 def _pred_t38(vals: tuple[int, ...]) -> bool:
@@ -438,7 +422,11 @@ def _pred_witness_table(vals: tuple[int, ...]) -> bool:
 
 
 #: (rule, status, hypothesis) in priority order; the first hypothesis that
-#: holds on any symmetry image decides the verdict.
+#: holds on any symmetry image decides the verdict.  T3.4/T3.6 and T3.5/T3.7
+#: are the paper's theorem pairs that differ only in the kind of bond the
+#: tail must lack, so each pair shares one predicate of that kind.  T3.5 and
+#: T3.7 can both test the whole of ``1 n ... 2``: its leading ``1 n`` (n >= 3)
+#: is never a bond, so dropping the 1 changes neither bond test.
 _RULES = (
     ("degenerate", STATUS_DEFLATABLE, _pred_degenerate),
     ("base-12", STATUS_DEFLATABLE, _pred_base_12),
@@ -446,10 +434,10 @@ _RULES = (
     ("T3.1", STATUS_NON_DEFLATABLE, _pred_three_sum),
     ("T3.2", STATUS_NON_DEFLATABLE, _pred_two_sum),
     ("T3.3", STATUS_NON_DEFLATABLE, _pred_t33),
-    ("T3.4", STATUS_NON_DEFLATABLE, _pred_t34),
-    ("T3.5", STATUS_NON_DEFLATABLE, _pred_t35),
-    ("T3.6", STATUS_NON_DEFLATABLE, _pred_t36),
-    ("T3.7", STATUS_NON_DEFLATABLE, _pred_t37),
+    ("T3.4", STATUS_NON_DEFLATABLE, partial(_pred_descent_no_bond, "increasing")),
+    ("T3.5", STATUS_NON_DEFLATABLE, partial(_pred_1n2_no_bond, "increasing")),
+    ("T3.6", STATUS_NON_DEFLATABLE, partial(_pred_descent_no_bond, "decreasing")),
+    ("T3.7", STATUS_NON_DEFLATABLE, partial(_pred_1n2_no_bond, "decreasing")),
     ("T3.8", STATUS_NON_DEFLATABLE, _pred_t38),
     ("P5.1", STATUS_NON_DEFLATABLE, _pred_p51),
     ("witness-table", STATUS_DEFLATABLE, _pred_witness_table),

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import random
 
-from permdeflate.cli import run
+import pytest
+
+from permdeflate.cli import _compact, _tree_text, run
+from permdeflate.decomposition import substitution_decompose
+from permdeflate.perm_core import Permutation, inflate
 
 
 def invoke(capsys, *argv):
@@ -109,6 +115,47 @@ def test_decompose_output(capsys):
     assert len(tree["children"]) == 4
 
 
+def _reference_tree_text(tree):
+    """The display as first written: re-inflate each child whose children
+    are all leaves."""
+    if tree.is_leaf:
+        return "1"
+    parts = [
+        _compact(c.reinflate()) if c.is_leaf or all(g.is_leaf for g in c.children)
+        else _reference_tree_text(c)
+        for c in tree.children
+    ]
+    return _compact(tree.skeleton) + "[" + ", ".join(parts) + "]"
+
+
+_SKELETONS = ((1, 2), (2, 1), (2, 4, 1, 3), (3, 1, 4, 2), (2, 4, 1, 5, 3), (3, 5, 2, 4, 1))
+
+
+def _random_inflation(rng, n):
+    """A permutation of length n with nested blocks under random skeletons."""
+    if n <= 6:
+        return Permutation(tuple(rng.sample(range(1, n + 1), n)))
+    skeleton = rng.choice(_SKELETONS)
+    cuts = sorted(rng.sample(range(1, n), len(skeleton) - 1))
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    return inflate(Permutation(skeleton), [_random_inflation(rng, k) for k in sizes])
+
+
+def test_decompose_text_matches_reinflating_reference(capsys):
+    for n in range(1, 8):
+        for q in itertools.permutations(range(1, n + 1)):
+            tree = substitution_decompose(Permutation(q))
+            assert _tree_text(tree) == _reference_tree_text(tree), q
+    rng = random.Random(300)
+    for _ in range(200):
+        p = _random_inflation(rng, rng.randint(20, 300))
+        text = _reference_tree_text(substitution_decompose(p))
+        code, out, _ = invoke(capsys, "decompose", str(p))
+        assert code == 0 and out == text + "\n"
+        _, out_j, _ = invoke(capsys, "decompose", str(p), "--json")
+        assert json.loads(out_j)["results"]["display"] == text
+
+
 def test_shade_grid_layout(capsys):
     code, out, _ = invoke(capsys, "shade", "--perm", "1", "--basis", "12")
     assert code == 0
@@ -182,3 +229,17 @@ def test_verify_paper_subset(capsys, tmp_path):
     report = json.loads(out_j)
     assert report["results"]["all_passed"] is True
     assert report["results"]["rows"][0]["cross_check"] == "ok"
+
+
+@pytest.mark.parametrize("content", [None, "", "# comments only\n\n"])
+def test_verify_paper_empty_corpus_exits_2(capsys, tmp_path, content):
+    if content is None:
+        corpus = "/dev/null"
+    else:
+        corpus = str(tmp_path / "rows.txt")
+        (tmp_path / "rows.txt").write_text(content)
+    for extra in ([], ["--json"]):
+        code, out, err = invoke(capsys, "verify-paper", "--corpus", corpus, *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+        assert corpus in err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -15,7 +16,13 @@ from permdeflate.perm_core import (
     parse_permutation,
     _contains_any,
 )
-from permdeflate.decomposition import is_simple, maximal_intervals, sd_measure, _is_decomposable
+from permdeflate.decomposition import (
+    is_simple,
+    maximal_intervals,
+    sd_measure,
+    _components,
+    _is_decomposable,
+)
 from permdeflate.class_engine import PermClass, avoids, enumerate_class, enumerate_simples
 from permdeflate.deflate_analysis import (
     EMBED_EXCLUDED,
@@ -25,6 +32,12 @@ from permdeflate.deflate_analysis import (
     embed_indecomposable,
     empirical_deflatability,
     extend_to_simple,
+    _RULES,
+    _corner_point_stages,
+    _ddagger_raw,
+    _form_1n2,
+    _has_bond,
+    _one_plus_tail,
 )
 
 P = parse_permutation
@@ -86,6 +99,43 @@ def test_embed_postconditions_small_grid():
             assert avoids(final, c)
             for earlier, later in zip(trace.stages, trace.stages[1:]):
                 assert _contains_any(earlier.values, later.values)
+
+
+def _reference_corner_point_stages(u):
+    """The construction as first written: track each part's positions and
+    shift them after every link."""
+    u_hat = tuple(v + 1 for v in u) + (1,)
+    parts = [(1, 2) if c == (1,) else c for c in _components(u_hat, "skew")]
+    seq, positions = [], []
+    offset = sum(len(p) for p in parts)
+    pos = 1
+    for part in parts:
+        offset -= len(part)
+        positions.append(list(range(pos, pos + len(part))))
+        seq.extend(v + offset for v in part)
+        pos += len(part)
+    u_bar = tuple(seq)
+    linked = u_bar
+    for i in range(len(parts) - 1):
+        anchor_pos = max(positions[i])
+        top_value = max(linked[p - 1] for p in positions[i + 1])
+        linked = insert(Permutation(linked), Slot(anchor_pos, top_value)).values
+        for plist in positions:
+            for t, p in enumerate(plist):
+                if p >= anchor_pos:
+                    plist[t] = p + 1
+    return (u, u_hat, u_bar, linked)
+
+
+def test_corner_point_stages_match_position_tracking():
+    rng = random.Random(8)
+    inputs = [q for n in range(1, 9) for q in itertools.permutations(range(1, n + 1))]
+    for _ in range(3000):
+        q = list(range(1, rng.randint(9, 40) + 1))
+        rng.shuffle(q)
+        inputs.append(tuple(q))
+    for u in inputs:
+        assert _corner_point_stages(u) == _reference_corner_point_stages(u), u
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +356,37 @@ def test_classifier_bond_rules_at_length_5():
     assert classify_principal(P("15432")).rule == "T3.5"  # 1 n ... 2, no increasing bond
     assert classify_principal(P("15342")).rule == "T3.7"  # 1 n ... 2, no decreasing bond
     assert classify_principal(P("14532")).rule == "T3.8"  # 1 z ... 2 with z = 4
+
+
+def _ref_t34(vals):
+    rho = _one_plus_tail(vals)
+    if rho is None or len(vals) < 4 or rho[0] < rho[1]:
+        return False
+    return not _has_bond(rho, "increasing") and _ddagger_raw(vals)
+
+
+def _ref_t35(vals):
+    return _form_1n2(vals) and not _has_bond(vals[1:], "increasing")
+
+
+def _ref_t36(vals):
+    rho = _one_plus_tail(vals)
+    if rho is None or len(vals) < 4 or rho[0] < rho[1]:
+        return False
+    return not _has_bond(rho, "decreasing") and _ddagger_raw(vals)
+
+
+def _ref_t37(vals):
+    return _form_1n2(vals) and not _has_bond(vals, "decreasing")
+
+
+def test_bond_kind_rules_match_one_predicate_per_theorem():
+    rules = {rule: pred for rule, _, pred in _RULES}
+    refs = {"T3.4": _ref_t34, "T3.5": _ref_t35, "T3.6": _ref_t36, "T3.7": _ref_t37}
+    for n in range(1, 9):
+        for vals in itertools.permutations(range(1, n + 1)):
+            for rule, ref in refs.items():
+                assert rules[rule](vals) == ref(vals), (rule, vals)
 
 
 def test_classifier_symmetry_invariance_to_5():

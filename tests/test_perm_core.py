@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from permdeflate.perm_core import (
     Bond,
+    MAX_LENGTH,
     ParseError,
     Permutation,
     Slot,
@@ -86,6 +87,19 @@ def test_round_trip_spaced(vals):
 def test_round_trip_compact(vals):
     p = Permutation(tuple(vals))
     assert parse_permutation("".join(str(v) for v in p.values)) == p
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 3", "value 3 outside 1..2"),
+        ("3 1 4 1", "repeated value 1"),
+        (" ".join(map(str, range(1, MAX_LENGTH + 2))), f"exceeds the supported maximum {MAX_LENGTH}"),
+    ],
+)
+def test_parse_reports_invalid_values_as_parse_errors(text, message):
+    with pytest.raises(ParseError, match=message):
+        P(text)
 
 
 def test_validation():
