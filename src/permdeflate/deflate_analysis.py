@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from itertools import accumulate, product
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 from .perm_core import (
     Permutation,
@@ -278,9 +278,11 @@ def extend_to_simple(w: Permutation, c: PermClass, max_len: int) -> Optional[Sim
 
     Strategy: embed into an indecomposable member when the class is
     principal, then break the longest interval greedily (each break is
-    guaranteed progress); if that stalls or overshoots, fall back to an
-    exhaustive breadth-first search over all one-point extensions, so an
-    absent result genuinely means no simple extension within ``max_len``.
+    guaranteed progress); if that stalls or overshoots, fall back to a
+    breadth-first search over one-point extensions.  Its last level skips
+    only slots whose children cannot be simple, so it misses no simple
+    extension, and an absent result genuinely means no simple extension
+    within ``max_len``.
     """
     if not avoids(w, c):
         raise ValueError(f"{w} is not a member of {c}")
@@ -317,15 +319,32 @@ def _greedy_extension(w: Permutation, c: PermClass, max_len: int) -> Optional[Si
 
 
 def _bfs_extension(w: Permutation, c: PermClass, max_len: int) -> Optional[SimpleExtension]:
+    """The least simple member of ``c`` reached from ``w`` by one-point
+    extensions, at the shortest length in len(w)+1..max_len that has one;
+    else None.
+
+    Every level but the last tries every slot of every frontier member.  The
+    last (children of length max_len) tries only the slots that cut every
+    bond of the parent.  Any other slot either leaves a bond intact, or is
+    the crossing cell of the bond or one of the four cells next to it, where
+    the new entry and the bond form an interval of size 3.  Either way the
+    child is not simple: the interval is proper from length 4 on, and no
+    permutation of length 3 is simple.  So the last level has the same
+    simple children, and the same least one, as the full grid.  Earlier
+    levels keep every slot: a child that keeps a bond may split it later.
+    """
     frontier = {w.values}
     for n in range(len(w), max_len):
         nxt = set()
         for vals in frontier:
-            for ps in range(1, n + 2):
-                for vs in range(1, n + 2):
-                    child = _insert_raw(vals, ps, vs)
-                    if child not in nxt and not _insertion_creates(c, child, ps - 1):
-                        nxt.add(child)
+            if n + 1 < max_len:
+                slots = product(range(1, n + 2), repeat=2)
+            else:
+                slots = _bond_splitting_slots(vals)
+            for ps, vs in slots:
+                child = _insert_raw(vals, ps, vs)
+                if child not in nxt and not _insertion_creates(c, child, ps - 1):
+                    nxt.add(child)
         for child in sorted(nxt):
             if _is_simple(child):
                 return SimpleExtension(Permutation(child), ())
@@ -333,6 +352,20 @@ def _bfs_extension(w: Permutation, c: PermClass, max_len: int) -> Optional[Simpl
         if not frontier:
             return None
     return None
+
+
+def _bond_splitting_slots(vals: tuple[int, ...]) -> Iterable[tuple[int, int]]:
+    """(pos_slot, val_slot) of each slot of ``vals`` that is a cut slot of
+    every bond, as a size-2 interval; the whole grid when there is no bond.
+    Distinct bonds have distinct positions and distinct values, so a slot
+    cuts at most two of them."""
+    n = len(vals)
+    spans = [IntervalSpan(i, i + 1, lo, lo + 1) for i, _, lo in _bond_scan(vals)]
+    if not spans:
+        return product(range(1, n + 2), repeat=2)
+    if len(spans) > 2:
+        return ()
+    return set.intersection(*(set(_cut_slot_pairs(n, span)) for span in spans))
 
 
 def condition_ddagger(pi: Permutation) -> bool:

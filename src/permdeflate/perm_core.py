@@ -184,7 +184,7 @@ def parse_permutation(text: str) -> Permutation:
     tokens = text.split()
     if not tokens:
         raise ParseError("empty input")
-    if len(tokens) == 1 and len(tokens[0]) > 1 and tokens[0].isdigit():
+    if len(tokens) == 1 and len(tokens[0]) > 1 and tokens[0].isdecimal():
         # compact form: one digit per value, so only unambiguous for n <= 9
         values = []
         for ch in tokens[0]:

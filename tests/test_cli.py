@@ -41,6 +41,12 @@ def test_usage_errors_exit_2(capsys):
     assert invoke(capsys, "shade", "--perm", "2531647", "--basis", "312")[0] == 2
 
 
+def test_non_decimal_digit_exits_2(capsys):
+    code, out, err = invoke(capsys, "contains", "1²", "12")
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad token")
+
+
 def test_json_report_shape_and_round_trip(capsys):
     code, out, _ = invoke(capsys, "classify", "2413", "--json")
     assert code == 0

@@ -15,6 +15,7 @@ from permdeflate.perm_core import (
     insert,
     parse_permutation,
     _contains_any,
+    _insert_raw,
 )
 from permdeflate.decomposition import (
     is_simple,
@@ -22,10 +23,18 @@ from permdeflate.decomposition import (
     sd_measure,
     _components,
     _is_decomposable,
+    _is_simple,
 )
-from permdeflate.class_engine import PermClass, avoids, enumerate_class, enumerate_simples
+from permdeflate.class_engine import (
+    PermClass,
+    avoids,
+    enumerate_class,
+    enumerate_simples,
+    _insertion_creates,
+)
 from permdeflate.deflate_analysis import (
     EMBED_EXCLUDED,
+    SimpleExtension,
     breaking_extensions,
     classify_principal,
     condition_ddagger,
@@ -33,6 +42,7 @@ from permdeflate.deflate_analysis import (
     empirical_deflatability,
     extend_to_simple,
     _RULES,
+    _bfs_extension,
     _corner_point_stages,
     _ddagger_raw,
     _form_1n2,
@@ -275,6 +285,48 @@ def test_extend_finds_simple_members():
 
 def test_extend_witness_is_stuck():
     assert extend_to_simple(P("25173486"), PermClass.of("251364"), 12) is None
+
+
+def _unpruned_bfs(w, c, max_len):
+    """Reference for ``_bfs_extension``: every slot of every frontier member
+    at every level, with no pruning of the last level to bond-splitting
+    slots."""
+    frontier = {w.values}
+    for n in range(len(w), max_len):
+        nxt = set()
+        for vals in frontier:
+            for ps in range(1, n + 2):
+                for vs in range(1, n + 2):
+                    child = _insert_raw(vals, ps, vs)
+                    if child not in nxt and not _insertion_creates(c, child, ps - 1):
+                        nxt.add(child)
+        for child in sorted(nxt):
+            if _is_simple(child):
+                return SimpleExtension(Permutation(child), ())
+        frontier = nxt
+        if not frontier:
+            return None
+    return None
+
+
+@pytest.mark.parametrize("basis", ["321", "2413", "3142", "4321", "25314", "251364", "1234", "2143"])
+def test_bfs_matches_unpruned_oracle(basis):
+    # called directly: through extend_to_simple the greedy path would
+    # answer most of these before the search runs
+    c = PermClass.of(basis)
+    for w in enumerate_class(c, 5):
+        if len(w) < 3:
+            continue
+        for bound in (len(w) + 1, len(w) + 2):
+            assert _bfs_extension(w, c, bound) == _unpruned_bfs(w, c, bound), (w, bound)
+
+
+def test_bfs_last_level_splits_two_bonds_at_once():
+    # 2143 has the bonds 21 and 43; its least simple extension 24153 comes
+    # from the one slot that cuts both
+    res = _bfs_extension(P("2143"), PermClass.of("321"), 5)
+    assert res == SimpleExtension(P("2 4 1 5 3"), ())
+    assert res == _unpruned_bfs(P("2143"), PermClass.of("321"), 5)
 
 
 def test_extend_validates_inputs():

@@ -77,6 +77,12 @@ def test_parse_error_names_offending_token():
         P("1 foo 2")
 
 
+def test_parse_rejects_non_decimal_digits():
+    # "1²".isdigit() holds, but int("²") fails: the token is not compact
+    with pytest.raises(ParseError, match="bad token '1²'"):
+        P("1²")
+
+
 @given(st.integers(min_value=1, max_value=64).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
 def test_round_trip_spaced(vals):
     p = Permutation(tuple(vals))

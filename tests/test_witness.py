@@ -330,6 +330,23 @@ def test_corpus_subset_verifies(tmp_path):
     assert rows[1].cross_check_bound is None  # above the explicit-search cap
 
 
+#: The rows that verify-paper leaves without a search because they are
+#: longer than CROSS_CHECK_CAP, except those of length 29 and 35: no
+#: affordable search reaches those, so they rest on their certificates.
+_ROWS_ABOVE_CAP = [(b, w) for b, w in load_corpus() if witness.CROSS_CHECK_CAP < len(w) <= 24]
+
+
+def test_rows_above_cap_are_the_three_of_length_18_and_24():
+    assert sorted(len(w) for _, w in _ROWS_ABOVE_CAP) == [18, 24, 24]
+
+
+@pytest.mark.parametrize(
+    "basis, member", _ROWS_ABOVE_CAP, ids=[str(b).replace(" ", "") for b, _ in _ROWS_ABOVE_CAP]
+)
+def test_corpus_row_above_cap_has_no_simple_extension(basis, member):
+    assert extend_to_simple(member, PermClass((basis,)), len(member) + 2) is None
+
+
 def test_corpus_empty_file(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing here\n")
