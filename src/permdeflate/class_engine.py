@@ -162,25 +162,20 @@ class ShadingGrid:
     """The (n+1) x (n+1) slot grid of a class member, marking the slots
     whose insertion would create a forbidden pattern.
 
-    Cells are computed on demand and cached; ``blocked`` materialises the
-    whole grid.
+    ``is_blocked`` computes one cell on each call; ``blocked`` computes the
+    whole grid once and keeps it.
     """
 
     def __init__(self, host: Permutation, pclass: PermClass):
         self.host = host
         self.pclass = pclass
-        self._cells: dict[Slot, bool] = {}
         self._blocked: Optional[frozenset[Slot]] = None
 
     def is_blocked(self, slot: Slot) -> bool:
         n = len(self.host)
         if not (1 <= slot.pos_slot <= n + 1 and 1 <= slot.val_slot <= n + 1):
             raise ValueError(f"slot {slot} outside the {n + 1}x{n + 1} grid")
-        hit = self._cells.get(slot)
-        if hit is None:
-            hit = _cell_blocked(self.pclass, self.host.values, slot.pos_slot, slot.val_slot)
-            self._cells[slot] = hit
-        return hit
+        return _cell_blocked(self.pclass, self.host.values, slot.pos_slot, slot.val_slot)
 
     @property
     def blocked(self) -> frozenset[Slot]:

@@ -71,13 +71,10 @@ def render_grid(grid: ShadingGrid) -> str:
     Values increase upward (row 1 printed last), positions rightward."""
     host = grid.host.values
     n = len(host)
+    blocked = grid.blocked
     lines = []
     for vs in range(n + 1, 0, -1):
-        cells = []
-        for ps in range(1, n + 2):
-            cells.append("#" if grid.is_blocked(Slot(ps, vs)) else ".")
-            cells.append(" ")
-        lines.append("".join(cells[:-1]))
+        lines.append(" ".join("#" if Slot(ps, vs) in blocked else "." for ps in range(1, n + 2)))
         if vs > 1:
             row = [" "] * (2 * n + 1)
             row[2 * host.index(vs - 1) + 1] = "o"

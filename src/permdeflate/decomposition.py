@@ -18,6 +18,7 @@ starts where the previous block ended, or a singleton.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Optional
 
 from .perm_core import Permutation, Slot, _pattern_of, inflate
@@ -178,10 +179,9 @@ def _cut_slot_pairs(n: int, span: IntervalSpan) -> Iterator[tuple[int, int]]:
     """(pos_slot, val_slot) of each of ``cut_slots(n, span)``, in sorted
     order, without building the set."""
     inner_val = range(span.val_lo + 1, span.val_hi + 1)
-    outer_val = [*range(1, span.val_lo), *range(span.val_hi + 2, n + 2)]
     for ps in range(1, n + 2):
         if span.pos_lo < ps <= span.pos_hi:
-            vals = outer_val
+            vals = chain(range(1, span.val_lo), range(span.val_hi + 2, n + 2))
         elif ps < span.pos_lo or ps > span.pos_hi + 1:
             vals = inner_val
         else:

@@ -14,16 +14,23 @@ inside a proper subclass — is attacked from two sides here:
 
 Bounded empirical checks (``empirical_deflatability``) report which short
 members fail to extend to a simple member within a length budget.
+
+Bond certificates (``_locked_strips``) and the bundled witness corpus
+(``load_corpus``) live here as well; ``witness`` builds on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from importlib import resources
 from itertools import accumulate, product
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional
+from pathlib import Path
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 from .perm_core import (
+    Bond,
+    ParseError,
     Permutation,
     Slot,
     Symmetry,
@@ -34,6 +41,7 @@ from .perm_core import (
     _contains_any,
     _insert_raw,
     _pattern_of,
+    parse_permutation,
 )
 from .decomposition import (
     IntervalSpan,
@@ -45,10 +53,14 @@ from .decomposition import (
     _maximal_interval_spans,
     sd_measure,
 )
-from .class_engine import PermClass, _avoids_raw, _class_levels, _insertion_creates, avoids
-
-if TYPE_CHECKING:
-    from .witness import BondCertificate
+from .class_engine import (
+    PermClass,
+    _avoids_raw,
+    _cell_blocked,
+    _class_levels,
+    _insertion_creates,
+    avoids,
+)
 
 #: Bases with no general embedding of members into indecomposable members
 #: (their classes contain permutations with only decomposable extensions).
@@ -124,6 +136,15 @@ class TheoremVerdict:
     def describe(self) -> str:
         label = RULE_LABELS.get(self.rule, "")
         return f"{self.status} ({self.rule} {label})" if label else f"{self.status} ({self.rule})"
+
+
+@dataclass(frozen=True)
+class BondCertificate:
+    """Evidence that a member extends to no simple member of its class:
+    every required strip slot around ``bond`` is blocked."""
+
+    bond: Bond
+    checked_slots: frozenset[Slot]
 
 
 @dataclass(frozen=True)
@@ -368,6 +389,30 @@ def _bond_splitting_slots(vals: tuple[int, ...]) -> Iterable[tuple[int, int]]:
     return set.intersection(*(set(_cut_slot_pairs(n, span)) for span in spans))
 
 
+def _locked_strips(
+    vals: tuple[int, ...], blocked: Callable[[int, int], bool], bond: Optional[Bond] = None
+) -> Optional[BondCertificate]:
+    """The certificate on the first bond of the member ``vals`` (left to
+    right, or only ``bond``) whose strip slots all pass ``blocked(ps, vs)``,
+    else None.  Cells are tested in sorted order, a bond is dropped at its
+    first open cell, and objects are built only on success.
+    A bond whose strips are entirely exempt (only possible when the bond is
+    the whole permutation, n = 2) certifies nothing: the argument needs the
+    surrounding box to be a proper part of any extension."""
+    n = len(vals)
+    scan = _bond_scan(vals) if bond is None else [(bond.left_pos, bond.kind, bond.low_value)]
+    for i, kind, w in scan:
+        cells = []
+        for cell in _cut_slot_pairs(n, IntervalSpan(i, i + 1, w, w + 1)):
+            if not blocked(*cell):
+                break
+            cells.append(cell)
+        else:
+            if cells:
+                return BondCertificate(Bond(i, kind, w), frozenset(Slot(*c) for c in cells))
+    return None
+
+
 def condition_ddagger(pi: Permutation) -> bool:
     """For pi starting with its minimum: is some entry to the right of the
     value 2 smaller than pi's second entry (the leftmost entry of the rest)?
@@ -448,9 +493,38 @@ def _pred_p51(vals: tuple[int, ...]) -> bool:
     return vals == (2, 4, 1, 3)
 
 
-def _pred_witness_table(vals: tuple[int, ...]) -> bool:
-    from .witness import known_deflatable_bases
+def _default_corpus() -> Path:
+    return Path(str(resources.files("permdeflate").joinpath("witness_corpus.txt")))
 
+
+def load_corpus(path: Union[str, Path, None] = None) -> list[tuple[Permutation, Permutation]]:
+    """Rows of the witness corpus: (basis, witness) per non-comment line,
+    separated by '|', both sides in the canonical text format.  A bad row
+    raises ParseError naming its file and line."""
+    source = Path(path) if path is not None else _default_corpus()
+    rows = []
+    for lineno, line in enumerate(source.read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        left, sep, right = line.partition("|")
+        if not sep:
+            raise ParseError(f"{source}:{lineno}: expected 'basis | witness'")
+        try:
+            rows.append((parse_permutation(left), parse_permutation(right)))
+        except ParseError as exc:
+            raise ParseError(f"{source}:{lineno}: {exc}") from None
+    return rows
+
+
+@lru_cache(maxsize=1)
+def known_deflatable_bases() -> frozenset[tuple[int, ...]]:
+    """Value tuples of every basis in the bundled corpus (identity images
+    only; callers fold in symmetries themselves)."""
+    return frozenset(basis.values for basis, _ in load_corpus())
+
+
+def _pred_witness_table(vals: tuple[int, ...]) -> bool:
     return vals in known_deflatable_bases()
 
 
@@ -502,10 +576,8 @@ def empirical_deflatability(c: PermClass, cover_len: int, search_len: int) -> Em
     enumeration pass suffices: collect the simple members up to
     ``search_len`` and test each short member for containment in one of
     them.  Members that extend to nothing are reported with their bond
-    certificate (when one exists).
+    certificate (when one exists), tested without a second membership proof.
     """
-    from .witness import bond_certificate
-
     if cover_len < 1:
         raise ValueError("cover_len must be at least 1")
     if cover_len > search_len:
@@ -534,8 +606,8 @@ def empirical_deflatability(c: PermClass, cover_len: int, search_len: int) -> Em
         if hit is None:
             uncovered_vals.append(vals)
 
-    uncovered = []
-    for vals in uncovered_vals:
-        member = Permutation(vals)
-        uncovered.append(UncoveredMember(member, bond_certificate(member, c)))
-    return EmpiricalReport(c, cover_len, search_len, len(targets), tuple(uncovered))
+    uncovered = tuple(
+        UncoveredMember(Permutation(vals), _locked_strips(vals, partial(_cell_blocked, c, vals)))
+        for vals in uncovered_vals
+    )
+    return EmpiricalReport(c, cover_len, search_len, len(targets), uncovered)

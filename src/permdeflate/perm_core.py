@@ -345,7 +345,6 @@ def _pattern_of(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(rank[v] for v in values)
 
 
-@lru_cache(maxsize=4096)
 def _neighbor_refs(pat: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """For each pattern index, the earlier index with the nearest value
     below (resp. above) it, or -1.  These drive the value windows in the

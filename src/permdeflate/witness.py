@@ -2,35 +2,41 @@
 
 A member of a class is a witness of deflatability when no simple member of
 the class contains it; finding one proves the class deflatable.  The
-sufficient test implemented here inspects a bond: if every slot in the
+sufficient test used here inspects a bond: if every slot in the
 vertical strip between the bond's positions and the horizontal strip
 between its values is blocked — excepting only the crossing cell and the
 four cells adjacent to the bond — then the bond can never be split apart
 by later insertions, so no extension is simple.
 
-The public ``bond_certificate`` checks membership and reads a cached
-``ShadingGrid``; ``find_witnesses`` trusts the generating tree's
-membership proof and scans its raw value tuples without either.
+The public ``bond_certificate`` checks membership and tests the cells of a
+``ShadingGrid``.  ``find_witnesses`` and ``verify_corpus`` already hold a
+membership proof (the generating tree, their own ``avoids``), so they pass
+raw value tuples straight to ``deflate_analysis._locked_strips``.
 
-The bundled corpus ships fourteen published witness rows (ten sporadic
-classes and four parallel alternations); ``verify_corpus`` replays the
-whole table.  ``inflation_family`` mechanically checks the inflation
-construction that turns one witness into an infinite family of deflatable
-principal classes.
+The bundled corpus (``deflate_analysis.load_corpus``) ships fourteen
+published witness rows (ten sporadic classes and four parallel
+alternations); ``verify_corpus`` replays the whole table.
+``inflation_family`` mechanically checks the inflation construction that
+turns one witness into an infinite family of deflatable principal classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from importlib import resources
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
-from .perm_core import Bond, Permutation, Slot, _bond_scan, inflate, parse_permutation
-from .decomposition import IntervalSpan, _cut_slot_pairs, cut_slots
+from .perm_core import Bond, Permutation, Slot, inflate
+from .decomposition import IntervalSpan, cut_slots
 from .class_engine import PermClass, ShadingGrid, _cell_blocked, _class_levels, avoids, shading_grid
-from .deflate_analysis import extend_to_simple
+from .deflate_analysis import (
+    BondCertificate,
+    _locked_strips,
+    extend_to_simple,
+    known_deflatable_bases,
+    load_corpus,
+)
 
 #: Witnesses longer than this skip the explicit no-simple-extension search
 #: during corpus verification; their certificates still get checked.
@@ -38,15 +44,6 @@ CROSS_CHECK_CAP = 14
 
 _FAMILY_PATTERN = Permutation((2, 5, 1, 3, 6, 4))
 _FAMILY_WITNESS = Permutation((2, 5, 1, 7, 3, 4, 8, 6))
-
-
-@dataclass(frozen=True)
-class BondCertificate:
-    """Evidence that a member extends to no simple member of its class:
-    every required strip slot around ``bond`` is blocked."""
-
-    bond: Bond
-    checked_slots: frozenset[Slot]
 
 
 @dataclass(frozen=True)
@@ -92,32 +89,8 @@ def bond_strip_slots(n: int, bond: Bond) -> frozenset[Slot]:
     return cut_slots(n, IntervalSpan(i, i + 1, w, w + 1))
 
 
-def _locked_strips(
-    vals: tuple[int, ...], blocked: Callable[[int, int], bool], bond: Optional[Bond] = None
-) -> Optional[BondCertificate]:
-    """The certificate on the first bond of the member ``vals`` (left to
-    right, or only ``bond``) whose strip slots all pass ``blocked(ps, vs)``,
-    else None.  Cells are tested in sorted order, a bond is dropped at its
-    first open cell, and objects are built only on success.
-    A bond whose strips are entirely exempt (only possible when the bond is
-    the whole permutation, n = 2) certifies nothing: the argument needs the
-    surrounding box to be a proper part of any extension."""
-    n = len(vals)
-    scan = _bond_scan(vals) if bond is None else [(bond.left_pos, bond.kind, bond.low_value)]
-    for i, kind, w in scan:
-        cells = []
-        for cell in _cut_slot_pairs(n, IntervalSpan(i, i + 1, w, w + 1)):
-            if not blocked(*cell):
-                break
-            cells.append(cell)
-        else:
-            if cells:
-                return BondCertificate(Bond(i, kind, w), frozenset(Slot(*c) for c in cells))
-    return None
-
-
 def _grid_test(grid: ShadingGrid) -> Callable[[int, int], bool]:
-    """The cached cell test of ``grid`` as ``blocked(ps, vs)``."""
+    """The cell test of ``grid`` as ``blocked(ps, vs)``."""
     return lambda ps, vs: grid.is_blocked(Slot(ps, vs))
 
 
@@ -126,7 +99,7 @@ def bond_certificate(p: Permutation, c: PermClass) -> Optional[BondCertificate]:
     order), or None.  A returned certificate implies ``p`` witnesses the
     deflatability of ``c``.  Raises ValueError when ``p`` is not a member
     of ``c``: this public entry keeps the membership guard of
-    ``shading_grid`` and reads the grid's cached cells.
+    ``shading_grid`` and tests the grid's cells.
     """
     return _locked_strips(p.values, _grid_test(shading_grid(p, c)))
 
@@ -136,7 +109,7 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
     returning up to ``limit`` reports.  Each witness is cross-checked by an
     exhaustive search for simple extensions up to max_len + 2, which must
     come back empty.  The scan trusts the tree's membership proof: it
-    tests raw tuples with the uncached ``_cell_blocked``, without the guard
+    tests raw tuples with ``_cell_blocked``, without the guard
     that ``bond_certificate`` keeps, and finds the same certificates."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -189,38 +162,12 @@ def inflation_family(theta: Permutation) -> FamilyCheck:
     return FamilyCheck(pi_star, omega_star, verified)
 
 
-def _default_corpus() -> Path:
-    return Path(str(resources.files("permdeflate").joinpath("witness_corpus.txt")))
-
-
-def load_corpus(path: Union[str, Path, None] = None) -> list[tuple[Permutation, Permutation]]:
-    """Rows of the witness corpus: (basis, witness) per non-comment line,
-    separated by '|', both sides in the canonical text format."""
-    source = Path(path) if path is not None else _default_corpus()
-    rows = []
-    for lineno, line in enumerate(source.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        left, sep, right = line.partition("|")
-        if not sep:
-            raise ValueError(f"{source}:{lineno}: expected 'basis | witness'")
-        rows.append((parse_permutation(left), parse_permutation(right)))
-    return rows
-
-
-@lru_cache(maxsize=1)
-def known_deflatable_bases() -> frozenset[tuple[int, ...]]:
-    """Value tuples of every basis in the bundled corpus (identity images
-    only; callers fold in symmetries themselves)."""
-    return frozenset(basis.values for basis, _ in load_corpus())
-
-
 def verify_corpus(path: Union[str, Path, None] = None) -> list[CorpusRowResult]:
     """Replay every corpus row: the witness must lie in the class and carry
     a bond certificate, and witnesses of length <= CROSS_CHECK_CAP must
     survive an exhaustive no-simple-extension search to length + 2.
-    Failures become report rows, not exceptions."""
+    Membership is proved once, by ``avoids``.  Failures become report
+    rows, not exceptions."""
     results = []
     for basis, witness in load_corpus(path):
         c = PermClass((basis,))
@@ -229,7 +176,8 @@ def verify_corpus(path: Union[str, Path, None] = None) -> list[CorpusRowResult]:
         bound: Optional[int] = None
         cross_ok: Optional[bool] = None
         if in_class:
-            certified = bond_certificate(witness, c) is not None
+            vals = witness.values
+            certified = _locked_strips(vals, partial(_cell_blocked, c, vals)) is not None
             if len(witness) <= CROSS_CHECK_CAP:
                 bound = len(witness) + 2
                 cross_ok = extend_to_simple(witness, c, bound) is None

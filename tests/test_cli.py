@@ -8,9 +8,11 @@ import random
 
 import pytest
 
-from permdeflate.cli import _compact, _tree_text, run
+from permdeflate.cli import _compact, _tree_text, render_grid, run
+from permdeflate.class_engine import PermClass, shading_grid
 from permdeflate.decomposition import substitution_decompose
-from permdeflate.perm_core import Permutation, inflate
+from permdeflate.perm_core import Permutation, Slot, inflate, parse_permutation
+from permdeflate.witness import load_corpus
 
 
 def invoke(capsys, *argv):
@@ -249,3 +251,53 @@ def test_verify_paper_empty_corpus_exits_2(capsys, tmp_path, content):
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
         assert corpus in err
+
+
+def _render_per_cell(grid):
+    """Reference renderer that asks the grid for each cell on its own."""
+    host = grid.host.values
+    n = len(host)
+    lines = []
+    for vs in range(n + 1, 0, -1):
+        cells = []
+        for ps in range(1, n + 2):
+            cells.append("#" if grid.is_blocked(Slot(ps, vs)) else ".")
+            cells.append(" ")
+        lines.append("".join(cells[:-1]))
+        if vs > 1:
+            row = [" "] * (2 * n + 1)
+            row[2 * host.index(vs - 1) + 1] = "o"
+            lines.append("".join(row).rstrip())
+    return "\n".join(lines)
+
+
+_ALTERNATION_8 = parse_permutation("2 4 6 8 1 3 5 7")
+
+
+@pytest.mark.parametrize(
+    "perm, basis",
+    [
+        (parse_permutation("25173486"), parse_permutation("251364")),
+        (next(w for b, w in load_corpus() if b == _ALTERNATION_8), _ALTERNATION_8),
+    ],
+    ids=["25173486", "alternation-18"],
+)
+def test_render_grid_matches_per_cell_renderer(perm, basis):
+    c = PermClass((basis,))
+    assert render_grid(shading_grid(perm, c)) == _render_per_cell(shading_grid(perm, c))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("2 4 1 3 |", "empty input"),
+        ("2 5 1 3 6 4 | 2 5 1 7 3 4 8 x", "bad token 'x'"),
+        ("2 5 1 3 6 4 | 2 5 1 7 3 4 6 9 9", "repeated value 9"),
+    ],
+)
+def test_verify_paper_bad_row_names_file_and_line(capsys, tmp_path, row, message):
+    corpus = tmp_path / "rows.txt"
+    corpus.write_text(f"2 5 1 3 6 4 | 2 5 1 7 3 4 8 6\n{row}\n")
+    code, out, err = invoke(capsys, "verify-paper", "--corpus", str(corpus))
+    assert code == 2 and out == ""
+    assert err == f"error: {corpus}:2: {message}\n"

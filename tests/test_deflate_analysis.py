@@ -49,6 +49,7 @@ from permdeflate.deflate_analysis import (
     _has_bond,
     _one_plus_tail,
 )
+from permdeflate.witness import bond_certificate
 
 P = parse_permutation
 
@@ -490,3 +491,14 @@ def test_empirical_av2413_small_bounds_covered():
 def test_empirical_validates_bounds():
     with pytest.raises(ValueError):
         empirical_deflatability(PermClass.of("231"), 5, 4)
+
+
+def test_empirical_certificates_match_bond_certificate():
+    # uncovered members are certified without a second membership proof;
+    # the certificates must equal those of the guarded public entry
+    c = PermClass.of("231")
+    report = empirical_deflatability(c, 4, 10)
+    assert len(report.uncovered) == 19
+    assert sum(u.certificate is not None for u in report.uncovered) == 16
+    for u in report.uncovered:
+        assert u.certificate == bond_certificate(u.member, c)

@@ -12,6 +12,7 @@ from permdeflate import witness
 from permdeflate.cli import run
 from permdeflate.perm_core import (
     Bond,
+    ParseError,
     Permutation,
     Slot,
     SYMMETRY_ORDER,
@@ -369,3 +370,22 @@ def test_corpus_detects_bogus_witness(tmp_path):
     assert [r.passed for r in rows] == [False, True]
     assert rows[0].in_class  # 123 avoids 321
     assert not rows[0].certified
+
+
+def test_corpus_bad_row_names_its_line(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("# basis | witness\n2 5 1 3 6 4 | 2 5 1 7 3 4 8 x\n")
+    with pytest.raises(ParseError, match=":2: bad token 'x'"):
+        load_corpus(bad)
+
+
+def test_verify_corpus_proves_membership_once(monkeypatch):
+    # verify_corpus proves membership with its own avoids; a second proof
+    # through shading_grid would be wasted work
+    def refuse(p, c):
+        raise AssertionError("verify_corpus re-proved membership through shading_grid")
+
+    monkeypatch.setattr(witness, "shading_grid", refuse)
+    rows = verify_corpus()
+    assert len(rows) == 14
+    assert all(r.passed for r in rows)
