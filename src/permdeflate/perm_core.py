@@ -9,11 +9,14 @@ Hot paths (class enumeration, membership filtering, slot grids) work on raw
 value tuples via the underscore helpers at the bottom of this module; the
 public functions wrap them.  Containment has three engines, each with one
 role.  Existence tests for patterns of length k <= 6 run a nested-loop
-kernel compiled once per (pattern, pin); existence tests for k >= 7 run a
-most-constrained-first (MRV) search; ``_search_kernel`` is the one place
-that chooses between them.  ``contains()``, which must report positions,
-runs an interpreted left-to-right DFS that finds the lexicographically
-least occurrence.
+kernel compiled once per (pattern, pin); existence tests for k >= 7 run an
+iterative forward-checking search that keeps, per pattern index, the host
+positions still open to it and branches on the index with the fewest
+(most constrained first, MRV); ``_search_kernel`` is the one place that
+chooses between them.  ``contains()``, which must report positions, runs
+an interpreted left-to-right DFS that finds the lexicographically least
+occurrence.  None of them recurses, so pattern length is bounded only by
+``MAX_LENGTH``.
 """
 
 from __future__ import annotations
@@ -176,6 +179,9 @@ def symmetry_from_name(name: str) -> Symmetry:
 def parse_permutation(text: str) -> Permutation:
     """Parse whitespace-separated values, or a compact digit string for n <= 9.
 
+    Every token is a run of ASCII digits: no sign, underscore or other
+    script's digits.
+
     >>> parse_permutation("2 5 1 7 3 4 8 6").values
     (2, 5, 1, 7, 3, 4, 8, 6)
     >>> parse_permutation("2413").values
@@ -184,20 +190,16 @@ def parse_permutation(text: str) -> Permutation:
     tokens = text.split()
     if not tokens:
         raise ParseError("empty input")
-    if len(tokens) == 1 and len(tokens[0]) > 1 and tokens[0].isdecimal():
+    for tok in tokens:
+        if not (tok.isascii() and tok.isdigit()):
+            raise ParseError(f"bad token {tok!r}")
+    if len(tokens) == 1 and len(tokens[0]) > 1:
         # compact form: one digit per value, so only unambiguous for n <= 9
-        values = []
-        for ch in tokens[0]:
-            if ch == "0":
-                raise ParseError(f"bad digit '0' in compact permutation {tokens[0]!r}")
-            values.append(int(ch))
+        if "0" in tokens[0]:
+            raise ParseError(f"bad digit '0' in compact permutation {tokens[0]!r}")
+        values = [int(ch) for ch in tokens[0]]
     else:
-        values = []
-        for tok in tokens:
-            try:
-                values.append(int(tok))
-            except ValueError:
-                raise ParseError(f"bad token {tok!r}") from None
+        values = [int(tok) for tok in tokens]
     try:
         return Permutation(tuple(values))
     except ValueError as exc:
@@ -422,9 +424,11 @@ def _search_kernel(
     outside text ever reaches ``exec``.
 
     For k >= 7, where any fixed loop order degenerates on long rigid
-    patterns, the test calls ``_contains_mrv``.  It looks that name up at
-    call time, so a wrapper installed on the module attribute sees every
-    call.
+    patterns, the test calls ``_contains_mrv``: an iterative
+    forward-checking search in which each assignment prunes the host
+    positions open to every unplaced index, and the index with the fewest
+    goes next.  It looks that name up at call time, so a wrapper installed
+    on the module attribute sees every call.
     """
     k = len(pat)
     if k >= 7:
@@ -492,72 +496,64 @@ def _contains_any(
 def _contains_mrv(
     pat: tuple[int, ...], host: tuple[int, ...], pin_j: int = -1, pin_pos: int = -1
 ) -> bool:
-    """Containment by most-constrained-first search.
+    """Containment by an iterative forward-checking search.
 
-    For long rigid patterns (parallel alternations and the bundled long
-    witnesses) the left-to-right search degenerates; picking the pattern
-    index with the fewest remaining host candidates keeps the tree small.
-    With ``pin_j >= 0`` pattern index ``pin_j`` starts out assigned to host
-    position ``pin_pos`` (a valid 0-based position), so only occurrences
-    through that entry count.
+    Each pattern index g keeps the set of host positions it may still
+    take, starting from ``range(g, n - k + 1 + g)``.  Assigning index f to
+    position q drops from every unassigned g the positions r that leave
+    too little room between the two indices, in position (``r >= q + (g -
+    f)`` when g > f, ``r <= q - (f - g)`` when g < f) or in value
+    (``host[r] >= host[q] + d`` when ``d = pat[g] - pat[f]`` is positive,
+    ``host[r] <= host[q] + d`` when it is negative).  The search branches
+    on the index with the fewest live positions, trying them left to
+    right, and backtracks as soon as a set empties: Haralick and Elliott's
+    forward checking with the fail-first rule, which keeps long rigid
+    patterns cheap.  With ``pin_j >= 0`` index ``pin_j`` may take only
+    host position ``pin_pos``, so only occurrences through that entry
+    count.
+
+    Nothing recurses, and nothing is copied per level: a filter moves the
+    positions it drops onto a trail, and undoing an assignment merges
+    them back, so each position sits in exactly one place and memory
+    stays O(k * n).
     """
     k, n = len(pat), len(host)
-    assigned = [-1] * k
+    spots = [set(range(g, n - k + 1 + g)) for g in range(k)]
     if pin_j >= 0:
-        assigned[pin_j] = pin_pos
-
-    def candidates(f: int) -> Optional[list[int]]:
-        pf = pat[f]
-        plo, phi = -1, n
-        vlo, vhi = 0, n + 1
-        near_lo = near_hi = -1
-        for m in range(k):
-            am = assigned[m]
-            if am < 0:
+        spots[pin_j] &= {pin_pos}
+    trail: list[tuple[int, set[int]]] = []  # (index, the positions a filter dropped)
+    frames: list[tuple[int, list[int], int]] = []  # (index, positions left to try, trail length)
+    free = set(range(k))
+    while free:
+        f = min(free, key=lambda g: len(spots[g]))
+        free.remove(f)
+        frames.append((f, sorted(spots[f], reverse=True), len(trail)))
+        # try the newest frame's next position; a frame with none left
+        # frees its index and hands back to the frame before it
+        while frames:
+            f, todo, mark = frames[-1]
+            while len(trail) > mark:
+                g, dropped = trail.pop()
+                spots[g] |= dropped
+            if not todo:
+                frames.pop()
+                free.add(f)
                 continue
-            if m < f:
-                if am > plo:
-                    plo = am
-                    near_lo = m
+            q = todo.pop()
+            hq, pf = host[q], pat[f]
+            for g in free:
+                lo, hi = (q + g - f, n) if g > f else (0, q - f + g)
+                d = pat[g] - pf
+                vlo, vhi = (hq + d, n) if d > 0 else (1, hq + d)
+                live = spots[g]
+                kept = {r for r in live if lo <= r <= hi and vlo <= host[r] <= vhi}
+                if len(kept) < len(live):
+                    trail.append((g, live - kept))
+                    spots[g] = kept
+                    if not kept:
+                        break
             else:
-                if am < phi:
-                    phi = am
-                    near_hi = m
-            if pat[m] < pf:
-                if host[am] > vlo:
-                    vlo = host[am]
-            else:
-                if host[am] < vhi:
-                    vhi = host[am]
-        # room check: the pattern indices forced between the two nearest
-        # assigned neighbours must fit in the host gap
-        lo_idx = near_lo if near_lo >= 0 else -1
-        hi_idx = near_hi if near_hi >= 0 else k
-        needed = hi_idx - lo_idx - 1
-        if phi - plo - 1 < needed:
-            return None
-        return [q for q in range(plo + 1, phi) if vlo < host[q] < vhi]
-
-    def search(depth: int) -> bool:
-        if depth == k:
-            return True
-        best_f = -1
-        best = None
-        for f in range(k):
-            if assigned[f] >= 0:
-                continue
-            cand = candidates(f)
-            if cand is None or not cand:
-                return False
-            if best is None or len(cand) < len(best):
-                best_f, best = f, cand
-                if len(best) == 1:
-                    break
-        for q in best:
-            assigned[best_f] = q
-            if search(depth + 1):
-                return True
-        assigned[best_f] = -1
-        return False
-
-    return search(1 if pin_j >= 0 else 0)
+                break  # no set emptied: place the next index
+        else:
+            return False
+    return True

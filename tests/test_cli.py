@@ -44,9 +44,10 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_non_decimal_digit_exits_2(capsys):
-    code, out, err = invoke(capsys, "contains", "1²", "12")
-    assert code == 2 and out == ""
-    assert err.startswith("error: bad token")
+    for pattern, host in (("1²", "12"), ("\u0662\u0661", "1 3 2")):
+        code, out, err = invoke(capsys, "contains", pattern, host)
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad token")
 
 
 def test_json_report_shape_and_round_trip(capsys):
@@ -225,6 +226,15 @@ def test_too_deep_decomposition_exits_2(capsys):
         code, out, err = invoke(capsys, "decompose", identity, *extra)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_witness_check_of_a_long_non_member_exits_2(capsys):
+    # membership runs one search 1 200 pattern indices deep
+    perm = " ".join(str(v) for v in range(1, 1202))
+    basis = " ".join(str(v) for v in range(1, 1201))
+    code, out, err = invoke(capsys, "witness", "check", "--perm", perm, "--basis", basis)
+    assert code == 2 and out == ""
+    assert "is not a member" in err
 
 
 def test_verify_paper_subset(capsys, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,7 +64,10 @@ def test_parse_spaced_and_compact():
 
 @pytest.mark.parametrize(
     "text",
-    ["", "   ", "2 2 1", "1 3", "0", "10", "a b", "1 2 x", "33", "1 -1 2"],
+    [
+        "", "   ", "2 2 1", "1 3", "0", "10", "a b", "1 2 x", "33", "1 -1 2",
+        "1 2 3 4 5 6 7 8 9 1_0", "+2 1", "\u0661\u0662",
+    ],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(ParseError):
@@ -191,12 +195,12 @@ def test_find_occurrence_matches_brute_force(case):
 
 @st.composite
 def long_searches(draw):
-    """A pattern with k in {7, 8}, a host (n <= 10) and an optional pin,
-    possibly impossible to honour, as in ``searches``.  Half the hosts
+    """A pattern with k in {7, ..., 10}, a host (n <= 14) and an optional
+    pin, possibly impossible to honour, as in ``searches``.  Half the hosts
     long enough get a planted occurrence, since random ones rarely
     contain a pattern this long."""
-    k = draw(st.integers(min_value=7, max_value=8))
-    n = draw(st.integers(min_value=1, max_value=10))
+    k = draw(st.integers(min_value=7, max_value=10))
+    n = draw(st.integers(min_value=1, max_value=14))
     pat = tuple(draw(st.permutations(range(1, k + 1))))
     host = list(draw(st.permutations(range(1, n + 1))))
     if n >= k and draw(st.booleans()):
@@ -221,6 +225,27 @@ def test_pinned_mrv_matches_brute_force(case):
     )
     assert _contains_mrv(pat, host, *pin) == expected
     assert _contains_any(pat, host, *pin) == expected
+
+
+def test_mrv_handles_patterns_longer_than_the_recursion_limit():
+    identity = tuple(range(1, 1501))
+    assert _contains_mrv(identity, tuple(range(1, 1502)))
+    assert not _contains_mrv(identity, tuple(range(1501, 0, -1)))
+
+
+def test_mrv_memory_stays_linear_in_the_search_space():
+    # every index keeps about 200 live positions through a 200-deep
+    # search, so copying the position lists at each level would hold
+    # millions of entries
+    identity = tuple(range(1, 201))
+    host = tuple(range(2, 401, 2)) + tuple(range(1, 400, 2))
+    tracemalloc.start()
+    try:
+        assert _contains_mrv(identity, host)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_containment_is_a_partial_order_up_to_5():
