@@ -20,6 +20,7 @@ from .perm_core import (
     _contains_pinned,
     _insert_raw,
     _search_kernel,
+    _slot_kernel,
     parse_permutation,
 )
 from .decomposition import _is_simple
@@ -153,9 +154,12 @@ def _insertion_creates(c: PermClass, child: tuple[int, ...], q: int) -> bool:
 
 
 def _cell_blocked(c: PermClass, vals: tuple[int, ...], ps: int, vs: int) -> bool:
-    """Is slot (ps, vs) of the member ``vals`` of ``c`` blocked?  No grid,
-    no cache and no membership check: the caller vouches for ``vals``."""
-    return _insertion_creates(c, _insert_raw(vals, ps, vs), ps - 1)
+    """Is slot (ps, vs) of the member ``vals`` of ``c`` blocked?  The cell
+    test of the raw certificate walk: the basis's slot kernels, so no
+    child, grid, cache or membership check (the caller vouches for
+    ``vals``).  ``ShadingGrid.is_blocked`` keeps the built-child test: it
+    is the kernels' oracle, and ``perfbench``'s trace counts its cells."""
+    return any(_slot_kernel(b.values)(vals, ps, vs) for b in c.basis)
 
 
 class ShadingGrid:
@@ -172,10 +176,14 @@ class ShadingGrid:
         self._blocked: Optional[frozenset[Slot]] = None
 
     def is_blocked(self, slot: Slot) -> bool:
+        """Does inserting at ``slot`` create a basis pattern?  Builds the
+        child, unlike ``_cell_blocked``: this is the slot kernels' oracle,
+        and the traced grid cells go through ``_insertion_creates``."""
         n = len(self.host)
         if not (1 <= slot.pos_slot <= n + 1 and 1 <= slot.val_slot <= n + 1):
             raise ValueError(f"slot {slot} outside the {n + 1}x{n + 1} grid")
-        return _cell_blocked(self.pclass, self.host.values, slot.pos_slot, slot.val_slot)
+        ps = slot.pos_slot
+        return _insertion_creates(self.pclass, _insert_raw(self.host.values, ps, slot.val_slot), ps - 1)
 
     @property
     def blocked(self) -> frozenset[Slot]:

@@ -18,7 +18,7 @@ starts where the previous block ended, or a singleton.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import product
 from typing import Iterator, Optional
 
 from .perm_core import Permutation, Slot, _pattern_of, inflate
@@ -172,22 +172,20 @@ def cut_slots(n: int, span: IntervalSpan) -> frozenset[Slot]:
     >>> sorted((s.pos_slot, s.val_slot) for s in cut_slots(3, IntervalSpan(1, 2, 1, 2)))
     [(2, 4), (4, 2)]
     """
-    return frozenset(Slot(ps, vs) for ps, vs in _cut_slot_pairs(n, span))
+    pairs = _cut_slot_pairs(n, span.pos_lo, span.pos_hi, span.val_lo, span.val_hi)
+    return frozenset(Slot(ps, vs) for ps, vs in pairs)
 
 
-def _cut_slot_pairs(n: int, span: IntervalSpan) -> Iterator[tuple[int, int]]:
-    """(pos_slot, val_slot) of each of ``cut_slots(n, span)``, in sorted
-    order, without building the set."""
-    inner_val = range(span.val_lo + 1, span.val_hi + 1)
-    for ps in range(1, n + 2):
-        if span.pos_lo < ps <= span.pos_hi:
-            vals = chain(range(1, span.val_lo), range(span.val_hi + 2, n + 2))
-        elif ps < span.pos_lo or ps > span.pos_hi + 1:
-            vals = inner_val
-        else:
-            continue
-        for vs in vals:
-            yield ps, vs
+def _cut_slot_pairs(
+    n: int, pos_lo: int, pos_hi: int, val_lo: int, val_hi: int
+) -> Iterator[tuple[int, int]]:
+    """(pos_slot, val_slot) of each of ``cut_slots(n, span)`` in sorted order,
+    without building the set: the slots left of, inside and right of the
+    span's positions.  Plain ints, as the certificate walk asks per bond."""
+    inner = range(val_lo + 1, val_hi + 1)
+    yield from product(range(1, pos_lo), inner)
+    yield from product(range(pos_lo + 1, pos_hi + 1), [*range(1, val_lo), *range(val_hi + 2, n + 2)])
+    yield from product(range(pos_hi + 2, n + 2), inner)
 
 
 def _check_interval(p: Permutation, span: IntervalSpan) -> None:

@@ -41,6 +41,7 @@ from .perm_core import (
     _contains_any,
     _insert_raw,
     _pattern_of,
+    _slot_kernel,
     parse_permutation,
 )
 from .decomposition import (
@@ -56,7 +57,6 @@ from .decomposition import (
 from .class_engine import (
     PermClass,
     _avoids_raw,
-    _cell_blocked,
     _class_levels,
     _insertion_creates,
     avoids,
@@ -276,7 +276,7 @@ def breaking_extensions(w: Permutation, c: PermClass) -> list[BreakReport]:
 
     before = sum(s.size - 1 for s in blocks)
     reports = []
-    for ps, vs in _cut_slot_pairs(len(vals), alpha):
+    for ps, vs in _cut_slot_pairs(len(vals), alpha.pos_lo, alpha.pos_hi, alpha.val_lo, alpha.val_hi):
         ext = _insert_raw(vals, ps, vs)
         # w avoids c (checked above), so any basis occurrence in ext uses
         # the new entry, and the pinned incremental test settles membership
@@ -381,32 +381,42 @@ def _bond_splitting_slots(vals: tuple[int, ...]) -> Iterable[tuple[int, int]]:
     Distinct bonds have distinct positions and distinct values, so a slot
     cuts at most two of them."""
     n = len(vals)
-    spans = [IntervalSpan(i, i + 1, lo, lo + 1) for i, _, lo in _bond_scan(vals)]
+    spans = [(i, i + 1, lo, lo + 1) for i, _, lo in _bond_scan(vals)]
     if not spans:
         return product(range(1, n + 2), repeat=2)
     if len(spans) > 2:
         return ()
-    return set.intersection(*(set(_cut_slot_pairs(n, span)) for span in spans))
+    return set.intersection(*(set(_cut_slot_pairs(n, *span)) for span in spans))
 
 
 def _locked_strips(
-    vals: tuple[int, ...], blocked: Callable[[int, int], bool], bond: Optional[Bond] = None
+    vals: tuple[int, ...],
+    blocked: Union[PermClass, Callable[[int, int], bool]],
+    bond: Optional[Bond] = None,
 ) -> Optional[BondCertificate]:
     """The certificate on the first bond of the member ``vals`` (left to
-    right, or only ``bond``) whose strip slots all pass ``blocked(ps, vs)``,
-    else None.  Cells are tested in sorted order, a bond is dropped at its
-    first open cell, and objects are built only on success.
+    right, or only ``bond``) whose strip slots are all blocked, else None:
+    by ``blocked(ps, vs)``, or by the slot kernels of the class ``blocked``.
+    Cells are tested in sorted order, a bond is dropped at its first open
+    cell, and objects are built only on success.
     A bond whose strips are entirely exempt (only possible when the bond is
     the whole permutation, n = 2) certifies nothing: the argument needs the
     surrounding box to be a proper part of any extension."""
+    if isinstance(blocked, PermClass):
+        tests = [_slot_kernel(b.values) for b in blocked.basis]
+    else:
+        tests = [lambda _vals, ps, vs: blocked(ps, vs)]
     n = len(vals)
     scan = _bond_scan(vals) if bond is None else [(bond.left_pos, bond.kind, bond.low_value)]
     for i, kind, w in scan:
         cells = []
-        for cell in _cut_slot_pairs(n, IntervalSpan(i, i + 1, w, w + 1)):
-            if not blocked(*cell):
-                break
-            cells.append(cell)
+        for ps, vs in _cut_slot_pairs(n, i, i + 1, w, w + 1):
+            for test in tests:
+                if test(vals, ps, vs):
+                    cells.append((ps, vs))
+                    break
+            else:
+                break  # an open cell
         else:
             if cells:
                 return BondCertificate(Bond(i, kind, w), frozenset(Slot(*c) for c in cells))
@@ -607,7 +617,7 @@ def empirical_deflatability(c: PermClass, cover_len: int, search_len: int) -> Em
             uncovered_vals.append(vals)
 
     uncovered = tuple(
-        UncoveredMember(Permutation(vals), _locked_strips(vals, partial(_cell_blocked, c, vals)))
+        UncoveredMember(Permutation(vals), _locked_strips(vals, c))
         for vals in uncovered_vals
     )
     return EmpiricalReport(c, cover_len, search_len, len(targets), uncovered)

@@ -16,7 +16,9 @@ positions still open to it and branches on the index with the fewest
 chooses between them.  ``contains()``, which must report positions, runs
 an interpreted left-to-right DFS that finds the lexicographically least
 occurrence.  None of them recurses, so pattern length is bounded only by
-``MAX_LENGTH``.
+``MAX_LENGTH``.  The certificate walk asks "does a new entry at this slot
+complete the pattern?" of ``_slot_kernel``: the pinned kernels with the
+new entry virtual, so no child is built (pinned MRV on the child for k >= 7).
 """
 
 from __future__ import annotations
@@ -402,6 +404,63 @@ def _find_occurrence(pat: tuple[int, ...], host: tuple[int, ...]) -> Optional[li
             pos = chosen[j] + 1
 
 
+def _emit_kernel(pat: tuple[int, ...], pins: Sequence[int], slot: bool = False) -> Callable[..., bool]:
+    """The one kernel emitter: compile nested ``for`` loops that look for
+    ``pat`` in ``host``, one nest per pin in ``pins`` (-1 for none) behind
+    a room check.  A nest places the pin first, then the indices left of
+    it nearest first, then those right of it; loop ranges leave room for
+    the indices still unplaced, and each value is compared only with the
+    nearest placed values below and above.  With ``slot`` the test is
+    ``test(host, ps, vs)`` and the pinned entry is a virtual new entry of
+    value ``vs`` before position ``q = ps - 1``: indices right of it start
+    at ``q``, and ``v`` lies above it iff ``vs <= v``.  The text holds only
+    identifiers and integers, never a host value."""
+    k = len(pat)
+    lines = ["def test(host, ps, vs):", "    q = ps - 1"] if slot else ["def test(host, q):"]
+    lines.append("    n = len(host)")
+    for pin_j in pins:
+        indent = "    "
+        if pin_j >= 0:
+            # pin_j entries left of q, k-1-pin_j right; pat[pin_j]-1 below vs, k-pat[pin_j] above
+            room = f"q >= {pin_j} and n - q >= {k - pin_j - (1 if slot else 0)}"
+            if slot:
+                room += f" and vs >= {pat[pin_j]} and n - vs >= {k - 1 - pat[pin_j]}"
+            lines.append(f"    if {room}:")
+            indent += "    "
+            order = [pin_j, *range(pin_j - 1, -1, -1), *range(pin_j + 1, k)]
+        else:
+            order = list(range(k))
+        # the pattern read in placement order: its neighbour refs are, per
+        # step, the earlier steps holding the nearest values below and above
+        lo_ref, hi_ref = _neighbor_refs(tuple(pat[j] for j in order))
+        pos = {j: f"p{j}" for j in order}
+        pos[pin_j] = "q"
+        for step, j in enumerate(order):
+            if j == pin_j:
+                if not slot:
+                    lines.append(f"{indent}v{j} = host[q]")
+                continue
+            if j < pin_j:
+                bounds = f"{j}, {pos[j + 1]}"
+            else:
+                start = "q" if slot and j == pin_j + 1 else f"{pos[j - 1]} + 1" if j > 0 else "0"
+                bounds = f"{start}, n - {k - 1 - j}" if j < k - 1 else f"{start}, n"
+            lines.append(f"{indent}for p{j} in range({bounds}):")
+            indent += "    "
+            lines.append(f"{indent}v{j} = host[p{j}]")
+            lo, hi = lo_ref[step], hi_ref[step]  # step 0 is the virtual entry in a slot nest
+            below = "" if lo < 0 else "vs <= " if slot and lo == 0 else f"v{order[lo]} < "
+            above = "" if hi < 0 else " < vs" if slot and hi == 0 else f" < v{order[hi]}"
+            if below or above:
+                lines.append(f"{indent}if {below}v{j}{above}:")
+                indent += "    "
+        lines.append(f"{indent}return True")
+    lines.append("    return False")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["test"]
+
+
 @lru_cache(maxsize=4096)
 def _search_kernel(
     pat: tuple[int, ...], pin_j: int = -1
@@ -410,67 +469,35 @@ def _search_kernel(
     cached: ``test(host, pin_pos)`` is True iff ``host`` contains ``pat``,
     with pattern index ``pin_j`` at host position ``pin_pos`` when
     ``pin_j >= 0`` (``pin_pos`` is ignored otherwise).  This is the one
-    place that picks a containment engine by pattern length.
-
-    For k <= 6 the test is one function of nested ``for`` loops, one per
-    pattern index, built as source text and ``exec``'d.  A pinned search
-    fixes the pinned index first, then places the indices left of it from
-    the nearest outward, then those right of it in order; an unpinned one
-    goes left to right.  Each loop's position range leaves room for the
-    indices still unplaced, and each value test compares only against the
-    nearest placed pattern values below and above, chosen here rather
-    than per call.  The generated text holds only identifiers and integers
-    derived from k, the pin and the loop indices: no host value or other
-    outside text ever reaches ``exec``.
-
-    For k >= 7, where any fixed loop order degenerates on long rigid
-    patterns, the test calls ``_contains_mrv``: an iterative
-    forward-checking search in which each assignment prunes the host
-    positions open to every unplaced index, and the index with the fewest
-    goes next.  It looks that name up at call time, so a wrapper installed
-    on the module attribute sees every call.
+    place that picks a containment engine by pattern length: for k <= 6
+    one loop nest from ``_emit_kernel``; for k >= 7, where any fixed loop
+    order degenerates on long rigid patterns, ``_contains_mrv``, looked
+    up at call time so that a wrapper on the module attribute sees every
+    call.
     """
-    k = len(pat)
-    if k >= 7:
+    if len(pat) >= 7:
         return lambda host, pin_pos: _contains_mrv(pat, host, pin_j, pin_pos)
-    if pin_j >= 0:
-        order = [pin_j, *range(pin_j - 1, -1, -1), *range(pin_j + 1, k)]
-    else:
-        order = list(range(k))
-    # the pattern read in placement order: its neighbour refs are, per
-    # step, the earlier steps holding the nearest values below and above
-    lo_ref, hi_ref = _neighbor_refs(tuple(pat[j] for j in order))
+    return _emit_kernel(pat, [pin_j])
 
-    def pos(j: int) -> str:
-        return "q" if j == pin_j else f"p{j}"
 
-    lines = ["def test(host, q):", "    n = len(host)"]
-    if pin_j >= 0:
-        lines.append(f"    if q < {pin_j} or n - q < {k - pin_j}:")
-        lines.append("        return False")
-    indent = "    "
-    for step, j in enumerate(order):
-        if j == pin_j:
-            lines.append(f"{indent}v{j} = host[q]")
-            continue
-        if j < pin_j:
-            bounds = f"{j}, {pos(j + 1)}"
-        else:
-            start = f"{pos(j - 1)} + 1" if j > 0 else "0"
-            bounds = f"{start}, n - {k - 1 - j}" if j < k - 1 else f"{start}, n"
-        lines.append(f"{indent}for p{j} in range({bounds}):")
-        indent += "    "
-        lines.append(f"{indent}v{j} = host[p{j}]")
-        below = f"v{order[lo_ref[step]]} < " if lo_ref[step] >= 0 else ""
-        above = f" < v{order[hi_ref[step]]}" if hi_ref[step] >= 0 else ""
-        if below or above:
-            lines.append(f"{indent}if {below}v{j}{above}:")
-            indent += "    "
-    lines.append(f"{indent}return True")
-    lines.append("    return False")
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["test"]
+@lru_cache(maxsize=4096)
+def _slot_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], bool]:
+    """The slot test for ``pat``, built once and cached: ``blocked(host, ps,
+    vs)`` is True iff a new entry at slot (ps, vs) of ``host`` completes an
+    occurrence of ``pat`` through it.  Each pattern index with room is tried
+    in turn: for k <= 6 by a pinned nest from ``_emit_kernel``, with no
+    child built; for k >= 7 by ``_contains_mrv`` on the child."""
+    k = len(pat)
+    if k <= 6:
+        return _emit_kernel(pat, range(k), slot=True)
+    def blocked(host: tuple[int, ...], ps: int, vs: int) -> bool:
+        n, q, child = len(host), ps - 1, _insert_raw(host, ps, vs)
+        return any(
+            _contains_mrv(pat, child, t, q)
+            for t in range(max(0, k - 1 - n + q), min(k - 1, q) + 1)
+            if pat[t] <= vs and k - 1 - pat[t] <= n - vs
+        )
+    return blocked
 
 
 def _contains_pinned(

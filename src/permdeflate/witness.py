@@ -11,7 +11,8 @@ by later insertions, so no extension is simple.
 The public ``bond_certificate`` checks membership and tests the cells of a
 ``ShadingGrid``.  ``find_witnesses`` and ``verify_corpus`` already hold a
 membership proof (the generating tree, their own ``avoids``), so they pass
-raw value tuples straight to ``deflate_analysis._locked_strips``.
+raw value tuples and the class straight to ``deflate_analysis._locked_strips``,
+whose slot kernels test each cell without building the child.
 
 The bundled corpus (``deflate_analysis.load_corpus``) ships fourteen
 published witness rows (ten sporadic classes and four parallel
@@ -23,13 +24,12 @@ turns one witness into an infinite family of deflatable principal classes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
 from .perm_core import Bond, Permutation, Slot, inflate
 from .decomposition import IntervalSpan, cut_slots
-from .class_engine import PermClass, ShadingGrid, _cell_blocked, _class_levels, avoids, shading_grid
+from .class_engine import PermClass, ShadingGrid, _class_levels, avoids, shading_grid
 from .deflate_analysis import (
     BondCertificate,
     _locked_strips,
@@ -109,7 +109,7 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
     returning up to ``limit`` reports.  Each witness is cross-checked by an
     exhaustive search for simple extensions up to max_len + 2, which must
     come back empty.  The scan trusts the tree's membership proof: it
-    tests raw tuples with ``_cell_blocked``, without the guard
+    tests raw tuples with the class's slot kernels, without the guard
     that ``bond_certificate`` keeps, and finds the same certificates."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -119,7 +119,7 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
     bound = max_len + 2
     for level in _class_levels(c, max_len):
         for vals in level:
-            cert = _locked_strips(vals, partial(_cell_blocked, c, vals))
+            cert = _locked_strips(vals, c)
             if cert is None:
                 continue
             member = Permutation(vals)
@@ -177,7 +177,7 @@ def verify_corpus(path: Union[str, Path, None] = None) -> list[CorpusRowResult]:
         cross_ok: Optional[bool] = None
         if in_class:
             vals = witness.values
-            certified = _locked_strips(vals, partial(_cell_blocked, c, vals)) is not None
+            certified = _locked_strips(vals, c) is not None
             if len(witness) <= CROSS_CHECK_CAP:
                 bound = len(witness) + 2
                 cross_ok = extend_to_simple(witness, c, bound) is None

@@ -18,6 +18,9 @@ from permdeflate.perm_core import (
 )
 from permdeflate.class_engine import (
     PermClass,
+    ShadingGrid,
+    _cell_blocked,
+    _class_levels,
     avoids,
     count_profile,
     enumerate_class,
@@ -233,6 +236,23 @@ def _slot_image(slot: Slot, sym, n: int) -> Slot:
     for step in chains[sym]:
         slot = step(slot)
     return slot
+
+
+@pytest.mark.parametrize("basis", ["2413", "25314", "251364", "2 4 6 8 1 3 5 7"])
+def test_cell_blocked_matches_the_grid_to_7(basis):
+    # the slot kernels against the grid's built-child test, on every cell
+    # of every member; the alternation class runs the k >= 7 fallback
+    c = PermClass.of(basis)
+    for level in _class_levels(c, 7):
+        for vals in level:
+            n = len(vals)
+            raw = {
+                Slot(ps, vs)
+                for ps in range(1, n + 2)
+                for vs in range(1, n + 2)
+                if _cell_blocked(c, vals, ps, vs)
+            }
+            assert raw == ShadingGrid(Permutation(vals), c).blocked, vals
 
 
 def test_shading_commutes_with_symmetries():

@@ -11,6 +11,7 @@ from permdeflate.perm_core import (
     Slot,
     SYMMETRY_ORDER,
     apply_symmetry,
+    bonds,
     insert,
     parse_permutation,
 )
@@ -252,9 +253,11 @@ def test_sd_zero_iff_simple_to_8():
             assert (sd_measure(p) == 0) == is_simple(p)
 
 
-def test_cut_slots_split_an_interval_without_joining_it_to_6():
-    # semantic reference: after the insertion neither the interval's entries
-    # nor those entries with the new one occupy contiguous positions and values
+def _cut_slots_by_definition(p: Permutation, span: IntervalSpan) -> set[Slot]:
+    """Semantic reference: the slots after whose insertion neither the
+    interval's entries nor those entries with the new one occupy
+    contiguous positions and values."""
+
     def is_block(ext, positions):
         vals = [ext.values[i - 1] for i in positions]
         return (
@@ -262,27 +265,45 @@ def test_cut_slots_split_an_interval_without_joining_it_to_6():
             and max(vals) - min(vals) == len(vals) - 1
         )
 
+    n = len(p)
+    positions = range(span.pos_lo, span.pos_hi + 1)
+    expected = set()
+    for ps in range(1, n + 2):
+        for vs in range(1, n + 2):
+            ext = insert(p, Slot(ps, vs))
+            moved = [i if i < ps else i + 1 for i in positions]
+            if not is_block(ext, moved) and not is_block(ext, moved + [ps]):
+                expected.add(Slot(ps, vs))
+    return expected
+
+
+def test_cut_slots_split_an_interval_without_joining_it_to_6():
     for n in range(2, 7):
         for p in all_perms(n):
             for span in proper_intervals(p):
-                positions = range(span.pos_lo, span.pos_hi + 1)
-                expected = set()
-                for ps in range(1, n + 2):
-                    for vs in range(1, n + 2):
-                        ext = insert(p, Slot(ps, vs))
-                        moved = [i if i < ps else i + 1 for i in positions]
-                        if not is_block(ext, moved) and not is_block(ext, moved + [ps]):
-                            expected.add(Slot(ps, vs))
-                assert cut_slots(n, span) == expected, (p, span)
+                assert cut_slots(n, span) == _cut_slots_by_definition(p, span), (p, span)
 
 
 def test_cut_slot_pairs_come_sorted_and_once_to_6():
     for n in range(2, 7):
         for p in all_perms(n):
             for span in proper_intervals(p):
-                pairs = list(_cut_slot_pairs(n, span))
+                pairs = list(_cut_slot_pairs(n, span.pos_lo, span.pos_hi, span.val_lo, span.val_hi))
                 assert len(set(pairs)) == len(pairs), (p, span)
                 assert pairs == sorted((s.pos_slot, s.val_slot) for s in cut_slots(n, span)), (p, span)
+    # every bond of every permutation of length 7 and 8, as the certificate
+    # walk asks for it; the pairs depend only on n and the bond's span, so
+    # one permutation per (n, span) is checked against the definition
+    spans = {}
+    for n in (7, 8):
+        for p in all_perms(n):
+            for b in bonds(p):
+                spans.setdefault((n, b.left_pos, b.low_value), p)
+    assert len(spans) == 6 * 6 + 7 * 7
+    for (n, i, w), p in spans.items():
+        pairs = list(_cut_slot_pairs(n, i, i + 1, w, w + 1))
+        expected = _cut_slots_by_definition(p, IntervalSpan(i, i + 1, w, w + 1))
+        assert pairs == sorted((s.pos_slot, s.val_slot) for s in expected), (p, i, w)
 
 
 def test_quadrants_examples():

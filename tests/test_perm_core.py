@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from permdeflate import perm_core
 from permdeflate.perm_core import (
     Bond,
     MAX_LENGTH,
@@ -34,6 +36,7 @@ from permdeflate.perm_core import (
     _find_occurrence,
     _pattern_of,
     _search_kernel,
+    _slot_kernel,
 )
 
 P = parse_permutation
@@ -225,6 +228,106 @@ def test_pinned_mrv_matches_brute_force(case):
     )
     assert _contains_mrv(pat, host, *pin) == expected
     assert _contains_any(pat, host, *pin) == expected
+
+
+def _std(seq):
+    """Test-local pattern of a sequence of distinct values."""
+    ranked = sorted(seq)
+    return tuple(ranked.index(x) + 1 for x in seq)
+
+
+def _literal_insert(host, ps, vs):
+    child = [v + 1 if v >= vs else v for v in host]
+    child.insert(ps - 1, vs)
+    return child
+
+
+def _completes(pat, host, ps, vs):
+    """Oracle for ``_slot_kernel``: insert the new entry literally, then
+    ask itertools for an occurrence of ``pat`` through it."""
+    child, q = _literal_insert(host, ps, vs), ps - 1
+    others = [i for i in range(len(child)) if i != q]
+    return any(
+        _std([child[i] for i in sorted((*comb, q))]) == pat
+        for comb in itertools.combinations(others, len(pat) - 1)
+    )
+
+
+def test_slot_kernel_exhaustive_to_pattern_4_host_5():
+    """Every pattern of length <= 4 against every host of length <= 5, at
+    every slot; each child's patterns through the new entry come from
+    itertools once and serve every pattern."""
+    pats = [p for k in range(1, 5) for p in itertools.permutations(range(1, k + 1))]
+    cells = 0
+    for n in range(6):
+        for host in itertools.permutations(range(1, n + 1)):
+            for ps in range(1, n + 2):
+                for vs in range(1, n + 2):
+                    child, q = _literal_insert(host, ps, vs), ps - 1
+                    others = [i for i in range(n + 1) if i != q]
+                    found = {
+                        _std([child[i] for i in sorted((*comb, q))])
+                        for j in range(4)
+                        for comb in itertools.combinations(others, j)
+                    }
+                    for pat in pats:
+                        assert _slot_kernel(pat)(host, ps, vs) == (pat in found), (pat, host, ps, vs)
+                    cells += 1
+    assert cells == sum(math.factorial(n) * (n + 1) ** 2 for n in range(6))
+
+
+@st.composite
+def slot_cases(draw):
+    """A pattern (k in 1..8), a host (n in 0..11) and a slot.  Half the
+    cases whose child is long enough plant an occurrence of the pattern
+    through the new entry: the host is a child holding one, minus that
+    entry."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    n = draw(st.integers(min_value=0, max_value=11))
+    pat = tuple(draw(st.permutations(range(1, k + 1))))
+    if n + 1 >= k and draw(st.booleans()):
+        child = list(draw(st.permutations(range(1, n + 2))))
+        where = sorted(draw(st.permutations(range(n + 1)))[:k])
+        vals = sorted(child[i] for i in where)
+        for i, p in zip(where, pat):
+            child[i] = vals[p - 1]
+        q = where[draw(st.integers(0, k - 1))]
+        vs = child[q]
+        host = tuple(v - 1 if v > vs else v for i, v in enumerate(child) if i != q)
+        return pat, host, q + 1, vs
+    host = tuple(draw(st.permutations(range(1, n + 1))))
+    return pat, host, draw(st.integers(1, n + 1)), draw(st.integers(1, n + 1))
+
+
+@settings(max_examples=300)
+@given(slot_cases())
+def test_slot_kernel_matches_literal_insert(case):
+    pat, host, ps, vs = case
+    assert _slot_kernel(pat)(host, ps, vs) == _completes(pat, host, ps, vs)
+
+
+def test_slot_kernel_edge_cases(monkeypatch):
+    # k = 1: every slot completes it, the empty host's one slot included
+    assert _slot_kernel((1,))((), 1, 1)
+    assert all(_slot_kernel((1,))((2, 1, 3), ps, vs) for ps in range(1, 5) for vs in range(1, 5))
+    # the empty host has room for nothing longer
+    assert not _slot_kernel((1, 2))((), 1, 1)
+    assert not _slot_kernel((2, 1))((), 1, 1)
+    # k > n + 1: no slot has room
+    for pat in itertools.permutations(range(1, 5)):
+        assert not any(_slot_kernel(pat)((2, 1), ps, vs) for ps in range(1, 4) for vs in range(1, 4))
+    # k >= 7 builds the child and runs the forward-checking search
+    calls = []
+    mrv = perm_core._contains_mrv
+    monkeypatch.setattr(perm_core, "_contains_mrv", lambda *a: calls.append(a) or mrv(*a))
+    pat = (2, 4, 6, 1, 3, 5, 7)
+    for t in range(7):
+        host = tuple(v - 1 if v > pat[t] else v for i, v in enumerate(pat) if i != t)
+        assert _slot_kernel(pat)(host, t + 1, pat[t])
+        for ps in range(1, 8):
+            for vs in range(1, 8):
+                assert _slot_kernel(pat)(host, ps, vs) == _completes(pat, host, ps, vs), (t, ps, vs)
+    assert calls
 
 
 def test_mrv_handles_patterns_longer_than_the_recursion_limit():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from functools import lru_cache, partial
 
 import pytest
@@ -215,6 +216,32 @@ def test_raw_certificate_scan_matches_public_certificate(basis, max_len):
     assert (certified > 0) == (basis == "251364")
 
 
+def test_raw_certificate_scan_matches_public_certificate_on_the_corpus():
+    # the one-cell raw test and the class's slot kernels, walked straight,
+    # against the public path on every published row (k = 6 to 14)
+    for basis, w in load_corpus():
+        c = PermClass((basis,))
+        public = _cert_key(bond_certificate(w, c))
+        assert public is not None, w
+        assert _cert_key(witness._locked_strips(w.values, partial(_cell_blocked, c, w.values))) == public
+        assert _cert_key(witness._locked_strips(w.values, c)) == public
+
+
+def test_class_walk_tries_every_basis_element():
+    # a cell is blocked when either kernel says so; in the separable class
+    # thousands of strip cells are blocked by 3142 and not by 2413
+    c = PermClass.of("2413", "3142")
+    certified = 0
+    for level in _class_levels(c, 7):
+        for vals in level:
+            cert = witness._locked_strips(vals, c)
+            assert _cert_key(cert) == _cert_key(
+                witness._locked_strips(vals, partial(_cell_blocked, c, vals))
+            ), vals
+            certified += cert is not None
+    assert certified > 0
+
+
 def _scan_witnesses(basis, max_len, limit):
     """Test-local search: the first ``limit`` members in enumeration order
     that the public ``bond_certificate`` certifies."""
@@ -252,6 +279,19 @@ def test_witness_search_json_is_pinned(capsys, basis, max_len, found, position, 
         "inputs": {"basis": [" ".join(basis)], "max_len": max_len, "limit": 1},
         "results": {"witnesses": [row]},
     }
+
+
+@pytest.mark.parametrize("basis", ["25314", "24153", "23514", "24513"])
+def test_witness_search_finds_none_in_the_open_classes_to_7(capsys, basis):
+    # pinned bytes, minus timing_ms: no member of length <= 7 certifies
+    argv = ["witness", "search", "--basis", basis, "--max-len", "7", "--json"]
+    assert run(argv) == 1
+    out = re.sub(r', "timing_ms": \d+', "", capsys.readouterr().out)
+    spaced = json.dumps(" ".join(basis))
+    assert out == (
+        '{"command": "witness search", "inputs": {"basis": [' + spaced + '], "max_len": 7, '
+        '"limit": 1}, "results": {"witnesses": []}}\n'
+    )
 
 
 def test_find_witnesses_keeps_its_cross_check(monkeypatch):
