@@ -11,14 +11,16 @@ public functions wrap them.  Containment has three engines, each with one
 role.  Existence tests for patterns of length k <= 6 run a nested-loop
 kernel compiled once per (pattern, pin); existence tests for k >= 7 run an
 iterative forward-checking search that keeps, per pattern index, the host
-positions still open to it and branches on the index with the fewest
-(most constrained first, MRV); ``_search_kernel`` is the one place that
-chooses between them.  ``contains()``, which must report positions, runs
-an interpreted left-to-right DFS that finds the lexicographically least
-occurrence.  None of them recurses, so pattern length is bounded only by
-``MAX_LENGTH``.  The certificate walk asks "does a new entry at this slot
-complete the pattern?" of ``_slot_kernel``: the pinned kernels with the
-new entry virtual, so no child is built (pinned MRV on the child for k >= 7).
+positions still open to it as one int bit mask, narrows the masks with
+ANDs against per-host value masks, and branches on the index with the
+fewest (most constrained first, MRV); ``_search_kernel`` is the one place
+that chooses between them.  ``contains()``, which must report positions,
+runs an interpreted left-to-right DFS that finds the lexicographically
+least occurrence.  None of them recurses, so pattern length is bounded
+only by ``MAX_LENGTH``.  The certificate walk asks "does a new entry at
+this slot complete the pattern?" of ``_slot_kernel``: the pinned kernels
+with the new entry virtual, so no child is built (pinned MRV on the child
+for k >= 7).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence
 
 #: Largest supported permutation length.  Everything this package is used
@@ -523,64 +526,84 @@ def _contains_any(
 def _contains_mrv(
     pat: tuple[int, ...], host: tuple[int, ...], pin_j: int = -1, pin_pos: int = -1
 ) -> bool:
-    """Containment by an iterative forward-checking search.
+    """Containment by an iterative forward-checking search on bit masks.
 
-    Each pattern index g keeps the set of host positions it may still
-    take, starting from ``range(g, n - k + 1 + g)``.  Assigning index f to
-    position q drops from every unassigned g the positions r that leave
-    too little room between the two indices, in position (``r >= q + (g -
-    f)`` when g > f, ``r <= q - (f - g)`` when g < f) or in value
-    (``host[r] >= host[q] + d`` when ``d = pat[g] - pat[f]`` is positive,
-    ``host[r] <= host[q] + d`` when it is negative).  The search branches
-    on the index with the fewest live positions, trying them left to
-    right, and backtracks as soon as a set empties: Haralick and Elliott's
-    forward checking with the fail-first rule, which keeps long rigid
-    patterns cheap.  With ``pin_j >= 0`` index ``pin_j`` may take only
-    host position ``pin_pos``, so only occurrences through that entry
-    count.
+    Each pattern index g keeps the host positions it may still take as
+    one int bit mask (bit r is position r), starting from ``range(g, n -
+    k + 1 + g)``.  Assigning index f to position q drops from every
+    unassigned g the positions r that leave too little room between the
+    two indices, in position (``r >= q + (g - f)`` when g > f, ``r <= q -
+    (f - g)`` when g < f) or in value (``host[r] >= host[q] + d`` when
+    ``d = pat[g] - pat[f]`` is positive, ``host[r] <= host[q] + d`` when
+    it is negative).  Each filter is two ANDs: the position window is one
+    shift of q's bit, and the value bound is a mask from ``ge`` or
+    ``le``, built once per call (``ge[v]`` holds the positions of the
+    values >= v, ``le[v]`` those of the values <= v).  The search
+    branches on the index with the fewest live positions, trying them
+    left to right (lowest bit first), and backtracks as soon as a mask
+    empties: Haralick and Elliott's forward checking with the fail-first
+    rule, which keeps long rigid patterns cheap.  With ``pin_j >= 0``
+    index ``pin_j`` may take only host position ``pin_pos``, so only
+    occurrences through that entry count; a ``pin_pos`` outside the host
+    leaves it nothing.
 
-    Nothing recurses, and nothing is copied per level: a filter moves the
-    positions it drops onto a trail, and undoing an assignment merges
-    them back, so each position sits in exactly one place and memory
-    stays O(k * n).
+    Nothing recurses.  A filter that narrows a mask pushes the old mask
+    onto a trail, and undoing an assignment assigns it back, so the trail
+    holds at most one mask per (frame, index): O(k^2 * n) bits, besides
+    the O(n^2) bits of ``ge`` and ``le``.
     """
     k, n = len(pat), len(host)
-    spots = [set(range(g, n - k + 1 + g)) for g in range(k)]
+    if k > n:
+        return False
+    spots = [((1 << (n - k + 1)) - 1) << g for g in range(k)]
     if pin_j >= 0:
-        spots[pin_j] &= {pin_pos}
-    trail: list[tuple[int, set[int]]] = []  # (index, the positions a filter dropped)
-    frames: list[tuple[int, list[int], int]] = []  # (index, positions left to try, trail length)
+        spots[pin_j] &= 1 << pin_pos if 0 <= pin_pos < n else 0
+    # bits[v] is the bit of value v's position, so the running sums le[v]
+    # hold the positions of the values <= v; both tables end in k empty
+    # masks, so a bound past n (or below 0, by negative indexing) keeps no
+    # position
+    bits = [0] * (n + 1)
+    for r, v in enumerate(host):
+        bits[v] = 1 << r
+    le = [*accumulate(bits), *[0] * k]
+    full = le[n]
+    ge = [full, *[full ^ m for m in le[:n]], *[0] * k]
+    trail: list[tuple[int, int]] = []  # (index, its mask before a filter narrowed it)
+    frames: list[tuple[int, int, int]] = []  # (index, positions left to try, trail length)
     free = set(range(k))
     while free:
-        f = min(free, key=lambda g: len(spots[g]))
+        f = min(free, key=lambda g: spots[g].bit_count())
         free.remove(f)
-        frames.append((f, sorted(spots[f], reverse=True), len(trail)))
+        frames.append((f, spots[f], len(trail)))
         # try the newest frame's next position; a frame with none left
         # frees its index and hands back to the frame before it
         while frames:
             f, todo, mark = frames[-1]
             while len(trail) > mark:
-                g, dropped = trail.pop()
-                spots[g] |= dropped
+                g, old = trail.pop()
+                spots[g] = old
             if not todo:
                 frames.pop()
                 free.add(f)
                 continue
-            q = todo.pop()
-            hq, pf = host[q], pat[f]
+            low = todo & -todo
+            frames[-1] = (f, todo ^ low, mark)
+            hq, pf = host[low.bit_length() - 1], pat[f]
             for g in free:
-                lo, hi = (q + g - f, n) if g > f else (0, q - f + g)
                 d = pat[g] - pf
-                vlo, vhi = (hq + d, n) if d > 0 else (1, hq + d)
                 live = spots[g]
-                kept = {r for r in live if lo <= r <= hi and vlo <= host[r] <= vhi}
-                if len(kept) < len(live):
-                    trail.append((g, live - kept))
+                kept = (
+                    live
+                    & (-(low << (g - f)) if g > f else (low >> (f - g - 1)) - 1)
+                    & (ge[hq + d] if d > 0 else le[hq + d])
+                )
+                if kept != live:
+                    trail.append((g, live))
                     spots[g] = kept
                     if not kept:
                         break
             else:
-                break  # no set emptied: place the next index
+                break  # no mask emptied: place the next index
         else:
             return False
     return True

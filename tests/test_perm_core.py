@@ -227,7 +227,113 @@ def test_pinned_mrv_matches_brute_force(case):
         for comb in combs
     )
     assert _contains_mrv(pat, host, *pin) == expected
+    assert _contains_mrv_sets(pat, host, *pin) == expected
     assert _contains_any(pat, host, *pin) == expected
+
+
+def _contains_mrv_sets(
+    pat: tuple[int, ...], host: tuple[int, ...], pin_j: int = -1, pin_pos: int = -1
+) -> bool:
+    """The forward-checking search that ``_contains_mrv`` replaced, kept
+    as its oracle: the same search order, with each pattern index's open
+    host positions held in a ``set``.  A filter moves the positions it
+    drops onto a trail, and undoing an assignment merges them back."""
+    k, n = len(pat), len(host)
+    spots = [set(range(g, n - k + 1 + g)) for g in range(k)]
+    if pin_j >= 0:
+        spots[pin_j] &= {pin_pos}
+    trail: list[tuple[int, set[int]]] = []  # (index, the positions a filter dropped)
+    frames: list[tuple[int, list[int], int]] = []  # (index, positions left to try, trail length)
+    free = set(range(k))
+    while free:
+        f = min(free, key=lambda g: len(spots[g]))
+        free.remove(f)
+        frames.append((f, sorted(spots[f], reverse=True), len(trail)))
+        # try the newest frame's next position; a frame with none left
+        # frees its index and hands back to the frame before it
+        while frames:
+            f, todo, mark = frames[-1]
+            while len(trail) > mark:
+                g, dropped = trail.pop()
+                spots[g] |= dropped
+            if not todo:
+                frames.pop()
+                free.add(f)
+                continue
+            q = todo.pop()
+            hq, pf = host[q], pat[f]
+            for g in free:
+                lo, hi = (q + g - f, n) if g > f else (0, q - f + g)
+                d = pat[g] - pf
+                vlo, vhi = (hq + d, n) if d > 0 else (1, hq + d)
+                live = spots[g]
+                kept = {r for r in live if lo <= r <= hi and vlo <= host[r] <= vhi}
+                if len(kept) < len(live):
+                    trail.append((g, live - kept))
+                    spots[g] = kept
+                    if not kept:
+                        break
+            else:
+                break  # no set emptied: place the next index
+        else:
+            return False
+    return True
+
+
+def test_mrv_matches_set_oracle_on_long_hosts():
+    """Hosts of length 40 to 200, whose masks span many machine words,
+    against the set-based search; itertools cannot reach these.  Half the
+    hosts hold a planted occurrence, and a pin is put on a planted entry
+    or on a random position.  Proving absence unpinned in a random host
+    can take seconds past n = 100, so unpinned cases stop there."""
+    rnd = random.Random(13)
+    verdicts = []
+    for _ in range(160):
+        pinned = rnd.random() < 0.5
+        n, k = rnd.randint(40, 200 if pinned else 100), rnd.randint(7, 30)
+        pat = tuple(rnd.sample(range(1, k + 1), k))
+        host = rnd.sample(range(1, n + 1), n)
+        where = sorted(rnd.sample(range(n), k))
+        if rnd.random() < 0.5:
+            vals = sorted(host[i] for i in where)
+            for i, p in zip(where, pat):
+                host[i] = vals[p - 1]
+        host = tuple(host)
+        t = rnd.randrange(k)
+        pin = (t, rnd.choice((where[t], rnd.randrange(n)))) if pinned else ()
+        got = _contains_mrv(pat, host, *pin)
+        assert got == _contains_mrv_sets(pat, host, *pin), (pat, host, pin)
+        verdicts.append((bool(pin), got))
+    # every mix of pinned / unpinned and found / absent is exercised
+    assert len(set(verdicts)) == 4
+
+
+@pytest.mark.parametrize(
+    "host, pin",
+    [
+        (tuple(range(1, 5)), ()),
+        (tuple(range(1, 5)), (0, 0)),
+        (tuple(range(1, 10)), (0, 9)),
+        (tuple(range(1, 10)), (6, 9)),
+        (tuple(range(1, 10)), (0, -1)),
+        (tuple(range(1, 10)), (6, -3)),
+        (tuple(range(1, 10)), (3, 2)),
+    ],
+    ids=[
+        "k>n",
+        "k>n-pinned",
+        "pin_pos=n",
+        "pin_pos=n-last-index",
+        "pin_pos=-1",
+        "pin_pos=-3-last-index",
+        "pin_pos<pin_j",
+    ],
+)
+def test_mrv_edge_cases_return_false(host, pin):
+    # the identity 7 lies in the identity 9, so only the pin rules it out there
+    identity = tuple(range(1, 8))
+    assert not _contains_mrv(identity, host, *pin)
+    assert not _contains_mrv_sets(identity, host, *pin)
 
 
 def _std(seq):
@@ -345,6 +451,19 @@ def test_mrv_memory_stays_linear_in_the_search_space():
     tracemalloc.start()
     try:
         assert _contains_mrv(identity, host)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_mrv_memory_on_a_long_identity():
+    # the identity 400 in the identity 800: every index keeps 401 live
+    # positions and no filter narrows any of them; as sets they peaked at
+    # about 18 MiB, as masks they take 401 bits each
+    tracemalloc.start()
+    try:
+        assert _contains_mrv(tuple(range(1, 401)), tuple(range(1, 801)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
