@@ -11,7 +11,7 @@ child has a unique parent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .perm_core import (
     Permutation,
@@ -19,7 +19,6 @@ from .perm_core import (
     _contains_any,
     _contains_pinned,
     _insert_raw,
-    _search_kernel,
     _slot_kernel,
     parse_permutation,
 )
@@ -66,31 +65,35 @@ def _avoids_raw(vals: tuple[int, ...], c: PermClass) -> bool:
     return not any(_contains_any(b.values, vals) for b in c.basis)
 
 
+def _slot_test(c: PermClass) -> Callable[[tuple[int, ...], int, int], bool]:
+    """The slot test of ``c``: ``blocked(vals, ps, vs)`` is True iff a new
+    entry at slot (ps, vs) of the member ``vals`` completes a basis
+    occurrence.  It is the basis element's ``_slot_kernel`` for a principal
+    class, else an ``any`` over the basis's kernels."""
+    kernels = [_slot_kernel(b.values) for b in c.basis]
+    if len(kernels) == 1:
+        return kernels[0]
+    return lambda vals, ps, vs: any(blocked(vals, ps, vs) for blocked in kernels)
+
+
 def _class_levels(c: PermClass, max_len: int) -> Iterator[list[tuple[int, ...]]]:
     """Members of ``c`` as raw value tuples, one list per length 1..max_len.
 
-    Children are generated by inserting the new maximum at every position;
-    the incremental membership test only has to look for basis occurrences
-    that use the new entry, pinned at the basis element's own maximum.
-    Each level fetches the pinned kernels from ``_search_kernel`` once and
-    calls them directly, so a child costs one call per basis element.
+    Children are generated by inserting the new maximum at every position,
+    left to right, of each parent in order.  A child is built only when the
+    slot test admits slot (q+1, n) of its parent: the parent is a member,
+    so only occurrences through the new entry can appear.
     """
-    basis = [(b.values, max(range(len(b)), key=b.values.__getitem__)) for b in c.basis]
-    level = [(1,)] if all(len(bv) > 1 for bv, _ in basis) else []
-    yield level
-    for n in range(2, max_len + 1):
-        tests = [_search_kernel(bv, t) for bv, t in basis if len(bv) <= n]
-        nxt = []
-        for parent in level:
-            for q in range(n):
-                child = parent[:q] + (n,) + parent[q:]
-                for test in tests:
-                    if test(child, q):
-                        break
-                else:
-                    nxt.append(child)
-        yield nxt
-        level = nxt
+    blocked = _slot_test(c)
+    level = [()]
+    for n in range(1, max_len + 1):
+        level = [
+            parent[:q] + (n,) + parent[q:]
+            for parent in level
+            for q in range(n)
+            if not blocked(parent, q + 1, n)
+        ]
+        yield level
 
 
 def enumerate_class(c: PermClass, max_len: int) -> Iterator[Permutation]:
@@ -134,7 +137,10 @@ def _insertion_creates(c: PermClass, child: tuple[int, ...], q: int) -> bool:
     length ``k`` needs ``t <= q``, ``k - t <= n - q``, ``bv[t] <= v`` and
     ``k - bv[t] <= n - v``.  Any other choice leaves too few entries on
     one side of the entry to hold the rest of the occurrence, so skipping
-    it changes no verdict.
+    it changes no verdict.  Its two callers hold a built child anyway, and
+    ``perfbench`` counts grid cells, BFS children and pinned calls only
+    here, so they stay off ``_slot_test``: ``ShadingGrid.is_blocked`` (the
+    slot kernels' oracle) and ``_bfs_extension`` (which keeps the child).
     """
     n = len(child)
     v = child[q]
@@ -153,15 +159,6 @@ def _insertion_creates(c: PermClass, child: tuple[int, ...], q: int) -> bool:
     return False
 
 
-def _cell_blocked(c: PermClass, vals: tuple[int, ...], ps: int, vs: int) -> bool:
-    """Is slot (ps, vs) of the member ``vals`` of ``c`` blocked?  The cell
-    test of the raw certificate walk: the basis's slot kernels, so no
-    child, grid, cache or membership check (the caller vouches for
-    ``vals``).  ``ShadingGrid.is_blocked`` keeps the built-child test: it
-    is the kernels' oracle, and ``perfbench``'s trace counts its cells."""
-    return any(_slot_kernel(b.values)(vals, ps, vs) for b in c.basis)
-
-
 class ShadingGrid:
     """The (n+1) x (n+1) slot grid of a class member, marking the slots
     whose insertion would create a forbidden pattern.
@@ -177,7 +174,7 @@ class ShadingGrid:
 
     def is_blocked(self, slot: Slot) -> bool:
         """Does inserting at ``slot`` create a basis pattern?  Builds the
-        child, unlike ``_cell_blocked``: this is the slot kernels' oracle,
+        child, unlike ``_slot_test``: this is the slot kernels' oracle,
         and the traced grid cells go through ``_insertion_creates``."""
         n = len(self.host)
         if not (1 <= slot.pos_slot <= n + 1 and 1 <= slot.val_slot <= n + 1):

@@ -41,7 +41,6 @@ from .perm_core import (
     _contains_any,
     _insert_raw,
     _pattern_of,
-    _slot_kernel,
     parse_permutation,
 )
 from .decomposition import (
@@ -59,6 +58,7 @@ from .class_engine import (
     _avoids_raw,
     _class_levels,
     _insertion_creates,
+    _slot_test,
     avoids,
 )
 
@@ -275,13 +275,14 @@ def breaking_extensions(w: Permutation, c: PermClass) -> list[BreakReport]:
         raise ValueError(f"{w} is simple; nothing to break")
 
     before = sum(s.size - 1 for s in blocks)
+    blocked = _slot_test(c)
     reports = []
     for ps, vs in _cut_slot_pairs(len(vals), alpha.pos_lo, alpha.pos_hi, alpha.val_lo, alpha.val_hi):
-        ext = _insert_raw(vals, ps, vs)
-        # w avoids c (checked above), so any basis occurrence in ext uses
-        # the new entry, and the pinned incremental test settles membership
-        if _insertion_creates(c, ext, ps - 1):
+        # w avoids c (checked above), so any basis occurrence in the
+        # extension uses the new entry, and the slot test settles membership
+        if blocked(vals, ps, vs):
             continue
+        ext = _insert_raw(vals, ps, vs)
         extension = Permutation(ext)
         slot = Slot(ps, vs)
         if _is_decomposable(ext):
@@ -391,32 +392,25 @@ def _bond_splitting_slots(vals: tuple[int, ...]) -> Iterable[tuple[int, int]]:
 
 def _locked_strips(
     vals: tuple[int, ...],
-    blocked: Union[PermClass, Callable[[int, int], bool]],
+    blocked: Callable[[tuple[int, ...], int, int], bool],
     bond: Optional[Bond] = None,
 ) -> Optional[BondCertificate]:
     """The certificate on the first bond of the member ``vals`` (left to
-    right, or only ``bond``) whose strip slots are all blocked, else None:
-    by ``blocked(ps, vs)``, or by the slot kernels of the class ``blocked``.
+    right, or only ``bond``) whose strip slots are all blocked by
+    ``blocked(vals, ps, vs)``: a class's ``_slot_test``, or a grid's.
     Cells are tested in sorted order, a bond is dropped at its first open
     cell, and objects are built only on success.
     A bond whose strips are entirely exempt (only possible when the bond is
     the whole permutation, n = 2) certifies nothing: the argument needs the
     surrounding box to be a proper part of any extension."""
-    if isinstance(blocked, PermClass):
-        tests = [_slot_kernel(b.values) for b in blocked.basis]
-    else:
-        tests = [lambda _vals, ps, vs: blocked(ps, vs)]
     n = len(vals)
     scan = _bond_scan(vals) if bond is None else [(bond.left_pos, bond.kind, bond.low_value)]
     for i, kind, w in scan:
         cells = []
         for ps, vs in _cut_slot_pairs(n, i, i + 1, w, w + 1):
-            for test in tests:
-                if test(vals, ps, vs):
-                    cells.append((ps, vs))
-                    break
-            else:
+            if not blocked(vals, ps, vs):
                 break  # an open cell
+            cells.append((ps, vs))
         else:
             if cells:
                 return BondCertificate(Bond(i, kind, w), frozenset(Slot(*c) for c in cells))
@@ -616,8 +610,9 @@ def empirical_deflatability(c: PermClass, cover_len: int, search_len: int) -> Em
         if hit is None:
             uncovered_vals.append(vals)
 
+    blocked = _slot_test(c)
     uncovered = tuple(
-        UncoveredMember(Permutation(vals), _locked_strips(vals, c))
+        UncoveredMember(Permutation(vals), _locked_strips(vals, blocked))
         for vals in uncovered_vals
     )
     return EmpiricalReport(c, cover_len, search_len, len(targets), uncovered)

@@ -7,20 +7,20 @@ values can be shared freely between threads or worker processes.
 
 Hot paths (class enumeration, membership filtering, slot grids) work on raw
 value tuples via the underscore helpers at the bottom of this module; the
-public functions wrap them.  Containment has three engines, each with one
-role.  Existence tests for patterns of length k <= 6 run a nested-loop
-kernel compiled once per (pattern, pin); existence tests for k >= 7 run an
-iterative forward-checking search that keeps, per pattern index, the host
-positions still open to it as one int bit mask, narrows the masks with
-ANDs against per-host value masks, and branches on the index with the
-fewest (most constrained first, MRV); ``_search_kernel`` is the one place
-that chooses between them.  ``contains()``, which must report positions,
-runs an interpreted left-to-right DFS that finds the lexicographically
-least occurrence.  None of them recurses, so pattern length is bounded
-only by ``MAX_LENGTH``.  The certificate walk asks "does a new entry at
-this slot complete the pattern?" of ``_slot_kernel``: the pinned kernels
-with the new entry virtual, so no child is built (pinned MRV on the child
-for k >= 7).
+public functions wrap them.  Containment has three engines.  Patterns of
+length k <= 6 run a nested-loop kernel compiled once per (pattern, pin);
+k >= 7 runs ``_contains_mrv``, an iterative forward-checking search that
+keeps, per pattern index, the host positions still open to it as one int
+bit mask and branches on the index with the fewest (most constrained
+first, MRV); ``contains()``, which must report positions, runs a
+left-to-right DFS for the lexicographically least occurrence.  Two entry
+points pick between the first two by k.  ``_search_kernel`` tests a built
+host: membership, and ``class_engine._insertion_creates`` for the shading
+grid and the BFS over extensions.  ``_slot_kernel`` asks whether a new
+entry at a slot completes the pattern, with the entry virtual so that no
+child is built (pinned MRV on the child for k >= 7): the generating tree,
+the interval breaks and the certificate walk ask it.  Nothing recurses,
+so pattern length is bounded only by ``MAX_LENGTH``.
 """
 
 from __future__ import annotations
@@ -471,12 +471,13 @@ def _search_kernel(
     """The existence test for ``pat``, built once per (pattern, pin) and
     cached: ``test(host, pin_pos)`` is True iff ``host`` contains ``pat``,
     with pattern index ``pin_j`` at host position ``pin_pos`` when
-    ``pin_j >= 0`` (``pin_pos`` is ignored otherwise).  This is the one
-    place that picks a containment engine by pattern length: for k <= 6
-    one loop nest from ``_emit_kernel``; for k >= 7, where any fixed loop
-    order degenerates on long rigid patterns, ``_contains_mrv``, looked
-    up at call time so that a wrapper on the module attribute sees every
-    call.
+    ``pin_j >= 0`` (``pin_pos`` is ignored otherwise).  The engine of
+    ``_contains_any`` and ``_contains_pinned``, for tests on a built host:
+    for k <= 6 one loop nest from ``_emit_kernel``; for k >= 7, where any
+    fixed loop order degenerates on long rigid patterns, ``_contains_mrv``,
+    looked up at call time so that a wrapper on the module attribute sees
+    every call.  ``_slot_kernel`` splits slot tests at the same k, and
+    ``class_engine._insertion_creates`` calls ``_contains_pinned`` below it.
     """
     if len(pat) >= 7:
         return lambda host, pin_pos: _contains_mrv(pat, host, pin_j, pin_pos)

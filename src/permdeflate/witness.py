@@ -8,11 +8,11 @@ between its values is blocked — excepting only the crossing cell and the
 four cells adjacent to the bond — then the bond can never be split apart
 by later insertions, so no extension is simple.
 
-The public ``bond_certificate`` checks membership and tests the cells of a
-``ShadingGrid``.  ``find_witnesses`` and ``verify_corpus`` already hold a
-membership proof (the generating tree, their own ``avoids``), so they pass
-raw value tuples and the class straight to ``deflate_analysis._locked_strips``,
-whose slot kernels test each cell without building the child.
+The public ``bond_certificate`` checks membership and hands
+``deflate_analysis._locked_strips`` the cells of a ``ShadingGrid``, each
+of which builds its child.  ``find_witnesses`` and ``verify_corpus`` already hold a
+membership proof (the generating tree, their own ``avoids``), so they hand
+it the class's ``_slot_test`` instead, whose kernels build no child.
 
 The bundled corpus (``deflate_analysis.load_corpus``) ships fourteen
 published witness rows (ten sporadic classes and four parallel
@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .perm_core import Bond, Permutation, Slot, inflate
 from .decomposition import IntervalSpan, cut_slots
-from .class_engine import PermClass, ShadingGrid, _class_levels, avoids, shading_grid
+from .class_engine import PermClass, ShadingGrid, _class_levels, _slot_test, avoids, shading_grid
 from .deflate_analysis import (
     BondCertificate,
     _locked_strips,
@@ -89,9 +89,9 @@ def bond_strip_slots(n: int, bond: Bond) -> frozenset[Slot]:
     return cut_slots(n, IntervalSpan(i, i + 1, w, w + 1))
 
 
-def _grid_test(grid: ShadingGrid) -> Callable[[int, int], bool]:
-    """The cell test of ``grid`` as ``blocked(ps, vs)``."""
-    return lambda ps, vs: grid.is_blocked(Slot(ps, vs))
+def _grid_test(grid: ShadingGrid) -> Callable[[tuple[int, ...], int, int], bool]:
+    """The cell test of ``grid`` in the slot test's form, ignoring ``vals``."""
+    return lambda _vals, ps, vs: grid.is_blocked(Slot(ps, vs))
 
 
 def bond_certificate(p: Permutation, c: PermClass) -> Optional[BondCertificate]:
@@ -109,7 +109,7 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
     returning up to ``limit`` reports.  Each witness is cross-checked by an
     exhaustive search for simple extensions up to max_len + 2, which must
     come back empty.  The scan trusts the tree's membership proof: it
-    tests raw tuples with the class's slot kernels, without the guard
+    tests raw tuples with the class's slot test, without the guard
     that ``bond_certificate`` keeps, and finds the same certificates."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -117,9 +117,10 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
         raise ValueError("limit must be at least 1")
     reports: list[WitnessReport] = []
     bound = max_len + 2
+    blocked = _slot_test(c)
     for level in _class_levels(c, max_len):
         for vals in level:
-            cert = _locked_strips(vals, c)
+            cert = _locked_strips(vals, blocked)
             if cert is None:
                 continue
             member = Permutation(vals)
@@ -176,8 +177,7 @@ def verify_corpus(path: Union[str, Path, None] = None) -> list[CorpusRowResult]:
         bound: Optional[int] = None
         cross_ok: Optional[bool] = None
         if in_class:
-            vals = witness.values
-            certified = _locked_strips(vals, c) is not None
+            certified = _locked_strips(witness.values, _slot_test(c)) is not None
             if len(witness) <= CROSS_CHECK_CAP:
                 bound = len(witness) + 2
                 cross_ok = extend_to_simple(witness, c, bound) is None

@@ -19,8 +19,8 @@ from permdeflate.perm_core import (
 from permdeflate.class_engine import (
     PermClass,
     ShadingGrid,
-    _cell_blocked,
     _class_levels,
+    _slot_test,
     avoids,
     count_profile,
     enumerate_class,
@@ -34,13 +34,13 @@ P = parse_permutation
 def filter_all(c: PermClass, n: int) -> list[tuple[int, ...]]:
     """Members of ``c`` of length ``n`` by brute force over itertools
     subsequences, with no call into the containment engines."""
-    return [
-        q
-        for q in itertools.permutations(range(1, n + 1))
-        if not any(
-            _pattern_of(s) == b.values for b in c.basis for s in itertools.combinations(q, len(b))
-        )
-    ]
+    return [q for q in itertools.permutations(range(1, n + 1)) if _avoids_by_combinations(q, c)]
+
+
+def _avoids_by_combinations(vals: tuple[int, ...], c: PermClass) -> bool:
+    return not any(
+        _pattern_of(s) == b.values for b in c.basis for s in itertools.combinations(vals, len(b))
+    )
 
 
 def test_basis_normalisation():
@@ -82,9 +82,20 @@ def test_enumeration_matches_filter_all():
         levels: dict[int, list[tuple[int, ...]]] = {n: [] for n in range(1, 8)}
         for p in enumerate_class(c, 7):
             levels[len(p)].append(p.values)
+        # the tree's order, built independently: each parent in order gets
+        # the new maximum at every position left to right, and a child is
+        # kept iff itertools finds no basis pattern in it
+        parents: list[tuple[int, ...]] = [()]
         for n in range(1, 8):
             assert len(set(levels[n])) == len(levels[n])
             assert sorted(levels[n]) == filter_all(c, n)
+            parents = [
+                child
+                for parent in parents
+                for q in range(n)
+                if _avoids_by_combinations(child := parent[:q] + (n,) + parent[q:], c)
+            ]
+            assert levels[n] == parents, (basis, n)
 
 
 def test_enumeration_is_grouped_by_length():
@@ -238,11 +249,13 @@ def _slot_image(slot: Slot, sym, n: int) -> Slot:
     return slot
 
 
-@pytest.mark.parametrize("basis", ["2413", "25314", "251364", "2 4 6 8 1 3 5 7"])
-def test_cell_blocked_matches_the_grid_to_7(basis):
-    # the slot kernels against the grid's built-child test, on every cell
-    # of every member; the alternation class runs the k >= 7 fallback
-    c = PermClass.of(basis)
+@pytest.mark.parametrize("basis", ["2413", "25314", "251364", "2 4 6 8 1 3 5 7", "2413,4135762"])
+def test_slot_test_matches_the_grid_to_7(basis):
+    # the slot test against the grid's built-child test, on every cell of
+    # every member; the alternation class runs the k >= 7 fallback, and
+    # the last class meets a k <= 6 kernel and the fallback in one any()
+    c = PermClass.of(*basis.split(","))
+    blocked = _slot_test(c)
     for level in _class_levels(c, 7):
         for vals in level:
             n = len(vals)
@@ -250,7 +263,7 @@ def test_cell_blocked_matches_the_grid_to_7(basis):
                 Slot(ps, vs)
                 for ps in range(1, n + 2)
                 for vs in range(1, n + 2)
-                if _cell_blocked(c, vals, ps, vs)
+                if blocked(vals, ps, vs)
             }
             assert raw == ShadingGrid(Permutation(vals), c).blocked, vals
 

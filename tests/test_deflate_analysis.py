@@ -242,10 +242,12 @@ def _avoids_by_combinations(vals: tuple[int, ...], basis: list[tuple[int, ...]])
 def test_breaking_extensions_match_brute_force_membership():
     # every indecomposable non-simple member of length 4..7: the reports
     # are the cut slots of the leftmost longest block, in sorted order,
-    # whose literal insertion avoids the basis by itertools; the last basis
-    # (k = 8) sends the length-7 members through pinned MRV
-    for basis in ("321", "2413", "25314", "251364", "2 4 6 8 1 3 5 7"):
-        c = PermClass.of(basis)
+    # whose literal insertion avoids the basis by itertools; the alternation
+    # (k = 8) sends the length-7 members through pinned MRV, and the last
+    # basis, of two elements, the slot test's any() over two kernels
+    for basis in ("321", "2413", "25314", "251364", "2 4 6 8 1 3 5 7", "2413,4135762"):
+        c = PermClass.of(*basis.split(","))
+        assert len(c.basis) == len(basis.split(","))
         bv = [b.values for b in c.basis]
         for w in enumerate_class(c, 7):
             if len(w) < 4 or _is_decomposable(w.values) or is_simple(w):

@@ -4,7 +4,9 @@ perm_core -> decomposition -> class_engine -> deflate_analysis -> witness
 -> cli: a module may import only modules earlier in the chain, and never
 from inside a function or an ``if`` (or any other) block, where an import
 can hide a cycle.  ``__init__`` and ``__main__`` re-export the chain and
-are exempt from the order, not from the top-level rule.
+are exempt from the order, not from the top-level rule.  Every name a
+chain module imports from a sibling is used in that module, unless it is
+listed in ``REEXPORTS``, so a refactor cannot leave a dead import behind.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ import permdeflate
 SOURCES = sorted(Path(permdeflate.__file__).parent.glob("*.py"))
 CHAIN = ["perm_core", "decomposition", "class_engine", "deflate_analysis", "witness", "cli"]
 EXEMPT = {"__init__", "__main__"}
+#: (module, name) imported from a sibling only to be re-exported: the tests
+#: import ``known_deflatable_bases`` from ``permdeflate.witness``.
+REEXPORTS = {("witness", "known_deflatable_bases")}
 
 
 def _relative_imports(tree: ast.Module) -> list[tuple[ast.ImportFrom, bool, list[str]]]:
@@ -30,6 +35,17 @@ def _relative_imports(tree: ast.Module) -> list[tuple[ast.ImportFrom, bool, list
             targets = [node.module] if node.module else [a.name for a in node.names]
             found.append((node, id(node) in top, [t.split(".")[0] for t in targets]))
     return found
+
+
+def _unused_sibling_imports(tree: ast.Module) -> list[str]:
+    """Names bound by relative imports that no expression in ``tree`` reads."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        alias.asname or alias.name
+        for node, _, _ in _relative_imports(tree)
+        for alias in node.names
+        if (alias.asname or alias.name) not in used
+    ]
 
 
 def test_chain_names_every_module():
@@ -64,3 +80,20 @@ def test_checker_finds_deferred_imports():
         (False, ["witness"]),
         (False, ["witness"]),
     ]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem not in EXEMPT], ids=lambda p: p.name)
+def test_sibling_imports_are_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    unused = [name for name in _unused_sibling_imports(tree) if (path.stem, name) not in REEXPORTS]
+    assert not unused, f"{path.name} imports {unused} from a sibling and never uses them"
+
+
+def test_checker_finds_unused_imports():
+    source = (
+        "from .perm_core import Slot, _slot_kernel as kernel, parse_permutation\n"
+        "from . import decomposition\n"
+        "def f(s: Slot) -> None:\n"
+        "    decomposition.cut_slots(parse_permutation('1'))\n"
+    )
+    assert _unused_sibling_imports(ast.parse(source)) == ["kernel"]

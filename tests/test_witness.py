@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import pytest
 
@@ -22,8 +22,9 @@ from permdeflate.perm_core import (
 )
 from permdeflate.class_engine import (
     PermClass,
-    _cell_blocked,
+    ShadingGrid,
     _class_levels,
+    _slot_test,
     avoids,
     enumerate_class,
     shading_grid,
@@ -180,6 +181,12 @@ def _cert_key(cert):
     return None if cert is None else (cert.bond, cert.checked_slots)
 
 
+def _grid(vals, c):
+    """The cell test of an unguarded ``ShadingGrid``: each cell builds its
+    child, the oracle of the slot test."""
+    return witness._grid_test(ShadingGrid(Permutation(vals), c))
+
+
 @lru_cache(maxsize=None)
 def _public_certificates(basis, max_len):
     """(member, public certificate or None) in enumeration order; shared by
@@ -208,36 +215,36 @@ def test_raw_certificate_scan_matches_public_certificate(basis, max_len):
     tree = [vals for level in _class_levels(c, max_len) for vals in level]
     public = _public_certificates(basis, max_len)
     assert [member.values for member, _ in public] == tree
+    blocked = _slot_test(c)
     certified = 0
     for (_, cert), vals in zip(public, tree):
-        raw = witness._locked_strips(vals, partial(_cell_blocked, c, vals))
+        raw = witness._locked_strips(vals, blocked)
         assert _cert_key(raw) == _cert_key(cert), vals
         certified += raw is not None
     assert (certified > 0) == (basis == "251364")
 
 
 def test_raw_certificate_scan_matches_public_certificate_on_the_corpus():
-    # the one-cell raw test and the class's slot kernels, walked straight,
-    # against the public path on every published row (k = 6 to 14)
+    # an unguarded grid and the class's slot test, walked straight, against
+    # the public path on every published row (k = 6 to 14)
     for basis, w in load_corpus():
         c = PermClass((basis,))
         public = _cert_key(bond_certificate(w, c))
         assert public is not None, w
-        assert _cert_key(witness._locked_strips(w.values, partial(_cell_blocked, c, w.values))) == public
-        assert _cert_key(witness._locked_strips(w.values, c)) == public
+        assert _cert_key(witness._locked_strips(w.values, _grid(w.values, c))) == public
+        assert _cert_key(witness._locked_strips(w.values, _slot_test(c))) == public
 
 
 def test_class_walk_tries_every_basis_element():
     # a cell is blocked when either kernel says so; in the separable class
     # thousands of strip cells are blocked by 3142 and not by 2413
     c = PermClass.of("2413", "3142")
+    blocked = _slot_test(c)
     certified = 0
     for level in _class_levels(c, 7):
         for vals in level:
-            cert = witness._locked_strips(vals, c)
-            assert _cert_key(cert) == _cert_key(
-                witness._locked_strips(vals, partial(_cell_blocked, c, vals))
-            ), vals
+            cert = witness._locked_strips(vals, blocked)
+            assert _cert_key(cert) == _cert_key(witness._locked_strips(vals, _grid(vals, c))), vals
             certified += cert is not None
     assert certified > 0
 
