@@ -5,7 +5,13 @@ A class is given by a finite basis of forbidden patterns; membership is
 avoidance of every basis element.  Enumeration walks the generating tree
 that inserts a new maximum into each member — sound because deleting the
 maximum of a member yields a member, and duplicate-free because every
-child has a unique parent.
+child has a unique parent.  Each member's open slots, where a new maximum
+keeps it in the class, follow from its parent's by two facts.
+Inheritance: a slot blocked in the parent stays blocked in the child.
+Second pin: at an inherited open slot, any basis occurrence the new
+maximum completes also uses the member's own maximum, so the two play the
+basis element's values k and k - 1 and only k - 2 indices are free
+(``perm_core._top_kernel``; k >= 9 runs the full slot kernel).
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .perm_core import (
     _contains_pinned,
     _insert_raw,
     _slot_kernel,
+    _top_kernel,
     parse_permutation,
 )
 from .decomposition import _is_simple
@@ -65,40 +72,79 @@ def _avoids_raw(vals: tuple[int, ...], c: PermClass) -> bool:
     return not any(_contains_any(b.values, vals) for b in c.basis)
 
 
+def _any_of(
+    tests: list[Callable[[tuple[int, ...], int, int], bool]]
+) -> Callable[[tuple[int, ...], int, int], bool]:
+    """One slot test from the basis elements' own: the element's test for a
+    principal class, else an ``any`` over them."""
+    if len(tests) == 1:
+        return tests[0]
+    return lambda vals, ps, x: any(blocked(vals, ps, x) for blocked in tests)
+
+
 def _slot_test(c: PermClass) -> Callable[[tuple[int, ...], int, int], bool]:
     """The slot test of ``c``: ``blocked(vals, ps, vs)`` is True iff a new
     entry at slot (ps, vs) of the member ``vals`` completes a basis
-    occurrence.  It is the basis element's ``_slot_kernel`` for a principal
-    class, else an ``any`` over the basis's kernels."""
-    kernels = [_slot_kernel(b.values) for b in c.basis]
-    if len(kernels) == 1:
-        return kernels[0]
-    return lambda vals, ps, vs: any(blocked(vals, ps, vs) for blocked in kernels)
+    occurrence, from the basis elements' ``_slot_kernel``."""
+    return _any_of([_slot_kernel(b.values) for b in c.basis])
 
 
 def _class_levels(c: PermClass, max_len: int) -> Iterator[list[tuple[int, ...]]]:
     """Members of ``c`` as raw value tuples, one list per length 1..max_len.
 
-    Children are generated by inserting the new maximum at every position,
-    left to right, of each parent in order.  A child is built only when the
-    slot test admits slot (q+1, n) of its parent: the parent is a member,
-    so only occurrences through the new entry can appear.
+    Children are generated by inserting the new maximum at every open slot,
+    left to right, of each parent in order.  A member's open slots are an
+    int bit mask (bit q: the new maximum before position q), computed when
+    the member is expanded, from its parent's mask ``pm`` and the position
+    s of its own maximum:
+
+    - inheritance: parent slot q is slot q of the member when q <= s and
+      slot q + 1 when q > s (slot s splits into both), and a blocked slot
+      stays blocked, so only the slots of ``cand = (pm & ((2 << s) - 1)) |
+      ((pm >> s) << (s + 1))`` can be open;
+    - second pin: there, since the parent with a new maximum at the
+      matching slot is a member, a new occurrence uses both the new
+      maximum and the member's own, so ``_top_kernel`` tests it with two
+      pins and k - 2 free indices (the full ``_slot_kernel`` for k >= 9).
+
+    The root's one child, (1), is a member iff it avoids the basis.
+    Besides the level being built and the one before, this keeps one mask
+    per member of the level before that, and none for the parents of the
+    last level.
     """
-    blocked = _slot_test(c)
-    level = [()]
-    for n in range(1, max_len + 1):
-        level = [
-            parent[:q] + (n,) + parent[q:]
-            for parent in level
-            for q in range(n)
-            if not blocked(parent, q + 1, n)
-        ]
+    if max_len < 1:
+        return
+    blocked = _any_of([_top_kernel(b.values) for b in c.basis])
+    level = [(1,)] if _avoids_raw((1,), c) else []
+    masks = [len(level)]  # the open slots of each member of the level before: the root's
+    yield level
+    for n in range(2, max_len + 1):
+        members = iter(level)
+        level, opened = [], []
+        shared: dict[int, int] = {}  # one int object per distinct mask, not per member
+        for pm in masks:
+            for s in range(n - 1):
+                if not pm >> s & 1:
+                    continue
+                # the member with its maximum at s, and the slots it inherits
+                vals = next(members)
+                cand = (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
+                om = 0
+                for q in range(n):
+                    if cand >> q & 1 and not blocked(vals, q + 1, s):
+                        om |= 1 << q
+                        level.append(vals[:q] + (n,) + vals[q:])
+                if n < max_len:
+                    opened.append(shared.setdefault(om, om))
+        del members  # it holds the old level, which the caller may drop
+        masks = opened
         yield level
 
 
 def enumerate_class(c: PermClass, max_len: int) -> Iterator[Permutation]:
     """Yield every member of ``c`` of length 1..max_len, grouped by length,
-    each exactly once.  Memory stays bounded by one length level."""
+    each exactly once.  Memory stays bounded by one length level plus the
+    parent level's masks."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     for level in _class_levels(c, max_len):

@@ -18,9 +18,15 @@ points pick between the first two by k.  ``_search_kernel`` tests a built
 host: membership, and ``class_engine._insertion_creates`` for the shading
 grid and the BFS over extensions.  ``_slot_kernel`` asks whether a new
 entry at a slot completes the pattern, with the entry virtual so that no
-child is built (pinned MRV on the child for k >= 7): the generating tree,
-the interval breaks and the certificate walk ask it.  Nothing recurses,
-so pattern length is bounded only by ``MAX_LENGTH``.
+child is built (pinned MRV on the child for k >= 7): the interval breaks
+and the certificate walk ask it.  ``_top_kernel`` serves the generating
+tree, where a new maximum goes into a member at a slot that the member
+inherits open from its parent.  There a new occurrence must use both the
+new maximum and the member's own, as the pattern's values k and k - 1, so
+a second-pin nest from the same emitter places both and loops over the
+other k - 2 indices only, each in the position zone the two pins fix
+(k <= 8, so at most six loops; k >= 9 asks ``_slot_kernel``).  Nothing
+recurses, so pattern length is bounded only by ``MAX_LENGTH``.
 """
 
 from __future__ import annotations
@@ -407,53 +413,81 @@ def _find_occurrence(pat: tuple[int, ...], host: tuple[int, ...]) -> Optional[li
             pos = chosen[j] + 1
 
 
-def _emit_kernel(pat: tuple[int, ...], pins: Sequence[int], slot: bool = False) -> Callable[..., bool]:
+def _emit_kernel(
+    pat: tuple[int, ...], pins: Sequence[int], slot: bool = False, second: int = -1
+) -> Callable[..., bool]:
     """The one kernel emitter: compile nested ``for`` loops that look for
     ``pat`` in ``host``, one nest per pin in ``pins`` (-1 for none) behind
-    a room check.  A nest places the pin first, then the indices left of
-    it nearest first, then those right of it; loop ranges leave room for
+    a room check.  A nest places its pins first, then the indices left of
+    the leftmost pin nearest first, then the rest left to right; loop
+    ranges keep each index between its placed neighbours with room for
     the indices still unplaced, and each value is compared only with the
     nearest placed values below and above.  With ``slot`` the test is
     ``test(host, ps, vs)`` and the pinned entry is a virtual new entry of
     value ``vs`` before position ``q = ps - 1``: indices right of it start
-    at ``q``, and ``v`` lies above it iff ``vs <= v``.  The text holds only
+    at ``q``, and ``v`` lies above it iff ``vs <= v``.  ``second >= 0``
+    (with ``slot``) is the second-pin mode, ``test(host, ps, s)``: index
+    ``second`` sits at host position ``s`` too, and the caller promises
+    that the two pins hold the occurrence's two largest values, so no
+    value is compared with theirs and only the other k - 2 indices loop,
+    each in the position zone the two pins fix.  The text holds only
     identifiers and integers, never a host value."""
     k = len(pat)
-    lines = ["def test(host, ps, vs):", "    q = ps - 1"] if slot else ["def test(host, q):"]
+    args = "host, ps, s" if second >= 0 else "host, ps, vs" if slot else "host, q"
+    lines = [f"def test({args}):", "    q = ps - 1"] if slot else [f"def test({args}):"]
     lines.append("    n = len(host)")
     for pin_j in pins:
+        # pinned index -> (host position, 1 if it takes that position, 0 if virtual)
+        fixed = {} if pin_j < 0 else {pin_j: ("q", 0 if slot else 1)}
+        if second >= 0:
+            fixed[second] = ("s", 1)
+        first = min(fixed, default=0)
+        order = [*fixed, *range(first - 1, -1, -1), *(j for j in range(first, k) if j not in fixed)]
         indent = "    "
-        if pin_j >= 0:
-            # pin_j entries left of q, k-1-pin_j right; pat[pin_j]-1 below vs, k-pat[pin_j] above
-            room = f"q >= {pin_j} and n - q >= {k - pin_j - (1 if slot else 0)}"
-            if slot:
-                room += f" and vs >= {pat[pin_j]} and n - vs >= {k - 1 - pat[pin_j]}"
-            lines.append(f"    if {room}:")
+        if fixed:
+            # the host positions left of the first pin, between two pins and
+            # right of the last must hold the pattern indices there
+            marks = sorted(fixed)
+            last = marks[-1]
+            room = [f"{fixed[first][0]} >= {first}"]
+            for a, b in zip(marks, marks[1:]):
+                room.append(f"{fixed[b][0]} - {fixed[a][0]} >= {b - a - 1 + fixed[a][1]}")
+            room.append(f"n - {fixed[last][0]} >= {k - 1 - last + fixed[last][1]}")
+            if slot and second < 0:
+                # pat[pin_j]-1 values below vs, k-pat[pin_j] above
+                room.append(f"vs >= {pat[pin_j]} and n - vs >= {k - 1 - pat[pin_j]}")
+            lines.append(f"    if {' and '.join(room)}:")
             indent += "    "
-            order = [pin_j, *range(pin_j - 1, -1, -1), *range(pin_j + 1, k)]
-        else:
-            order = list(range(k))
         # the pattern read in placement order: its neighbour refs are, per
         # step, the earlier steps holding the nearest values below and above
         lo_ref, hi_ref = _neighbor_refs(tuple(pat[j] for j in order))
-        pos = {j: f"p{j}" for j in order}
-        pos[pin_j] = "q"
+        pos = {j: fixed[j][0] if j in fixed else f"p{j}" for j in order}
+        value = {j: f"v{j}" for j in order}
+        for j, (at, takes) in fixed.items():
+            if second >= 0:
+                value[j] = ""  # one of the two largest values: never compared
+            elif not takes:
+                value[j] = "vs"
+            else:
+                lines.append(f"{indent}v{j} = host[{at}]")
         for step, j in enumerate(order):
-            if j == pin_j:
-                if not slot:
-                    lines.append(f"{indent}v{j} = host[q]")
+            if j in fixed:
                 continue
-            if j < pin_j:
+            if j < first:
                 bounds = f"{j}, {pos[j + 1]}"
             else:
-                start = "q" if slot and j == pin_j + 1 else f"{pos[j - 1]} + 1" if j > 0 else "0"
-                bounds = f"{start}, n - {k - 1 - j}" if j < k - 1 else f"{start}, n"
+                virtual = j - 1 in fixed and not fixed[j - 1][1]
+                start = "0" if j == 0 else pos[j - 1] if virtual else f"{pos[j - 1]} + 1"
+                stop = min((f for f in fixed if f > j), default=k)
+                limit = pos[stop] if stop < k else "n"
+                bounds = f"{start}, {limit} - {stop - 1 - j}" if stop - 1 > j else f"{start}, {limit}"
             lines.append(f"{indent}for p{j} in range({bounds}):")
             indent += "    "
             lines.append(f"{indent}v{j} = host[p{j}]")
-            lo, hi = lo_ref[step], hi_ref[step]  # step 0 is the virtual entry in a slot nest
-            below = "" if lo < 0 else "vs <= " if slot and lo == 0 else f"v{order[lo]} < "
-            above = "" if hi < 0 else " < vs" if slot and hi == 0 else f" < v{order[hi]}"
+            below = value[order[lo_ref[step]]] if lo_ref[step] >= 0 else ""
+            above = value[order[hi_ref[step]]] if hi_ref[step] >= 0 else ""
+            below = "" if not below else "vs <= " if below == "vs" else f"{below} < "
+            above = f" < {above}" if above else ""
             if below or above:
                 lines.append(f"{indent}if {below}v{j}{above}:")
                 indent += "    "
@@ -502,6 +536,27 @@ def _slot_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], 
             if pat[t] <= vs and k - 1 - pat[t] <= n - vs
         )
     return blocked
+
+
+@lru_cache(maxsize=4096)
+def _top_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], bool]:
+    """The second-pin slot test for ``pat``, built once and cached:
+    ``blocked(host, ps, s)`` is True iff a new maximum at slot ps of
+    ``host``, whose own maximum sits at position s, completes ``pat``.
+    The caller promises that ``host`` avoids ``pat`` and that the slot is
+    inherited open: ``host`` minus its maximum, with a new maximum at the
+    matching slot, avoids ``pat`` too.  Then every new occurrence uses
+    both top entries, as ``pat``'s values k and k - 1, and for 2 <= k <= 8
+    the test is one ``_emit_kernel`` nest that pins both and loops over
+    the other k - 2 indices, no deeper than the one-pin kernels.  For
+    k >= 9 it is the full ``_slot_kernel`` at value n + 1, exact on any
+    slot; k = 1 takes that route too, though no host can keep the promise.
+    """
+    k = len(pat)
+    if 2 <= k <= 8:
+        return _emit_kernel(pat, [pat.index(k)], slot=True, second=pat.index(k - 1))
+    blocked = _slot_kernel(pat)
+    return lambda host, ps, s: blocked(host, ps, len(host) + 1)
 
 
 def _contains_pinned(

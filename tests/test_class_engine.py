@@ -98,6 +98,71 @@ def test_enumeration_matches_filter_all():
             assert levels[n] == parents, (basis, n)
 
 
+def _class_levels_by_slot(c: PermClass, max_len: int):
+    """Oracle: the generating tree before open-slot masks, which asks the
+    full slot test at every slot of every member."""
+    blocked = _slot_test(c)
+    level = [()]
+    for n in range(1, max_len + 1):
+        level = [
+            parent[:q] + (n,) + parent[q:]
+            for parent in level
+            for q in range(n)
+            if not blocked(parent, q + 1, n)
+        ]
+        yield level
+
+
+@pytest.mark.parametrize(
+    "basis, max_len",
+    [
+        ("2413", 9),
+        ("25314", 8),
+        ("24153", 8),
+        ("23514", 8),
+        ("24513", 8),
+        ("1523764", 8),
+        ("2413,4135762", 8),
+        ("321", 11),
+        ("321,214365879", 10),  # k = 9: the full slot kernel beside a two-pin nest
+        ("12", 6),
+        ("1", 4),
+        ("12,21", 4),
+    ],
+)
+def test_class_levels_match_the_per_slot_tree(basis, max_len):
+    c = PermClass.of(*basis.split(","))
+    assert list(_class_levels(c, max_len)) == list(_class_levels_by_slot(c, max_len))
+
+
+def test_class_levels_match_the_per_slot_tree_on_random_bases():
+    # 1-3 elements of length 1-8: k = 1, both kernel routes and mixed bases
+    rng = random.Random(15)
+    for _ in range(200):
+        lengths = [rng.randint(1, 8) for _ in range(rng.randint(1, 3))]
+        c = PermClass(tuple(Permutation(tuple(rng.sample(range(1, k + 1), k))) for k in lengths))
+        assert list(_class_levels(c, 7)) == list(_class_levels_by_slot(c, 7)), str(c)
+
+
+@pytest.mark.parametrize("basis", ["2413", "25314", "2413,4135762"])
+def test_open_slots_are_inherited(basis):
+    # a member's open slots, by the full slot test, lie inside the parent's
+    # open slots carried over: q for q <= s, q + 1 for q >= s, with the
+    # member's maximum at s
+    c = PermClass.of(*basis.split(","))
+    blocked = _slot_test(c)
+    opened = {(): 0 if blocked((), 1, 1) else 1}
+    for level in _class_levels(c, 8):
+        for vals in level:
+            n = len(vals)
+            om = sum(1 << q for q in range(n + 1) if not blocked(vals, q + 1, n + 1))
+            s = vals.index(n)
+            pm = opened[tuple(v for v in vals if v != n)]
+            cand = (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
+            assert om & ~cand == 0, vals
+            opened[vals] = om
+
+
 def test_enumeration_is_grouped_by_length():
     lengths = [len(p) for p in enumerate_class(PermClass.of("2413"), 6)]
     assert lengths == sorted(lengths)

@@ -7,6 +7,8 @@ can hide a cycle.  ``__init__`` and ``__main__`` re-export the chain and
 are exempt from the order, not from the top-level rule.  Every name a
 chain module imports from a sibling is used in that module, unless it is
 listed in ``REEXPORTS``, so a refactor cannot leave a dead import behind.
+Generated code has one emitter: the only ``exec`` call under ``src/`` is
+the one in ``perm_core._emit_kernel``.
 """
 
 from __future__ import annotations
@@ -97,3 +99,47 @@ def test_checker_finds_unused_imports():
         "    decomposition.cut_slots(parse_permutation('1'))\n"
     )
     assert _unused_sibling_imports(ast.parse(source)) == ["kernel"]
+
+
+def _exec_sites(tree: ast.Module) -> list[str]:
+    """The innermost enclosing function of each ``exec`` call, or
+    ``<module>``, in source order."""
+    sites = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name == "exec":
+                    sites.append((child.lineno, where))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, where)
+
+    visit(tree, "<module>")
+    return [where for _, where in sorted(sites)]
+
+
+def test_one_exec_call_site():
+    sites = [
+        f"{path.stem}.{where}"
+        for path in SOURCES
+        for where in _exec_sites(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+    ]
+    assert sites == ["perm_core._emit_kernel"]
+
+
+def test_checker_finds_exec_calls():
+    source = (
+        "import builtins\n"
+        "exec('x = 1')\n"
+        "def emit(text):\n"
+        "    def inner():\n"
+        "        builtins.exec(text, {})\n"
+        "    namespace = {}\n"
+        "    exec(text, namespace)\n"
+        "    executor = 'exec'\n"
+    )
+    assert _exec_sites(ast.parse(source)) == ["<module>", "inner", "emit"]

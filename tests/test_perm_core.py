@@ -37,6 +37,7 @@ from permdeflate.perm_core import (
     _pattern_of,
     _search_kernel,
     _slot_kernel,
+    _top_kernel,
 )
 
 P = parse_permutation
@@ -434,6 +435,81 @@ def test_slot_kernel_edge_cases(monkeypatch):
             for vs in range(1, 8):
                 assert _slot_kernel(pat)(host, ps, vs) == _completes(pat, host, ps, vs), (t, ps, vs)
     assert calls
+
+
+def _through_top_two(pat, host, t):
+    """Oracle for ``_top_kernel``: put a new maximum at slot t of ``host``
+    literally, then ask itertools for an occurrence of ``pat`` through both
+    it and the host's own maximum."""
+    n = len(host)
+    child = [*host[:t], n + 1, *host[t:]]
+    tops = sorted((t, child.index(n)))
+    others = [i for i in range(n + 1) if i not in tops]
+    return any(
+        _std([child[i] for i in sorted((*comb, *tops))]) == pat
+        for comb in itertools.combinations(others, len(pat) - 2)
+    )
+
+
+def _open_slots(pat, host):
+    """Bit mask of the slots where a new maximum leaves ``host`` avoiding
+    ``pat``, by itertools."""
+    n = len(host)
+    return sum(
+        1 << q
+        for q in range(n + 1)
+        if not any(
+            _std(sub) == pat for sub in itertools.combinations((*host[:q], n + 1, *host[q:]), len(pat))
+        )
+    )
+
+
+def _planted_parent(rng, pat, m):
+    """A host of length m: a permutation of length m + 2 holding ``pat``
+    with its values k and k - 1 on the two largest entries, less those
+    two entries."""
+    k = len(pat)
+    where = sorted(rng.sample(range(m + 2), k))
+    low = sorted(rng.sample(range(1, m + 1), k - 2)) + [m + 1, m + 2]
+    rest = [v for v in range(1, m + 1) if v not in low]
+    rng.shuffle(rest)
+    child = [low[pat[where.index(i)] - 1] if i in where else rest.pop() for i in range(m + 2)]
+    return tuple(v for v in child if v <= m)
+
+
+def test_top_kernel_matches_itertools():
+    """At every slot a member inherits open, the second-pin test equals
+    itertools' "the new maximum completes ``pat`` through both top
+    entries".  Members come from parents of length up to 8 that avoid
+    ``pat``, most of them planted so that the answer is sometimes yes;
+    k = 7 and 8 run the two-pin nest's deepest loops, k = 9 and 10 the
+    full slot kernel."""
+    rng = random.Random(15)
+    pats = [p for k in range(2, 5) for p in itertools.permutations(range(1, k + 1))]
+    for k, count in ((5, 12), (6, 12), (7, 4), (8, 4), (9, 3), (10, 3)):
+        pats += [tuple(rng.sample(range(1, k + 1), k)) for _ in range(count)]
+    hits = {}
+    for pat in pats:
+        k = len(pat)
+        parents = [_planted_parent(rng, pat, rng.randint(max(0, k - 2), 8)) for _ in range(3)]
+        parents.append(tuple(rng.sample(range(1, 9), rng.randint(0, 8))))
+        for parent in parents:
+            parent = tuple(sorted(parent).index(v) + 1 for v in parent)
+            m = len(parent)
+            if any(_std(sub) == pat for sub in itertools.combinations(parent, k)):
+                continue
+            pm = _open_slots(pat, parent)
+            for s in range(m + 1):
+                if not pm >> s & 1:
+                    continue
+                host = (*parent[:s], m + 1, *parent[s:])
+                cand = (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
+                for t in range(m + 2):
+                    if cand >> t & 1:
+                        expected = _through_top_two(pat, host, t)
+                        assert _top_kernel(pat)(host, t + 1, s) == expected, (pat, host, t, s)
+                        hits[k] = hits.get(k, 0) + expected
+    assert all(hits[k] for k in range(2, 11)), hits
 
 
 def test_mrv_handles_patterns_longer_than_the_recursion_limit():
