@@ -176,33 +176,13 @@ def count_profile(c: PermClass, max_len: int) -> list[tuple[int, int, int]]:
 def _insertion_creates(c: PermClass, child: tuple[int, ...], q: int) -> bool:
     """Does the entry at 0-based position ``q`` of ``child`` complete a
     basis occurrence?  Valid when ``child`` minus that entry avoids ``c``,
-    since then every occurrence uses that entry.
-
-    Only pattern indices the entry can play are searched: with ``v`` its
-    value and ``n`` the length, index ``t`` of a basis element ``bv`` of
-    length ``k`` needs ``t <= q``, ``k - t <= n - q``, ``bv[t] <= v`` and
-    ``k - bv[t] <= n - v``.  Any other choice leaves too few entries on
-    one side of the entry to hold the rest of the occurrence, so skipping
-    it changes no verdict.  Its two callers hold a built child anyway, and
-    ``perfbench`` counts grid cells, BFS children and pinned calls only
-    here, so they stay off ``_slot_test``: ``ShadingGrid.is_blocked`` (the
-    slot kernels' oracle) and ``_bfs_extension`` (which keeps the child).
+    since then every occurrence uses that entry.  Its two callers hold a
+    built child anyway, and ``perfbench`` counts grid cells, BFS children
+    and pinned calls only here, so they stay off ``_slot_test``:
+    ``ShadingGrid.is_blocked`` (the slot kernels' oracle) and
+    ``_bfs_extension`` (which keeps the child).
     """
-    n = len(child)
-    v = child[q]
-    for b in c.basis:
-        bv = b.values
-        k = len(bv)
-        if k > n:
-            continue
-        search = _contains_pinned if k <= 6 else _contains_any
-        for t in range(max(0, k - n + q), min(k - 1, q) + 1):
-            # index t at (q, v) needs t entries left, k-1-t right, bv[t]-1 below, k-bv[t] above
-            if bv[t] > v or k - bv[t] > n - v:
-                continue
-            if search(bv, child, t, q):
-                return True
-    return False
+    return any(_contains_pinned(b.values, child, q) for b in c.basis)
 
 
 class ShadingGrid:

@@ -5,28 +5,29 @@ one-line notation.  ``Permutation`` is an immutable validated wrapper around
 a tuple of values; every operation in this package is a pure function, so
 values can be shared freely between threads or worker processes.
 
-Hot paths (class enumeration, membership filtering, slot grids) work on raw
-value tuples via the underscore helpers at the bottom of this module; the
-public functions wrap them.  Containment has three engines.  Patterns of
-length k <= 6 run a nested-loop kernel compiled once per (pattern, pin);
-k >= 7 runs ``_contains_mrv``, an iterative forward-checking search that
-keeps, per pattern index, the host positions still open to it as one int
-bit mask and branches on the index with the fewest (most constrained
-first, MRV); ``contains()``, which must report positions, runs a
-left-to-right DFS for the lexicographically least occurrence.  Two entry
-points pick between the first two by k.  ``_search_kernel`` tests a built
-host: membership, and ``class_engine._insertion_creates`` for the shading
-grid and the BFS over extensions.  ``_slot_kernel`` asks whether a new
+Hot paths (class enumeration, membership filtering, slot grids) work on
+raw value tuples via the underscore helpers at the bottom of this module;
+the public functions wrap them.  Containment has three engines.  Patterns
+of length k <= 6 run nested-loop kernels that one emitter compiles once
+per pattern and mode; k >= 7 runs ``_forward_check``, an iterative
+forward-checking search that keeps, per pattern index, the host positions
+still open to it as one int bit mask and branches on the index with the
+fewest (most constrained first, MRV); ``contains()``, which must report
+positions, runs a left-to-right DFS for the lexicographically least
+occurrence.  ``_search_kernel`` picks the engine by k for both existence
+questions: ``_contains_any`` (does a host contain the pattern?) and
+``_contains_pinned`` (through host position q?, the shading grid's and the
+BFS's question about a new entry).  ``_slot_kernel`` asks whether a new
 entry at a slot completes the pattern, with the entry virtual so that no
-child is built (pinned MRV on the child for k >= 7): the interval breaks
-and the certificate walk ask it.  ``_top_kernel`` serves the generating
-tree, where a new maximum goes into a member at a slot that the member
-inherits open from its parent.  There a new occurrence must use both the
-new maximum and the member's own, as the pattern's values k and k - 1, so
-a second-pin nest from the same emitter places both and loops over the
-other k - 2 indices only, each in the position zone the two pins fix
-(k <= 8, so at most six loops; k >= 9 asks ``_slot_kernel``).  Nothing
-recurses, so pattern length is bounded only by ``MAX_LENGTH``.
+child is built (``_contains_pinned`` on the child for k >= 7): the
+interval breaks and the certificate walk ask it.  ``_top_kernel`` serves
+the generating tree, where a new maximum goes into a member at a slot that
+the member inherits open from its parent.  There a new occurrence must use
+both the new maximum and the member's own, as the pattern's values k
+and k - 1, so a second-pin nest from the same emitter places both and
+loops over the other k - 2 indices only, each in the position zone the two
+pins fix (k <= 8, so at most six loops; k >= 9 asks ``_slot_kernel``).
+Nothing recurses, so pattern length is bounded only by ``MAX_LENGTH``.
 """
 
 from __future__ import annotations
@@ -414,18 +415,21 @@ def _find_occurrence(pat: tuple[int, ...], host: tuple[int, ...]) -> Optional[li
 
 
 def _emit_kernel(
-    pat: tuple[int, ...], pins: Sequence[int], slot: bool = False, second: int = -1
+    pat: tuple[int, ...], pins: Sequence[int] = (), slot: bool = False, second: int = -1
 ) -> Callable[..., bool]:
     """The one kernel emitter: compile nested ``for`` loops that look for
-    ``pat`` in ``host``, one nest per pin in ``pins`` (-1 for none) behind
-    a room check.  A nest places its pins first, then the indices left of
-    the leftmost pin nearest first, then the rest left to right; loop
-    ranges keep each index between its placed neighbours with room for
-    the indices still unplaced, and each value is compared only with the
-    nearest placed values below and above.  With ``slot`` the test is
-    ``test(host, ps, vs)`` and the pinned entry is a virtual new entry of
-    value ``vs`` before position ``q = ps - 1``: indices right of it start
-    at ``q``, and ``v`` lies above it iff ``vs <= v``.  ``second >= 0``
+    ``pat`` in ``host``, one nest per pattern index in ``pins`` behind a
+    room check, or one unpinned nest, ``test(host)``, when ``pins`` is
+    empty.  A nest places its pin first, then the indices left of the
+    leftmost pin nearest first, then the rest left to right; loop ranges
+    keep each index between its placed neighbours with room for the
+    indices still unplaced, and each value is compared only with the
+    nearest placed values below and above.  The pinned entry has value
+    ``vs``.  Without ``slot`` the test is ``test(host, q)``: the entry is
+    ``host[q]``, read once a q outside the host has returned False.  With
+    ``slot`` it is ``test(host, ps, vs)`` and the entry is a virtual new
+    one before position ``q = ps - 1``: indices right of it start at
+    ``q``, and ``v`` lies above it iff ``vs <= v``.  ``second >= 0``
     (with ``slot``) is the second-pin mode, ``test(host, ps, s)``: index
     ``second`` sits at host position ``s`` too, and the caller promises
     that the two pins hold the occurrence's two largest values, so no
@@ -433,12 +437,15 @@ def _emit_kernel(
     each in the position zone the two pins fix.  The text holds only
     identifiers and integers, never a host value."""
     k = len(pat)
-    args = "host, ps, s" if second >= 0 else "host, ps, vs" if slot else "host, q"
+    takes = 0 if slot else 1  # 1 if the pinned entry takes a host position
+    args = "host, ps, s" if second >= 0 else "host, ps, vs" if slot else "host, q" if pins else "host"
     lines = [f"def test({args}):", "    q = ps - 1"] if slot else [f"def test({args}):"]
     lines.append("    n = len(host)")
-    for pin_j in pins:
+    if pins and not slot:
+        lines += ["    if not 0 <= q < n:", "        return False", "    vs = host[q]"]
+    for pin_j in pins or [-1]:
         # pinned index -> (host position, 1 if it takes that position, 0 if virtual)
-        fixed = {} if pin_j < 0 else {pin_j: ("q", 0 if slot else 1)}
+        fixed = {} if pin_j < 0 else {pin_j: ("q", takes)}
         if second >= 0:
             fixed[second] = ("s", 1)
         first = min(fixed, default=0)
@@ -453,23 +460,17 @@ def _emit_kernel(
             for a, b in zip(marks, marks[1:]):
                 room.append(f"{fixed[b][0]} - {fixed[a][0]} >= {b - a - 1 + fixed[a][1]}")
             room.append(f"n - {fixed[last][0]} >= {k - 1 - last + fixed[last][1]}")
-            if slot and second < 0:
+            if second < 0:
                 # pat[pin_j]-1 values below vs, k-pat[pin_j] above
-                room.append(f"vs >= {pat[pin_j]} and n - vs >= {k - 1 - pat[pin_j]}")
+                room.append(f"vs >= {pat[pin_j]} and n - vs >= {k - 1 - pat[pin_j] + takes}")
             lines.append(f"    if {' and '.join(room)}:")
             indent += "    "
         # the pattern read in placement order: its neighbour refs are, per
         # step, the earlier steps holding the nearest values below and above
         lo_ref, hi_ref = _neighbor_refs(tuple(pat[j] for j in order))
         pos = {j: fixed[j][0] if j in fixed else f"p{j}" for j in order}
-        value = {j: f"v{j}" for j in order}
-        for j, (at, takes) in fixed.items():
-            if second >= 0:
-                value[j] = ""  # one of the two largest values: never compared
-            elif not takes:
-                value[j] = "vs"
-            else:
-                lines.append(f"{indent}v{j} = host[{at}]")
+        # the two largest values of the second-pin mode are never compared
+        value = {j: ("" if second >= 0 else "vs") if j in fixed else f"v{j}" for j in order}
         for step, j in enumerate(order):
             if j in fixed:
                 continue
@@ -486,7 +487,7 @@ def _emit_kernel(
             lines.append(f"{indent}v{j} = host[p{j}]")
             below = value[order[lo_ref[step]]] if lo_ref[step] >= 0 else ""
             above = value[order[hi_ref[step]]] if hi_ref[step] >= 0 else ""
-            below = "" if not below else "vs <= " if below == "vs" else f"{below} < "
+            below = "" if not below else "vs <= " if below == "vs" and slot else f"{below} < "
             above = f" < {above}" if above else ""
             if below or above:
                 lines.append(f"{indent}if {below}v{j}{above}:")
@@ -499,43 +500,52 @@ def _emit_kernel(
 
 
 @lru_cache(maxsize=4096)
-def _search_kernel(
-    pat: tuple[int, ...], pin_j: int = -1
-) -> Callable[[tuple[int, ...], int], bool]:
-    """The existence test for ``pat``, built once per (pattern, pin) and
-    cached: ``test(host, pin_pos)`` is True iff ``host`` contains ``pat``,
-    with pattern index ``pin_j`` at host position ``pin_pos`` when
-    ``pin_j >= 0`` (``pin_pos`` is ignored otherwise).  The engine of
-    ``_contains_any`` and ``_contains_pinned``, for tests on a built host:
-    for k <= 6 one loop nest from ``_emit_kernel``; for k >= 7, where any
-    fixed loop order degenerates on long rigid patterns, ``_contains_mrv``,
-    looked up at call time so that a wrapper on the module attribute sees
-    every call.  ``_slot_kernel`` splits slot tests at the same k, and
-    ``class_engine._insertion_creates`` calls ``_contains_pinned`` below it.
-    """
-    if len(pat) >= 7:
-        return lambda host, pin_pos: _contains_mrv(pat, host, pin_j, pin_pos)
-    return _emit_kernel(pat, [pin_j])
+def _search_kernel(pat: tuple[int, ...], through: bool = False) -> Callable[..., bool]:
+    """The existence test for ``pat`` on a built host, built once per
+    (pattern, mode) and cached: ``test(host)`` is True iff ``host``
+    contains ``pat``; with ``through``, ``test(host, q)`` is True iff it
+    contains one with some pattern index at position q (False for a q
+    outside the host).  For k <= 6 it is ``_emit_kernel``'s unpinned nest,
+    or its nest chain with one nest per pattern index.  For k >= 7, where
+    any fixed loop order degenerates on long rigid patterns, it is
+    ``_contains_mrv``, looked up at call time so that a wrapper on the
+    module attribute sees every call, or, through q, ``_forward_check``
+    once for each index t that the entry, of value v in a host of length
+    n, fits: ``t <= q``, ``k - t <= n - q``, ``pat[t] <= v`` and
+    ``k - pat[t] <= n - v``, on one set of value masks.  The through test
+    never calls ``_contains_mrv``, so that traced searches through a
+    position and plain ones stay apart."""
+    k = len(pat)
+    if k <= 6:
+        return _emit_kernel(pat, range(k) if through else ())
+    if not through:
+        return lambda host: _contains_mrv(pat, host)
+
+    def test(host: tuple[int, ...], q: int) -> bool:
+        n = len(host)
+        if not 0 <= q < n:
+            return False
+        v = host[q]
+        fits = [t for t in range(k) if t <= q and k - t <= n - q and pat[t] <= v and k - pat[t] <= n - v]
+        if not fits:
+            return False
+        le, ge = _value_masks(host, k)
+        return any(_forward_check(pat, host, le, ge, t, q) for t in fits)
+
+    return test
 
 
 @lru_cache(maxsize=4096)
 def _slot_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], bool]:
     """The slot test for ``pat``, built once and cached: ``blocked(host, ps,
     vs)`` is True iff a new entry at slot (ps, vs) of ``host`` completes an
-    occurrence of ``pat`` through it.  Each pattern index with room is tried
-    in turn: for k <= 6 by a pinned nest from ``_emit_kernel``, with no
-    child built; for k >= 7 by ``_contains_mrv`` on the child."""
+    occurrence of ``pat`` through it.  For k <= 6 it is one nest per
+    pattern index from ``_emit_kernel``, with no child built; for k >= 7,
+    ``_contains_pinned`` on the child."""
     k = len(pat)
     if k <= 6:
         return _emit_kernel(pat, range(k), slot=True)
-    def blocked(host: tuple[int, ...], ps: int, vs: int) -> bool:
-        n, q, child = len(host), ps - 1, _insert_raw(host, ps, vs)
-        return any(
-            _contains_mrv(pat, child, t, q)
-            for t in range(max(0, k - 1 - n + q), min(k - 1, q) + 1)
-            if pat[t] <= vs and k - 1 - pat[t] <= n - vs
-        )
-    return blocked
+    return lambda host, ps, vs: _contains_pinned(pat, _insert_raw(host, ps, vs), ps - 1)
 
 
 @lru_cache(maxsize=4096)
@@ -559,49 +569,61 @@ def _top_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], b
     return lambda host, ps, s: blocked(host, ps, len(host) + 1)
 
 
-def _contains_pinned(
-    pat: tuple[int, ...], host: tuple[int, ...], pin_j: int, pin_pos: int
+def _contains_pinned(pat: tuple[int, ...], host: tuple[int, ...], q: int) -> bool:
+    """Does ``host`` contain ``pat`` with some pattern index at position
+    ``q`` (False for a q outside the host)?  When a host is one insertion
+    away from a known avoider, any new occurrence uses the new entry.
+    The kernel of ``_search_kernel(pat, True)``."""
+    return _search_kernel(pat, True)(host, q)
+
+
+def _contains_any(pat: tuple[int, ...], host: tuple[int, ...]) -> bool:
+    """Existence-only containment test: the kernel of ``_search_kernel``
+    for this pattern, after a length check."""
+    return len(pat) <= len(host) and _search_kernel(pat)(host)
+
+
+def _contains_mrv(pat: tuple[int, ...], host: tuple[int, ...]) -> bool:
+    """Containment for long patterns: ``_forward_check`` with no index
+    pinned."""
+    return len(pat) <= len(host) and _forward_check(pat, host, *_value_masks(host, len(pat)))
+
+
+def _value_masks(host: tuple[int, ...], k: int) -> tuple[list[int], list[int]]:
+    """The value bounds of ``_forward_check`` on ``host``, as bit masks:
+    ``le[v]`` holds the positions of the values <= v, ``ge[v]`` those of
+    the values >= v.  Both end in k empty masks, so a bound past n (or
+    below 0, by negative indexing) keeps no position."""
+    n = len(host)
+    # bits[v] is the bit of value v's position, so its running sums are le
+    bits = [0] * (n + 1)
+    for r, v in enumerate(host):
+        bits[v] = 1 << r
+    le = [*accumulate(bits), *[0] * k]
+    full = le[n]
+    ge = [full, *[full ^ m for m in le[:n]], *[0] * k]
+    return le, ge
+
+
+def _forward_check(
+    pat: tuple[int, ...], host: tuple[int, ...], le: list[int], ge: list[int], t: int = -1, q: int = 0
 ) -> bool:
-    """Does ``host`` contain ``pat`` with pattern index ``pin_j`` at host
-    position ``pin_pos``?  Used incrementally: when a host is one insertion
-    away from a known avoider, any new occurrence must involve the inserted
-    entry.  It calls the pinned kernel; it is a name of its own, apart from
-    ``_contains_any``, so that pinned searches can be counted apart."""
-    return _search_kernel(pat, pin_j)(host, pin_pos)
-
-
-def _contains_any(
-    pat: tuple[int, ...], host: tuple[int, ...], pin_j: int = -1, pin_pos: int = -1
-) -> bool:
-    """Existence-only containment test, pinned as in ``_contains_pinned``
-    when ``pin_j >= 0``: the kernel of ``_search_kernel`` for this pattern
-    and pin, after a length check."""
-    return len(pat) <= len(host) and _search_kernel(pat, pin_j)(host, pin_pos)
-
-
-def _contains_mrv(
-    pat: tuple[int, ...], host: tuple[int, ...], pin_j: int = -1, pin_pos: int = -1
-) -> bool:
-    """Containment by an iterative forward-checking search on bit masks.
-
-    Each pattern index g keeps the host positions it may still take as
-    one int bit mask (bit r is position r), starting from ``range(g, n -
-    k + 1 + g)``.  Assigning index f to position q drops from every
+    """Does ``host`` contain ``pat`` with index t, if t >= 0, at position
+    q?  ``le`` and ``ge`` are ``_value_masks(host, len(pat))``.  An
+    iterative forward-checking search: each pattern index g keeps the host
+    positions still open to it as one int bit mask, first ``range(g, n -
+    k + 1 + g)``.  Assigning index f to position p drops from every
     unassigned g the positions r that leave too little room between the
-    two indices, in position (``r >= q + (g - f)`` when g > f, ``r <= q -
-    (f - g)`` when g < f) or in value (``host[r] >= host[q] + d`` when
-    ``d = pat[g] - pat[f]`` is positive, ``host[r] <= host[q] + d`` when
+    two indices, in position (``r >= p + (g - f)`` when g > f, ``r <= p -
+    (f - g)`` when g < f) or in value (``host[r] >= host[p] + d`` when
+    ``d = pat[g] - pat[f]`` is positive, ``host[r] <= host[p] + d`` when
     it is negative).  Each filter is two ANDs: the position window is one
-    shift of q's bit, and the value bound is a mask from ``ge`` or
-    ``le``, built once per call (``ge[v]`` holds the positions of the
-    values >= v, ``le[v]`` those of the values <= v).  The search
-    branches on the index with the fewest live positions, trying them
-    left to right (lowest bit first), and backtracks as soon as a mask
-    empties: Haralick and Elliott's forward checking with the fail-first
-    rule, which keeps long rigid patterns cheap.  With ``pin_j >= 0``
-    index ``pin_j`` may take only host position ``pin_pos``, so only
-    occurrences through that entry count; a ``pin_pos`` outside the host
-    leaves it nothing.
+    shift of p's bit, and the value bound is a mask from ``ge`` or
+    ``le``.  The search branches on the index with the fewest live
+    positions (the first such in ``free``'s order), trying them left to
+    right (lowest bit first), and backtracks as soon as a mask empties:
+    Haralick and Elliott's forward checking with the fail-first rule,
+    which keeps long rigid patterns cheap.
 
     Nothing recurses.  A filter that narrows a mask pushes the old mask
     onto a trail, and undoing an assignment assigns it back, so the trail
@@ -609,26 +631,19 @@ def _contains_mrv(
     the O(n^2) bits of ``ge`` and ``le``.
     """
     k, n = len(pat), len(host)
-    if k > n:
-        return False
-    spots = [((1 << (n - k + 1)) - 1) << g for g in range(k)]
-    if pin_j >= 0:
-        spots[pin_j] &= 1 << pin_pos if 0 <= pin_pos < n else 0
-    # bits[v] is the bit of value v's position, so the running sums le[v]
-    # hold the positions of the values <= v; both tables end in k empty
-    # masks, so a bound past n (or below 0, by negative indexing) keeps no
-    # position
-    bits = [0] * (n + 1)
-    for r, v in enumerate(host):
-        bits[v] = 1 << r
-    le = [*accumulate(bits), *[0] * k]
-    full = le[n]
-    ge = [full, *[full ^ m for m in le[:n]], *[0] * k]
+    window = (1 << (n - k + 1)) - 1
+    spots = [window << g for g in range(k)]
+    if t >= 0:
+        spots[t] = 1 << q
     trail: list[tuple[int, int]] = []  # (index, its mask before a filter narrowed it)
     frames: list[tuple[int, int, int]] = []  # (index, positions left to try, trail length)
     free = set(range(k))
     while free:
-        f = min(free, key=lambda g: spots[g].bit_count())
+        f, fewest = -1, n + 1
+        for g in free:
+            live = spots[g].bit_count()
+            if live < fewest:
+                f, fewest = g, live
         free.remove(f)
         frames.append((f, spots[f], len(trail)))
         # try the newest frame's next position; a frame with none left

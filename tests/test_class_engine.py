@@ -14,12 +14,14 @@ from permdeflate.perm_core import (
     apply_symmetry,
     delete,
     parse_permutation,
+    _insert_raw,
     _pattern_of,
 )
 from permdeflate.class_engine import (
     PermClass,
     ShadingGrid,
     _class_levels,
+    _insertion_creates,
     _slot_test,
     avoids,
     count_profile,
@@ -331,6 +333,35 @@ def test_slot_test_matches_the_grid_to_7(basis):
                 if blocked(vals, ps, vs)
             }
             assert raw == ShadingGrid(Permutation(vals), c).blocked, vals
+
+
+def test_insertion_creates_matches_the_slot_test_on_random_classes():
+    """The built-child test against the slot test, at every slot of
+    random members up to length 10, over classes with one basis element
+    of length <= 6 and one of length >= 7, so that both engines run."""
+    rng = random.Random(5)
+    for _ in range(12):
+        while True:
+            lengths = (rng.randint(3, 6), rng.randint(7, 8))
+            c = PermClass(tuple(Permutation(tuple(rng.sample(range(1, m + 1), m))) for m in lengths))
+            if len(c.basis) == 2:  # the long element avoids the short one
+                break
+        blocked = _slot_test(c)
+        vals: tuple[int, ...] = (1,)
+        while len(vals) <= 10:
+            n = len(vals)
+            open_slots = []
+            for ps in range(1, n + 2):
+                for vs in range(1, n + 2):
+                    child = _insert_raw(vals, ps, vs)
+                    creates = _insertion_creates(c, child, ps - 1)
+                    assert creates == blocked(vals, ps, vs), (c, vals, ps, vs)
+                    if not creates:
+                        open_slots.append(child)
+            if not open_slots:
+                break
+            vals = rng.choice(open_slots)
+            assert avoids(Permutation(vals), c)
 
 
 def test_shading_commutes_with_symmetries():

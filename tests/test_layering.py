@@ -8,7 +8,10 @@ are exempt from the order, not from the top-level rule.  Every name a
 chain module imports from a sibling is used in that module, unless it is
 listed in ``REEXPORTS``, so a refactor cannot leave a dead import behind.
 Generated code has one emitter: the only ``exec`` call under ``src/`` is
-the one in ``perm_core._emit_kernel``.
+the one in ``perm_core._emit_kernel``.  The containment engine split
+(nest kernels for short patterns, forward checking for long ones) stays
+inside ``perm_core``: no other module imports or reads the names in
+``ENGINE_INTERNALS``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,10 @@ EXEMPT = {"__init__", "__main__"}
 #: (module, name) imported from a sibling only to be re-exported: the tests
 #: import ``known_deflatable_bases`` from ``permdeflate.witness``.
 REEXPORTS = {("witness", "known_deflatable_bases")}
+#: ``perm_core`` names that only ``perm_core`` may import: other modules ask
+#: ``_contains_any`` or ``_contains_pinned``, whose ``_search_kernel`` picks
+#: the engine.
+ENGINE_INTERNALS = {"_contains_mrv", "_forward_check", "_value_masks"}
 
 
 def _relative_imports(tree: ast.Module) -> list[tuple[ast.ImportFrom, bool, list[str]]]:
@@ -89,6 +96,15 @@ def test_sibling_imports_are_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     unused = [name for name in _unused_sibling_imports(tree) if (path.stem, name) not in REEXPORTS]
     assert not unused, f"{path.name} imports {unused} from a sibling and never uses them"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "perm_core"], ids=lambda p: p.name)
+def test_engine_internals_stay_in_perm_core(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    # names imported from a sibling, and attributes read (``perm_core.name``)
+    names = {alias.name for node, _, _ in _relative_imports(tree) for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & ENGINE_INTERNALS, f"{path.name} reaches {names & ENGINE_INTERNALS}"
 
 
 def test_checker_finds_unused_imports():

@@ -161,14 +161,13 @@ def test_contains_matches_brute_force_randomised():
 
 @st.composite
 def searches(draw):
-    """A pattern (k <= 6), a host (n <= 9) and an optional pin (t, q):
-    pattern index t at host position q, both 0-based and possibly
-    impossible to honour."""
+    """A pattern (k <= 6), a host (n <= 9) and an optional pinned host
+    position q, 0-based, from -3 to n so that some lie outside the host."""
     k = draw(st.integers(min_value=1, max_value=6))
     n = draw(st.integers(min_value=1, max_value=9))
     pat = tuple(draw(st.permutations(range(1, k + 1))))
     host = tuple(draw(st.permutations(range(1, n + 1))))
-    pin = draw(st.none() | st.tuples(st.integers(0, k - 1), st.integers(0, n - 1)))
+    pin = draw(st.none() | st.integers(-3, n))
     return pat, host, pin
 
 
@@ -187,20 +186,18 @@ def test_find_occurrence_matches_brute_force(case):
     assert _find_occurrence(pat, host) == (matches[0] if matches else None)
     if pin is None:
         expected = bool(matches)
-        assert _search_kernel(pat)(host, -1) == expected
+        assert _search_kernel(pat)(host) == expected
         assert _contains_any(pat, host) == expected
     else:
-        t, q = pin
-        expected = any(comb[t] == q for comb in matches)
-        assert _search_kernel(pat, t)(host, q) == expected
-        assert _contains_pinned(pat, host, t, q) == expected
-        assert _contains_any(pat, host, t, q) == expected
+        expected = any(pin in comb for comb in matches)
+        assert _search_kernel(pat, True)(host, pin) == expected
+        assert _contains_pinned(pat, host, pin) == expected
 
 
 @st.composite
 def long_searches(draw):
     """A pattern with k in {7, ..., 10}, a host (n <= 14) and an optional
-    pin, possibly impossible to honour, as in ``searches``.  Half the hosts
+    pinned host position, possibly outside the host, as in ``searches``.  Half the hosts
     long enough get a planted occurrence, since random ones rarely
     contain a pattern this long."""
     k = draw(st.integers(min_value=7, max_value=10))
@@ -213,23 +210,31 @@ def long_searches(draw):
         for i, p in zip(where, pat):
             host[i] = vals[p - 1]
     host = tuple(host)
-    pin = draw(st.none() | st.tuples(st.integers(0, k - 1), st.integers(0, n - 1)))
+    pin = draw(st.none() | st.integers(-3, n))
     return pat, host, pin
+
+
+def _through_sets(pat, host, q):
+    """The set oracle through host position q: some pattern index there."""
+    return any(_contains_mrv_sets(pat, host, t, q) for t in range(len(pat)))
 
 
 @settings(max_examples=300)
 @given(long_searches())
 def test_pinned_mrv_matches_brute_force(case):
     pat, host, pin = case
-    pin = pin or ()
     combs = itertools.combinations(range(len(host)), len(pat))
     expected = any(
-        _pattern_of([host[i] for i in comb]) == pat and (not pin or comb[pin[0]] == pin[1])
+        _pattern_of([host[i] for i in comb]) == pat and (pin is None or pin in comb)
         for comb in combs
     )
-    assert _contains_mrv(pat, host, *pin) == expected
-    assert _contains_mrv_sets(pat, host, *pin) == expected
-    assert _contains_any(pat, host, *pin) == expected
+    if pin is None:
+        assert _contains_mrv(pat, host) == expected
+        assert _contains_mrv_sets(pat, host) == expected
+        assert _contains_any(pat, host) == expected
+    else:
+        assert _contains_pinned(pat, host, pin) == expected
+        assert _through_sets(pat, host, pin) == expected
 
 
 def _contains_mrv_sets(
@@ -284,8 +289,8 @@ def _contains_mrv_sets(
 def test_mrv_matches_set_oracle_on_long_hosts():
     """Hosts of length 40 to 200, whose masks span many machine words,
     against the set-based search; itertools cannot reach these.  Half the
-    hosts hold a planted occurrence, and a pin is put on a planted entry
-    or on a random position.  Proving absence unpinned in a random host
+    hosts hold a planted occurrence, and a pinned position is a planted
+    entry's or a random one.  Proving absence unpinned in a random host
     can take seconds past n = 100, so unpinned cases stop there."""
     rnd = random.Random(13)
     verdicts = []
@@ -300,11 +305,14 @@ def test_mrv_matches_set_oracle_on_long_hosts():
             for i, p in zip(where, pat):
                 host[i] = vals[p - 1]
         host = tuple(host)
-        t = rnd.randrange(k)
-        pin = (t, rnd.choice((where[t], rnd.randrange(n)))) if pinned else ()
-        got = _contains_mrv(pat, host, *pin)
-        assert got == _contains_mrv_sets(pat, host, *pin), (pat, host, pin)
-        verdicts.append((bool(pin), got))
+        if pinned:
+            q = rnd.choice((rnd.choice(where), rnd.randrange(n)))
+            got = _contains_pinned(pat, host, q)
+            assert got == _through_sets(pat, host, q), (pat, host, q)
+        else:
+            got = _contains_mrv(pat, host)
+            assert got == _contains_mrv_sets(pat, host), (pat, host)
+        verdicts.append((pinned, got))
     # every mix of pinned / unpinned and found / absent is exercised
     assert len(set(verdicts)) == 4
 
@@ -318,7 +326,7 @@ def test_mrv_matches_set_oracle_on_long_hosts():
         (tuple(range(1, 10)), (6, 9)),
         (tuple(range(1, 10)), (0, -1)),
         (tuple(range(1, 10)), (6, -3)),
-        (tuple(range(1, 10)), (3, 2)),
+        ((1, 2, 9, 3, 4, 5, 6, 7, 8), (3, 2)),
     ],
     ids=[
         "k>n",
@@ -331,10 +339,20 @@ def test_mrv_matches_set_oracle_on_long_hosts():
     ],
 )
 def test_mrv_edge_cases_return_false(host, pin):
-    # the identity 7 lies in the identity 9, so only the pin rules it out there
+    # the identity 7 lies in each host of length 9, so only the pinned
+    # position rules it out there: one outside the host, which must not
+    # wrap, or the 9 at position 2, which has no room for the index it
+    # would play (the set oracle pins index 3 there, left of its room)
     identity = tuple(range(1, 8))
-    assert not _contains_mrv(identity, host, *pin)
     assert not _contains_mrv_sets(identity, host, *pin)
+    if not pin:
+        assert not _contains_mrv(identity, host)
+        return
+    q = pin[1]
+    assert not _contains_pinned(identity, host, q)
+    assert not _through_sets(identity, host, q)
+    # the k <= 6 nest chain reads the pinned entry only inside the host too
+    assert not _contains_pinned(identity[:6], host, q)
 
 
 def _std(seq):
@@ -423,10 +441,10 @@ def test_slot_kernel_edge_cases(monkeypatch):
     # k > n + 1: no slot has room
     for pat in itertools.permutations(range(1, 5)):
         assert not any(_slot_kernel(pat)((2, 1), ps, vs) for ps in range(1, 4) for vs in range(1, 4))
-    # k >= 7 builds the child and runs the forward-checking search
+    # k >= 7 builds the child and asks the through-position search
     calls = []
-    mrv = perm_core._contains_mrv
-    monkeypatch.setattr(perm_core, "_contains_mrv", lambda *a: calls.append(a) or mrv(*a))
+    pinned = perm_core._contains_pinned
+    monkeypatch.setattr(perm_core, "_contains_pinned", lambda *a: calls.append(a) or pinned(*a))
     pat = (2, 4, 6, 1, 3, 5, 7)
     for t in range(7):
         host = tuple(v - 1 if v > pat[t] else v for i, v in enumerate(pat) if i != t)
@@ -435,6 +453,27 @@ def test_slot_kernel_edge_cases(monkeypatch):
             for vs in range(1, 8):
                 assert _slot_kernel(pat)(host, ps, vs) == _completes(pat, host, ps, vs), (t, ps, vs)
     assert calls
+
+
+def test_through_position_searches_never_call_contains_mrv(monkeypatch):
+    """The tracer wraps ``_contains_pinned`` and ``_contains_mrv`` as leaf
+    spans, which must not nest: k >= 7 searches through a position, and
+    the slot kernels that ask them, run ``_forward_check`` directly."""
+    def forbidden(*args):
+        raise AssertionError("_contains_mrv called from a through-position search")
+
+    monkeypatch.setattr(perm_core, "_contains_mrv", forbidden)
+    rnd = random.Random(7)
+    for k in range(7, 11):
+        pat = tuple(rnd.sample(range(1, k + 1), k))
+        host = tuple(v - 1 if v > pat[0] else v for v in pat[1:])
+        assert _slot_kernel(pat)(host, 1, pat[0])
+        assert _contains_pinned(pat, pat, k - 1)
+        for _ in range(20):
+            n = rnd.randint(k - 1, 14)
+            host = tuple(rnd.sample(range(1, n + 1), n))
+            _contains_pinned(pat, host, rnd.randrange(n))
+            _slot_kernel(pat)(host, rnd.randint(1, n + 1), rnd.randint(1, n + 1))
 
 
 def _through_top_two(pat, host, t):
