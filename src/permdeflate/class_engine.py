@@ -17,6 +17,7 @@ basis element's values k and k - 1 and only k - 2 indices are free
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Iterator, Optional, Union
 
 from .perm_core import (
@@ -89,6 +90,14 @@ def _slot_test(c: PermClass) -> Callable[[tuple[int, ...], int, int], bool]:
     return _any_of([_slot_kernel(b.values) for b in c.basis])
 
 
+def _top_test(c: PermClass) -> Callable[[tuple[int, ...], int, int], bool]:
+    """The second-pin slot test of ``c``: ``blocked(vals, ps, s)`` is True
+    iff a new maximum at slot ps of the member ``vals``, whose maximum
+    sits at position s, completes a basis occurrence, from the basis
+    elements' ``_top_kernel``.  Valid only at an inherited open slot."""
+    return _any_of([_top_kernel(b.values) for b in c.basis])
+
+
 def _class_levels(c: PermClass, max_len: int) -> Iterator[list[tuple[int, ...]]]:
     """Members of ``c`` as raw value tuples, one list per length 1..max_len.
 
@@ -114,7 +123,7 @@ def _class_levels(c: PermClass, max_len: int) -> Iterator[list[tuple[int, ...]]]
     """
     if max_len < 1:
         return
-    blocked = _any_of([_top_kernel(b.values) for b in c.basis])
+    blocked = _top_test(c)
     level = [(1,)] if _avoids_raw((1,), c) else []
     masks = [len(level)]  # the open slots of each member of the level before: the root's
     yield level
@@ -139,6 +148,24 @@ def _class_levels(c: PermClass, max_len: int) -> Iterator[list[tuple[int, ...]]]
         del members  # it holds the old level, which the caller may drop
         masks = opened
         yield level
+
+
+def _candidates(level: list[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(vals, s, cand) for each member of one ``_class_levels`` level, in
+    order: s is the position of the maximum of ``vals`` and ``cand`` the
+    slots it inherits open, by the tree's own formula.  The tree emits a
+    parent's children consecutively, one per open slot in slot order, and
+    siblings agree once their maxima are deleted, so each parent's open
+    mask is read off its run of children; a slot outside ``cand`` is
+    blocked, and ``_top_test`` decides one inside it."""
+    tops = ((vals, vals.index(len(vals))) for vals in level)
+    for _, run in groupby(tops, key=lambda m: m[0][: m[1]] + m[0][m[1] + 1 :]):
+        siblings = list(run)
+        pm = 0
+        for _, s in siblings:
+            pm |= 1 << s
+        for vals, s in siblings:
+            yield vals, s, (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
 
 
 def enumerate_class(c: PermClass, max_len: int) -> Iterator[Permutation]:

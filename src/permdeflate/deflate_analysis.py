@@ -393,19 +393,21 @@ def _bond_splitting_slots(vals: tuple[int, ...]) -> Iterable[tuple[int, int]]:
 def _locked_strips(
     vals: tuple[int, ...],
     blocked: Callable[[tuple[int, ...], int, int], bool],
-    bond: Optional[Bond] = None,
+    bonds: Optional[Iterable[tuple[int, str, int]]] = None,
 ) -> Optional[BondCertificate]:
-    """The certificate on the first bond of the member ``vals`` (left to
-    right, or only ``bond``) whose strip slots are all blocked by
-    ``blocked(vals, ps, vs)``: a class's ``_slot_test``, or a grid's.
+    """The certificate on the first bond of the member ``vals`` whose strip
+    slots are all blocked by ``blocked(vals, ps, vs)``: a class's
+    ``_slot_test``, or a grid's.  ``bonds`` lists the (left_pos, kind,
+    low_value) triples to try, in order, as ``_bond_scan`` yields them;
+    by default every bond, left to right.  A caller that has already ruled
+    some bonds out passes the rest.
     Cells are tested in sorted order, a bond is dropped at its first open
     cell, and objects are built only on success.
     A bond whose strips are entirely exempt (only possible when the bond is
     the whole permutation, n = 2) certifies nothing: the argument needs the
     surrounding box to be a proper part of any extension."""
     n = len(vals)
-    scan = _bond_scan(vals) if bond is None else [(bond.left_pos, bond.kind, bond.low_value)]
-    for i, kind, w in scan:
+    for i, kind, w in _bond_scan(vals) if bonds is None else bonds:
         cells = []
         for ps, vs in _cut_slot_pairs(n, i, i + 1, w, w + 1):
             if not blocked(vals, ps, vs):

@@ -494,8 +494,11 @@ def _emit_kernel(
                 indent += "    "
         lines.append(f"{indent}return True")
     lines.append("    return False")
+    # one filename per kernel, so that profilers keep one row per kernel
+    mode = "top" if second >= 0 else "slot" if slot else "through" if pins else "plain"
+    filename = f"<kernel {' '.join(map(str, pat))} {mode}>"
     namespace: dict = {}
-    exec("\n".join(lines), namespace)
+    exec(compile("\n".join(lines), filename, "exec"), namespace)
     return namespace["test"]
 
 

@@ -13,6 +13,10 @@ The public ``bond_certificate`` checks membership and hands
 of which builds its child.  ``find_witnesses`` and ``verify_corpus`` already hold a
 membership proof (the generating tree, their own ``avoids``), so they hand
 it the class's ``_slot_test`` instead, whose kernels build no child.
+``find_witnesses`` also knows, from the tree, which new-maximum slots each
+member inherits open, so it settles the top cell of every bond's vertical
+strip first, by inheritance or ``_top_test``, and walks only the bonds
+whose top cell is blocked.
 
 The bundled corpus (``deflate_analysis.load_corpus``) ships fourteen
 published witness rows (ten sporadic classes and four parallel
@@ -29,7 +33,16 @@ from typing import Callable, NamedTuple, Optional, Union
 
 from .perm_core import Bond, Permutation, Slot, inflate
 from .decomposition import IntervalSpan, cut_slots
-from .class_engine import PermClass, ShadingGrid, _class_levels, _slot_test, avoids, shading_grid
+from .class_engine import (
+    PermClass,
+    ShadingGrid,
+    _candidates,
+    _class_levels,
+    _slot_test,
+    _top_test,
+    avoids,
+    shading_grid,
+)
 from .deflate_analysis import (
     BondCertificate,
     _locked_strips,
@@ -110,7 +123,15 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
     exhaustive search for simple extensions up to max_len + 2, which must
     come back empty.  The scan trusts the tree's membership proof: it
     tests raw tuples with the class's slot test, without the guard
-    that ``bond_certificate`` keeps, and finds the same certificates."""
+    that ``bond_certificate`` keeps, and finds the same certificates.
+
+    A bond at left position i with low value w first has the top cell of
+    its vertical strip, (i + 1, n + 1), settled from the slots the member
+    inherits open (``_candidates``): exempt when w + 2 > n, blocked when
+    bit i of the inherited mask is clear, else decided by ``_top_test``, whose
+    precondition holds there because the member's sibling with its
+    maximum at the matching parent slot is a member.  Only the bonds
+    whose top cell is blocked go on to the full walk."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if limit < 1:
@@ -118,9 +139,25 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
     reports: list[WitnessReport] = []
     bound = max_len + 2
     blocked = _slot_test(c)
+    top = _top_test(c)
     for level in _class_levels(c, max_len):
-        for vals in level:
-            cert = _locked_strips(vals, blocked)
+        for vals, s, cand in _candidates(level):
+            n = len(vals)
+            # the bonds (i, kind, w) whose top strip cell (i + 1, n + 1) is
+            # exempt or blocked, found as ``_bond_scan`` finds them but
+            # without a generator per member
+            bonds = []
+            a = vals[0]
+            for i in range(1, n):
+                b = vals[i]
+                if b == a + 1:
+                    if a + 2 > n or not cand >> i & 1 or top(vals, i + 1, s):
+                        bonds.append((i, "increasing", a))
+                elif a == b + 1:
+                    if b + 2 > n or not cand >> i & 1 or top(vals, i + 1, s):
+                        bonds.append((i, "decreasing", b))
+                a = b
+            cert = _locked_strips(vals, blocked, bonds) if bonds else None
             if cert is None:
                 continue
             member = Permutation(vals)
@@ -159,7 +196,7 @@ def inflation_family(theta: Permutation) -> FamilyCheck:
     if vals[i] != 4:
         raise AssertionError(f"expected the {{3,4}} bond to survive inflation in {omega_star}")
     grid = ShadingGrid(omega_star, cls)
-    verified = _locked_strips(vals, _grid_test(grid), Bond(i, "increasing", 3)) is not None
+    verified = _locked_strips(vals, _grid_test(grid), [(i, "increasing", 3)]) is not None
     return FamilyCheck(pi_star, omega_star, verified)
 
 

@@ -14,15 +14,18 @@ from permdeflate.perm_core import (
     apply_symmetry,
     delete,
     parse_permutation,
+    _bond_scan,
     _insert_raw,
     _pattern_of,
 )
 from permdeflate.class_engine import (
     PermClass,
     ShadingGrid,
+    _candidates,
     _class_levels,
     _insertion_creates,
     _slot_test,
+    _top_test,
     avoids,
     count_profile,
     enumerate_class,
@@ -163,6 +166,71 @@ def test_open_slots_are_inherited(basis):
             cand = (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
             assert om & ~cand == 0, vals
             opened[vals] = om
+
+
+def _candidates_by_slot(c: PermClass, max_len: int):
+    """Oracle for ``_candidates``: (vals, s, cand) for each member of the
+    per-slot tree, where slot q is in ``cand`` iff the parent slot it
+    descends from (q left of the maximum at s, q - 1 right of it) is open
+    by the full slot test."""
+    blocked = _slot_test(c)
+    for level in _class_levels_by_slot(c, max_len):
+        for vals in level:
+            n = len(vals)
+            s = vals.index(n)
+            parent = vals[:s] + vals[s + 1 :]
+            from_slot = [q if q <= s else q - 1 for q in range(n + 1)]
+            cand = sum(1 << q for q in range(n + 1) if not blocked(parent, from_slot[q] + 1, n))
+            yield vals, s, cand
+
+
+def _check_candidates(c: PermClass, max_len: int) -> set[str]:
+    """Assert ``_candidates`` against its oracle, and the top strip cell
+    (i + 1, n + 1) of every bond whose cell it is, settled from ``cand``
+    and ``_top_test``, against the full slot test; return how the blocked
+    cells were settled."""
+    blocked, top = _slot_test(c), _top_test(c)
+    oracle = _candidates_by_slot(c, max_len)
+    settled = set()
+    for level in _class_levels(c, max_len):
+        for vals, s, cand in _candidates(level):
+            assert (vals, s, cand) == next(oracle), str(c)
+            n = len(vals)
+            for i, _, w in _bond_scan(vals):
+                if w + 2 > n:
+                    continue  # the top cell is exempt
+                inherited = not cand >> i & 1
+                verdict = inherited or top(vals, i + 1, s)
+                assert verdict == blocked(vals, i + 1, n + 1), (str(c), vals, i)
+                if verdict:
+                    settled.add("inherited" if inherited else "second pin")
+    assert next(oracle, None) is None, str(c)
+    return settled
+
+
+@pytest.mark.parametrize(
+    "basis, max_len",
+    [
+        ("25314", 8),
+        ("24153", 8),
+        ("23514", 8),
+        ("24513", 8),
+        ("2413,3142", 7),
+        ("251364,214365879", 8),  # k = 9: the full slot kernel beside a two-pin nest
+    ],
+)
+def test_candidates_and_top_cells_match_the_per_slot_tree(basis, max_len):
+    c = PermClass.of(*basis.split(","))
+    assert _check_candidates(c, max_len) == {"inherited", "second pin"}
+
+
+def test_candidates_and_top_cells_match_the_per_slot_tree_on_random_bases():
+    # 1-3 elements of length 2-8: both kernel routes and mixed bases
+    rng = random.Random(17)
+    for _ in range(50):
+        lengths = [rng.randint(2, 8) for _ in range(rng.randint(1, 3))]
+        c = PermClass(tuple(Permutation(tuple(rng.sample(range(1, k + 1), k))) for k in lengths))
+        _check_candidates(c, 7)
 
 
 def test_enumeration_is_grouped_by_length():

@@ -11,7 +11,10 @@ Generated code has one emitter: the only ``exec`` call under ``src/`` is
 the one in ``perm_core._emit_kernel``.  The containment engine split
 (nest kernels for short patterns, forward checking for long ones) stays
 inside ``perm_core``: no other module imports or reads the names in
-``ENGINE_INTERNALS``.
+``ENGINE_INTERNALS``.  The slot kernels are reached through
+``class_engine``: only ``perm_core`` and ``class_engine`` import or read
+the names in ``SLOT_KERNELS``, and the rest ask ``_slot_test`` or
+``_top_test``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ REEXPORTS = {("witness", "known_deflatable_bases")}
 #: ``_contains_any`` or ``_contains_pinned``, whose ``_search_kernel`` picks
 #: the engine.
 ENGINE_INTERNALS = {"_contains_mrv", "_forward_check", "_value_masks"}
+#: ``perm_core`` names that only ``perm_core`` and ``class_engine`` may
+#: import: the other modules ask a class's ``_slot_test`` or ``_top_test``.
+SLOT_KERNELS = {"_slot_kernel", "_top_kernel"}
 
 
 def _relative_imports(tree: ast.Module) -> list[tuple[ast.ImportFrom, bool, list[str]]]:
@@ -98,13 +104,31 @@ def test_sibling_imports_are_used(path):
     assert not unused, f"{path.name} imports {unused} from a sibling and never uses them"
 
 
+def _reached_names(path: Path) -> set[str]:
+    """Names ``path`` imports from a sibling, and attributes it reads
+    (``perm_core.name``)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {alias.name for node, _, _ in _relative_imports(tree) for alias in node.names}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "perm_core"], ids=lambda p: p.name)
 def test_engine_internals_stay_in_perm_core(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    # names imported from a sibling, and attributes read (``perm_core.name``)
-    names = {alias.name for node, _, _ in _relative_imports(tree) for alias in node.names}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names = _reached_names(path)
     assert not names & ENGINE_INTERNALS, f"{path.name} reaches {names & ENGINE_INTERNALS}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.stem not in {"perm_core", "class_engine"}], ids=lambda p: p.name
+)
+def test_slot_kernels_stay_behind_class_engine(path):
+    names = _reached_names(path)
+    assert not names & SLOT_KERNELS, f"{path.name} reaches {names & SLOT_KERNELS}"
+
+
+def test_class_engine_reaches_the_slot_kernels():
+    # the restriction above guards the names class_engine really uses
+    assert SLOT_KERNELS <= _reached_names(Path(permdeflate.__file__).parent / "class_engine.py")
 
 
 def test_checker_finds_unused_imports():

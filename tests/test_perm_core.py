@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import cProfile
 import itertools
 import math
+import pstats
 import random
 import tracemalloc
 
@@ -549,6 +551,35 @@ def test_top_kernel_matches_itertools():
                         assert _top_kernel(pat)(host, t + 1, s) == expected, (pat, host, t, s)
                         hits[k] = hits.get(k, 0) + expected
     assert all(hits[k] for k in range(2, 11)), hits
+
+
+def test_each_kernel_gets_its_own_profiler_row():
+    # cProfile keys a function by (filename, line, name): every kernel is a
+    # ``test`` at line 1, so only its own filename keeps two kernels apart
+    first = perm_core._emit_kernel((2, 4, 1, 3), range(4), slot=True)
+    second = perm_core._emit_kernel((3, 1, 4, 2), range(4), slot=True)
+    host = (1, 2, 3, 4, 5)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for _ in range(1000):
+        first(host, 3, 2)
+    for _ in range(3000):
+        second(host, 3, 2)
+    profiler.disable()
+    stats = pstats.Stats(profiler).stats
+    rows = sorted((key[0], calls) for key, (_, calls, *_) in stats.items() if key[2] == "test")
+    assert rows == [("<kernel 2 4 1 3 slot>", 1000), ("<kernel 3 1 4 2 slot>", 3000)]
+
+
+def test_kernel_filenames_name_pattern_and_mode():
+    pat = (2, 4, 1, 3)
+    names = {
+        perm_core._emit_kernel(pat).__code__.co_filename,
+        perm_core._emit_kernel(pat, range(4)).__code__.co_filename,
+        perm_core._emit_kernel(pat, range(4), slot=True).__code__.co_filename,
+        perm_core._emit_kernel(pat, [1], slot=True, second=3).__code__.co_filename,
+    }
+    assert names == {f"<kernel 2 4 1 3 {mode}>" for mode in ("plain", "through", "slot", "top")}
 
 
 def test_mrv_handles_patterns_longer_than_the_recursion_limit():
