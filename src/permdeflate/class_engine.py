@@ -17,7 +17,6 @@ basis element's values k and k - 1 and only k - 2 indices are free
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Callable, Iterator, Optional, Union
 
 from .perm_core import (
@@ -98,8 +97,16 @@ def _top_test(c: PermClass) -> Callable[[tuple[int, ...], int, int], bool]:
     return _any_of([_top_kernel(b.values) for b in c.basis])
 
 
-def _class_levels(c: PermClass, max_len: int) -> Iterator[list[tuple[int, ...]]]:
-    """Members of ``c`` as raw value tuples, one list per length 1..max_len.
+class _Level(list):
+    """One length's members, as ``_class_levels`` yields them, and ``masks``:
+    the open-slot mask of each member of the level before, in order.  The
+    members are one run of children per parent, one per set bit of its mask."""
+
+    masks: list[int]
+
+
+def _class_levels(c: PermClass, max_len: int) -> Iterator[_Level]:
+    """Members of ``c`` as raw value tuples, one ``_Level`` per length 1..max_len.
 
     Children are generated by inserting the new maximum at every open slot,
     left to right, of each parent in order.  A member's open slots are an
@@ -116,56 +123,51 @@ def _class_levels(c: PermClass, max_len: int) -> Iterator[list[tuple[int, ...]]]
       maximum and the member's own, so ``_top_kernel`` tests it with two
       pins and k - 2 free indices (the full ``_slot_kernel`` for k >= 9).
 
-    The root's one child, (1), is a member iff it avoids the basis.
-    Besides the level being built and the one before, this keeps one mask
-    per member of the level before that, and none for the parents of the
-    last level.
+    The root's one child, (1), is a member iff it avoids the basis.  Each
+    level keeps one mask reference per parent in ``masks``, one list
+    allocated at full size, and equal masks share one int object.  The
+    tree drops a level once it has yielded the next.
     """
     if max_len < 1:
         return
     blocked = _top_test(c)
-    level = [(1,)] if _avoids_raw((1,), c) else []
-    masks = [len(level)]  # the open slots of each member of the level before: the root's
+    level = _Level([(1,)] if _avoids_raw((1,), c) else [])
+    level.masks = [len(level)]  # the root's open slots
     yield level
     for n in range(2, max_len + 1):
-        members = iter(level)
-        level, opened = [], []
+        parents, level = level, _Level()
+        level.masks = opened = [0] * len(parents)  # preallocated: appends raise peak RSS
         shared: dict[int, int] = {}  # one int object per distinct mask, not per member
-        for pm in masks:
+        j = 0
+        for pm in parents.masks:
             for s in range(n - 1):
                 if not pm >> s & 1:
                     continue
                 # the member with its maximum at s, and the slots it inherits
-                vals = next(members)
+                vals = parents[j]
                 cand = (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
                 om = 0
                 for q in range(n):
                     if cand >> q & 1 and not blocked(vals, q + 1, s):
                         om |= 1 << q
                         level.append(vals[:q] + (n,) + vals[q:])
-                if n < max_len:
-                    opened.append(shared.setdefault(om, om))
-        del members  # it holds the old level, which the caller may drop
-        masks = opened
+                opened[j] = shared.setdefault(om, om)
+                j += 1
+        del parents  # the caller may drop it
         yield level
 
 
-def _candidates(level: list[tuple[int, ...]]) -> Iterator[tuple[tuple[int, ...], int, int]]:
+def _candidates(level: _Level) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """(vals, s, cand) for each member of one ``_class_levels`` level, in
     order: s is the position of the maximum of ``vals`` and ``cand`` the
-    slots it inherits open, by the tree's own formula.  The tree emits a
-    parent's children consecutively, one per open slot in slot order, and
-    siblings agree once their maxima are deleted, so each parent's open
-    mask is read off its run of children; a slot outside ``cand`` is
+    slots it inherits open, by the tree's own formula, read off the
+    parents' masks that the level carries.  A slot outside ``cand`` is
     blocked, and ``_top_test`` decides one inside it."""
-    tops = ((vals, vals.index(len(vals))) for vals in level)
-    for _, run in groupby(tops, key=lambda m: m[0][: m[1]] + m[0][m[1] + 1 :]):
-        siblings = list(run)
-        pm = 0
-        for _, s in siblings:
-            pm |= 1 << s
-        for vals, s in siblings:
-            yield vals, s, (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
+    members = iter(level)
+    for pm in level.masks:
+        for s in range(pm.bit_length()):
+            if pm >> s & 1:
+                yield next(members), s, (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
 
 
 def enumerate_class(c: PermClass, max_len: int) -> Iterator[Permutation]:

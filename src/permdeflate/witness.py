@@ -13,10 +13,9 @@ The public ``bond_certificate`` checks membership and hands
 of which builds its child.  ``find_witnesses`` and ``verify_corpus`` already hold a
 membership proof (the generating tree, their own ``avoids``), so they hand
 it the class's ``_slot_test`` instead, whose kernels build no child.
-``find_witnesses`` also knows, from the tree, which new-maximum slots each
-member inherits open, so it settles the top cell of every bond's vertical
-strip first, by inheritance or ``_top_test``, and walks only the bonds
-whose top cell is blocked.
+Each tree level carries its parents' open-slot masks, so ``find_witnesses``
+settles the top cell of every bond's vertical strip first, by inheritance
+or ``_top_test``, and walks only the bonds whose top cell is blocked.
 
 The bundled corpus (``deflate_analysis.load_corpus``) ships fourteen
 published witness rows (ten sporadic classes and four parallel
@@ -126,12 +125,11 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
     that ``bond_certificate`` keeps, and finds the same certificates.
 
     A bond at left position i with low value w first has the top cell of
-    its vertical strip, (i + 1, n + 1), settled from the slots the member
-    inherits open (``_candidates``): exempt when w + 2 > n, blocked when
-    bit i of the inherited mask is clear, else decided by ``_top_test``, whose
-    precondition holds there because the member's sibling with its
-    maximum at the matching parent slot is a member.  Only the bonds
-    whose top cell is blocked go on to the full walk."""
+    its vertical strip, (i + 1, n + 1), settled from ``cand``, the slots
+    the member inherits open, read off its parent's mask by ``_candidates``:
+    exempt when w + 2 > n, blocked when bit i of ``cand`` is clear, else
+    decided by ``_top_test``, whose precondition an open parent slot
+    meets.  Only the bonds whose top cell is blocked go on to the full walk."""
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     if limit < 1:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -185,15 +186,22 @@ def _candidates_by_slot(c: PermClass, max_len: int):
 
 
 def _check_candidates(c: PermClass, max_len: int) -> set[str]:
-    """Assert ``_candidates`` against its oracle, and the top strip cell
-    (i + 1, n + 1) of every bond whose cell it is, settled from ``cand``
-    and ``_top_test``, against the full slot test; return how the blocked
-    cells were settled."""
+    """Assert each level's parent masks and ``_candidates`` against its
+    oracle, and the top strip cell (i + 1, n + 1) of every bond whose cell
+    it is, settled from ``cand`` and ``_top_test``, against the full slot
+    test; return how the blocked cells were settled."""
     blocked, top = _slot_test(c), _top_test(c)
     oracle = _candidates_by_slot(c, max_len)
     settled = set()
+    parents = 1  # the root
     for level in _class_levels(c, max_len):
-        for vals, s, cand in _candidates(level):
+        # one mask per member of the level before, one set bit per member
+        assert len(level.masks) == parents, str(c)
+        assert sum(pm.bit_count() for pm in level.masks) == len(level), str(c)
+        candidates = list(_candidates(level))
+        assert [vals for vals, _, _ in candidates] == level, str(c)
+        parents = len(level)
+        for vals, s, cand in candidates:
             assert (vals, s, cand) == next(oracle), str(c)
             n = len(vals)
             for i, _, w in _bond_scan(vals):
@@ -222,6 +230,25 @@ def _check_candidates(c: PermClass, max_len: int) -> set[str]:
 def test_candidates_and_top_cells_match_the_per_slot_tree(basis, max_len):
     c = PermClass.of(*basis.split(","))
     assert _check_candidates(c, max_len) == {"inherited", "second pin"}
+
+
+@pytest.mark.parametrize("basis", ["1", "12,21", "12", "123,321"])
+def test_candidates_where_levels_empty_out_or_parents_have_no_open_slot(basis):
+    # Av(1) is empty from length 1, Av(12, 21) from length 2 and Av(123, 321)
+    # from length 5; in Av(12) every member has one open slot
+    _check_candidates(PermClass.of(*basis.split(",")), 6)
+
+
+def test_the_tree_drops_each_level_once_it_yields_the_next():
+    # a caller that drops a level frees it: the tree keeps no reference to
+    # a level it has yielded once it has yielded the next
+    levels = _class_levels(PermClass.of("2413"), 7)
+    previous = weakref.ref(next(levels))
+    for level in levels:
+        assert previous() is None
+        previous = weakref.ref(level)
+        del level
+    assert previous() is None
 
 
 def test_candidates_and_top_cells_match_the_per_slot_tree_on_random_bases():

@@ -14,7 +14,8 @@ inside ``perm_core``: no other module imports or reads the names in
 ``ENGINE_INTERNALS``.  The slot kernels are reached through
 ``class_engine``: only ``perm_core`` and ``class_engine`` import or read
 the names in ``SLOT_KERNELS``, and the rest ask ``_slot_test`` or
-``_top_test``.
+``_top_test``.  The levels of the generating tree carry their parents'
+open-slot masks, and only ``class_engine`` reads them (``LEVEL_MASKS``).
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ ENGINE_INTERNALS = {"_contains_mrv", "_forward_check", "_value_masks"}
 #: ``perm_core`` names that only ``perm_core`` and ``class_engine`` may
 #: import: the other modules ask a class's ``_slot_test`` or ``_top_test``.
 SLOT_KERNELS = {"_slot_kernel", "_top_kernel"}
+#: The attribute of a ``class_engine._class_levels`` level that holds its
+#: parents' open-slot masks: the other modules read a level as a list, and
+#: ask ``_candidates`` for each member's inherited open slots.
+LEVEL_MASKS = "masks"
 
 
 def _relative_imports(tree: ast.Module) -> list[tuple[ast.ImportFrom, bool, list[str]]]:
@@ -129,6 +134,16 @@ def test_slot_kernels_stay_behind_class_engine(path):
 def test_class_engine_reaches_the_slot_kernels():
     # the restriction above guards the names class_engine really uses
     assert SLOT_KERNELS <= _reached_names(Path(permdeflate.__file__).parent / "class_engine.py")
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "class_engine"], ids=lambda p: p.name)
+def test_level_masks_stay_behind_class_engine(path):
+    assert LEVEL_MASKS not in _reached_names(path), f"{path.name} reads a level's masks"
+
+
+def test_class_engine_reads_the_level_masks():
+    # the restriction above guards the attribute class_engine really reads
+    assert LEVEL_MASKS in _reached_names(Path(permdeflate.__file__).parent / "class_engine.py")
 
 
 def test_checker_finds_unused_imports():

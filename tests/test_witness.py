@@ -296,6 +296,26 @@ def test_find_witnesses_settles_top_cells_before_the_walk(monkeypatch):
     assert 0 < calls < 4500
 
 
+@pytest.mark.parametrize("basis, max_len, limit, found", [("251364", 8, 2, 1), ("25314", 7, 1, 0)])
+def test_find_witnesses_reads_levels_through_a_re_yielding_wrapper(
+    monkeypatch, basis, max_len, limit, found
+):
+    # the benchmark's tracer and its cover workload wrap ``_class_levels``
+    # in a plain generator that re-yields each level: the search must get
+    # the tree's own level objects through it
+    c = PermClass.of(basis)
+    reports = find_witnesses(c, max_len, limit)
+    assert len(reports) == found
+    levels = witness._class_levels
+
+    def observed(*args):
+        for level in levels(*args):
+            yield level
+
+    monkeypatch.setattr(witness, "_class_levels", observed)
+    assert find_witnesses(c, max_len, limit) == reports
+
+
 @pytest.mark.parametrize(
     "basis, max_len, found, position, kind",
     [("12", 5, "3 2 1", 1, "decreasing"), ("251364", 8, "2 5 1 7 3 4 8 6", 5, "increasing")],
