@@ -24,7 +24,6 @@ from .perm_core import (
     Slot,
     _contains_any,
     _contains_pinned,
-    _insert_raw,
     _slot_kernel,
     _top_kernel,
     parse_permutation,
@@ -202,16 +201,12 @@ def count_profile(c: PermClass, max_len: int) -> list[tuple[int, int, int]]:
     return rows
 
 
-def _insertion_creates(c: PermClass, child: tuple[int, ...], q: int) -> bool:
-    """Does the entry at 0-based position ``q`` of ``child`` complete a
-    basis occurrence?  Valid when ``child`` minus that entry avoids ``c``,
-    since then every occurrence uses that entry.  Its two callers hold a
-    built child anyway, and ``perfbench`` counts grid cells, BFS children
-    and pinned calls only here, so they stay off ``_slot_test``:
-    ``ShadingGrid.is_blocked`` (the slot kernels' oracle) and
-    ``_bfs_extension`` (which keeps the child).
-    """
-    return any(_contains_pinned(b.values, child, q) for b in c.basis)
+def _insertion_creates(c: PermClass, vals: tuple[int, ...], ps: int, vs: int) -> bool:
+    """Does a new entry at slot (ps, vs) of the member ``vals`` complete a
+    basis occurrence?  ``_slot_test``'s question, asked per call through
+    ``_contains_pinned`` so that ``perfbench`` can count it: its callers
+    are ``ShadingGrid.is_blocked`` and ``_bfs_extension``."""
+    return any(_contains_pinned(b.values, vals, ps, vs) for b in c.basis)
 
 
 class ShadingGrid:
@@ -228,14 +223,13 @@ class ShadingGrid:
         self._blocked: Optional[frozenset[Slot]] = None
 
     def is_blocked(self, slot: Slot) -> bool:
-        """Does inserting at ``slot`` create a basis pattern?  Builds the
-        child, unlike ``_slot_test``: this is the slot kernels' oracle,
-        and the traced grid cells go through ``_insertion_creates``."""
+        """Does inserting at ``slot`` create a basis pattern?  Asks the slot
+        kernels on the host through ``_insertion_creates``; for basis
+        elements of length <= 6 no child is built."""
         n = len(self.host)
         if not (1 <= slot.pos_slot <= n + 1 and 1 <= slot.val_slot <= n + 1):
             raise ValueError(f"slot {slot} outside the {n + 1}x{n + 1} grid")
-        ps = slot.pos_slot
-        return _insertion_creates(self.pclass, _insert_raw(self.host.values, ps, slot.val_slot), ps - 1)
+        return _insertion_creates(self.pclass, self.host.values, slot.pos_slot, slot.val_slot)
 
     @property
     def blocked(self) -> frozenset[Slot]:

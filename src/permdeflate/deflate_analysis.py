@@ -354,6 +354,7 @@ def _bfs_extension(w: Permutation, c: PermClass, max_len: int) -> Optional[Simpl
     permutation of length 3 is simple.  So the last level has the same
     simple children, and the same least one, as the full grid.  Earlier
     levels keep every slot: a child that keeps a bond may split it later.
+    Each slot is tested on its parent, so only the children kept are built.
     """
     frontier = {w.values}
     for n in range(len(w), max_len):
@@ -364,9 +365,8 @@ def _bfs_extension(w: Permutation, c: PermClass, max_len: int) -> Optional[Simpl
             else:
                 slots = _bond_splitting_slots(vals)
             for ps, vs in slots:
-                child = _insert_raw(vals, ps, vs)
-                if child not in nxt and not _insertion_creates(c, child, ps - 1):
-                    nxt.add(child)
+                if not _insertion_creates(c, vals, ps, vs):
+                    nxt.add(_insert_raw(vals, ps, vs))
         for child in sorted(nxt):
             if _is_simple(child):
                 return SimpleExtension(Permutation(child), ())

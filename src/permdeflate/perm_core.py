@@ -14,20 +14,21 @@ forward-checking search that keeps, per pattern index, the host positions
 still open to it as one int bit mask and branches on the index with the
 fewest (most constrained first, MRV); ``contains()``, which must report
 positions, runs a left-to-right DFS for the lexicographically least
-occurrence.  ``_search_kernel`` picks the engine by k for both existence
-questions: ``_contains_any`` (does a host contain the pattern?) and
-``_contains_pinned`` (through host position q?, the shading grid's and the
-BFS's question about a new entry).  ``_slot_kernel`` asks whether a new
-entry at a slot completes the pattern, with the entry virtual so that no
-child is built (``_contains_pinned`` on the child for k >= 7): the
-interval breaks and the certificate walk ask it.  ``_top_kernel`` serves
-the generating tree, where a new maximum goes into a member at a slot that
-the member inherits open from its parent.  There a new occurrence must use
-both the new maximum and the member's own, as the pattern's values k
-and k - 1, so a second-pin nest from the same emitter places both and
-loops over the other k - 2 indices only, each in the position zone the two
-pins fix (k <= 8, so at most six loops; k >= 9 asks ``_slot_kernel``).
-Nothing recurses, so pattern length is bounded only by ``MAX_LENGTH``.
+occurrence.  Two questions pick the engine by k.  ``_search_kernel``
+asks whether a host contains the pattern (``_contains_any``).
+``_slot_kernel`` asks whether a new entry at a slot of a host completes
+it: every cell question (the generating tree's for k >= 9, the interval
+breaks, the certificate walks, the shading grid and the BFS through
+``_contains_pinned``) is this one.  For k <= 6 the entry is virtual, so
+no child is built; k >= 7 builds the child only when the entry fits some
+pattern index.  ``_top_kernel`` serves the generating tree, where a new
+maximum goes into a member at a slot that the member inherits open from
+its parent.  There a new occurrence must use both the new maximum and
+the member's own, as the pattern's values k and k - 1, so a second-pin
+nest from the same emitter places both and loops over the other k - 2
+indices only, each in the position zone the two pins fix (k <= 8, so at
+most six loops; k >= 9 asks ``_slot_kernel``).  Nothing recurses, so
+pattern length is bounded only by ``MAX_LENGTH``.
 """
 
 from __future__ import annotations
@@ -414,38 +415,31 @@ def _find_occurrence(pat: tuple[int, ...], host: tuple[int, ...]) -> Optional[li
             pos = chosen[j] + 1
 
 
-def _emit_kernel(
-    pat: tuple[int, ...], pins: Sequence[int] = (), slot: bool = False, second: int = -1
-) -> Callable[..., bool]:
+def _emit_kernel(pat: tuple[int, ...], pins: Sequence[int] = (), second: int = -1) -> Callable[..., bool]:
     """The one kernel emitter: compile nested ``for`` loops that look for
-    ``pat`` in ``host``, one nest per pattern index in ``pins`` behind a
-    room check, or one unpinned nest, ``test(host)``, when ``pins`` is
-    empty.  A nest places its pin first, then the indices left of the
-    leftmost pin nearest first, then the rest left to right; loop ranges
-    keep each index between its placed neighbours with room for the
-    indices still unplaced, and each value is compared only with the
-    nearest placed values below and above.  The pinned entry has value
-    ``vs``.  Without ``slot`` the test is ``test(host, q)``: the entry is
-    ``host[q]``, read once a q outside the host has returned False.  With
-    ``slot`` it is ``test(host, ps, vs)`` and the entry is a virtual new
-    one before position ``q = ps - 1``: indices right of it start at
-    ``q``, and ``v`` lies above it iff ``vs <= v``.  ``second >= 0``
-    (with ``slot``) is the second-pin mode, ``test(host, ps, s)``: index
+    ``pat`` in ``host``.  With no ``pins`` it is one unpinned nest,
+    ``test(host)``.  With ``pins`` it is the slot test ``test(host, ps,
+    vs)``: one nest per pattern index in ``pins``, behind a room check,
+    each placing that index on a virtual new entry of value ``vs`` before
+    position ``q = ps - 1``.  A nest places its pin first, then the
+    indices left of the leftmost pin nearest first, then the rest left to
+    right; loop ranges keep each index between its placed neighbours with
+    room for the indices still unplaced (indices right of the entry start
+    at ``q``), and each value is compared only with the nearest placed
+    values below and above (``v`` lies above the entry iff ``vs <= v``).
+    ``second >= 0`` is the second-pin mode, ``test(host, ps, s)``: index
     ``second`` sits at host position ``s`` too, and the caller promises
     that the two pins hold the occurrence's two largest values, so no
     value is compared with theirs and only the other k - 2 indices loop,
     each in the position zone the two pins fix.  The text holds only
     identifiers and integers, never a host value."""
     k = len(pat)
-    takes = 0 if slot else 1  # 1 if the pinned entry takes a host position
-    args = "host, ps, s" if second >= 0 else "host, ps, vs" if slot else "host, q" if pins else "host"
-    lines = [f"def test({args}):", "    q = ps - 1"] if slot else [f"def test({args}):"]
+    args = "host, ps, s" if second >= 0 else "host, ps, vs" if pins else "host"
+    lines = [f"def test({args}):", "    q = ps - 1"] if pins else [f"def test({args}):"]
     lines.append("    n = len(host)")
-    if pins and not slot:
-        lines += ["    if not 0 <= q < n:", "        return False", "    vs = host[q]"]
     for pin_j in pins or [-1]:
         # pinned index -> (host position, 1 if it takes that position, 0 if virtual)
-        fixed = {} if pin_j < 0 else {pin_j: ("q", takes)}
+        fixed = {} if pin_j < 0 else {pin_j: ("q", 0)}
         if second >= 0:
             fixed[second] = ("s", 1)
         first = min(fixed, default=0)
@@ -462,7 +456,7 @@ def _emit_kernel(
             room.append(f"n - {fixed[last][0]} >= {k - 1 - last + fixed[last][1]}")
             if second < 0:
                 # pat[pin_j]-1 values below vs, k-pat[pin_j] above
-                room.append(f"vs >= {pat[pin_j]} and n - vs >= {k - 1 - pat[pin_j] + takes}")
+                room.append(f"vs >= {pat[pin_j]} and n - vs >= {k - 1 - pat[pin_j]}")
             lines.append(f"    if {' and '.join(room)}:")
             indent += "    "
         # the pattern read in placement order: its neighbour refs are, per
@@ -487,7 +481,7 @@ def _emit_kernel(
             lines.append(f"{indent}v{j} = host[p{j}]")
             below = value[order[lo_ref[step]]] if lo_ref[step] >= 0 else ""
             above = value[order[hi_ref[step]]] if hi_ref[step] >= 0 else ""
-            below = "" if not below else "vs <= " if below == "vs" and slot else f"{below} < "
+            below = "" if not below else "vs <= " if below == "vs" else f"{below} < "
             above = f" < {above}" if above else ""
             if below or above:
                 lines.append(f"{indent}if {below}v{j}{above}:")
@@ -495,7 +489,7 @@ def _emit_kernel(
         lines.append(f"{indent}return True")
     lines.append("    return False")
     # one filename per kernel, so that profilers keep one row per kernel
-    mode = "top" if second >= 0 else "slot" if slot else "through" if pins else "plain"
+    mode = "top" if second >= 0 else "slot" if pins else "plain"
     filename = f"<kernel {' '.join(map(str, pat))} {mode}>"
     namespace: dict = {}
     exec(compile("\n".join(lines), filename, "exec"), namespace)
@@ -503,39 +497,16 @@ def _emit_kernel(
 
 
 @lru_cache(maxsize=4096)
-def _search_kernel(pat: tuple[int, ...], through: bool = False) -> Callable[..., bool]:
-    """The existence test for ``pat`` on a built host, built once per
-    (pattern, mode) and cached: ``test(host)`` is True iff ``host``
-    contains ``pat``; with ``through``, ``test(host, q)`` is True iff it
-    contains one with some pattern index at position q (False for a q
-    outside the host).  For k <= 6 it is ``_emit_kernel``'s unpinned nest,
-    or its nest chain with one nest per pattern index.  For k >= 7, where
-    any fixed loop order degenerates on long rigid patterns, it is
-    ``_contains_mrv``, looked up at call time so that a wrapper on the
-    module attribute sees every call, or, through q, ``_forward_check``
-    once for each index t that the entry, of value v in a host of length
-    n, fits: ``t <= q``, ``k - t <= n - q``, ``pat[t] <= v`` and
-    ``k - pat[t] <= n - v``, on one set of value masks.  The through test
-    never calls ``_contains_mrv``, so that traced searches through a
-    position and plain ones stay apart."""
-    k = len(pat)
-    if k <= 6:
-        return _emit_kernel(pat, range(k) if through else ())
-    if not through:
-        return lambda host: _contains_mrv(pat, host)
-
-    def test(host: tuple[int, ...], q: int) -> bool:
-        n = len(host)
-        if not 0 <= q < n:
-            return False
-        v = host[q]
-        fits = [t for t in range(k) if t <= q and k - t <= n - q and pat[t] <= v and k - pat[t] <= n - v]
-        if not fits:
-            return False
-        le, ge = _value_masks(host, k)
-        return any(_forward_check(pat, host, le, ge, t, q) for t in fits)
-
-    return test
+def _search_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...]], bool]:
+    """The existence test for ``pat``, built once and cached: ``test(host)``
+    is True iff ``host`` contains ``pat``.  For k <= 6 it is
+    ``_emit_kernel``'s unpinned nest.  For k >= 7, where any fixed loop
+    order degenerates on long rigid patterns, it is ``_contains_mrv``,
+    looked up at call time so that a wrapper on the module attribute sees
+    every call."""
+    if len(pat) <= 6:
+        return _emit_kernel(pat)
+    return lambda host: _contains_mrv(pat, host)
 
 
 @lru_cache(maxsize=4096)
@@ -543,12 +514,28 @@ def _slot_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], 
     """The slot test for ``pat``, built once and cached: ``blocked(host, ps,
     vs)`` is True iff a new entry at slot (ps, vs) of ``host`` completes an
     occurrence of ``pat`` through it.  For k <= 6 it is one nest per
-    pattern index from ``_emit_kernel``, with no child built; for k >= 7,
-    ``_contains_pinned`` on the child."""
+    pattern index from ``_emit_kernel``, with no child built.  For k >= 7
+    it lists the indices t that the entry, at position q = ps - 1 and of
+    value vs in a child of length n, fits: ``t <= q``, ``k - t <= n - q``,
+    ``pat[t] <= vs`` and ``k - pat[t] <= n - vs``.  It returns False when
+    there is none, and else builds the child and runs ``_forward_check``
+    once per fitting t, with that index on the entry, on one set of value
+    masks.  It never calls ``_contains_mrv``, so that traced slot tests
+    and plain searches stay apart."""
     k = len(pat)
     if k <= 6:
-        return _emit_kernel(pat, range(k), slot=True)
-    return lambda host, ps, vs: _contains_pinned(pat, _insert_raw(host, ps, vs), ps - 1)
+        return _emit_kernel(pat, range(k))
+
+    def blocked(host: tuple[int, ...], ps: int, vs: int) -> bool:
+        n, q = len(host) + 1, ps - 1
+        fits = [t for t in range(k) if t <= q and k - t <= n - q and pat[t] <= vs and k - pat[t] <= n - vs]
+        if not fits:
+            return False
+        child = _insert_raw(host, ps, vs)
+        le, ge = _value_masks(child, k)
+        return any(_forward_check(pat, child, le, ge, t, q) for t in fits)
+
+    return blocked
 
 
 @lru_cache(maxsize=4096)
@@ -567,17 +554,17 @@ def _top_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], b
     """
     k = len(pat)
     if 2 <= k <= 8:
-        return _emit_kernel(pat, [pat.index(k)], slot=True, second=pat.index(k - 1))
+        return _emit_kernel(pat, [pat.index(k)], second=pat.index(k - 1))
     blocked = _slot_kernel(pat)
     return lambda host, ps, s: blocked(host, ps, len(host) + 1)
 
 
-def _contains_pinned(pat: tuple[int, ...], host: tuple[int, ...], q: int) -> bool:
-    """Does ``host`` contain ``pat`` with some pattern index at position
-    ``q`` (False for a q outside the host)?  When a host is one insertion
-    away from a known avoider, any new occurrence uses the new entry.
-    The kernel of ``_search_kernel(pat, True)``."""
-    return _search_kernel(pat, True)(host, q)
+def _contains_pinned(pat: tuple[int, ...], host: tuple[int, ...], ps: int, vs: int) -> bool:
+    """Does a new entry at slot (ps, vs) of ``host`` complete an occurrence
+    of ``pat``?  The kernel of ``_slot_kernel``, behind one name that a
+    tracer can count: the shading grid's cells and the BFS's slot tests
+    reach it through ``class_engine._insertion_creates``."""
+    return _slot_kernel(pat)(host, ps, vs)
 
 
 def _contains_any(pat: tuple[int, ...], host: tuple[int, ...]) -> bool:

@@ -10,9 +10,10 @@ by later insertions, so no extension is simple.
 
 The public ``bond_certificate`` checks membership and hands
 ``deflate_analysis._locked_strips`` the cells of a ``ShadingGrid``, each
-of which builds its child.  ``find_witnesses`` and ``verify_corpus`` already hold a
-membership proof (the generating tree, their own ``avoids``), so they hand
-it the class's ``_slot_test`` instead, whose kernels build no child.
+of which asks the slot kernels once.  ``find_witnesses`` and
+``verify_corpus`` already hold a membership proof (the generating tree,
+their own ``avoids``), so they hand it the class's ``_slot_test``: the
+same kernels, without the grid's range check and per-cell calls.
 Each tree level carries its parents' open-slot masks, so ``find_witnesses``
 settles the top cell of every bond's vertical strip first, by inheritance
 or ``_top_test``, and walks only the bonds whose top cell is blocked.

@@ -22,6 +22,7 @@ from permdeflate.perm_core import (
 from permdeflate.class_engine import (
     PermClass,
     ShadingGrid,
+    _avoids_raw,
     _candidates,
     _class_levels,
     _insertion_creates,
@@ -47,6 +48,14 @@ def _avoids_by_combinations(vals: tuple[int, ...], c: PermClass) -> bool:
     return not any(
         _pattern_of(s) == b.values for b in c.basis for s in itertools.combinations(vals, len(b))
     )
+
+
+def _creates_by_child(c: PermClass, vals: tuple[int, ...], ps: int, vs: int) -> bool:
+    """Oracle for the slot kernels on a member ``vals``: build the child and
+    test its membership with the plain kernels (``_contains_mrv`` for
+    k >= 7).  Every new occurrence uses the new entry, since ``vals``
+    avoids ``c``."""
+    return not _avoids_raw(_insert_raw(vals, ps, vs), c)
 
 
 def test_basis_normalisation():
@@ -413,27 +422,26 @@ def _slot_image(slot: Slot, sym, n: int) -> Slot:
 
 @pytest.mark.parametrize("basis", ["2413", "25314", "251364", "2 4 6 8 1 3 5 7", "2413,4135762"])
 def test_slot_test_matches_the_grid_to_7(basis):
-    # the slot test against the grid's built-child test, on every cell of
-    # every member; the alternation class runs the k >= 7 fallback, and
-    # the last class meets a k <= 6 kernel and the fallback in one any()
+    # the slot test and the grid against the built-child membership test,
+    # on every cell of every member; the alternation class runs the k >= 7
+    # forward check, and the last class meets a k <= 6 kernel and the
+    # forward check in one any()
     c = PermClass.of(*basis.split(","))
     blocked = _slot_test(c)
     for level in _class_levels(c, 7):
         for vals in level:
             n = len(vals)
-            raw = {
-                Slot(ps, vs)
-                for ps in range(1, n + 2)
-                for vs in range(1, n + 2)
-                if blocked(vals, ps, vs)
-            }
-            assert raw == ShadingGrid(Permutation(vals), c).blocked, vals
+            cells = [Slot(ps, vs) for ps in range(1, n + 2) for vs in range(1, n + 2)]
+            expected = {s for s in cells if _creates_by_child(c, vals, s.pos_slot, s.val_slot)}
+            assert {s for s in cells if blocked(vals, s.pos_slot, s.val_slot)} == expected, vals
+            assert ShadingGrid(Permutation(vals), c).blocked == expected, vals
 
 
 def test_insertion_creates_matches_the_slot_test_on_random_classes():
-    """The built-child test against the slot test, at every slot of
-    random members up to length 10, over classes with one basis element
-    of length <= 6 and one of length >= 7, so that both engines run."""
+    """The per-call and the per-class slot tests against the built-child
+    membership test, at every slot of random members up to length 10,
+    over classes with one basis element of length <= 6 and one of length
+    >= 7, so that both engines run."""
     rng = random.Random(5)
     for _ in range(12):
         while True:
@@ -448,11 +456,11 @@ def test_insertion_creates_matches_the_slot_test_on_random_classes():
             open_slots = []
             for ps in range(1, n + 2):
                 for vs in range(1, n + 2):
-                    child = _insert_raw(vals, ps, vs)
-                    creates = _insertion_creates(c, child, ps - 1)
-                    assert creates == blocked(vals, ps, vs), (c, vals, ps, vs)
+                    creates = _creates_by_child(c, vals, ps, vs)
+                    assert _insertion_creates(c, vals, ps, vs) == creates, (c, vals, ps, vs)
+                    assert blocked(vals, ps, vs) == creates, (c, vals, ps, vs)
                     if not creates:
-                        open_slots.append(child)
+                        open_slots.append(_insert_raw(vals, ps, vs))
             if not open_slots:
                 break
             vals = rng.choice(open_slots)

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from permdeflate import class_engine, deflate_analysis, perm_core
 from permdeflate.perm_core import (
     Permutation,
     Slot,
@@ -30,7 +31,8 @@ from permdeflate.class_engine import (
     avoids,
     enumerate_class,
     enumerate_simples,
-    _insertion_creates,
+    shading_grid,
+    _avoids_raw,
 )
 from permdeflate.deflate_analysis import (
     EMBED_EXCLUDED,
@@ -293,7 +295,8 @@ def test_extend_witness_is_stuck():
 def _unpruned_bfs(w, c, max_len):
     """Reference for ``_bfs_extension``: every slot of every frontier member
     at every level, with no pruning of the last level to bond-splitting
-    slots."""
+    slots, and each child built and tested for membership with the plain
+    kernels rather than the slot kernels."""
     frontier = {w.values}
     for n in range(len(w), max_len):
         nxt = set()
@@ -301,7 +304,7 @@ def _unpruned_bfs(w, c, max_len):
             for ps in range(1, n + 2):
                 for vs in range(1, n + 2):
                     child = _insert_raw(vals, ps, vs)
-                    if child not in nxt and not _insertion_creates(c, child, ps - 1):
+                    if _avoids_raw(child, c):
                         nxt.add(child)
         for child in sorted(nxt):
             if _is_simple(child):
@@ -330,6 +333,39 @@ def test_bfs_last_level_splits_two_bonds_at_once():
     res = _bfs_extension(P("2143"), PermClass.of("321"), 5)
     assert res == SimpleExtension(P("2 4 1 5 3"), ())
     assert res == _unpruned_bfs(P("2143"), PermClass.of("321"), 5)
+
+
+def test_no_child_is_built_to_test_a_cell(monkeypatch):
+    """For a class of basis length <= 6 the shading grid builds no child,
+    and the BFS builds one child per slot that its test finds open."""
+    built = []
+    insert_raw = perm_core._insert_raw
+
+    def counting_insert(*args):
+        built.append(args)
+        return insert_raw(*args)
+
+    for module in (perm_core, class_engine, deflate_analysis):
+        if hasattr(module, "_insert_raw"):
+            monkeypatch.setattr(module, "_insert_raw", counting_insert)
+    c = PermClass.of("251364")
+    assert shading_grid(P("25173486"), c).blocked
+    assert not built
+
+    opened = []
+    creates = deflate_analysis._insertion_creates
+
+    def counting_test(c, vals, ps, vs):
+        blocked = creates(c, vals, ps, vs)
+        if not blocked:
+            opened.append((vals, ps, vs))
+        return blocked
+
+    monkeypatch.setattr(deflate_analysis, "_insertion_creates", counting_test)
+    # two levels, the last one on bond-splitting slots only, and no simple
+    # member at either
+    assert _bfs_extension(P("25173486"), c, 10) is None
+    assert opened and built == opened
 
 
 def test_extend_validates_inputs():

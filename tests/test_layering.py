@@ -34,8 +34,8 @@ EXEMPT = {"__init__", "__main__"}
 #: import ``known_deflatable_bases`` from ``permdeflate.witness``.
 REEXPORTS = {("witness", "known_deflatable_bases")}
 #: ``perm_core`` names that only ``perm_core`` may import: other modules ask
-#: ``_contains_any`` or ``_contains_pinned``, whose ``_search_kernel`` picks
-#: the engine.
+#: ``_contains_any``, whose ``_search_kernel`` picks the engine, or a slot
+#: kernel (``class_engine`` through ``_contains_pinned``), which picks its own.
 ENGINE_INTERNALS = {"_contains_mrv", "_forward_check", "_value_masks"}
 #: ``perm_core`` names that only ``perm_core`` and ``class_engine`` may
 #: import: the other modules ask a class's ``_slot_test`` or ``_top_test``.

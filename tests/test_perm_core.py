@@ -35,6 +35,7 @@ from permdeflate.perm_core import (
     _contains_any,
     _contains_mrv,
     _contains_pinned,
+    _delete_raw,
     _find_occurrence,
     _pattern_of,
     _search_kernel,
@@ -164,20 +165,22 @@ def test_contains_matches_brute_force_randomised():
 @st.composite
 def searches(draw):
     """A pattern (k <= 6), a host (n <= 9) and an optional pinned host
-    position q, 0-based, from -3 to n so that some lie outside the host."""
+    position q, 0-based, inside the host."""
     k = draw(st.integers(min_value=1, max_value=6))
     n = draw(st.integers(min_value=1, max_value=9))
     pat = tuple(draw(st.permutations(range(1, k + 1))))
     host = tuple(draw(st.permutations(range(1, n + 1))))
-    pin = draw(st.none() | st.integers(-3, n))
+    pin = draw(st.none() | st.integers(0, n - 1))
     return pat, host, pin
 
 
 @settings(max_examples=400)
 @given(searches())
 def test_find_occurrence_matches_brute_force(case):
-    """The DFS finds the least occurrence, and the compiled kernel and the
-    entry points that call it find one exactly when itertools does."""
+    """The DFS finds the least occurrence, and the compiled kernels and the
+    entry points that call them find one exactly when itertools does.  A
+    pinned position q is asked in slot form: the entry at q is the new one
+    at slot (q + 1, host[q]) of the host without it."""
     pat, host, pin = case
     matches = [
         list(comb)
@@ -192,14 +195,15 @@ def test_find_occurrence_matches_brute_force(case):
         assert _contains_any(pat, host) == expected
     else:
         expected = any(pin in comb for comb in matches)
-        assert _search_kernel(pat, True)(host, pin) == expected
-        assert _contains_pinned(pat, host, pin) == expected
+        parent = _delete_raw(host, pin)
+        assert _slot_kernel(pat)(parent, pin + 1, host[pin]) == expected
+        assert _contains_pinned(pat, parent, pin + 1, host[pin]) == expected
 
 
 @st.composite
 def long_searches(draw):
     """A pattern with k in {7, ..., 10}, a host (n <= 14) and an optional
-    pinned host position, possibly outside the host, as in ``searches``.  Half the hosts
+    pinned host position inside the host, as in ``searches``.  Half the hosts
     long enough get a planted occurrence, since random ones rarely
     contain a pattern this long."""
     k = draw(st.integers(min_value=7, max_value=10))
@@ -212,7 +216,7 @@ def long_searches(draw):
         for i, p in zip(where, pat):
             host[i] = vals[p - 1]
     host = tuple(host)
-    pin = draw(st.none() | st.integers(-3, n))
+    pin = draw(st.none() | st.integers(0, n - 1))
     return pat, host, pin
 
 
@@ -235,7 +239,7 @@ def test_pinned_mrv_matches_brute_force(case):
         assert _contains_mrv_sets(pat, host) == expected
         assert _contains_any(pat, host) == expected
     else:
-        assert _contains_pinned(pat, host, pin) == expected
+        assert _contains_pinned(pat, _delete_raw(host, pin), pin + 1, host[pin]) == expected
         assert _through_sets(pat, host, pin) == expected
 
 
@@ -309,7 +313,7 @@ def test_mrv_matches_set_oracle_on_long_hosts():
         host = tuple(host)
         if pinned:
             q = rnd.choice((rnd.choice(where), rnd.randrange(n)))
-            got = _contains_pinned(pat, host, q)
+            got = _contains_pinned(pat, _delete_raw(host, q), q + 1, host[q])
             assert got == _through_sets(pat, host, q), (pat, host, q)
         else:
             got = _contains_mrv(pat, host)
@@ -351,10 +355,14 @@ def test_mrv_edge_cases_return_false(host, pin):
         assert not _contains_mrv(identity, host)
         return
     q = pin[1]
-    assert not _contains_pinned(identity, host, q)
     assert not _through_sets(identity, host, q)
-    # the k <= 6 nest chain reads the pinned entry only inside the host too
-    assert not _contains_pinned(identity[:6], host, q)
+    if not 0 <= q < len(host):
+        return  # the slot form has no entry outside the host
+    # the entry at q as the new one at slot (q + 1, host[q]), for the
+    # forward check (k = 7) and the one-pin nests (k = 6)
+    parent = _delete_raw(host, q)
+    assert not _contains_pinned(identity, parent, q + 1, host[q])
+    assert not _contains_pinned(identity[:6], parent, q + 1, host[q])
 
 
 def _std(seq):
@@ -443,10 +451,11 @@ def test_slot_kernel_edge_cases(monkeypatch):
     # k > n + 1: no slot has room
     for pat in itertools.permutations(range(1, 5)):
         assert not any(_slot_kernel(pat)((2, 1), ps, vs) for ps in range(1, 4) for vs in range(1, 4))
-    # k >= 7 builds the child and asks the through-position search
-    calls = []
-    pinned = perm_core._contains_pinned
-    monkeypatch.setattr(perm_core, "_contains_pinned", lambda *a: calls.append(a) or pinned(*a))
+    # k >= 7 builds the child for the forward check, and only when the new
+    # entry fits some pattern index
+    built = []
+    insert_raw = perm_core._insert_raw
+    monkeypatch.setattr(perm_core, "_insert_raw", lambda *a: built.append(a) or insert_raw(*a))
     pat = (2, 4, 6, 1, 3, 5, 7)
     for t in range(7):
         host = tuple(v - 1 if v > pat[t] else v for i, v in enumerate(pat) if i != t)
@@ -454,15 +463,21 @@ def test_slot_kernel_edge_cases(monkeypatch):
         for ps in range(1, 8):
             for vs in range(1, 8):
                 assert _slot_kernel(pat)(host, ps, vs) == _completes(pat, host, ps, vs), (t, ps, vs)
-    assert calls
+    assert built
+    # first in a child of length 7, the entry can only play index 0, of
+    # value 2, which leaves no room for 5 values above the top value 7
+    built.clear()
+    assert not _slot_kernel(pat)((1, 2, 3, 4, 5, 6), 1, 7)
+    assert not _completes(pat, (1, 2, 3, 4, 5, 6), 1, 7)
+    assert not built
 
 
 def test_through_position_searches_never_call_contains_mrv(monkeypatch):
     """The tracer wraps ``_contains_pinned`` and ``_contains_mrv`` as leaf
-    spans, which must not nest: k >= 7 searches through a position, and
-    the slot kernels that ask them, run ``_forward_check`` directly."""
+    spans, which must not nest: for k >= 7 the slot kernels, which search
+    through the new entry, run ``_forward_check`` directly."""
     def forbidden(*args):
-        raise AssertionError("_contains_mrv called from a through-position search")
+        raise AssertionError("_contains_mrv called from a slot test")
 
     monkeypatch.setattr(perm_core, "_contains_mrv", forbidden)
     rnd = random.Random(7)
@@ -470,11 +485,11 @@ def test_through_position_searches_never_call_contains_mrv(monkeypatch):
         pat = tuple(rnd.sample(range(1, k + 1), k))
         host = tuple(v - 1 if v > pat[0] else v for v in pat[1:])
         assert _slot_kernel(pat)(host, 1, pat[0])
-        assert _contains_pinned(pat, pat, k - 1)
+        assert _contains_pinned(pat, _delete_raw(pat, k - 1), k, pat[k - 1])
         for _ in range(20):
             n = rnd.randint(k - 1, 14)
             host = tuple(rnd.sample(range(1, n + 1), n))
-            _contains_pinned(pat, host, rnd.randrange(n))
+            _contains_pinned(pat, host, rnd.randint(1, n + 1), rnd.randint(1, n + 1))
             _slot_kernel(pat)(host, rnd.randint(1, n + 1), rnd.randint(1, n + 1))
 
 
@@ -556,8 +571,8 @@ def test_top_kernel_matches_itertools():
 def test_each_kernel_gets_its_own_profiler_row():
     # cProfile keys a function by (filename, line, name): every kernel is a
     # ``test`` at line 1, so only its own filename keeps two kernels apart
-    first = perm_core._emit_kernel((2, 4, 1, 3), range(4), slot=True)
-    second = perm_core._emit_kernel((3, 1, 4, 2), range(4), slot=True)
+    first = perm_core._emit_kernel((2, 4, 1, 3), range(4))
+    second = perm_core._emit_kernel((3, 1, 4, 2), range(4))
     host = (1, 2, 3, 4, 5)
     profiler = cProfile.Profile()
     profiler.enable()
@@ -576,10 +591,9 @@ def test_kernel_filenames_name_pattern_and_mode():
     names = {
         perm_core._emit_kernel(pat).__code__.co_filename,
         perm_core._emit_kernel(pat, range(4)).__code__.co_filename,
-        perm_core._emit_kernel(pat, range(4), slot=True).__code__.co_filename,
-        perm_core._emit_kernel(pat, [1], slot=True, second=3).__code__.co_filename,
+        perm_core._emit_kernel(pat, [1], second=3).__code__.co_filename,
     }
-    assert names == {f"<kernel 2 4 1 3 {mode}>" for mode in ("plain", "through", "slot", "top")}
+    assert names == {f"<kernel 2 4 1 3 {mode}>" for mode in ("plain", "slot", "top")}
 
 
 def test_mrv_handles_patterns_longer_than_the_recursion_limit():
