@@ -225,7 +225,7 @@ class ShadingGrid:
     def is_blocked(self, slot: Slot) -> bool:
         """Does inserting at ``slot`` create a basis pattern?  Asks the slot
         kernels on the host through ``_insertion_creates``; for basis
-        elements of length <= 6 no child is built."""
+        elements of length <= 7 no child is built."""
         n = len(self.host)
         if not (1 <= slot.pos_slot <= n + 1 and 1 <= slot.val_slot <= n + 1):
             raise ValueError(f"slot {slot} outside the {n + 1}x{n + 1} grid")

@@ -7,28 +7,31 @@ values can be shared freely between threads or worker processes.
 
 Hot paths (class enumeration, membership filtering, slot grids) work on
 raw value tuples via the underscore helpers at the bottom of this module;
-the public functions wrap them.  Containment has three engines.  Patterns
-of length k <= 6 run nested-loop kernels that one emitter compiles once
-per pattern and mode; k >= 7 runs ``_forward_check``, an iterative
+the public functions wrap them.  Containment has three engines.  Short
+patterns run nested-loop kernels that one emitter compiles once per
+pattern and mode; longer ones run ``_forward_check``, an iterative
 forward-checking search that keeps, per pattern index, the host positions
 still open to it as one int bit mask and branches on the index with the
 fewest (most constrained first, MRV); ``contains()``, which must report
 positions, runs a left-to-right DFS for the lexicographically least
-occurrence.  Two questions pick the engine by k.  ``_search_kernel``
-asks whether a host contains the pattern (``_contains_any``).
-``_slot_kernel`` asks whether a new entry at a slot of a host completes
-it: every cell question (the generating tree's for k >= 9, the interval
-breaks, the certificate walks, the shading grid and the BFS through
-``_contains_pinned``) is this one.  For k <= 6 the entry is virtual, so
-no child is built; k >= 7 builds the child only when the entry fits some
-pattern index.  ``_top_kernel`` serves the generating tree, where a new
-maximum goes into a member at a slot that the member inherits open from
-its parent.  There a new occurrence must use both the new maximum and
-the member's own, as the pattern's values k and k - 1, so a second-pin
-nest from the same emitter places both and loops over the other k - 2
-indices only, each in the position zone the two pins fix (k <= 8, so at
-most six loops; k >= 9 asks ``_slot_kernel``).  Nothing recurses, so
-pattern length is bounded only by ``MAX_LENGTH``.
+occurrence.  One rule picks between the first two: a kernel is an emitted
+nest exactly when it has at most ``_NEST_LOOPS`` = 6 free loops, one per
+pattern index not pinned.  Three questions follow it.  ``_search_kernel``
+asks whether a host contains the pattern (``_contains_any``): no pin, so
+a nest for k <= 6.  ``_slot_kernel`` asks whether a new entry at a slot
+of a host completes it: every cell question (the generating tree's for
+k >= 9, the interval breaks, the certificate walks, the shading grid and
+the BFS through ``_contains_pinned``) is this one.  The entry is one
+pin, so for k <= 7 it is a nest with the entry virtual and no child
+built; k >= 8 builds the child only when the entry fits some pattern
+index.  ``_top_kernel`` serves the generating tree, where a new maximum
+goes into a member at a slot that the member inherits open from its
+parent.  There a new occurrence must use both the new maximum and the
+member's own, as the pattern's values k and k - 1, so a second-pin nest
+from the same emitter places both and loops over the other k - 2 indices
+only, each in the position zone the two pins fix (a nest for 2 <= k <=
+8; k >= 9 asks ``_slot_kernel``).  Nothing recurses, so pattern length
+is bounded only by ``MAX_LENGTH``.
 """
 
 from __future__ import annotations
@@ -44,6 +47,12 @@ from typing import Callable, Iterator, Optional, Sequence
 #: 35); the cap just keeps accidental huge inputs from hanging the O(n^2)
 #: interval scans.
 MAX_LENGTH = 4096
+
+#: The loop budget of every kernel: a kernel is an emitted nest exactly
+#: when the pattern indices its pins leave free number at most this many.
+#: Past it, a fixed loop order degenerates on long rigid patterns, and the
+#: kernel runs ``_forward_check`` instead.
+_NEST_LOOPS = 6
 
 
 class ParseError(ValueError):
@@ -431,8 +440,9 @@ def _emit_kernel(pat: tuple[int, ...], pins: Sequence[int] = (), second: int = -
     ``second`` sits at host position ``s`` too, and the caller promises
     that the two pins hold the occurrence's two largest values, so no
     value is compared with theirs and only the other k - 2 indices loop,
-    each in the position zone the two pins fix.  The text holds only
-    identifiers and integers, never a host value."""
+    each in the position zone the two pins fix.  A nest has one loop per
+    index not pinned; the callers emit one only within ``_NEST_LOOPS``.
+    The text holds only identifiers and integers, never a host value."""
     k = len(pat)
     args = "host, ps, s" if second >= 0 else "host, ps, vs" if pins else "host"
     lines = [f"def test({args}):", "    q = ps - 1"] if pins else [f"def test({args}):"]
@@ -499,12 +509,11 @@ def _emit_kernel(pat: tuple[int, ...], pins: Sequence[int] = (), second: int = -
 @lru_cache(maxsize=4096)
 def _search_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...]], bool]:
     """The existence test for ``pat``, built once and cached: ``test(host)``
-    is True iff ``host`` contains ``pat``.  For k <= 6 it is
-    ``_emit_kernel``'s unpinned nest.  For k >= 7, where any fixed loop
-    order degenerates on long rigid patterns, it is ``_contains_mrv``,
-    looked up at call time so that a wrapper on the module attribute sees
-    every call."""
-    if len(pat) <= 6:
+    is True iff ``host`` contains ``pat``.  Within the loop budget (k <=
+    6) it is ``_emit_kernel``'s unpinned nest.  For k >= 7 it is
+    ``_contains_mrv``, looked up at call time so that a wrapper on the
+    module attribute sees every call."""
+    if len(pat) <= _NEST_LOOPS:
         return _emit_kernel(pat)
     return lambda host: _contains_mrv(pat, host)
 
@@ -513,17 +522,18 @@ def _search_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...]], bool]:
 def _slot_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], bool]:
     """The slot test for ``pat``, built once and cached: ``blocked(host, ps,
     vs)`` is True iff a new entry at slot (ps, vs) of ``host`` completes an
-    occurrence of ``pat`` through it.  For k <= 6 it is one nest per
-    pattern index from ``_emit_kernel``, with no child built.  For k >= 7
-    it lists the indices t that the entry, at position q = ps - 1 and of
-    value vs in a child of length n, fits: ``t <= q``, ``k - t <= n - q``,
-    ``pat[t] <= vs`` and ``k - pat[t] <= n - vs``.  It returns False when
-    there is none, and else builds the child and runs ``_forward_check``
-    once per fitting t, with that index on the entry, on one set of value
-    masks.  It never calls ``_contains_mrv``, so that traced slot tests
-    and plain searches stay apart."""
+    occurrence of ``pat`` through it.  The entry pins one index, so within
+    the loop budget (k <= 7) it is one nest per pattern index from
+    ``_emit_kernel``, with no child built.  For k >= 8 it lists the
+    indices t that the entry, at position q = ps - 1 and of value vs in a
+    child of length n, fits: ``t <= q``, ``k - t <= n - q``, ``pat[t] <=
+    vs`` and ``k - pat[t] <= n - vs``.  It returns False when there is
+    none, and else builds the child and runs ``_forward_check`` once per
+    fitting t, with that index on the entry, on one set of value masks.
+    It never calls ``_contains_mrv``, so that traced slot tests and plain
+    searches stay apart."""
     k = len(pat)
-    if k <= 6:
+    if k - 1 <= _NEST_LOOPS:
         return _emit_kernel(pat, range(k))
 
     def blocked(host: tuple[int, ...], ps: int, vs: int) -> bool:
@@ -546,14 +556,14 @@ def _top_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], b
     The caller promises that ``host`` avoids ``pat`` and that the slot is
     inherited open: ``host`` minus its maximum, with a new maximum at the
     matching slot, avoids ``pat`` too.  Then every new occurrence uses
-    both top entries, as ``pat``'s values k and k - 1, and for 2 <= k <= 8
-    the test is one ``_emit_kernel`` nest that pins both and loops over
-    the other k - 2 indices, no deeper than the one-pin kernels.  For
-    k >= 9 it is the full ``_slot_kernel`` at value n + 1, exact on any
-    slot; k = 1 takes that route too, though no host can keep the promise.
+    both top entries, as ``pat``'s values k and k - 1, and within the loop
+    budget (2 <= k <= 8) the test is one ``_emit_kernel`` nest that pins
+    both and loops over the other k - 2 indices.  For k >= 9 it is the
+    full ``_slot_kernel`` at value n + 1, exact on any slot; k = 1 takes
+    that route too, though no host can keep the promise.
     """
     k = len(pat)
-    if 2 <= k <= 8:
+    if 2 <= k <= _NEST_LOOPS + 2:
         return _emit_kernel(pat, [pat.index(k)], second=pat.index(k - 1))
     blocked = _slot_kernel(pat)
     return lambda host, ps, s: blocked(host, ps, len(host) + 1)
@@ -561,9 +571,10 @@ def _top_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], b
 
 def _contains_pinned(pat: tuple[int, ...], host: tuple[int, ...], ps: int, vs: int) -> bool:
     """Does a new entry at slot (ps, vs) of ``host`` complete an occurrence
-    of ``pat``?  The kernel of ``_slot_kernel``, behind one name that a
-    tracer can count: the shading grid's cells and the BFS's slot tests
-    reach it through ``class_engine._insertion_creates``."""
+    of ``pat``?  The kernel of ``_slot_kernel`` (a nest with no child
+    built for k <= 7), behind one name that a tracer can count: the
+    shading grid's cells and the BFS's slot tests reach it through
+    ``class_engine._insertion_creates``."""
     return _slot_kernel(pat)(host, ps, vs)
 
 

@@ -8,6 +8,7 @@ import weakref
 
 import pytest
 
+from permdeflate import perm_core
 from permdeflate.perm_core import (
     Permutation,
     Slot,
@@ -52,8 +53,8 @@ def _avoids_by_combinations(vals: tuple[int, ...], c: PermClass) -> bool:
 
 def _creates_by_child(c: PermClass, vals: tuple[int, ...], ps: int, vs: int) -> bool:
     """Oracle for the slot kernels on a member ``vals``: build the child and
-    test its membership with the plain kernels (``_contains_mrv`` for
-    k >= 7).  Every new occurrence uses the new entry, since ``vals``
+    test its membership with the unpinned search kernels (a nest for
+    k <= 6, ``_contains_mrv`` for k >= 7).  Every new occurrence uses the new entry, since ``vals``
     avoids ``c``."""
     return not _avoids_raw(_insert_raw(vals, ps, vs), c)
 
@@ -361,8 +362,8 @@ def _near_miss(rng: random.Random, c: PermClass, n: int) -> Permutation:
 def test_shading_grid_matches_definition():
     from permdeflate.perm_core import insert
 
-    # bases of length 3..8 reach both containment engines (k <= 6 and
-    # k >= 7); every full grid has edge slots where the entry cannot play
+    # bases of length 3..8 reach both slot-test engines (a nest for k <= 7,
+    # the forward check for k >= 8); every full grid has edge slots where the entry cannot play
     # most pattern indices
     rng = random.Random(7)
     classes = [("2413", "3142"), ("231",), ("25314",), ("251364",), ("4321", "2461357"), ("24681357",)]
@@ -420,12 +421,15 @@ def _slot_image(slot: Slot, sym, n: int) -> Slot:
     return slot
 
 
-@pytest.mark.parametrize("basis", ["2413", "25314", "251364", "2 4 6 8 1 3 5 7", "2413,4135762"])
+@pytest.mark.parametrize(
+    "basis", ["2413", "25314", "251364", "2 4 6 8 1 3 5 7", "2413,4135762", "321,24681357"]
+)
 def test_slot_test_matches_the_grid_to_7(basis):
     # the slot test and the grid against the built-child membership test,
-    # on every cell of every member; the alternation class runs the k >= 7
-    # forward check, and the last class meets a k <= 6 kernel and the
-    # forward check in one any()
+    # on every cell of every member; the alternation class runs the k >= 8
+    # forward check, "2413,4135762" meets a k <= 6 nest and a k = 7 slot
+    # nest in one any(), and the last class a k <= 6 nest and the forward
+    # check
     c = PermClass.of(*basis.split(","))
     blocked = _slot_test(c)
     for level in _class_levels(c, 7):
@@ -437,11 +441,21 @@ def test_slot_test_matches_the_grid_to_7(basis):
             assert ShadingGrid(Permutation(vals), c).blocked == expected, vals
 
 
-def test_insertion_creates_matches_the_slot_test_on_random_classes():
+def test_insertion_creates_matches_the_slot_test_on_random_classes(monkeypatch):
     """The per-call and the per-class slot tests against the built-child
     membership test, at every slot of random members up to length 10,
     over classes with one basis element of length <= 6 and one of length
-    >= 7, so that both engines run."""
+    7 or 8, so that both engines run: a spy checks that the slot tests
+    reach the forward check of k = 8."""
+    forward_check = perm_core._forward_check
+    checks = [0]
+
+    def counting_check(*args):
+        checks[0] += 1
+        return forward_check(*args)
+
+    monkeypatch.setattr(perm_core, "_forward_check", counting_check)
+    slot_checks = 0
     rng = random.Random(5)
     for _ in range(12):
         while True:
@@ -457,14 +471,18 @@ def test_insertion_creates_matches_the_slot_test_on_random_classes():
             for ps in range(1, n + 2):
                 for vs in range(1, n + 2):
                     creates = _creates_by_child(c, vals, ps, vs)
+                    # the oracle's _contains_mrv runs the forward check too
+                    before = checks[0]
                     assert _insertion_creates(c, vals, ps, vs) == creates, (c, vals, ps, vs)
                     assert blocked(vals, ps, vs) == creates, (c, vals, ps, vs)
+                    slot_checks += checks[0] - before
                     if not creates:
                         open_slots.append(_insert_raw(vals, ps, vs))
             if not open_slots:
                 break
             vals = rng.choice(open_slots)
             assert avoids(Permutation(vals), c)
+    assert slot_checks
 
 
 def test_shading_commutes_with_symmetries():

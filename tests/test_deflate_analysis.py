@@ -336,7 +336,7 @@ def test_bfs_last_level_splits_two_bonds_at_once():
 
 
 def test_no_child_is_built_to_test_a_cell(monkeypatch):
-    """For a class of basis length <= 6 the shading grid builds no child,
+    """For a class of basis length <= 7 the shading grid builds no child,
     and the BFS builds one child per slot that its test finds open."""
     built = []
     insert_raw = perm_core._insert_raw
@@ -348,10 +348,6 @@ def test_no_child_is_built_to_test_a_cell(monkeypatch):
     for module in (perm_core, class_engine, deflate_analysis):
         if hasattr(module, "_insert_raw"):
             monkeypatch.setattr(module, "_insert_raw", counting_insert)
-    c = PermClass.of("251364")
-    assert shading_grid(P("25173486"), c).blocked
-    assert not built
-
     opened = []
     creates = deflate_analysis._insertion_creates
 
@@ -362,10 +358,17 @@ def test_no_child_is_built_to_test_a_cell(monkeypatch):
         return blocked
 
     monkeypatch.setattr(deflate_analysis, "_insertion_creates", counting_test)
-    # two levels, the last one on bond-splitting slots only, and no simple
-    # member at either
-    assert _bfs_extension(P("25173486"), c, 10) is None
-    assert opened and built == opened
+    # the second case is the corpus row of basis length 7
+    cases = [(P("25173486"), PermClass.of("251364")), (P("2 6 1 3 9 4 5 7 10 8"), PermClass.of("2613475"))]
+    for host, c in cases:
+        built.clear()
+        assert shading_grid(host, c).blocked
+        assert not built
+        opened.clear()
+        # two levels, the last one on bond-splitting slots only, and no
+        # simple member at either
+        assert _bfs_extension(host, c, len(host) + 2) is None
+        assert opened and built == opened
 
 
 def test_extend_validates_inputs():

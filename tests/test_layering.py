@@ -26,6 +26,7 @@ from pathlib import Path
 import pytest
 
 import permdeflate
+from permdeflate import perm_core
 
 SOURCES = sorted(Path(permdeflate.__file__).parent.glob("*.py"))
 CHAIN = ["perm_core", "decomposition", "class_engine", "deflate_analysis", "witness", "cli"]
@@ -184,6 +185,45 @@ def test_one_exec_call_site():
         for where in _exec_sites(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     ]
     assert sites == ["perm_core._emit_kernel"]
+
+
+def _loop_depth(node: ast.AST) -> int:
+    """The deepest nesting of ``for`` loops under ``node``."""
+    inner = max((_loop_depth(child) for child in ast.iter_child_nodes(node)), default=0)
+    return inner + isinstance(node, ast.For)
+
+
+def test_kernels_are_nests_within_six_free_loops(monkeypatch):
+    """One loop budget for every kernel: the unpinned search kernel is an
+    emitted nest exactly for k <= 6, the slot kernel (one pin) for k <= 7
+    and the second-pin kernel for 2 <= k <= 8, and no emitted nest runs
+    more than six ``for`` loops deep.  An emitted kernel's code names
+    itself ``<kernel PAT MODE>``; a compile hook keeps each source."""
+    sources = {}
+
+    def keeping_compile(source, filename, mode):
+        sources[filename] = source
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(perm_core, "compile", keeping_compile, raising=False)
+    kernels = {
+        "plain": (perm_core._search_kernel, lambda k: k <= 6),
+        "slot": (perm_core._slot_kernel, lambda k: k <= 7),
+        "top": (perm_core._top_kernel, lambda k: 2 <= k <= 8),
+    }
+    nests = set()
+    for k in range(1, 11):
+        # the alternation 2 4 .. 1 3 .., a rigid pattern of length k
+        pat = (*range(2, k + 1, 2), *range(1, k + 1, 2))
+        name = " ".join(map(str, pat))
+        for mode, (kernel, nest) in kernels.items():
+            # past the cache, so that every nest is compiled here
+            filename = kernel.__wrapped__(pat).__code__.co_filename
+            assert (filename == f"<kernel {name} {mode}>") == nest(k), (k, mode, filename)
+            if nest(k):
+                nests.add(filename)
+    assert nests <= set(sources)
+    assert max(_loop_depth(ast.parse(source)) for source in sources.values()) == 6
 
 
 def test_checker_finds_exec_calls():

@@ -451,8 +451,7 @@ def test_slot_kernel_edge_cases(monkeypatch):
     # k > n + 1: no slot has room
     for pat in itertools.permutations(range(1, 5)):
         assert not any(_slot_kernel(pat)((2, 1), ps, vs) for ps in range(1, 4) for vs in range(1, 4))
-    # k >= 7 builds the child for the forward check, and only when the new
-    # entry fits some pattern index
+    # k = 7 is a slot nest: the entry is virtual, so no child is built
     built = []
     insert_raw = perm_core._insert_raw
     monkeypatch.setattr(perm_core, "_insert_raw", lambda *a: built.append(a) or insert_raw(*a))
@@ -463,13 +462,60 @@ def test_slot_kernel_edge_cases(monkeypatch):
         for ps in range(1, 8):
             for vs in range(1, 8):
                 assert _slot_kernel(pat)(host, ps, vs) == _completes(pat, host, ps, vs), (t, ps, vs)
-    assert built
     # first in a child of length 7, the entry can only play index 0, of
     # value 2, which leaves no room for 5 values above the top value 7
-    built.clear()
     assert not _slot_kernel(pat)((1, 2, 3, 4, 5, 6), 1, 7)
     assert not _completes(pat, (1, 2, 3, 4, 5, 6), 1, 7)
     assert not built
+    # k >= 8 builds the child for the forward check, and only when the new
+    # entry fits some pattern index
+    pat = (2, 4, 6, 8, 1, 3, 5, 7)
+    for t in range(8):
+        host = tuple(v - 1 if v > pat[t] else v for i, v in enumerate(pat) if i != t)
+        assert _slot_kernel(pat)(host, t + 1, pat[t])
+        for ps in range(1, 9):
+            for vs in range(1, 9):
+                assert _slot_kernel(pat)(host, ps, vs) == _completes(pat, host, ps, vs), (t, ps, vs)
+    assert built
+    # first in a child of length 8, the entry can only play index 0, of
+    # value 2, which leaves no room for 6 values above the top value 8
+    built.clear()
+    assert not _slot_kernel(pat)((1, 2, 3, 4, 5, 6, 7), 1, 8)
+    assert not _completes(pat, (1, 2, 3, 4, 5, 6, 7), 1, 8)
+    assert not built
+
+
+def test_slot_nest_matches_itertools_at_k_7():
+    """Twenty seeded patterns of length 7, the longest whose slot test is
+    a nest, at every slot of random avoiders of length 6 to 12, against
+    the built-child itertools oracle.  One host per pattern is planted:
+    a child holding the pattern, minus one of its entries."""
+    rng = random.Random(20)
+    hits = 0
+    for _ in range(20):
+        pat = tuple(rng.sample(range(1, 8), 7))
+        hosts = []
+        while len(hosts) < 2:
+            n = rng.randint(6, 12)
+            if hosts:
+                host = tuple(rng.sample(range(1, n + 1), n))
+            else:
+                child = rng.sample(range(1, n + 2), n + 1)
+                where = sorted(rng.sample(range(n + 1), 7))
+                vals = sorted(child[i] for i in where)
+                for i, p in zip(where, pat):
+                    child[i] = vals[p - 1]
+                host = _delete_raw(tuple(child), rng.choice(where))
+            if not any(_std(sub) == pat for sub in itertools.combinations(host, 7)):
+                hosts.append(host)
+        for host in hosts:
+            n = len(host)
+            for ps in range(1, n + 2):
+                for vs in range(1, n + 2):
+                    expected = _completes(pat, host, ps, vs)
+                    assert _slot_kernel(pat)(host, ps, vs) == expected, (pat, host, ps, vs)
+                    hits += expected
+    assert hits
 
 
 def test_through_position_searches_never_call_contains_mrv(monkeypatch):
