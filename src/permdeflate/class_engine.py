@@ -110,17 +110,13 @@ def _class_levels(c: PermClass, max_len: int) -> Iterator[_Level]:
     Children are generated by inserting the new maximum at every open slot,
     left to right, of each parent in order.  A member's open slots are an
     int bit mask (bit q: the new maximum before position q), computed when
-    the member is expanded, from its parent's mask ``pm`` and the position
-    s of its own maximum:
-
-    - inheritance: parent slot q is slot q of the member when q <= s and
-      slot q + 1 when q > s (slot s splits into both), and a blocked slot
-      stays blocked, so only the slots of ``cand = (pm & ((2 << s) - 1)) |
-      ((pm >> s) << (s + 1))`` can be open;
-    - second pin: there, since the parent with a new maximum at the
-      matching slot is a member, a new occurrence uses both the new
-      maximum and the member's own, so ``_top_kernel`` tests it with two
-      pins and k - 2 free indices (the full ``_slot_kernel`` for k >= 9).
+    the member is expanded, from the slots ``cand`` it inherits open and
+    the position s of its own maximum, both read off its parent's mask by
+    ``_candidates``.  Second pin: at a slot in ``cand``, the parent with a
+    new maximum at the matching slot is a member, so a new occurrence uses
+    both the new maximum and the member's own, and ``_top_kernel`` tests
+    it with two pins and k - 2 free indices (the full ``_slot_kernel`` for
+    k >= 9).
 
     The root's one child, (1), is a member iff it avoids the basis.  Each
     level keeps one mask reference per parent in ``masks``, one list
@@ -137,31 +133,26 @@ def _class_levels(c: PermClass, max_len: int) -> Iterator[_Level]:
         parents, level = level, _Level()
         level.masks = opened = [0] * len(parents)  # preallocated: appends raise peak RSS
         shared: dict[int, int] = {}  # one int object per distinct mask, not per member
-        j = 0
-        for pm in parents.masks:
-            for s in range(n - 1):
-                if not pm >> s & 1:
-                    continue
-                # the member with its maximum at s, and the slots it inherits
-                vals = parents[j]
-                cand = (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
-                om = 0
-                for q in range(n):
-                    if cand >> q & 1 and not blocked(vals, q + 1, s):
-                        om |= 1 << q
-                        level.append(vals[:q] + (n,) + vals[q:])
-                opened[j] = shared.setdefault(om, om)
-                j += 1
+        for j, (vals, s, cand) in enumerate(_candidates(parents)):
+            om = 0
+            for q in range(n):
+                if cand >> q & 1 and not blocked(vals, q + 1, s):
+                    om |= 1 << q
+                    level.append(vals[:q] + (n,) + vals[q:])
+            opened[j] = shared.setdefault(om, om)
         del parents  # the caller may drop it
         yield level
 
 
 def _candidates(level: _Level) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """(vals, s, cand) for each member of one ``_class_levels`` level, in
-    order: s is the position of the maximum of ``vals`` and ``cand`` the
-    slots it inherits open, by the tree's own formula, read off the
-    parents' masks that the level carries.  A slot outside ``cand`` is
-    blocked, and ``_top_test`` decides one inside it."""
+    order: s is the position of the maximum of ``vals``, and ``cand`` the
+    slots it inherits open from its parent's mask ``pm`` in the level's
+    ``masks``, whose set bits are the members' s in turn.  Inheritance:
+    parent slot q is slot q of the member when q <= s and slot q + 1 when
+    q > s (slot s splits into both), and a blocked slot stays blocked, so
+    ``cand = (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))``.  A slot
+    outside ``cand`` is blocked, and ``_top_test`` decides one inside it."""
     members = iter(level)
     for pm in level.masks:
         for s in range(pm.bit_length()):

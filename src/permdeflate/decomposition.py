@@ -7,7 +7,7 @@ permutation with no interval of size >= 2 is simple.  Every permutation is
 the inflation of a unique simple skeleton; for skeletons longer than 2 the
 blocks are the disjoint maximal intervals, while sum- and skew-decomposable
 permutations get a canonical binary tree (first child indecomposable of the
-matching kind).
+matching kind), a right comb over the components one scan finds.
 
 Proper intervals, simplicity and maximal intervals all read one scan,
 ``_intervals_from``.  Maximal intervals are asked of indecomposable input
@@ -103,6 +103,9 @@ def sum_components(p: Permutation, kind: str = "direct") -> list[Permutation]:
 def substitution_decompose(p: Permutation) -> DecompositionTree:
     """The canonical decomposition tree of ``p``; re-inflation restores it.
 
+    A sum (or skew sum) is the right comb 12[c1, 12[c2, ... c_m]] over its
+    components, built in a loop: a long sum costs no recursion depth.
+
     >>> t = substitution_decompose(Permutation((4, 3, 7, 1, 2, 6, 5)))
     >>> str(t.skeleton)
     '2 4 1 3'
@@ -111,15 +114,12 @@ def substitution_decompose(p: Permutation) -> DecompositionTree:
     if len(vals) == 1:
         return DecompositionTree(None)
     for kind, skel in (("direct", Permutation((1, 2))), ("skew", Permutation((2, 1)))):
-        e = _component_ends(vals, kind)[0]
-        if e < len(vals):
-            return DecompositionTree(
-                skel,
-                (
-                    substitution_decompose(Permutation(_pattern_of(vals[:e]))),
-                    substitution_decompose(Permutation(_pattern_of(vals[e:]))),
-                ),
-            )
+        parts = _components(vals, kind)
+        if len(parts) > 1:
+            tree = substitution_decompose(Permutation(parts.pop()))
+            for part in reversed(parts):
+                tree = DecompositionTree(skel, (substitution_decompose(Permutation(part)), tree))
+            return tree
     blocks = _maximal_interval_spans(vals)
     skeleton = Permutation(_pattern_of([lo for (_, _, lo, _) in blocks]))
     children = tuple(
@@ -263,7 +263,10 @@ def _is_decomposable(vals: tuple[int, ...]) -> bool:
 
 
 def _components(vals: tuple[int, ...], kind: str) -> list[tuple[int, ...]]:
+    """The direct- or skew-sum components of the permutation ``vals``."""
     ends = _component_ends(vals, kind)
+    if len(ends) == 1:
+        return [vals]
     return [_pattern_of(vals[start:end]) for start, end in zip([0, *ends], ends)]
 
 

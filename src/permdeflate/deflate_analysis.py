@@ -51,6 +51,7 @@ from .decomposition import (
     _is_decomposable,
     _is_simple,
     _maximal_interval_spans,
+    cut_slots,
     sd_measure,
 )
 from .class_engine import (
@@ -396,26 +397,25 @@ def _locked_strips(
     bonds: Optional[Iterable[tuple[int, str, int]]] = None,
 ) -> Optional[BondCertificate]:
     """The certificate on the first bond of the member ``vals`` whose strip
-    slots are all blocked by ``blocked(vals, ps, vs)``: a class's
-    ``_slot_test``, or a grid's.  ``bonds`` lists the (left_pos, kind,
-    low_value) triples to try, in order, as ``_bond_scan`` yields them;
-    by default every bond, left to right.  A caller that has already ruled
-    some bonds out passes the rest.
+    slots, the bond's ``cut_slots`` as a size-2 interval, are all blocked
+    by ``blocked(vals, ps, vs)``: a class's ``_slot_test``, or a grid's.
+    ``bonds`` lists the (left_pos, kind, low_value) triples to try, in
+    order, as ``_bond_scan`` yields them; by default every bond, left to
+    right.  A caller that has already ruled some bonds out passes the rest.
     Cells are tested in sorted order, a bond is dropped at its first open
-    cell, and objects are built only on success.
-    A bond whose strips are entirely exempt (only possible when the bond is
-    the whole permutation, n = 2) certifies nothing: the argument needs the
-    surrounding box to be a proper part of any extension."""
+    cell, and objects are built only on success.  A bond certifies nothing
+    only when n = 2: it is the whole permutation, its strips are empty,
+    and the argument needs the surrounding box to be a proper part of any
+    extension.  So members of length <= 2 return None at once."""
     n = len(vals)
+    if n <= 2:
+        return None
     for i, kind, w in _bond_scan(vals) if bonds is None else bonds:
-        cells = []
         for ps, vs in _cut_slot_pairs(n, i, i + 1, w, w + 1):
             if not blocked(vals, ps, vs):
                 break  # an open cell
-            cells.append((ps, vs))
         else:
-            if cells:
-                return BondCertificate(Bond(i, kind, w), frozenset(Slot(*c) for c in cells))
+            return BondCertificate(Bond(i, kind, w), cut_slots(n, IntervalSpan(i, i + 1, w, w + 1)))
     return None
 
 

@@ -424,34 +424,36 @@ def _find_occurrence(pat: tuple[int, ...], host: tuple[int, ...]) -> Optional[li
             pos = chosen[j] + 1
 
 
-def _emit_kernel(pat: tuple[int, ...], pins: Sequence[int] = (), second: int = -1) -> Callable[..., bool]:
+def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., bool]:
     """The one kernel emitter: compile nested ``for`` loops that look for
-    ``pat`` in ``host``.  With no ``pins`` it is one unpinned nest,
-    ``test(host)``.  With ``pins`` it is the slot test ``test(host, ps,
-    vs)``: one nest per pattern index in ``pins``, behind a room check,
-    each placing that index on a virtual new entry of value ``vs`` before
-    position ``q = ps - 1``.  A nest places its pin first, then the
-    indices left of the leftmost pin nearest first, then the rest left to
-    right; loop ranges keep each index between its placed neighbours with
-    room for the indices still unplaced (indices right of the entry start
-    at ``q``), and each value is compared only with the nearest placed
-    values below and above (``v`` lies above the entry iff ``vs <= v``).
-    ``second >= 0`` is the second-pin mode, ``test(host, ps, s)``: index
-    ``second`` sits at host position ``s`` too, and the caller promises
-    that the two pins hold the occurrence's two largest values, so no
-    value is compared with theirs and only the other k - 2 indices loop,
-    each in the position zone the two pins fix.  A nest has one loop per
-    index not pinned; the callers emit one only within ``_NEST_LOOPS``.
-    The text holds only identifiers and integers, never a host value."""
+    ``pat`` in ``host``.  Mode "plain" is one unpinned nest, ``test(host)``.
+    Mode "slot" is the slot test ``test(host, ps, vs)``: one nest per
+    pattern index, behind a room check, each pinning that index on a
+    virtual new entry of value ``vs`` before position ``q = ps - 1``.  A
+    nest places its pin first, then the indices left of the leftmost pin
+    nearest first, then the rest left to right; loop ranges keep each
+    index between its placed neighbours with room for the indices still
+    unplaced (indices right of the entry start at ``q``), and each value
+    is compared only with the nearest placed values below and above (``v``
+    lies above the entry iff ``vs <= v``).  Mode "top", ``test(host, ps,
+    s)``, pins the index of value k on the new entry and that of value k -
+    1 at host position ``s``: the caller promises that these hold the
+    occurrence's two largest values, so no value is compared with theirs
+    and only the other k - 2 indices loop, each in the position zone the
+    two pins fix.  A nest has one loop per index not pinned; the callers
+    emit one only within ``_NEST_LOOPS``.  The text holds only identifiers
+    and integers, never a host value."""
     k = len(pat)
-    args = "host, ps, s" if second >= 0 else "host, ps, vs" if pins else "host"
+    top = mode == "top"
+    pins = range(k) if mode == "slot" else [pat.index(k)] if top else ()
+    args = "host, ps, s" if top else "host, ps, vs" if pins else "host"
     lines = [f"def test({args}):", "    q = ps - 1"] if pins else [f"def test({args}):"]
     lines.append("    n = len(host)")
     for pin_j in pins or [-1]:
         # pinned index -> (host position, 1 if it takes that position, 0 if virtual)
         fixed = {} if pin_j < 0 else {pin_j: ("q", 0)}
-        if second >= 0:
-            fixed[second] = ("s", 1)
+        if top:
+            fixed[pat.index(k - 1)] = ("s", 1)
         first = min(fixed, default=0)
         order = [*fixed, *range(first - 1, -1, -1), *(j for j in range(first, k) if j not in fixed)]
         indent = "    "
@@ -464,7 +466,7 @@ def _emit_kernel(pat: tuple[int, ...], pins: Sequence[int] = (), second: int = -
             for a, b in zip(marks, marks[1:]):
                 room.append(f"{fixed[b][0]} - {fixed[a][0]} >= {b - a - 1 + fixed[a][1]}")
             room.append(f"n - {fixed[last][0]} >= {k - 1 - last + fixed[last][1]}")
-            if second < 0:
+            if not top:
                 # pat[pin_j]-1 values below vs, k-pat[pin_j] above
                 room.append(f"vs >= {pat[pin_j]} and n - vs >= {k - 1 - pat[pin_j]}")
             lines.append(f"    if {' and '.join(room)}:")
@@ -474,7 +476,7 @@ def _emit_kernel(pat: tuple[int, ...], pins: Sequence[int] = (), second: int = -
         lo_ref, hi_ref = _neighbor_refs(tuple(pat[j] for j in order))
         pos = {j: fixed[j][0] if j in fixed else f"p{j}" for j in order}
         # the two largest values of the second-pin mode are never compared
-        value = {j: ("" if second >= 0 else "vs") if j in fixed else f"v{j}" for j in order}
+        value = {j: ("" if top else "vs") if j in fixed else f"v{j}" for j in order}
         for step, j in enumerate(order):
             if j in fixed:
                 continue
@@ -499,7 +501,6 @@ def _emit_kernel(pat: tuple[int, ...], pins: Sequence[int] = (), second: int = -
         lines.append(f"{indent}return True")
     lines.append("    return False")
     # one filename per kernel, so that profilers keep one row per kernel
-    mode = "top" if second >= 0 else "slot" if pins else "plain"
     filename = f"<kernel {' '.join(map(str, pat))} {mode}>"
     namespace: dict = {}
     exec(compile("\n".join(lines), filename, "exec"), namespace)
@@ -534,7 +535,7 @@ def _slot_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], 
     searches stay apart."""
     k = len(pat)
     if k - 1 <= _NEST_LOOPS:
-        return _emit_kernel(pat, range(k))
+        return _emit_kernel(pat, "slot")
 
     def blocked(host: tuple[int, ...], ps: int, vs: int) -> bool:
         n, q = len(host) + 1, ps - 1
@@ -564,7 +565,7 @@ def _top_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], b
     """
     k = len(pat)
     if 2 <= k <= _NEST_LOOPS + 2:
-        return _emit_kernel(pat, [pat.index(k)], second=pat.index(k - 1))
+        return _emit_kernel(pat, "top")
     blocked = _slot_kernel(pat)
     return lambda host, ps, s: blocked(host, ps, len(host) + 1)
 

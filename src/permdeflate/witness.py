@@ -203,8 +203,9 @@ def verify_corpus(path: Union[str, Path, None] = None) -> list[CorpusRowResult]:
     """Replay every corpus row: the witness must lie in the class and carry
     a bond certificate, and witnesses of length <= CROSS_CHECK_CAP must
     survive an exhaustive no-simple-extension search to length + 2.
-    Membership is proved once, by ``avoids``.  Failures become report
-    rows, not exceptions."""
+    Membership is proved by ``avoids``, and the certificate trusts that
+    proof; ``extend_to_simple`` proves it again for each cross-checked
+    row.  Failures become report rows, not exceptions."""
     results = []
     for basis, witness in load_corpus(path):
         c = PermClass((basis,))

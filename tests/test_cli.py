@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -219,13 +223,38 @@ def test_unreadable_corpus_exits_2(capsys, tmp_path):
 
 
 def test_too_deep_decomposition_exits_2(capsys):
-    # the identity decomposes into one nested sum per entry, deeper than the
-    # interpreter's default recursion limit
+    # the identity decomposes into one nested sum per entry, and rendering
+    # that tree as text or JSON recurses deeper than the interpreter's
+    # default recursion limit
     identity = " ".join(str(v) for v in range(1, 1201))
     for extra in ([], ["--json"]):
         code, out, err = invoke(capsys, "decompose", identity, *extra)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
+def test_module_entry_point_in_a_subprocess():
+    # ``python -m permdeflate`` from the source tree, as a user runs it
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def main(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "permdeflate", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        return proc.returncode, proc.stdout, proc.stderr
+
+    code, out, err = main("classify", "2413", "--json")
+    assert code == 0 and err == ""
+    assert set(json.loads(out)) == {"command", "inputs", "results", "timing_ms"}
+    identity = " ".join(str(v) for v in range(1, 1201))
+    for argv in (["contains", "12a", "1"], ["decompose", identity]):
+        code, out, err = main(*argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_witness_check_of_a_long_non_member_exits_2(capsys):

@@ -3,19 +3,25 @@
 from __future__ import annotations
 
 import itertools
+import random
+import sys
 
 import pytest
 
 from permdeflate.perm_core import (
+    MAX_LENGTH,
     Permutation,
     Slot,
     SYMMETRY_ORDER,
+    _pattern_of,
     apply_symmetry,
     bonds,
+    inflate,
     insert,
     parse_permutation,
 )
 from permdeflate.decomposition import (
+    DecompositionTree,
     IntervalSpan,
     cut_slots,
     is_simple,
@@ -25,8 +31,11 @@ from permdeflate.decomposition import (
     sd_measure,
     substitution_decompose,
     sum_components,
+    _component_ends,
     _cut_slot_pairs,
     _is_decomposable,
+    _is_simple,
+    _maximal_interval_spans,
 )
 
 P = parse_permutation
@@ -127,11 +136,86 @@ def test_decompose_reinflates_and_is_canonical_to_8():
                 assert len(sum_components(t.children[0].reinflate(), kind)) == 1
 
 
+def _recursive_decompose(p: Permutation) -> DecompositionTree:
+    """Reference: the decomposition as it was first written, peeling one
+    sum component off per recursive call, so a sum of m components
+    recurses m deep."""
+    vals = p.values
+    if len(vals) == 1:
+        return DecompositionTree(None)
+    for kind, skel in (("direct", P("12")), ("skew", P("21"))):
+        e = _component_ends(vals, kind)[0]
+        if e < len(vals):
+            return DecompositionTree(
+                skel,
+                (
+                    _recursive_decompose(Permutation(_pattern_of(vals[:e]))),
+                    _recursive_decompose(Permutation(_pattern_of(vals[e:]))),
+                ),
+            )
+    blocks = _maximal_interval_spans(vals)
+    skeleton = Permutation(_pattern_of([lo for (_, _, lo, _) in blocks]))
+    assert len(skeleton) > 2 and _is_simple(skeleton.values)
+    children = tuple(
+        _recursive_decompose(Permutation(_pattern_of(vals[pl - 1 : ph]))) for (pl, ph, _, _) in blocks
+    )
+    return DecompositionTree(skeleton, children)
+
+
+def _preorder(tree: DecompositionTree) -> list:
+    """The skeletons of a tree in preorder (None for a leaf), walked with an
+    explicit stack; the skeleton lengths fix the shape, so equal lists mean
+    equal trees."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        out.append(None if node.is_leaf else node.skeleton.values)
+        stack.extend(reversed(node.children))
+    return out
+
+
+def test_decompose_matches_the_recursive_reference():
+    rng = random.Random(21)
+    simples = [p for n in (4, 5) for p in all_perms(n) if is_simple(p)]
+    skeletons = [P("12"), P("21"), *simples]
+
+    def inflation(n):
+        if n <= 3:
+            return Permutation(tuple(rng.sample(range(1, n + 1), n)))
+        skeleton = rng.choice([s for s in skeletons if len(s) <= n])
+        cuts = sorted(rng.sample(range(1, n), len(skeleton) - 1))
+        sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+        return inflate(skeleton, [inflation(m) for m in sizes])
+
+    def near_identity(n, reverse):
+        vals = list(range(1, n + 1))
+        for _ in range(rng.randint(0, 4)):
+            i = rng.randrange(n - 1)
+            vals[i], vals[i + 1] = vals[i + 1], vals[i]
+        return Permutation(tuple(vals[::-1] if reverse else vals))
+
+    cases = [inflation(rng.randint(2, 300)) for _ in range(500)]
+    cases += [near_identity(rng.randint(2, 300), reverse) for reverse in (False, True) for _ in range(50)]
+    for p in cases:
+        assert _preorder(substitution_decompose(p)) == _preorder(_recursive_decompose(p)), p
+    assert min(map(len, cases)) == 2 and max(map(len, cases)) >= 290
+
+
+def test_identity_of_max_length_decomposes_at_the_default_recursion_limit():
+    # a sum of n components is a right comb built in a loop: no recursion
+    # along it, so the longest accepted input decomposes in process
+    assert sys.getrecursionlimit() < MAX_LENGTH
+    for vals, skel in ((range(1, MAX_LENGTH + 1), P("12")), (range(MAX_LENGTH, 0, -1), P("21"))):
+        node = substitution_decompose(Permutation(tuple(vals)))
+        teeth = 0
+        while not node.is_leaf:
+            assert node.skeleton == skel and node.children[0].is_leaf
+            node = node.children[1]
+            teeth += 1
+        assert teeth == MAX_LENGTH - 1
+
+
 def test_inflate_then_decompose_recovers_blocks():
-    import random
-
-    from permdeflate.perm_core import inflate
-
     rng = random.Random(11)
     simples = [p for n in (4, 5, 6) for p in all_perms(n) if is_simple(p)]
     for _ in range(60):
@@ -197,10 +281,6 @@ def test_maximal_intervals_partition_positions_to_8():
 
 
 def test_maximal_intervals_of_nested_inflations():
-    import random
-
-    from permdeflate.perm_core import inflate
-
     rng = random.Random(6)
     simples = [p for n in (4, 5) for p in all_perms(n) if is_simple(p)]
 

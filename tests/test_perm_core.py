@@ -617,8 +617,8 @@ def test_top_kernel_matches_itertools():
 def test_each_kernel_gets_its_own_profiler_row():
     # cProfile keys a function by (filename, line, name): every kernel is a
     # ``test`` at line 1, so only its own filename keeps two kernels apart
-    first = perm_core._emit_kernel((2, 4, 1, 3), range(4))
-    second = perm_core._emit_kernel((3, 1, 4, 2), range(4))
+    first = perm_core._emit_kernel((2, 4, 1, 3), "slot")
+    second = perm_core._emit_kernel((3, 1, 4, 2), "slot")
     host = (1, 2, 3, 4, 5)
     profiler = cProfile.Profile()
     profiler.enable()
@@ -636,8 +636,8 @@ def test_kernel_filenames_name_pattern_and_mode():
     pat = (2, 4, 1, 3)
     names = {
         perm_core._emit_kernel(pat).__code__.co_filename,
-        perm_core._emit_kernel(pat, range(4)).__code__.co_filename,
-        perm_core._emit_kernel(pat, [1], second=3).__code__.co_filename,
+        perm_core._emit_kernel(pat, "slot").__code__.co_filename,
+        perm_core._emit_kernel(pat, "top").__code__.co_filename,
     }
     assert names == {f"<kernel 2 4 1 3 {mode}>" for mode in ("plain", "slot", "top")}
 

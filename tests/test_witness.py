@@ -235,6 +235,32 @@ def test_raw_certificate_scan_matches_public_certificate_on_the_corpus():
         assert _cert_key(witness._locked_strips(w.values, _slot_test(c))) == public
 
 
+_PINNED_SEARCHES = [
+    ("251364", 8, 2),
+    ("12", 5, 3),
+    ("321", 8, 4),
+    ("2413,4135762", 8, 2),
+    ("251364,214365879", 8, 2),  # k = 9: the top cells' full slot kernel
+]
+
+
+def test_certificates_check_exactly_the_bond_strip_slots():
+    # a certificate names the cut slots of its bond, the cells its walk
+    # found blocked, on every corpus row and every pinned search's witness
+    certs = []
+    for basis, w in load_corpus():
+        c = PermClass((basis,))
+        certs.append((w, bond_certificate(w, c)))
+        certs.append((w, witness._locked_strips(w.values, _slot_test(c))))
+    for basis, max_len, limit in _PINNED_SEARCHES:
+        reports = find_witnesses(PermClass.of(*basis.split(",")), max_len, limit)
+        certs.extend((r.witness, r.certificate) for r in reports)
+    assert len(certs) == 2 * 14 + 7
+    for w, cert in certs:
+        assert cert is not None, w
+        assert cert.checked_slots == bond_strip_slots(len(w), cert.bond), w
+
+
 def test_class_walk_tries_every_basis_element():
     # a cell is blocked when either kernel says so; in the separable class
     # thousands of strip cells are blocked by 3142 and not by 2413
@@ -256,16 +282,7 @@ def _scan_witnesses(basis, max_len, limit):
     return found[:limit]
 
 
-@pytest.mark.parametrize(
-    "basis, max_len, limit",
-    [
-        ("251364", 8, 2),
-        ("12", 5, 3),
-        ("321", 8, 4),
-        ("2413,4135762", 8, 2),
-        ("251364,214365879", 8, 2),  # k = 9: the top cells' full slot kernel
-    ],
-)
+@pytest.mark.parametrize("basis, max_len, limit", _PINNED_SEARCHES)
 def test_find_witnesses_order_matches_public_scan(basis, max_len, limit):
     c = PermClass.of(*basis.split(","))
     reports = find_witnesses(c, max_len, limit)
