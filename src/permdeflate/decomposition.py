@@ -51,10 +51,21 @@ class DecompositionTree:
         return not self.children
 
     def reinflate(self) -> Permutation:
-        """Rebuild the permutation this tree decomposes."""
-        if self.is_leaf:
-            return Permutation((1,))
-        return inflate(self.skeleton, [child.reinflate() for child in self.children])
+        """Rebuild the permutation this tree decomposes, in post-order with an
+        explicit stack: a deep tree (a long sum's comb) costs no recursion."""
+        done: list[Permutation] = []  # the finished subtrees, left to right
+        stack = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:  # its children are the last len(children) of done
+                k = len(node.children)
+                done[-k:] = [inflate(node.skeleton, done[-k:])]
+            elif node.is_leaf:
+                done.append(Permutation((1,)))
+            else:
+                stack.append((node, True))
+                stack.extend((child, False) for child in reversed(node.children))
+        return done[0]
 
 
 @dataclass(frozen=True)

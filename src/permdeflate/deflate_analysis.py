@@ -302,8 +302,9 @@ def extend_to_simple(w: Permutation, c: PermClass, max_len: int) -> Optional[Sim
     Strategy: embed into an indecomposable member when the class is
     principal, then break the longest interval greedily (each break is
     guaranteed progress); if that stalls or overshoots, fall back to a
-    breadth-first search over one-point extensions.  Its last level skips
-    only slots whose children cannot be simple, so it misses no simple
+    breadth-first search over one-point extensions.  It skips only cells
+    whose parent image is blocked, which are blocked too, and on its last
+    level slots whose children cannot be simple, so it misses no simple
     extension, and an absent result genuinely means no simple extension
     within ``max_len``.
     """
@@ -356,18 +357,32 @@ def _bfs_extension(w: Permutation, c: PermClass, max_len: int) -> Optional[Simpl
     simple children, and the same least one, as the full grid.  Earlier
     levels keep every slot: a child that keeps a bond may split it later.
     Each slot is tested on its parent, so only the children kept are built.
+
+    Inheritance: deleting the new entry of a member made at slot (p1, v1)
+    maps its cell (ps, vs) to the parent's (ps - [ps > p1], vs - [vs > v1]),
+    and a cell whose parent image is blocked is blocked.  ``frontier`` maps
+    each member to its record (p1, v1, the parent's open cells), and only
+    cells with an open image are tested; the root has no record.  The cells
+    that test open are the member's own open set, shared by its children.
+    A child reached from two parents keeps the first record: either is
+    sound.  The last level's children are never expanded.
     """
-    frontier = {w.values}
+    frontier: dict = {w.values: None}
     for n in range(len(w), max_len):
-        nxt = set()
-        for vals in frontier:
+        nxt: dict = {}
+        for vals, record in frontier.items():
             if n + 1 < max_len:
                 slots = product(range(1, n + 2), repeat=2)
             else:
                 slots = _bond_splitting_slots(vals)
+            if record is not None:
+                p1, v1, inherited = record
+                slots = [(ps, vs) for ps, vs in slots if (ps - (ps > p1), vs - (vs > v1)) in inherited]
+            opened: set = set()
             for ps, vs in slots:
                 if not _insertion_creates(c, vals, ps, vs):
-                    nxt.add(_insert_raw(vals, ps, vs))
+                    opened.add((ps, vs))
+                    nxt.setdefault(_insert_raw(vals, ps, vs), (ps, vs, opened))
         for child in sorted(nxt):
             if _is_simple(child):
                 return SimpleExtension(Permutation(child), ())

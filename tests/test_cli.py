@@ -233,28 +233,39 @@ def test_too_deep_decomposition_exits_2(capsys):
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
-def test_module_entry_point_in_a_subprocess():
-    # ``python -m permdeflate`` from the source tree, as a user runs it
+def _run_module(*argv):
+    """``python -m permdeflate`` from the source tree, as a user runs it:
+    (exit code, stdout, stderr)."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "permdeflate", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
-    def main(*argv):
-        proc = subprocess.run(
-            [sys.executable, "-m", "permdeflate", *argv],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        return proc.returncode, proc.stdout, proc.stderr
 
-    code, out, err = main("classify", "2413", "--json")
+def test_module_entry_point_in_a_subprocess():
+    code, out, err = _run_module("classify", "2413", "--json")
     assert code == 0 and err == ""
     assert set(json.loads(out)) == {"command", "inputs", "results", "timing_ms"}
     identity = " ".join(str(v) for v in range(1, 1201))
     for argv in (["contains", "12a", "1"], ["decompose", identity]):
-        code, out, err = main(*argv)
+        code, out, err = _run_module(*argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_readme_long_row_extend_in_a_subprocess():
+    # the README's command: the length-35 corpus row has no simple
+    # extension to length 37
+    row = "3 8 12 16 20 5 23 9 13 18 25 2 7 27 11 29 14 31 33 35 21 22 17 1 26 28 4 30 6 32 10 15 34 19 24"
+    basis = "2 4 6 8 10 12 14 1 3 5 7 9 11 13"
+    code, out, err = _run_module("extend", "--basis", basis, "--perm", row, "--max-len", "37", "--json")
+    assert code == 1 and err == ""
+    assert json.loads(out)["results"]["found"] is False
 
 
 def test_witness_check_of_a_long_non_member_exits_2(capsys):

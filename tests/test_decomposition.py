@@ -174,18 +174,22 @@ def _preorder(tree: DecompositionTree) -> list:
     return out
 
 
+_SKELETONS = [P("12"), P("21"), *(p for n in (4, 5) for p in all_perms(n) if is_simple(p))]
+
+
+def _random_inflation(rng: random.Random, n: int) -> Permutation:
+    """A random permutation of length n built by nested inflations of 12,
+    21 and the simple permutations of length 4 and 5."""
+    if n <= 3:
+        return Permutation(tuple(rng.sample(range(1, n + 1), n)))
+    skeleton = rng.choice([s for s in _SKELETONS if len(s) <= n])
+    cuts = sorted(rng.sample(range(1, n), len(skeleton) - 1))
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+    return inflate(skeleton, [_random_inflation(rng, m) for m in sizes])
+
+
 def test_decompose_matches_the_recursive_reference():
     rng = random.Random(21)
-    simples = [p for n in (4, 5) for p in all_perms(n) if is_simple(p)]
-    skeletons = [P("12"), P("21"), *simples]
-
-    def inflation(n):
-        if n <= 3:
-            return Permutation(tuple(rng.sample(range(1, n + 1), n)))
-        skeleton = rng.choice([s for s in skeletons if len(s) <= n])
-        cuts = sorted(rng.sample(range(1, n), len(skeleton) - 1))
-        sizes = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
-        return inflate(skeleton, [inflation(m) for m in sizes])
 
     def near_identity(n, reverse):
         vals = list(range(1, n + 1))
@@ -194,7 +198,7 @@ def test_decompose_matches_the_recursive_reference():
             vals[i], vals[i + 1] = vals[i + 1], vals[i]
         return Permutation(tuple(vals[::-1] if reverse else vals))
 
-    cases = [inflation(rng.randint(2, 300)) for _ in range(500)]
+    cases = [_random_inflation(rng, rng.randint(2, 300)) for _ in range(500)]
     cases += [near_identity(rng.randint(2, 300), reverse) for reverse in (False, True) for _ in range(50)]
     for p in cases:
         assert _preorder(substitution_decompose(p)) == _preorder(_recursive_decompose(p)), p
@@ -213,6 +217,31 @@ def test_identity_of_max_length_decomposes_at_the_default_recursion_limit():
             node = node.children[1]
             teeth += 1
         assert teeth == MAX_LENGTH - 1
+
+
+def _recursive_reinflate(tree: DecompositionTree) -> Permutation:
+    """Reference: re-inflation as it was first written, one recursive call
+    per node, so a tree of depth d recurses d deep."""
+    if tree.is_leaf:
+        return Permutation((1,))
+    return inflate(tree.skeleton, [_recursive_reinflate(child) for child in tree.children])
+
+
+def test_reinflate_matches_the_recursive_reference():
+    rng = random.Random(22)
+    for _ in range(200):
+        p = _random_inflation(rng, rng.randint(1, 200))
+        tree = substitution_decompose(p)
+        assert tree.reinflate() == _recursive_reinflate(tree) == p, p
+
+
+def test_identity_of_max_length_reinflates_at_the_default_recursion_limit():
+    # its tree is a comb of depth MAX_LENGTH - 1, which recursion along
+    # the tree could not walk
+    assert sys.getrecursionlimit() < MAX_LENGTH
+    for vals in (range(1, MAX_LENGTH + 1), range(MAX_LENGTH, 0, -1)):
+        p = Permutation(tuple(vals))
+        assert substitution_decompose(p).reinflate() == p
 
 
 def test_inflate_then_decompose_recovers_blocks():

@@ -315,6 +315,104 @@ def _unpruned_bfs(w, c, max_len):
     return None
 
 
+def _bfs_without_inheritance(w, c, max_len):
+    """Reference for ``_bfs_extension``'s inheritance: the same levels and
+    last-level pruning, but every cell of every frontier member is tested,
+    including those whose parent image is blocked."""
+    frontier = {w.values}
+    for n in range(len(w), max_len):
+        nxt = set()
+        for vals in frontier:
+            if n + 1 < max_len:
+                slots = itertools.product(range(1, n + 2), repeat=2)
+            else:
+                slots = deflate_analysis._bond_splitting_slots(vals)
+            for ps, vs in slots:
+                if not class_engine._insertion_creates(c, vals, ps, vs):
+                    nxt.add(_insert_raw(vals, ps, vs))
+        for child in sorted(nxt):
+            if _is_simple(child):
+                return SimpleExtension(Permutation(child), ())
+        frontier = nxt
+        if not frontier:
+            return None
+    return None
+
+
+def test_bfs_matches_the_search_without_inheritance(monkeypatch):
+    # the same result, and the same open cells found: inheritance skips
+    # only blocked cells, so every open cell is still tested
+    got, want = set(), set()
+
+    def recording(opened, creates=class_engine._insertion_creates):
+        def test(c, vals, ps, vs):
+            blocked = creates(c, vals, ps, vs)
+            if not blocked:
+                opened.add((vals, ps, vs))
+            return blocked
+
+        return test
+
+    monkeypatch.setattr(deflate_analysis, "_insertion_creates", recording(got))
+    monkeypatch.setattr(class_engine, "_insertion_creates", recording(want))
+    rng = random.Random(22)
+    found = cases = 0
+    for _ in range(60):
+        m = rng.randint(3, 6)
+        c = PermClass.of(" ".join(map(str, rng.sample(range(1, m + 1), m))))
+        members = [w for w in enumerate_class(c, 6) if len(w) >= 3]
+        for w in rng.sample(members, min(5, len(members))):
+            for bound in (len(w) + 1, len(w) + 2, len(w) + 3):
+                got.clear()
+                want.clear()
+                res = _bfs_extension(w, c, bound)
+                assert res == _bfs_without_inheritance(w, c, bound), (c, w, bound)
+                assert got == want, (c, w, bound)
+                found += res is not None
+                cases += 1
+    # 648 of the 900 cases have a simple extension
+    assert cases == 900 and 0 < found < cases
+
+
+def test_a_cell_whose_parent_image_is_blocked_is_blocked():
+    # the lemma _bfs_extension relies on, checked on every one-point child
+    # of the length-18 corpus row: deleting the child's new entry maps the
+    # child plus a point at (ps, vs) onto the parent plus a point at the
+    # cell's image, so an occurrence in the latter is one in the former
+    c = PermClass.of("24681357")
+    blocked = class_engine._slot_test(c)
+    parent = P("5 8 11 2 13 4 14 16 18 9 10 6 1 15 17 3 7 12").values
+    cells = list(itertools.product(range(1, len(parent) + 2), repeat=2))
+    parent_blocked = {cell for cell in cells if blocked(parent, *cell)}
+    checked = 0
+    for p1, v1 in cells:
+        if (p1, v1) in parent_blocked:
+            continue
+        child = _insert_raw(parent, p1, v1)
+        for ps, vs in itertools.product(range(1, len(child) + 2), repeat=2):
+            if (ps - (ps > p1), vs - (vs > v1)) in parent_blocked:
+                assert blocked(child, ps, vs), (p1, v1, ps, vs)
+                checked += 1
+    assert checked > 20_000
+
+
+def test_bfs_tests_only_cells_with_an_open_parent_image(monkeypatch):
+    # the k = 10 corpus row to length 26 takes 674 slot tests; the search
+    # without inheritance makes 16 675, nearly all re-proving its certificate
+    calls = []
+    creates = deflate_analysis._insertion_creates
+
+    def counting_test(*args):
+        calls.append(args)
+        return creates(*args)
+
+    monkeypatch.setattr(deflate_analysis, "_insertion_creates", counting_test)
+    c = PermClass.of("2 4 6 8 10 1 3 5 7 9")
+    w = P("2 7 10 13 4 16 9 18 6 20 8 22 24 14 15 11 1 19 21 3 23 5 12 17")
+    assert _bfs_extension(w, c, 26) is None
+    assert 0 < len(calls) <= 1000
+
+
 @pytest.mark.parametrize("basis", ["321", "2413", "3142", "4321", "25314", "251364", "1234", "2143"])
 def test_bfs_matches_unpruned_oracle(basis):
     # called directly: through extend_to_simple the greedy path would
