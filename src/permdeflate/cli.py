@@ -18,7 +18,7 @@ import sys
 import time
 
 from .perm_core import ParseError, Permutation, Slot, contains, parse_permutation
-from .decomposition import DecompositionTree, substitution_decompose
+from .decomposition import DecompositionTree, _fold, _tree_parts, substitution_decompose
 from .class_engine import (
     PermClass,
     ShadingGrid,
@@ -42,24 +42,25 @@ def _parse_basis(text: str) -> PermClass:
     return PermClass(tuple(parse_permutation(part) for part in parts))
 
 
-def _tree_json(tree: DecompositionTree) -> dict:
-    if tree.is_leaf:
-        return {"leaf": True}
-    return {"skeleton": str(tree.skeleton), "children": [_tree_json(c) for c in tree.children]}
-
-
 def _compact(p: Permutation) -> str:
     return str(p).replace(" ", "") if len(p) <= 9 else str(p)
 
 
-def _tree_text(tree: DecompositionTree) -> str:
-    if tree.is_leaf:
-        return "1"
-    parts = [
-        _compact(c.skeleton) if not c.is_leaf and all(g.is_leaf for g in c.children) else _tree_text(c)
-        for c in tree.children
-    ]
-    return _compact(tree.skeleton) + "[" + ", ".join(parts) + "]"
+def _tree_views(tree: DecompositionTree) -> tuple[dict, str]:
+    """The ``--json`` tree and the text display, in one fold.  A node's value
+    also holds its text as a child: its compact skeleton when its children
+    are all leaves."""
+
+    def join(skeleton, kids):
+        if skeleton is None:
+            return {"leaf": True}, "1", "1"
+        compact = _compact(skeleton)
+        text = compact + "[" + ", ".join(kid[2] for kid in kids) + "]"
+        shown = compact if all("leaf" in kid[0] for kid in kids) else text
+        return {"skeleton": str(skeleton), "children": [kid[0] for kid in kids]}, text, shown
+
+    node, text, _ = _fold(tree, _tree_parts, join)
+    return node, text
 
 
 def _slot_text(slot: Slot) -> str:
@@ -99,9 +100,8 @@ def _cmd_contains(args) -> tuple[int, dict, dict, list[str]]:
 
 def _cmd_decompose(args) -> tuple[int, dict, dict, list[str]]:
     p = parse_permutation(args.perm)
-    tree = substitution_decompose(p)
-    text = _tree_text(tree)
-    return 0, {"perm": str(p)}, {"tree": _tree_json(tree), "display": text}, [text]
+    node, text = _tree_views(substitution_decompose(p))
+    return 0, {"perm": str(p)}, {"tree": node, "display": text}, [text]
 
 
 def _cmd_simples(args) -> tuple[int, dict, dict, list[str]]:

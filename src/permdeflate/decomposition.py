@@ -7,7 +7,9 @@ permutation with no interval of size >= 2 is simple.  Every permutation is
 the inflation of a unique simple skeleton; for skeletons longer than 2 the
 blocks are the disjoint maximal intervals, while sum- and skew-decomposable
 permutations get a canonical binary tree (first child indecomposable of the
-matching kind), a right comb over the components one scan finds.
+matching kind), a right comb over the components one scan finds.  Every
+walk of a tree (building, re-inflating, ``repr``, ``==``, ``hash``, the
+CLI's views) is one explicit-stack fold, ``_fold``: no depth recurses.
 
 Proper intervals, simplicity and maximal intervals all read one scan,
 ``_intervals_from``.  Maximal intervals are asked of indecomposable input
@@ -19,9 +21,35 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from .perm_core import Permutation, Slot, _pattern_of, inflate
+
+_ONE = Permutation((1,))
+_SUMS = (("direct", Permutation((1, 2))), ("skew", Permutation((2, 1))))
+_tree_parts = attrgetter("skeleton", "children")
+
+
+def _fold(root, split, join):
+    """The one walk of a decomposition, bottom-up with an explicit stack:
+    ``split(x)`` gives ``(label, parts)``, ``join(label, values)`` the value
+    of ``x`` from its parts' values; a node without parts is joined at once."""
+    frames = [(None, iter((root,)), [])]  # open nodes: label, parts left, values
+    while True:
+        label, parts, values = frames[-1]
+        for part in parts:
+            sub_label, sub_parts = split(part)
+            if not sub_parts:
+                values.append(join(sub_label, ()))
+            else:
+                frames.append((sub_label, iter(sub_parts), []))
+                break
+        else:
+            frames.pop()
+            if not frames:
+                return values[0]
+            frames[-1][2].append(join(label, values))
 
 
 @dataclass(frozen=True, order=True)
@@ -38,10 +66,14 @@ class IntervalSpan:
         return self.pos_hi - self.pos_lo + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class DecompositionTree:
     """Substitution-decomposition tree; a node with no children is a leaf
-    standing for a single entry."""
+    standing for a single entry.
+
+    Re-inflation, ``repr``, ``==`` and ``hash`` all walk the tree with
+    ``_fold``, so a deep tree (a long sum's comb) costs no recursion.
+    """
 
     skeleton: Optional[Permutation]
     children: tuple["DecompositionTree", ...] = ()
@@ -51,21 +83,31 @@ class DecompositionTree:
         return not self.children
 
     def reinflate(self) -> Permutation:
-        """Rebuild the permutation this tree decomposes, in post-order with an
-        explicit stack: a deep tree (a long sum's comb) costs no recursion."""
-        done: list[Permutation] = []  # the finished subtrees, left to right
-        stack = [(self, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:  # its children are the last len(children) of done
-                k = len(node.children)
-                done[-k:] = [inflate(node.skeleton, done[-k:])]
-            elif node.is_leaf:
-                done.append(Permutation((1,)))
-            else:
-                stack.append((node, True))
-                stack.extend((child, False) for child in reversed(node.children))
-        return done[0]
+        """Rebuild the permutation this tree decomposes."""
+        return _fold(self, _tree_parts, lambda skel, kids: inflate(skel, kids) if kids else _ONE)
+
+    def __repr__(self) -> str:
+        def join(skel, kids):
+            inner = ", ".join(kids) + ("," if len(kids) == 1 else "")
+            return f"DecompositionTree(skeleton={skel!r}, children=({inner}))"
+
+        return _fold(self, _tree_parts, join)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+
+        def split(pair):
+            a, b = pair
+            if a is b:
+                return True, ()
+            same = a.skeleton == b.skeleton and len(a.children) == len(b.children)
+            return same, tuple(zip(a.children, b.children)) if same else ()
+
+        return _fold((self, other), split, lambda same, kids: same and all(kids))
+
+    def __hash__(self) -> int:
+        return _fold(self, _tree_parts, lambda skel, kids: hash((skel, tuple(kids))))
 
 
 @dataclass(frozen=True)
@@ -114,32 +156,37 @@ def sum_components(p: Permutation, kind: str = "direct") -> list[Permutation]:
 def substitution_decompose(p: Permutation) -> DecompositionTree:
     """The canonical decomposition tree of ``p``; re-inflation restores it.
 
-    A sum (or skew sum) is the right comb 12[c1, 12[c2, ... c_m]] over its
-    components, built in a loop: a long sum costs no recursion depth.
+    One ``_fold`` over raw value tuples; a sum (or skew sum) joins as the
+    right comb 12[c1, 12[c2, ... c_m]] over the components one scan finds.
 
     >>> t = substitution_decompose(Permutation((4, 3, 7, 1, 2, 6, 5)))
     >>> str(t.skeleton)
     '2 4 1 3'
     """
-    vals = p.values
+    return _fold(p.values, _decompose_step, _decompose_join)
+
+
+def _decompose_step(vals: tuple[int, ...]):
     if len(vals) == 1:
-        return DecompositionTree(None)
-    for kind, skel in (("direct", Permutation((1, 2))), ("skew", Permutation((2, 1)))):
+        return None, ()
+    for kind, skel in _SUMS:
         parts = _components(vals, kind)
         if len(parts) > 1:
-            tree = substitution_decompose(Permutation(parts.pop()))
-            for part in reversed(parts):
-                tree = DecompositionTree(skel, (substitution_decompose(Permutation(part)), tree))
-            return tree
+            return skel, parts
     blocks = _maximal_interval_spans(vals)
     skeleton = Permutation(_pattern_of([lo for (_, _, lo, _) in blocks]))
-    children = tuple(
-        substitution_decompose(Permutation(_pattern_of(vals[pl - 1 : ph])))
-        for (pl, ph, _, _) in blocks
-    )
     if len(skeleton) <= 2 or not _is_simple(skeleton.values):
-        raise AssertionError(f"skeleton of indecomposable {p} should be simple, got {skeleton}")
-    return DecompositionTree(skeleton, children)
+        raise AssertionError(f"skeleton of indecomposable {vals} should be simple, got {skeleton}")
+    return skeleton, [_pattern_of(vals[pl - 1 : ph]) for (pl, ph, _, _) in blocks]
+
+
+def _decompose_join(label: Optional[Permutation], kids) -> DecompositionTree:
+    if label is None or len(label) > 2:
+        return DecompositionTree(label, tuple(kids))
+    tree = kids[-1]
+    for kid in reversed(kids[:-1]):
+        tree = DecompositionTree(label, (kid, tree))
+    return tree
 
 
 def maximal_intervals(p: Permutation) -> list[IntervalSpan]:

@@ -47,7 +47,6 @@ from .deflate_analysis import (
     BondCertificate,
     _locked_strips,
     extend_to_simple,
-    known_deflatable_bases,
     load_corpus,
 )
 

@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from permdeflate.cli import _compact, _tree_text, render_grid, run
+from permdeflate.cli import _compact, _tree_views, render_grid, run
 from permdeflate.class_engine import PermClass, shading_grid
 from permdeflate.decomposition import substitution_decompose
-from permdeflate.perm_core import Permutation, Slot, inflate, parse_permutation
+from permdeflate.perm_core import MAX_LENGTH, Permutation, Slot, inflate, parse_permutation
 from permdeflate.witness import load_corpus
 
 
@@ -158,7 +158,7 @@ def test_decompose_text_matches_reinflating_reference(capsys):
     for n in range(1, 8):
         for q in itertools.permutations(range(1, n + 1)):
             tree = substitution_decompose(Permutation(q))
-            assert _tree_text(tree) == _reference_tree_text(tree), q
+            assert _tree_views(tree)[1] == _reference_tree_text(tree), q
     rng = random.Random(300)
     for _ in range(200):
         p = _random_inflation(rng, rng.randint(20, 300))
@@ -222,15 +222,24 @@ def test_unreadable_corpus_exits_2(capsys, tmp_path):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+def _comb_text(n):
+    """The display of the identity of length n >= 3: a right comb of sums,
+    whose last tooth 12[1, 1] shows as 12."""
+    return "12[1, " * (n - 2) + "12" + "]" * (n - 2)
+
+
 def test_too_deep_decomposition_exits_2(capsys):
-    # the identity decomposes into one nested sum per entry, and rendering
-    # that tree as text or JSON recurses deeper than the interpreter's
-    # default recursion limit
+    # the identity decomposes into one nested sum per entry; the text view
+    # is folded with an explicit stack, but json.dumps of the JSON tree
+    # recurses deeper than the interpreter's default recursion limit
+    assert sys.getrecursionlimit() < 1200
     identity = " ".join(str(v) for v in range(1, 1201))
-    for extra in ([], ["--json"]):
-        code, out, err = invoke(capsys, "decompose", identity, *extra)
-        assert code == 2 and out == ""
-        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    code, out, err = invoke(capsys, "decompose", identity)
+    assert code == 0 and err == ""
+    assert out == _comb_text(1200) + "\n"
+    code, out, err = invoke(capsys, "decompose", identity, "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
 def _run_module(*argv):
@@ -252,10 +261,34 @@ def test_module_entry_point_in_a_subprocess():
     assert code == 0 and err == ""
     assert set(json.loads(out)) == {"command", "inputs", "results", "timing_ms"}
     identity = " ".join(str(v) for v in range(1, 1201))
-    for argv in (["contains", "12a", "1"], ["decompose", identity]):
+    for argv in (["contains", "12a", "1"], ["decompose", identity, "--json"]):
         code, out, err = _run_module(*argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def _alternating(n):
+    """The alternating sum of odd length n: p = 1 repeatedly becomes the
+    direct sum of 1 and the skew sum of p and 1, a tree of depth n - 1
+    whose skeletons alternate 12 and 21."""
+    vals = (1,)
+    while len(vals) < n:
+        vals = (1, *(v + 2 for v in vals), 2)
+    return vals
+
+
+def test_deepest_decompositions_in_a_subprocess():
+    # text decompose decides every input the CLI accepts, at the default
+    # recursion limit of a fresh interpreter
+    pairs = (MAX_LENGTH - 2) // 2 - 1  # the alternating sum's 12-21 pairs above the last
+    cases = (
+        (range(1, MAX_LENGTH + 1), _comb_text(MAX_LENGTH)),
+        (_alternating(MAX_LENGTH - 1), "12[1, 21[" * pairs + "12[1, 21]" + ", 1]]" * pairs),
+    )
+    for vals, display in cases:
+        code, out, err = _run_module("decompose", " ".join(map(str, vals)))
+        assert code == 0 and err == ""
+        assert out == display + "\n"
 
 
 def test_readme_long_row_extend_in_a_subprocess():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 import sys
@@ -242,6 +243,78 @@ def test_identity_of_max_length_reinflates_at_the_default_recursion_limit():
     for vals in (range(1, MAX_LENGTH + 1), range(MAX_LENGTH, 0, -1)):
         p = Permutation(tuple(vals))
         assert substitution_decompose(p).reinflate() == p
+
+
+def test_alternating_sum_of_max_length_decomposes_at_the_default_recursion_limit():
+    # p = 1 repeatedly becomes the direct sum of 1 and the skew sum of p
+    # and 1: nested sums, not one comb, give a tree of depth n - 1 whose
+    # skeletons alternate 12 and 21
+    vals = (1,)
+    while len(vals) < MAX_LENGTH - 1:
+        vals = (1, *(v + 2 for v in vals), 2)
+    p = Permutation(vals)
+    tree = substitution_decompose(p)
+    assert tree.reinflate() == p
+    node, spine = tree, []
+    while not node.is_leaf:
+        spine.append(node.skeleton)
+        # a sum's single entry is its first child, a skew sum's its last
+        entry, node = node.children if node.skeleton == P("12") else node.children[::-1]
+        assert entry.is_leaf
+    assert spine == [P("12"), P("21")] * ((MAX_LENGTH - 2) // 2)
+
+
+def test_deep_trees_print_compare_and_hash_at_the_default_recursion_limit():
+    assert sys.getrecursionlimit() < MAX_LENGTH
+    leaf = "DecompositionTree(skeleton=None, children=())"
+    combs = []
+    for vals, skel in ((range(1, MAX_LENGTH + 1), P("12")), (range(MAX_LENGTH, 0, -1), P("21"))):
+        p = Permutation(tuple(vals))
+        t, u = substitution_decompose(p), substitution_decompose(p)
+        tooth = f"DecompositionTree(skeleton={skel!r}, children=({leaf}, "
+        assert repr(t) == tooth * (MAX_LENGTH - 1) + leaf + "))" * (MAX_LENGTH - 1)
+        assert t is not u and t == u and hash(t) == hash(u) and len({t, u}) == 1
+        combs.append(t)
+    assert combs[0] != combs[1]
+
+
+#: The tree as first declared, a plain frozen dataclass: its generated
+#: ``repr`` and ``==`` recurse once per level.
+_DataclassTree = dataclasses.make_dataclass(
+    "DecompositionTree", [("skeleton", object), ("children", tuple)], frozen=True
+)
+
+
+def _dataclass_copy(tree: DecompositionTree):
+    """Reference: ``tree`` as a ``_DataclassTree``, one recursive call per node."""
+    return _DataclassTree(tree.skeleton, tuple(_dataclass_copy(c) for c in tree.children))
+
+
+def test_repr_eq_and_hash_match_the_dataclass_reference():
+    rng = random.Random(47)
+    # short permutations repeat, so distinct inputs give some equal trees
+    lengths = [rng.choice((rng.randint(1, 4), rng.randint(5, 120))) for _ in range(200)]
+    perms = [_random_inflation(rng, n) for n in lengths]
+    trees = [substitution_decompose(p) for p in perms]
+    twins = [substitution_decompose(p) for p in perms]  # equal but distinct objects
+    shapes = [_preorder(t) for t in trees]
+    copies = [_dataclass_copy(t) for t in trees]
+    for tree, twin, copy in zip(trees, twins, copies):
+        assert repr(tree) == repr(twin) == repr(copy)
+        assert twin is not tree and twin == tree and hash(twin) == hash(tree)
+    equal_pairs = 0
+    for i, j in itertools.product(range(len(trees)), repeat=2):
+        same = trees[i] == twins[j]
+        assert same == (shapes[i] == shapes[j]) == (copies[i] == copies[j]), (perms[i], perms[j])
+        if same:
+            assert hash(trees[i]) == hash(twins[j])
+            equal_pairs += i != j
+    assert equal_pairs > 0
+    assert len(set(trees) | set(twins)) == len(set(perms))
+    # a hand-built node with one child prints its children as a 1-tuple
+    lone = DecompositionTree(P("1"), (DecompositionTree(None),))
+    assert repr(lone) == repr(_dataclass_copy(lone))
+    assert lone.__eq__(P("1")) is NotImplemented and lone != P("1")
 
 
 def test_inflate_then_decompose_recovers_blocks():

@@ -43,6 +43,7 @@ from permdeflate.deflate_analysis import (
     embed_indecomposable,
     empirical_deflatability,
     extend_to_simple,
+    known_deflatable_bases,
     _RULES,
     _bfs_extension,
     _corner_point_stages,
@@ -592,8 +593,6 @@ def test_classifier_symmetry_invariance_to_5():
 
 
 def test_classifier_soundness_cross_checks():
-    from permdeflate.witness import known_deflatable_bases
-
     for basis_vals in sorted(known_deflatable_bases()):
         for sym in SYMMETRY_ORDER:
             image = apply_symmetry(Permutation(basis_vals), sym)

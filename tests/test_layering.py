@@ -5,8 +5,10 @@ perm_core -> decomposition -> class_engine -> deflate_analysis -> witness
 from inside a function or an ``if`` (or any other) block, where an import
 can hide a cycle.  ``__init__`` and ``__main__`` re-export the chain and
 are exempt from the order, not from the top-level rule.  Every name a
-chain module imports from a sibling is used in that module, unless it is
-listed in ``REEXPORTS``, so a refactor cannot leave a dead import behind.
+chain module imports from a sibling is used in that module, so a refactor
+cannot leave a dead import behind.  No function calls itself, by its bare
+name or as ``self.<name>`` in a method: a tree is walked with an explicit
+stack, so its depth is never bounded by the recursion limit.
 Generated code has one emitter: the only ``exec`` call under ``src/`` is
 the one in ``perm_core._emit_kernel``.  The containment engine split
 (nest kernels for short patterns, forward checking for long ones) stays
@@ -31,9 +33,6 @@ from permdeflate import perm_core
 SOURCES = sorted(Path(permdeflate.__file__).parent.glob("*.py"))
 CHAIN = ["perm_core", "decomposition", "class_engine", "deflate_analysis", "witness", "cli"]
 EXEMPT = {"__init__", "__main__"}
-#: (module, name) imported from a sibling only to be re-exported: the tests
-#: import ``known_deflatable_bases`` from ``permdeflate.witness``.
-REEXPORTS = {("witness", "known_deflatable_bases")}
 #: ``perm_core`` names that only ``perm_core`` may import: other modules ask
 #: ``_contains_any``, whose ``_search_kernel`` picks the engine, or a slot
 #: kernel (``class_engine`` through ``_contains_pinned``), which picks its own.
@@ -106,7 +105,7 @@ def test_checker_finds_deferred_imports():
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.stem not in EXEMPT], ids=lambda p: p.name)
 def test_sibling_imports_are_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    unused = [name for name in _unused_sibling_imports(tree) if (path.stem, name) not in REEXPORTS]
+    unused = _unused_sibling_imports(tree)
     assert not unused, f"{path.name} imports {unused} from a sibling and never uses them"
 
 
@@ -238,3 +237,59 @@ def test_checker_finds_exec_calls():
         "    executor = 'exec'\n"
     )
     assert _exec_sites(ast.parse(source)) == ["<module>", "inner", "emit"]
+
+
+def _self_calls(tree: ast.Module) -> list[str]:
+    """The functions that call themselves, by bare name or, in a method, as
+    ``self.<name>``, in source order.  Other attribute calls (``", ".join``
+    in a function named ``join``) do not count."""
+    found = []
+
+    def visit(node: ast.AST, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(child):
+                    func = getattr(call, "func", None) if isinstance(call, ast.Call) else None
+                    # a bare name never reaches a method, only a function
+                    by_name = not in_class and isinstance(func, ast.Name) and func.id == child.name
+                    by_self = (
+                        in_class
+                        and isinstance(func, ast.Attribute)
+                        and func.attr == child.name
+                        and isinstance(func.value, ast.Name)
+                        and func.value.id == "self"
+                    )
+                    if by_name or by_self:
+                        found.append(child.name)
+                        break
+            visit(child, isinstance(child, ast.ClassDef))
+
+    visit(tree, False)
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert not _self_calls(tree), f"{path.name}: {_self_calls(tree)} call themselves"
+
+
+def test_checker_finds_self_calls():
+    source = (
+        "def walk(node):\n"
+        "    return [walk(child) for child in node.children]\n"
+        "def outer():\n"
+        "    def join(kids):\n"
+        "        return ', '.join(kids)\n"
+        "    return walk(join)\n"
+        "class Tree:\n"
+        "    def size(self):\n"
+        "        return 1 + sum(child.size() for child in self.children)\n"
+        "    def depth(self):\n"
+        "        return 1 + max(self.depth() for _ in self.children)\n"
+        "    def leaves(self):\n"
+        "        def leaves(node):\n"
+        "            return [leaves(c) for c in node.children]\n"
+        "        return leaves(self)\n"
+    )
+    assert _self_calls(ast.parse(source)) == ["walk", "depth", "leaves"]

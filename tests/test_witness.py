@@ -29,13 +29,12 @@ from permdeflate.class_engine import (
     enumerate_class,
     shading_grid,
 )
-from permdeflate.deflate_analysis import extend_to_simple
+from permdeflate.deflate_analysis import extend_to_simple, known_deflatable_bases
 from permdeflate.witness import (
     bond_certificate,
     bond_strip_slots,
     find_witnesses,
     inflation_family,
-    known_deflatable_bases,
     load_corpus,
     parallel_alternation,
     verify_corpus,
