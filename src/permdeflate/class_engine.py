@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 from .perm_core import (
+    MAX_LENGTH,
     Permutation,
     Slot,
     _contains_any,
@@ -121,10 +122,14 @@ def _class_levels(c: PermClass, max_len: int) -> Iterator[_Level]:
     The root's one child, (1), is a member iff it avoids the basis.  Each
     level keeps one mask reference per parent in ``masks``, one list
     allocated at full size, and equal masks share one int object.  The
-    tree drops a level once it has yielded the next.
+    tree drops a level once it has yielded the next.  It is every walker's
+    one check of the bound: ``max_len`` below 1, or above ``MAX_LENGTH``
+    where no member exists, raises ``ValueError``.
     """
     if max_len < 1:
-        return
+        raise ValueError("max_len must be at least 1")
+    if max_len > MAX_LENGTH:
+        raise ValueError(f"max_len {max_len} exceeds the supported maximum {MAX_LENGTH}")
     blocked = _top_test(c)
     level = _Level([(1,)] if _avoids_raw((1,), c) else [])
     level.masks = [len(level)]  # the root's open slots
@@ -164,8 +169,6 @@ def enumerate_class(c: PermClass, max_len: int) -> Iterator[Permutation]:
     """Yield every member of ``c`` of length 1..max_len, grouped by length,
     each exactly once.  Memory stays bounded by one length level plus the
     parent level's masks."""
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
     for level in _class_levels(c, max_len):
         for vals in level:
             yield Permutation(vals)
@@ -173,8 +176,6 @@ def enumerate_class(c: PermClass, max_len: int) -> Iterator[Permutation]:
 
 def enumerate_simples(c: PermClass, max_len: int) -> list[Permutation]:
     """All simple members of ``c`` with length <= max_len."""
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
     out = []
     for level in _class_levels(c, max_len):
         out.extend(Permutation(vals) for vals in level if _is_simple(vals))
@@ -183,8 +184,6 @@ def enumerate_simples(c: PermClass, max_len: int) -> list[Permutation]:
 
 def count_profile(c: PermClass, max_len: int) -> list[tuple[int, int, int]]:
     """Per-length (length, member_count, simple_count) rows."""
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
     rows = []
     for n, level in enumerate(_class_levels(c, max_len), start=1):
         simple = sum(1 for vals in level if _is_simple(vals))

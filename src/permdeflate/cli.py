@@ -46,21 +46,41 @@ def _compact(p: Permutation) -> str:
     return str(p).replace(" ", "") if len(p) <= 9 else str(p)
 
 
-def _tree_views(tree: DecompositionTree) -> tuple[dict, str]:
-    """The ``--json`` tree and the text display, in one fold.  A node's value
-    also holds its text as a child: its compact skeleton when its children
-    are all leaves."""
+class _JSONText(str):
+    """A result already written as JSON text, which ``_encode`` splices in."""
+
+
+_JSON_SLOT = "\0json\0"  # a string no report holds
+_LEAF = '{"leaf": true}'
+
+
+def _tree_views(tree: DecompositionTree) -> tuple[_JSONText, str]:
+    """The ``--json`` tree, as JSON text, and the text display, in one fold.
+    A node's value also holds its text as a child: its compact skeleton
+    when its children are all leaves."""
 
     def join(skeleton, kids):
         if skeleton is None:
-            return {"leaf": True}, "1", "1"
+            return _LEAF, "1", "1"
         compact = _compact(skeleton)
         text = compact + "[" + ", ".join(kid[2] for kid in kids) + "]"
-        shown = compact if all("leaf" in kid[0] for kid in kids) else text
-        return {"skeleton": str(skeleton), "children": [kid[0] for kid in kids]}, text, shown
+        shown = compact if all(kid[0] is _LEAF for kid in kids) else text
+        children = ", ".join(kid[0] for kid in kids)
+        return f'{{"skeleton": "{skeleton}", "children": [{children}]}}', text, shown
 
     node, text, _ = _fold(tree, _tree_parts, join)
-    return node, text
+    return _JSONText(node), text
+
+
+def _encode(report: dict) -> str:
+    """One ``json.dumps`` of a report, with a ``_JSONText`` result spliced in
+    where ``_JSON_SLOT`` stood, so the encoder never walks a deep tree."""
+    results = report["results"]
+    raw = next((key for key, value in results.items() if isinstance(value, _JSONText)), None)
+    if raw is None:
+        return json.dumps(report)
+    text = json.dumps({**report, "results": {**results, raw: _JSON_SLOT}})
+    return text.replace(json.dumps(_JSON_SLOT), results[raw], 1)
 
 
 def _slot_text(slot: Slot) -> str:
@@ -114,14 +134,14 @@ def _cmd_simples(args) -> tuple[int, dict, dict, list[str]]:
 
 def _cmd_enumerate(args) -> tuple[int, dict, dict, list[str]]:
     c = _parse_basis(args.basis)
-    counts = [0] * args.max_len
-    members = []
-    for p in enumerate_class(c, args.max_len):
+    members = list(enumerate_class(c, args.max_len))
+    counts = [0] * args.max_len  # only once the walk has checked the bound
+    for p in members:
         counts[len(p) - 1] += 1
-        members.append(str(p))
     inputs = {"basis": [str(b) for b in c.basis], "max_len": args.max_len}
-    results = {"counts": [[n, k] for n, k in enumerate(counts, start=1)], "members": members}
-    return 0, inputs, results, members or ["(empty class)"]
+    lines = [str(p) for p in members]
+    results = {"counts": [[n, k] for n, k in enumerate(counts, start=1)], "members": lines}
+    return 0, inputs, results, lines or ["(empty class)"]
 
 
 def _cmd_shade(args) -> tuple[int, dict, dict, list[str]]:
@@ -350,13 +370,12 @@ def run(argv: list[str]) -> int:
                 "results": results,
                 "timing_ms": int((time.monotonic() - t0) * 1000),
             }
-            # encoding a deeply nested tree can itself exhaust the stack
-            lines = [json.dumps(report)]
+            lines = [_encode(report)]
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RecursionError, MemoryError) as exc:
-        print(f"error: input too large to process ({type(exc).__name__})", file=sys.stderr)
+    except MemoryError:
+        print("error: input too large to process (MemoryError)", file=sys.stderr)
         return 2
     for line in lines:
         print(line)

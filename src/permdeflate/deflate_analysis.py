@@ -73,25 +73,6 @@ STATUS_NON_DEFLATABLE = "non_deflatable"
 STATUS_DEFLATABLE = "deflatable"
 STATUS_UNKNOWN = "unknown"
 
-#: Short display labels for classifier rules.
-RULE_LABELS = {
-    "degenerate": "single-point-basis",
-    "base-12": "monotone",
-    "base-231": "short-base",
-    "T3.1": "three-sum",
-    "T3.2": "two-sum",
-    "T3.3": "ascent-missing-bond",
-    "T3.4": "descent-no-increasing-bond",
-    "T3.5": "1n...2-no-increasing-bond",
-    "T3.6": "descent-no-decreasing-bond",
-    "T3.7": "1n...2-no-decreasing-bond",
-    "T3.8": "1z...2",
-    "P5.1": "2413",
-    "witness-table": "known-witness",
-    "unknown": "undecided",
-}
-
-
 @dataclass(frozen=True)
 class EmbeddingTrace:
     """Stages of the embedding of a member into an indecomposable member.
@@ -466,18 +447,6 @@ def _form_1n2(vals: tuple[int, ...]) -> bool:
     return n >= 3 and vals[0] == 1 and vals[1] == n and vals[-1] == 2
 
 
-def _pred_degenerate(vals: tuple[int, ...]) -> bool:
-    return len(vals) == 1
-
-
-def _pred_base_12(vals: tuple[int, ...]) -> bool:
-    return vals in ((1, 2), (2, 1))
-
-
-def _pred_base_231(vals: tuple[int, ...]) -> bool:
-    return vals == (2, 3, 1)
-
-
 def _pred_three_sum(vals: tuple[int, ...]) -> bool:
     return len(_component_ends(vals, "direct")) >= 3
 
@@ -508,10 +477,6 @@ def _pred_1n2_no_bond(kind: str, vals: tuple[int, ...]) -> bool:
 def _pred_t38(vals: tuple[int, ...]) -> bool:
     n = len(vals)
     return n >= 4 and vals[0] == 1 and vals[-1] == 2 and vals[1] not in (3, n)
-
-
-def _pred_p51(vals: tuple[int, ...]) -> bool:
-    return vals == (2, 4, 1, 3)
 
 
 def _default_corpus() -> Path:
@@ -549,27 +514,36 @@ def _pred_witness_table(vals: tuple[int, ...]) -> bool:
     return vals in known_deflatable_bases()
 
 
-#: (rule, status, hypothesis) in priority order; the first hypothesis that
-#: holds on any symmetry image decides the verdict.  T3.4/T3.6 and T3.5/T3.7
-#: are the paper's theorem pairs that differ only in the kind of bond the
-#: tail must lack, so each pair shares one predicate of that kind.  T3.5 and
-#: T3.7 can both test the whole of ``1 n ... 2``: its leading ``1 n`` (n >= 3)
-#: is never a bond, so dropping the 1 changes neither bond test.
+#: (rule, label, status, hypothesis) in priority order; the first hypothesis
+#: that holds on any symmetry image decides the verdict.  A literal basis is
+#: a set of value tuples (12 and 21 both, so each fires on its own symmetry).
+#: T3.4/T3.6 and T3.5/T3.7 are the paper's theorem pairs that differ only in
+#: the kind of bond the tail must lack, so each pair shares one predicate of
+#: that kind.  T3.5 and T3.7 can both test the whole of ``1 n ... 2``: its
+#: leading ``1 n`` (n >= 3) is never a bond, so dropping the 1 changes
+#: neither bond test.
 _RULES = (
-    ("degenerate", STATUS_DEFLATABLE, _pred_degenerate),
-    ("base-12", STATUS_DEFLATABLE, _pred_base_12),
-    ("base-231", STATUS_DEFLATABLE, _pred_base_231),
-    ("T3.1", STATUS_NON_DEFLATABLE, _pred_three_sum),
-    ("T3.2", STATUS_NON_DEFLATABLE, _pred_two_sum),
-    ("T3.3", STATUS_NON_DEFLATABLE, _pred_t33),
-    ("T3.4", STATUS_NON_DEFLATABLE, partial(_pred_descent_no_bond, "increasing")),
-    ("T3.5", STATUS_NON_DEFLATABLE, partial(_pred_1n2_no_bond, "increasing")),
-    ("T3.6", STATUS_NON_DEFLATABLE, partial(_pred_descent_no_bond, "decreasing")),
-    ("T3.7", STATUS_NON_DEFLATABLE, partial(_pred_1n2_no_bond, "decreasing")),
-    ("T3.8", STATUS_NON_DEFLATABLE, _pred_t38),
-    ("P5.1", STATUS_NON_DEFLATABLE, _pred_p51),
-    ("witness-table", STATUS_DEFLATABLE, _pred_witness_table),
+    ("degenerate", "single-point-basis", STATUS_DEFLATABLE, {(1,)}.__contains__),
+    ("base-12", "monotone", STATUS_DEFLATABLE, {(1, 2), (2, 1)}.__contains__),
+    ("base-231", "short-base", STATUS_DEFLATABLE, {(2, 3, 1)}.__contains__),
+    ("T3.1", "three-sum", STATUS_NON_DEFLATABLE, _pred_three_sum),
+    ("T3.2", "two-sum", STATUS_NON_DEFLATABLE, _pred_two_sum),
+    ("T3.3", "ascent-missing-bond", STATUS_NON_DEFLATABLE, _pred_t33),
+    ("T3.4", "descent-no-increasing-bond", STATUS_NON_DEFLATABLE,
+     partial(_pred_descent_no_bond, "increasing")),
+    ("T3.5", "1n...2-no-increasing-bond", STATUS_NON_DEFLATABLE,
+     partial(_pred_1n2_no_bond, "increasing")),
+    ("T3.6", "descent-no-decreasing-bond", STATUS_NON_DEFLATABLE,
+     partial(_pred_descent_no_bond, "decreasing")),
+    ("T3.7", "1n...2-no-decreasing-bond", STATUS_NON_DEFLATABLE,
+     partial(_pred_1n2_no_bond, "decreasing")),
+    ("T3.8", "1z...2", STATUS_NON_DEFLATABLE, _pred_t38),
+    ("P5.1", "2413", STATUS_NON_DEFLATABLE, {(2, 4, 1, 3)}.__contains__),
+    ("witness-table", "known-witness", STATUS_DEFLATABLE, _pred_witness_table),
 )
+
+#: Short display labels for classifier rules.
+RULE_LABELS = {rule: label for rule, label, _, _ in _RULES} | {"unknown": "undecided"}
 
 
 def classify_principal(pi: Permutation) -> TheoremVerdict:
@@ -581,7 +555,7 @@ def classify_principal(pi: Permutation) -> TheoremVerdict:
     not matched is honestly ``unknown``.
     """
     images = [(sym, _SYMMETRY_FUNCS[sym](pi.values)) for sym in SYMMETRY_ORDER]
-    for rule, status, pred in _RULES:
+    for rule, _, status, pred in _RULES:
         for sym, image in images:
             if pred(image):
                 return TheoremVerdict(status, rule, sym)

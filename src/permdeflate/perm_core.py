@@ -175,17 +175,6 @@ _SYMMETRY_ALIASES = {
     "rev-comp-inv": Symmetry.ANTIDIAGONAL,
 }
 
-_SYMMETRY_INVERSE = {
-    Symmetry.IDENTITY: Symmetry.IDENTITY,
-    Symmetry.R: Symmetry.R3,
-    Symmetry.R2: Symmetry.R2,
-    Symmetry.R3: Symmetry.R,
-    Symmetry.REVERSE: Symmetry.REVERSE,
-    Symmetry.COMPLEMENT: Symmetry.COMPLEMENT,
-    Symmetry.INVERSE: Symmetry.INVERSE,
-    Symmetry.ANTIDIAGONAL: Symmetry.ANTIDIAGONAL,
-}
-
 
 def symmetry_from_name(name: str) -> Symmetry:
     """Resolve a symmetry name or alias, case-insensitively."""
@@ -339,6 +328,13 @@ _SYMMETRY_FUNCS = {
     Symmetry.COMPLEMENT: _complement,
     Symmetry.INVERSE: _inverse,
     Symmetry.ANTIDIAGONAL: lambda vals: _reverse(_complement(_inverse(vals))),
+}
+
+#: Each symmetry's inverse, read off the group: the eight images of 1342 are
+#: distinct, so g undoes f exactly when g(f(1342)) = 1342.
+_SYMMETRY_INVERSE = {
+    f: g for f in Symmetry for g in Symmetry
+    if _SYMMETRY_FUNCS[g](_SYMMETRY_FUNCS[f]((1, 3, 4, 2))) == (1, 3, 4, 2)
 }
 
 

@@ -130,8 +130,6 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
     exempt when w + 2 > n, blocked when bit i of ``cand`` is clear, else
     decided by ``_top_test``, whose precondition an open parent slot
     meets.  Only the bonds whose top cell is blocked go on to the full walk."""
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
     if limit < 1:
         raise ValueError("limit must be at least 1")
     reports: list[WitnessReport] = []

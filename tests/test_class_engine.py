@@ -10,6 +10,7 @@ import pytest
 
 from permdeflate import perm_core
 from permdeflate.perm_core import (
+    MAX_LENGTH,
     Permutation,
     Slot,
     SYMMETRY_ORDER,
@@ -35,6 +36,7 @@ from permdeflate.class_engine import (
     enumerate_simples,
     shading_grid,
 )
+from permdeflate.witness import find_witnesses
 
 P = parse_permutation
 
@@ -64,6 +66,27 @@ def test_basis_normalisation():
     assert [str(b) for b in PermClass.of("132", "4321", "132").basis] == ["1 3 2", "4 3 2 1"]
     with pytest.raises(ValueError):
         PermClass(())
+
+
+def test_the_tree_checks_the_length_bound_for_every_walker():
+    # one check in ``_class_levels``: the same message from each walker
+    c = PermClass.of("12", "21")
+    walkers = (
+        lambda n: list(enumerate_class(c, n)),
+        lambda n: enumerate_simples(c, n),
+        lambda n: count_profile(c, n),
+        lambda n: find_witnesses(c, n, 1),
+    )
+    for walk in walkers:
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=r"^max_len must be at least 1$"):
+                walk(n)
+        # a finite class has no member longer than MAX_LENGTH, so a larger
+        # bound is refused at once rather than walked level by level
+        too_long = rf"^max_len {MAX_LENGTH + 1} exceeds the supported maximum {MAX_LENGTH}$"
+        with pytest.raises(ValueError, match=too_long):
+            walk(MAX_LENGTH + 1)
+    assert count_profile(c, MAX_LENGTH)[-1] == (MAX_LENGTH, 0, 0)
 
 
 def test_avoids_examples():

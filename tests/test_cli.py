@@ -8,13 +8,14 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from permdeflate.cli import _compact, _tree_views, render_grid, run
 from permdeflate.class_engine import PermClass, shading_grid
-from permdeflate.decomposition import substitution_decompose
+from permdeflate.decomposition import _fold, substitution_decompose
 from permdeflate.perm_core import MAX_LENGTH, Permutation, Slot, inflate, parse_permutation
 from permdeflate.witness import load_corpus
 
@@ -141,6 +142,14 @@ def _reference_tree_text(tree):
     return _compact(tree.skeleton) + "[" + ", ".join(parts) + "]"
 
 
+def _reference_tree_json(tree):
+    """The ``--json`` tree as first written: a nested dict for ``json.dumps``."""
+    if tree.is_leaf:
+        return {"leaf": True}
+    children = [_reference_tree_json(c) for c in tree.children]
+    return {"skeleton": str(tree.skeleton), "children": children}
+
+
 _SKELETONS = ((1, 2), (2, 1), (2, 4, 1, 3), (3, 1, 4, 2), (2, 4, 1, 5, 3), (3, 5, 2, 4, 1))
 
 
@@ -158,15 +167,18 @@ def test_decompose_text_matches_reinflating_reference(capsys):
     for n in range(1, 8):
         for q in itertools.permutations(range(1, n + 1)):
             tree = substitution_decompose(Permutation(q))
-            assert _tree_views(tree)[1] == _reference_tree_text(tree), q
+            views = (json.dumps(_reference_tree_json(tree)), _reference_tree_text(tree))
+            assert _tree_views(tree) == views, q
     rng = random.Random(300)
     for _ in range(200):
         p = _random_inflation(rng, rng.randint(20, 300))
-        text = _reference_tree_text(substitution_decompose(p))
+        tree = substitution_decompose(p)
+        text = _reference_tree_text(tree)
         code, out, _ = invoke(capsys, "decompose", str(p))
         assert code == 0 and out == text + "\n"
         _, out_j, _ = invoke(capsys, "decompose", str(p), "--json")
-        assert json.loads(out_j)["results"]["display"] == text
+        results = {"tree": _reference_tree_json(tree), "display": text}
+        assert f'"results": {json.dumps(results)}, "timing_ms": ' in out_j
 
 
 def test_shade_grid_layout(capsys):
@@ -228,18 +240,48 @@ def _comb_text(n):
     return "12[1, " * (n - 2) + "12" + "]" * (n - 2)
 
 
-def test_too_deep_decomposition_exits_2(capsys):
-    # the identity decomposes into one nested sum per entry; the text view
-    # is folded with an explicit stack, but json.dumps of the JSON tree
-    # recurses deeper than the interpreter's default recursion limit
+def _json_values(node):
+    """The permutation a parsed ``--json`` tree stands for, re-inflated
+    bottom-up with ``_fold``: a block's values are offset by the sizes of
+    the blocks whose skeleton values are smaller."""
+
+    def join(skeleton, kids):
+        if skeleton is None:
+            return (1,)
+        skel = tuple(map(int, skeleton.split()))
+        offset, base = 0, {}
+        for i in sorted(range(len(skel)), key=skel.__getitem__):
+            base[i], offset = offset, offset + len(kids[i])
+        return tuple(v + base[i] for i, kid in enumerate(kids) for v in kid)
+
+    return _fold(node, lambda d: (d.get("skeleton"), d.get("children", ())), join)
+
+
+def _parse_deep(text):
+    """``json.loads`` of a report with a deep tree: the decoder recurses along
+    the tree, so the caller raises the limit, as ``perfbench`` does."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(saved, 20000))
+    try:
+        return json.loads(text)
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+def test_deep_decomposition_exits_0_in_text_and_json(capsys):
+    # the identity decomposes into one nested sum per entry, deeper than the
+    # interpreter's default recursion limit; the fold writes both the text
+    # and the JSON tree with an explicit stack
     assert sys.getrecursionlimit() < 1200
     identity = " ".join(str(v) for v in range(1, 1201))
     code, out, err = invoke(capsys, "decompose", identity)
     assert code == 0 and err == ""
     assert out == _comb_text(1200) + "\n"
     code, out, err = invoke(capsys, "decompose", identity, "--json")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert code == 0 and err == ""
+    results = _parse_deep(out)["results"]
+    assert results["display"] == _comb_text(1200)
+    assert _json_values(results["tree"]) == tuple(range(1, 1201))
 
 
 def _run_module(*argv):
@@ -260,11 +302,28 @@ def test_module_entry_point_in_a_subprocess():
     code, out, err = _run_module("classify", "2413", "--json")
     assert code == 0 and err == ""
     assert set(json.loads(out)) == {"command", "inputs", "results", "timing_ms"}
-    identity = " ".join(str(v) for v in range(1, 1201))
-    for argv in (["contains", "12a", "1"], ["decompose", identity, "--json"]):
+    too_long = " ".join(str(v) for v in range(1, MAX_LENGTH + 2))
+    for argv in (["contains", "12a", "1"], ["decompose", too_long, "--json"]):
         code, out, err = _run_module(*argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_bounds_beyond_max_length_exit_2_at_once_in_a_subprocess():
+    # no member is longer than MAX_LENGTH, so a larger bound is refused
+    # before the tree walks any level, even for a finite class whose
+    # levels are empty from some length on
+    for argv in (
+        ["simples", "--basis", "1", "--max-len", "20000000"],
+        ["enumerate", "--basis", "12,21", "--max-len", "1000000000", "--json"],
+        ["witness", "search", "--basis", "12,21", "--max-len", "2000000"],
+    ):
+        start = time.perf_counter()
+        code, out, err = _run_module(*argv)
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        bound = argv[argv.index("--max-len") + 1]
+        assert err == f"error: max_len {bound} exceeds the supported maximum {MAX_LENGTH}\n"
 
 
 def _alternating(n):
@@ -278,8 +337,8 @@ def _alternating(n):
 
 
 def test_deepest_decompositions_in_a_subprocess():
-    # text decompose decides every input the CLI accepts, at the default
-    # recursion limit of a fresh interpreter
+    # decompose, text and --json, decides every input the CLI accepts, at
+    # the default recursion limit of a fresh interpreter
     pairs = (MAX_LENGTH - 2) // 2 - 1  # the alternating sum's 12-21 pairs above the last
     cases = (
         (range(1, MAX_LENGTH + 1), _comb_text(MAX_LENGTH)),
@@ -289,6 +348,11 @@ def test_deepest_decompositions_in_a_subprocess():
         code, out, err = _run_module("decompose", " ".join(map(str, vals)))
         assert code == 0 and err == ""
         assert out == display + "\n"
+        code, out, err = _run_module("decompose", " ".join(map(str, vals)), "--json")
+        assert code == 0 and err == ""
+        results = _parse_deep(out)["results"]
+        assert results["display"] == display
+        assert _json_values(results["tree"]) == tuple(vals)
 
 
 def test_readme_long_row_extend_in_a_subprocess():

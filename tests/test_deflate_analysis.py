@@ -44,6 +44,10 @@ from permdeflate.deflate_analysis import (
     empirical_deflatability,
     extend_to_simple,
     known_deflatable_bases,
+    RULE_LABELS,
+    STATUS_DEFLATABLE,
+    STATUS_NON_DEFLATABLE,
+    TheoremVerdict,
     _RULES,
     _bfs_extension,
     _corner_point_stages,
@@ -51,6 +55,13 @@ from permdeflate.deflate_analysis import (
     _form_1n2,
     _has_bond,
     _one_plus_tail,
+    _pred_1n2_no_bond,
+    _pred_descent_no_bond,
+    _pred_t33,
+    _pred_t38,
+    _pred_three_sum,
+    _pred_two_sum,
+    _pred_witness_table,
 )
 from permdeflate.witness import bond_certificate
 
@@ -574,12 +585,98 @@ def _ref_t37(vals):
 
 
 def test_bond_kind_rules_match_one_predicate_per_theorem():
-    rules = {rule: pred for rule, _, pred in _RULES}
+    rules = {rule: pred for rule, _, _, pred in _RULES}
     refs = {"T3.4": _ref_t34, "T3.5": _ref_t35, "T3.6": _ref_t36, "T3.7": _ref_t37}
     for n in range(1, 9):
         for vals in itertools.permutations(range(1, n + 1)):
             for rule, ref in refs.items():
                 assert rules[rule](vals) == ref(vals), (rule, vals)
+
+
+#: The classifier's tables as they stood when labels, statuses and
+#: hypotheses were written in two tables and four literal predicates.
+_OLD_RULE_LABELS = {
+    "degenerate": "single-point-basis",
+    "base-12": "monotone",
+    "base-231": "short-base",
+    "T3.1": "three-sum",
+    "T3.2": "two-sum",
+    "T3.3": "ascent-missing-bond",
+    "T3.4": "descent-no-increasing-bond",
+    "T3.5": "1n...2-no-increasing-bond",
+    "T3.6": "descent-no-decreasing-bond",
+    "T3.7": "1n...2-no-decreasing-bond",
+    "T3.8": "1z...2",
+    "P5.1": "2413",
+    "witness-table": "known-witness",
+    "unknown": "undecided",
+}
+
+
+def _old_pred_degenerate(vals):
+    return len(vals) == 1
+
+
+def _old_pred_base_12(vals):
+    return vals in ((1, 2), (2, 1))
+
+
+def _old_pred_base_231(vals):
+    return vals == (2, 3, 1)
+
+
+def _old_pred_p51(vals):
+    return vals == (2, 4, 1, 3)
+
+
+_OLD_RULES = (
+    ("degenerate", STATUS_DEFLATABLE, _old_pred_degenerate),
+    ("base-12", STATUS_DEFLATABLE, _old_pred_base_12),
+    ("base-231", STATUS_DEFLATABLE, _old_pred_base_231),
+    ("T3.1", STATUS_NON_DEFLATABLE, _pred_three_sum),
+    ("T3.2", STATUS_NON_DEFLATABLE, _pred_two_sum),
+    ("T3.3", STATUS_NON_DEFLATABLE, _pred_t33),
+    ("T3.4", STATUS_NON_DEFLATABLE, lambda vals: _pred_descent_no_bond("increasing", vals)),
+    ("T3.5", STATUS_NON_DEFLATABLE, lambda vals: _pred_1n2_no_bond("increasing", vals)),
+    ("T3.6", STATUS_NON_DEFLATABLE, lambda vals: _pred_descent_no_bond("decreasing", vals)),
+    ("T3.7", STATUS_NON_DEFLATABLE, lambda vals: _pred_1n2_no_bond("decreasing", vals)),
+    ("T3.8", STATUS_NON_DEFLATABLE, _pred_t38),
+    ("P5.1", STATUS_NON_DEFLATABLE, _old_pred_p51),
+    ("witness-table", STATUS_DEFLATABLE, _pred_witness_table),
+)
+
+
+def _old_classify(pi):
+    images = [(sym, perm_core._SYMMETRY_FUNCS[sym](pi.values)) for sym in SYMMETRY_ORDER]
+    for rule, status, pred in _OLD_RULES:
+        for sym, image in images:
+            if pred(image):
+                return TheoremVerdict(status, rule, sym)
+    return TheoremVerdict("unknown", "unknown", perm_core.Symmetry.IDENTITY)
+
+
+def _old_describe(verdict):
+    label = _OLD_RULE_LABELS.get(verdict.rule, "")
+    shown = f"{verdict.rule} {label}" if label else verdict.rule
+    return f"{verdict.status} ({shown})"
+
+
+def test_rule_labels_are_the_table_of_rules():
+    assert RULE_LABELS == _OLD_RULE_LABELS
+    assert list(RULE_LABELS) == list(_OLD_RULE_LABELS)
+    assert [row[0] for row in _RULES] == [rule for rule, _, _ in _OLD_RULES]
+    assert all(label == RULE_LABELS[rule] for rule, label, _, _ in _RULES)
+
+
+def test_one_table_of_rules_matches_the_two_tables_to_8():
+    # same verdict (status, rule and symmetry) and the same display on
+    # every principal class with a basis of length <= 8
+    for n in range(1, 9):
+        for q in itertools.permutations(range(1, n + 1)):
+            pi = Permutation(q)
+            verdict, old = classify_principal(pi), _old_classify(pi)
+            assert verdict == old, q
+            assert verdict.describe() == _old_describe(old), q
 
 
 def test_classifier_symmetry_invariance_to_5():

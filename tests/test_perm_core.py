@@ -727,6 +727,18 @@ def test_group_law_on_a_free_test_permutation():
             assert composed.values in images
 
 
+def test_derived_inverses_undo_their_symmetries_to_6():
+    funcs, inverse = perm_core._SYMMETRY_FUNCS, perm_core._SYMMETRY_INVERSE
+    assert list(inverse) == list(SYMMETRY_ORDER)
+    for sym in SYMMETRY_ORDER:
+        back = funcs[inverse[sym]]
+        for n in range(1, 7):
+            for q in itertools.permutations(range(1, n + 1)):
+                assert back(funcs[sym](q)) == q, (sym, q)
+    # every symmetry but the quarter turns is its own inverse
+    assert [s for s in SYMMETRY_ORDER if inverse[s] is not s] == [Symmetry.R, Symmetry.R3]
+
+
 def test_symmetry_equivariance_exhaustive_to_6():
     perms = {n: [q for q in itertools.permutations(range(1, n + 1))] for n in range(1, 7)}
     from permdeflate.perm_core import _SYMMETRY_FUNCS
