@@ -105,6 +105,13 @@ class _Level(list):
     masks: list[int]
 
 
+def _check_length_bound(name: str, bound: int) -> None:
+    """Refuse a length bound, named ``name`` in the message, above
+    ``MAX_LENGTH``: no member, and no extension, is longer."""
+    if bound > MAX_LENGTH:
+        raise ValueError(f"{name} {bound} exceeds the supported maximum {MAX_LENGTH}")
+
+
 def _class_levels(c: PermClass, max_len: int) -> Iterator[_Level]:
     """Members of ``c`` as raw value tuples, one ``_Level`` per length 1..max_len.
 
@@ -128,8 +135,7 @@ def _class_levels(c: PermClass, max_len: int) -> Iterator[_Level]:
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    if max_len > MAX_LENGTH:
-        raise ValueError(f"max_len {max_len} exceeds the supported maximum {MAX_LENGTH}")
+    _check_length_bound("max_len", max_len)
     blocked = _top_test(c)
     level = _Level([(1,)] if _avoids_raw((1,), c) else [])
     level.masks = [len(level)]  # the root's open slots

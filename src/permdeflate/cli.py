@@ -1,5 +1,11 @@
 """Command-line front end.
 
+One table of subcommands (``_COMMANDS``) and one of arguments
+(``_ARGUMENTS``) drive the parser, the argument reading and the JSON
+``inputs``: ``run`` reads each argument once, in declaration order, passes
+the values to the command and echoes them. Adding a command is adding one
+row; a command parses nothing and returns its exit code, results and lines.
+
 Every subcommand prints a short human summary by default and a structured
 JSON report with ``--json``; the report shape is fixed: command, inputs,
 results, timing_ms (integers and strings only, never floats).
@@ -103,71 +109,53 @@ def render_grid(grid: ShadingGrid) -> str:
     return "\n".join(lines)
 
 
-def _cmd_contains(args) -> tuple[int, dict, dict, list[str]]:
-    pattern = parse_permutation(args.pattern)
-    host = parse_permutation(args.host)
+_Outcome = tuple[int, dict, list[str]]  # exit code, results, text lines
+
+
+def _cmd_contains(pattern: Permutation, host: Permutation) -> _Outcome:
     occ = contains(pattern, host)
-    inputs = {"pattern": str(pattern), "host": str(host)}
     if occ is None:
-        return 1, inputs, {"contained": False, "occurrence": None}, [
-            f"{pattern} does not occur in {host}"
-        ]
+        return 1, {"contained": False, "occurrence": None}, [f"{pattern} does not occur in {host}"]
     text = " ".join(str(p) for p in occ.positions)
-    return 0, inputs, {"contained": True, "occurrence": text}, [
-        f"occurrence at positions {text}"
-    ]
+    return 0, {"contained": True, "occurrence": text}, [f"occurrence at positions {text}"]
 
 
-def _cmd_decompose(args) -> tuple[int, dict, dict, list[str]]:
-    p = parse_permutation(args.perm)
-    node, text = _tree_views(substitution_decompose(p))
-    return 0, {"perm": str(p)}, {"tree": node, "display": text}, [text]
+def _cmd_decompose(perm: Permutation) -> _Outcome:
+    node, text = _tree_views(substitution_decompose(perm))
+    return 0, {"tree": node, "display": text}, [text]
 
 
-def _cmd_simples(args) -> tuple[int, dict, dict, list[str]]:
-    c = _parse_basis(args.basis)
-    simples = enumerate_simples(c, args.max_len)
-    inputs = {"basis": [str(b) for b in c.basis], "max_len": args.max_len}
-    results = {"count": len(simples), "simples": [str(s) for s in simples]}
-    return 0, inputs, results, [str(s) for s in simples] or ["(none)"]
+def _cmd_simples(basis: PermClass, max_len: int) -> _Outcome:
+    simples = [str(s) for s in enumerate_simples(basis, max_len)]
+    return 0, {"count": len(simples), "simples": simples}, simples or ["(none)"]
 
 
-def _cmd_enumerate(args) -> tuple[int, dict, dict, list[str]]:
-    c = _parse_basis(args.basis)
-    members = list(enumerate_class(c, args.max_len))
-    counts = [0] * args.max_len  # only once the walk has checked the bound
+def _cmd_enumerate(basis: PermClass, max_len: int) -> _Outcome:
+    members = list(enumerate_class(basis, max_len))
+    counts = [0] * max_len  # only once the walk has checked the bound
     for p in members:
         counts[len(p) - 1] += 1
-    inputs = {"basis": [str(b) for b in c.basis], "max_len": args.max_len}
     lines = [str(p) for p in members]
     results = {"counts": [[n, k] for n, k in enumerate(counts, start=1)], "members": lines}
-    return 0, inputs, results, lines or ["(empty class)"]
+    return 0, results, lines or ["(empty class)"]
 
 
-def _cmd_shade(args) -> tuple[int, dict, dict, list[str]]:
-    p = parse_permutation(args.perm)
-    c = _parse_basis(args.basis)
-    grid = shading_grid(p, c)
+def _cmd_shade(perm: Permutation, basis: PermClass) -> _Outcome:
+    grid = shading_grid(perm, basis)
     blocked = sorted(grid.blocked)
-    inputs = {"perm": str(p), "basis": [str(b) for b in c.basis]}
     results = {"blocked": [_slot_text(s) for s in blocked], "blocked_count": len(blocked)}
-    return 0, inputs, results, [render_grid(grid)]
+    return 0, results, [render_grid(grid)]
 
 
-def _cmd_classify(args) -> tuple[int, dict, dict, list[str]]:
-    pi = parse_permutation(args.pi)
+def _cmd_classify(pi: Permutation) -> _Outcome:
     verdict = classify_principal(pi)
-    results = {
-        "status": verdict.status,
-        "rule": verdict.rule,
-        "symmetry_used": verdict.symmetry_used.value,
-    }
-    return 0, {"pi": str(pi)}, results, [verdict.describe()]
+    results = {"status": verdict.status, "rule": verdict.rule,
+               "symmetry_used": verdict.symmetry_used.value}
+    return 0, results, [verdict.describe()]
 
 
-def _cmd_witness_search(args) -> tuple[int, dict, dict, list[str]]:
-    c = _parse_basis(args.basis)
-    reports = find_witnesses(c, args.max_len, args.limit)
+def _cmd_witness_search(basis: PermClass, max_len: int, limit: int) -> _Outcome:
+    reports = find_witnesses(basis, max_len, limit)
     rows = [
         {
             "witness": str(r.witness),
@@ -177,23 +165,17 @@ def _cmd_witness_search(args) -> tuple[int, dict, dict, list[str]]:
         }
         for r in reports
     ]
-    inputs = {"basis": [str(b) for b in c.basis], "max_len": args.max_len, "limit": args.limit}
     lines = [
         f"witness {row['witness']} ({row['bond_kind']} bond at position {row['bond_position']})"
         for row in rows
-    ] or [f"no certified witnesses in {c} up to length {args.max_len}"]
-    return (0 if rows else 1), inputs, {"witnesses": rows}, lines
+    ] or [f"no certified witnesses in {basis} up to length {max_len}"]
+    return (0 if rows else 1), {"witnesses": rows}, lines
 
 
-def _cmd_witness_check(args) -> tuple[int, dict, dict, list[str]]:
-    p = parse_permutation(args.perm)
-    c = _parse_basis(args.basis)
-    cert = bond_certificate(p, c)
-    inputs = {"perm": str(p), "basis": [str(b) for b in c.basis]}
+def _cmd_witness_check(perm: Permutation, basis: PermClass) -> _Outcome:
+    cert = bond_certificate(perm, basis)
     if cert is None:
-        return 1, inputs, {"certified": False, "bond": None}, [
-            f"no bond of {p} certifies against {c}"
-        ]
+        return 1, {"certified": False, "bond": None}, [f"no bond of {perm} certifies against {basis}"]
     results = {
         "certified": True,
         "bond": {
@@ -209,48 +191,39 @@ def _cmd_witness_check(args) -> tuple[int, dict, dict, list[str]]:
         f"{{{cert.bond.low_value}, {cert.bond.low_value + 1}}}; "
         f"{len(cert.checked_slots)} strip slots all blocked"
     ]
-    return 0, inputs, results, lines
+    return 0, results, lines
 
 
-def _cmd_extend(args) -> tuple[int, dict, dict, list[str]]:
-    p = parse_permutation(args.perm)
-    c = _parse_basis(args.basis)
-    result = extend_to_simple(p, c, args.max_len)
-    inputs = {"perm": str(p), "basis": [str(b) for b in c.basis], "max_len": args.max_len}
+def _cmd_extend(perm: Permutation, basis: PermClass, max_len: int) -> _Outcome:
+    result = extend_to_simple(perm, basis, max_len)
     if result is None:
-        return 1, inputs, {"found": False, "simple": None, "chain": []}, [
-            f"no simple member of {c} of length <= {args.max_len} contains {p}"
+        return 1, {"found": False, "simple": None, "chain": []}, [
+            f"no simple member of {basis} of length <= {max_len} contains {perm}"
         ]
-    chain = [
-        {"slot": _slot_text(r.slot), "extension": str(r.extension)} for r in result.chain
-    ]
+    chain = [{"slot": _slot_text(r.slot), "extension": str(r.extension)} for r in result.chain]
     results = {"found": True, "simple": str(result.simple), "chain": chain}
     lines = [f"simple extension: {result.simple}"]
     lines.extend(f"  break at slot ({c_['slot']}) -> {c_['extension']}" for c_ in chain)
-    return 0, inputs, results, lines
+    return 0, results, lines
 
 
-def _cmd_family(args) -> tuple[int, dict, dict, list[str]]:
-    theta = parse_permutation(args.theta)
+def _cmd_family(theta: Permutation) -> _Outcome:
     check = inflation_family(theta)
-    results = {
-        "pi_star": str(check.pi_star),
-        "omega_star": str(check.omega_star),
-        "verified": check.verified,
-    }
+    results = {"pi_star": str(check.pi_star), "omega_star": str(check.omega_star),
+               "verified": check.verified}
     lines = [
         f"pi* = {check.pi_star}",
         f"omega* = {check.omega_star}",
         f"verified: {'yes' if check.verified else 'NO'}",
     ]
-    return (0 if check.verified else 1), {"theta": str(theta)}, results, lines
+    return (0 if check.verified else 1), results, lines
 
 
-def _cmd_verify_paper(args) -> tuple[int, dict, dict, list[str]]:
-    rows = verify_corpus(args.corpus)
+def _cmd_verify_paper(corpus: str | None) -> _Outcome:
+    rows = verify_corpus(corpus)
     if not rows:
         # a replay that checked nothing must not pass
-        raise ValueError(f"corpus {args.corpus} has no rows")
+        raise ValueError(f"corpus {corpus} has no rows")
     out_rows = []
     lines = []
     for row in rows:
@@ -274,8 +247,42 @@ def _cmd_verify_paper(args) -> tuple[int, dict, dict, list[str]]:
         )
     all_passed = all(row.passed for row in rows)
     lines.append(f"{sum(r.passed for r in rows)}/{len(rows)} rows passed")
-    results = {"rows": out_rows, "all_passed": all_passed}
-    return (0 if all_passed else 1), {"corpus": args.corpus or "bundled"}, results, lines
+    return (0 if all_passed else 1), {"rows": out_rows, "all_passed": all_passed}, lines
+
+
+#: Every argument once: its argparse options and, for a permutation or a
+#: basis, the reader ``run`` applies to what argparse gives.
+_ARGUMENTS = {
+    "pattern": ({}, parse_permutation),
+    "host": ({}, parse_permutation),
+    "perm": ({}, parse_permutation),
+    "pi": ({}, parse_permutation),
+    "--perm": ({"required": True}, parse_permutation),
+    "--basis": ({"required": True}, _parse_basis),
+    "--max-len": ({"type": int, "required": True}, None),
+    "--limit": ({"type": int, "default": 1}, None),
+    "--theta": ({"required": True}, parse_permutation),
+    "--corpus": ({"default": None}, None),
+}
+
+#: Every subcommand once, in help order: (name, help, command, arguments).
+#: A row without a command opens a group, whose rows are named "<group> <name>".
+_COMMANDS = (
+    ("contains", "search for a pattern inside a host", _cmd_contains, ("pattern", "host")),
+    ("decompose", "substitution decomposition tree", _cmd_decompose, ("perm",)),
+    ("simples", "simple members of a class", _cmd_simples, ("--basis", "--max-len")),
+    ("enumerate", "members of a class by length", _cmd_enumerate, ("--basis", "--max-len")),
+    ("shade", "ASCII shading grid of a member", _cmd_shade, ("--perm", "--basis")),
+    ("classify", "deflatability verdict for Av(pi)", _cmd_classify, ("pi",)),
+    ("witness", "witness search / certificate check", None, ()),
+    ("witness search", "scan a class for certified witnesses", _cmd_witness_search,
+     ("--basis", "--max-len", "--limit")),
+    ("witness check", "bond-certificate check for one member", _cmd_witness_check,
+     ("--perm", "--basis")),
+    ("extend", "extend a member to a simple member", _cmd_extend, ("--perm", "--basis", "--max-len")),
+    ("family", "inflation-family check for one block", _cmd_family, ("--theta",)),
+    ("verify-paper", "replay the bundled witness corpus", _cmd_verify_paper, ("--corpus",)),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,63 +298,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON report instead of text")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("contains", parents=[common], help="search for a pattern inside a host")
-    p.add_argument("pattern")
-    p.add_argument("host")
-    p.set_defaults(func=_cmd_contains)
-
-    p = sub.add_parser("decompose", parents=[common], help="substitution decomposition tree")
-    p.add_argument("perm")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("simples", parents=[common], help="simple members of a class")
-    p.add_argument("--basis", required=True)
-    p.add_argument("--max-len", type=int, required=True)
-    p.set_defaults(func=_cmd_simples)
-
-    p = sub.add_parser("enumerate", parents=[common], help="members of a class by length")
-    p.add_argument("--basis", required=True)
-    p.add_argument("--max-len", type=int, required=True)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("shade", parents=[common], help="ASCII shading grid of a member")
-    p.add_argument("--perm", required=True)
-    p.add_argument("--basis", required=True)
-    p.set_defaults(func=_cmd_shade)
-
-    p = sub.add_parser("classify", parents=[common], help="deflatability verdict for Av(pi)")
-    p.add_argument("pi")
-    p.set_defaults(func=_cmd_classify)
-
-    w = sub.add_parser("witness", help="witness search / certificate check")
-    wsub = w.add_subparsers(dest="witness_command", required=True)
-    p = wsub.add_parser("search", parents=[common], help="scan a class for certified witnesses")
-    p.add_argument("--basis", required=True)
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--limit", type=int, default=1)
-    p.set_defaults(func=_cmd_witness_search)
-    p = wsub.add_parser("check", parents=[common], help="bond-certificate check for one member")
-    p.add_argument("--perm", required=True)
-    p.add_argument("--basis", required=True)
-    p.set_defaults(func=_cmd_witness_check)
-
-    p = sub.add_parser("extend", parents=[common], help="extend a member to a simple member")
-    p.add_argument("--perm", required=True)
-    p.add_argument("--basis", required=True)
-    p.add_argument("--max-len", type=int, required=True)
-    p.set_defaults(func=_cmd_extend)
-
-    p = sub.add_parser("family", parents=[common], help="inflation-family check for one block")
-    p.add_argument("--theta", required=True)
-    p.set_defaults(func=_cmd_family)
-
-    p = sub.add_parser("verify-paper", parents=[common], help="replay the bundled witness corpus")
-    p.add_argument("--corpus", default=None)
-    p.set_defaults(func=_cmd_verify_paper)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, help_text, func, arg_names in _COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        if func is None:
+            p = groups[group].add_parser(leaf, help=help_text)
+            groups[name] = p.add_subparsers(dest=f"{name}_command", required=True)
+            continue
+        p = groups[group].add_parser(leaf, parents=[common], help=help_text)
+        for arg in arg_names:
+            p.add_argument(arg, **_ARGUMENTS[arg][0])
+        p.set_defaults(command_row=(name, func, arg_names))
     return parser
+
+
+def _echo(value: object) -> object:
+    """A value ``run`` read, as the report's ``inputs`` show it."""
+    if isinstance(value, PermClass):
+        return [str(b) for b in value.basis]
+    if isinstance(value, Permutation):
+        return str(value)
+    return "bundled" if value is None else value  # only --corpus may be absent
 
 
 def run(argv: list[str]) -> int:
@@ -357,16 +328,19 @@ def run(argv: list[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    name, func, arg_names = args.command_row
     t0 = time.monotonic()
     try:
-        code, inputs, results, lines = args.func(args)
-        if getattr(args, "json", False):
-            command = args.command
-            if command == "witness":
-                command = f"witness {args.witness_command}"
+        values = {}
+        for arg in arg_names:  # in declaration order: the first bad one is reported
+            dest = arg.lstrip("-").replace("-", "_")
+            reader = _ARGUMENTS[arg][1]
+            values[dest] = getattr(args, dest) if reader is None else reader(getattr(args, dest))
+        code, results, lines = func(**values)
+        if args.json:
             report = {
-                "command": command,
-                "inputs": inputs,
+                "command": name,
+                "inputs": {dest: _echo(value) for dest, value in values.items()},
                 "results": results,
                 "timing_ms": int((time.monotonic() - t0) * 1000),
             }

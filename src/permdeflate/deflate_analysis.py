@@ -57,6 +57,7 @@ from .decomposition import (
 from .class_engine import (
     PermClass,
     _avoids_raw,
+    _check_length_bound,
     _class_levels,
     _insertion_creates,
     _slot_test,
@@ -287,12 +288,14 @@ def extend_to_simple(w: Permutation, c: PermClass, max_len: int) -> Optional[Sim
     whose parent image is blocked, which are blocked too, and on its last
     level slots whose children cannot be simple, so it misses no simple
     extension, and an absent result genuinely means no simple extension
-    within ``max_len``.
+    within ``max_len``.  Raises ``ValueError`` when ``w`` is not a member,
+    or ``max_len`` is below its length or above ``MAX_LENGTH``.
     """
     if not avoids(w, c):
         raise ValueError(f"{w} is not a member of {c}")
     if max_len < len(w):
         raise ValueError(f"max_len {max_len} is below the length of {w}")
+    _check_length_bound("max_len", max_len)
     if _is_simple(w.values):
         return SimpleExtension(w, ())
 
@@ -577,6 +580,7 @@ def empirical_deflatability(c: PermClass, cover_len: int, search_len: int) -> Em
         raise ValueError("cover_len must be at least 1")
     if cover_len > search_len:
         raise ValueError("cover_len must not exceed search_len")
+    _check_length_bound("search_len", search_len)
 
     targets: list[tuple[int, ...]] = []
     simples: list[tuple[int, ...]] = []

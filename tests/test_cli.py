@@ -326,6 +326,17 @@ def test_bounds_beyond_max_length_exit_2_at_once_in_a_subprocess():
         assert err == f"error: max_len {bound} exceeds the supported maximum {MAX_LENGTH}\n"
 
 
+def test_extend_beyond_max_length_exits_2_at_once_in_a_subprocess():
+    # the breadth-first search walks no tree, so extend checks the bound itself
+    start = time.perf_counter()
+    code, out, err = _run_module(
+        "extend", "--perm", "25173486", "--basis", "251364", "--max-len", "20000000"
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: max_len 20000000 exceeds the supported maximum {MAX_LENGTH}\n"
+
+
 def _alternating(n):
     """The alternating sum of odd length n: p = 1 repeatedly becomes the
     direct sum of 1 and the skew sum of p and 1, a tree of depth n - 1

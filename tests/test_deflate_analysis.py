@@ -486,6 +486,10 @@ def test_extend_validates_inputs():
         extend_to_simple(P("321"), PermClass.of("321"), 8)
     with pytest.raises(ValueError):
         extend_to_simple(P("2413"), PermClass.of("321"), 3)
+    # no extension is longer than MAX_LENGTH: the tree's message, at once
+    too_long = "^max_len 4097 exceeds the supported maximum 4096$"
+    with pytest.raises(ValueError, match=too_long):
+        extend_to_simple(P("25173486"), PermClass.of("251364"), perm_core.MAX_LENGTH + 1)
 
 
 def test_extend_agrees_with_simple_containment_search():
@@ -726,6 +730,10 @@ def test_empirical_av2413_small_bounds_covered():
 def test_empirical_validates_bounds():
     with pytest.raises(ValueError):
         empirical_deflatability(PermClass.of("231"), 5, 4)
+    # the message names the parameter the caller passed
+    too_long = "^search_len 5000 exceeds the supported maximum 4096$"
+    with pytest.raises(ValueError, match=too_long):
+        empirical_deflatability(PermClass.of("12", "21"), 1, 5000)
 
 
 def test_empirical_certificates_match_bond_certificate():

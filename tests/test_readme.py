@@ -5,6 +5,7 @@ commented result of the library quick tour holds."""
 from __future__ import annotations
 
 import ast
+import itertools
 import json
 import re
 import shlex
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from permdeflate.cli import run
+from permdeflate.cli import _COMMANDS, run
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -50,6 +51,16 @@ def _command_examples() -> list[tuple[list[str], list[str]]]:
 
 
 _EXAMPLES = _command_examples()
+
+
+def test_readme_usage_lists_the_command_table():
+    # the usage block names each subcommand of the table once, in its order
+    usage = _blocks(_section("## Command line"), "text")[0]
+    names = [
+        " ".join(itertools.takewhile(lambda word: word[0].isalpha(), line.split()[1:]))
+        for line in usage.splitlines()
+    ]
+    assert names == [name for name, _, func, _ in _COMMANDS if func is not None]
 
 
 def test_readme_shows_command_examples():
