@@ -23,6 +23,7 @@ from .perm_core import (
     MAX_LENGTH,
     Permutation,
     Slot,
+    _SYMMETRY_FUNCS,
     _contains_any,
     _contains_pinned,
     _slot_kernel,
@@ -171,6 +172,43 @@ def _candidates(level: _Level) -> Iterator[tuple[tuple[int, ...], int, int]]:
                 yield next(members), s, (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
 
 
+def _simple_members(level: _Level) -> list[tuple[int, ...]]:
+    """The simple members of one ``_class_levels`` level, in order, read off
+    the parents' bonds.  A run's parent is its first child minus the
+    maximum n.  A child is not simple when n lands at an end or next to
+    n - 1, or leaves a bond of the parent unsplit, and n splits at most the
+    bond it falls between.  So a parent with two bonds has no simple
+    child, one with a bond at positions (b - 1, b) at most the child at
+    slot b.  Only the survivors, and levels of length below 5, go to
+    ``_is_simple``."""
+    if not level or len(level[0]) < 5:
+        return [vals for vals in level if _is_simple(vals)]
+    n = len(level[0])
+    out = []
+    first = 0  # the index in ``level`` of the run's first child
+    for pm in level.masks:
+        if not pm:
+            continue
+        q = (pm & -pm).bit_length() - 1
+        parent = level[first][:q] + level[first][q + 1:]
+        slots = pm & ~(1 | 1 << (n - 1) | 3 << parent.index(n - 1))  # ends, next to n - 1
+        b, prev = 0, parent[0]
+        for v in parent:
+            if not slots:
+                break
+            if v - prev in (1, -1):  # a bond at (b - 1, b): 0 at a second one
+                slots &= 1 << b
+            b, prev = b + 1, v
+        while slots:
+            low = slots & -slots
+            vals = level[first + (pm & (low - 1)).bit_count()]
+            if _is_simple(vals):
+                out.append(vals)
+            slots ^= low
+        first += pm.bit_count()
+    return out
+
+
 def enumerate_class(c: PermClass, max_len: int) -> Iterator[Permutation]:
     """Yield every member of ``c`` of length 1..max_len, grouped by length,
     each exactly once.  Memory stays bounded by one length level plus the
@@ -181,20 +219,29 @@ def enumerate_class(c: PermClass, max_len: int) -> Iterator[Permutation]:
 
 
 def enumerate_simples(c: PermClass, max_len: int) -> list[Permutation]:
-    """All simple members of ``c`` with length <= max_len."""
-    out = []
-    for level in _class_levels(c, max_len):
-        out.extend(Permutation(vals) for vals in level if _is_simple(vals))
-    return out
+    """All simple members of ``c`` with length <= max_len, each level's read
+    off its parents' bonds by ``_simple_members``."""
+    return [
+        Permutation(vals) for level in _class_levels(c, max_len) for vals in _simple_members(level)
+    ]
 
 
 def count_profile(c: PermClass, max_len: int) -> list[tuple[int, int, int]]:
-    """Per-length (length, member_count, simple_count) rows."""
-    rows = []
-    for n, level in enumerate(_class_levels(c, max_len), start=1):
-        simple = sum(1 for vals in level if _is_simple(vals))
-        rows.append((n, len(level), simple))
-    return rows
+    """Per-length (length, member_count, simple_count) rows, the simple
+    members counted by ``_simple_members``."""
+    return [
+        (n, len(level), len(_simple_members(level)))
+        for n, level in enumerate(_class_levels(c, max_len), start=1)
+    ]
+
+
+def _class_symmetries(c: PermClass) -> tuple[Callable[[tuple[int, ...]], tuple[int, ...]], ...]:
+    """The functions of ``_SYMMETRY_FUNCS`` that map the basis of ``c`` onto
+    itself, identity first.  Each maps members to members of the same
+    length, simple members to simple ones and containments to containments,
+    so it carries any member's cover verdict to its image."""
+    basis = {b.values for b in c.basis}
+    return tuple(f for f in _SYMMETRY_FUNCS.values() if {f(b) for b in basis} == basis)
 
 
 def _insertion_creates(c: PermClass, vals: tuple[int, ...], ps: int, vs: int) -> bool:

@@ -59,7 +59,9 @@ from .class_engine import (
     _avoids_raw,
     _check_length_bound,
     _class_levels,
+    _class_symmetries,
     _insertion_creates,
+    _simple_members,
     _slot_test,
     avoids,
 )
@@ -572,8 +574,12 @@ def empirical_deflatability(c: PermClass, cover_len: int, search_len: int) -> Em
     Because the class is downward closed, a member extends to a simple
     member within the bound exactly when it is contained in one, so one
     enumeration pass suffices: collect the simple members up to
-    ``search_len`` and test each short member for containment in one of
-    them.  Members that extend to nothing are reported with their bond
+    ``search_len``, each level's by ``_simple_members``, and test the short
+    non-simple members for containment in one of them.  Orbit settling:
+    only the first member of each orbit of ``_class_symmetries``, in
+    target order, is scanned (the last 8 hits, then every longer simple
+    member), and its verdict is recorded for every image.  Members that
+    extend to nothing are reported in target order, each with its own bond
     certificate (when one exists), tested without a second membership proof.
     """
     if cover_len < 1:
@@ -587,12 +593,13 @@ def empirical_deflatability(c: PermClass, cover_len: int, search_len: int) -> Em
     for n, level in enumerate(_class_levels(c, search_len), start=1):
         if n <= cover_len:
             targets.extend(level)
-        simples.extend(vals for vals in level if _is_simple(vals))
+        simples.extend(_simple_members(level))
 
+    symmetries = _class_symmetries(c)
+    covered = dict.fromkeys((s for s in simples if len(s) <= cover_len), True)
     recent: list[tuple[int, ...]] = []
-    uncovered_vals = []
     for vals in targets:
-        if _is_simple(vals):
+        if vals in covered:
             continue
         hit = next((s for s in recent if len(s) >= len(vals) and _contains_any(vals, s)), None)
         if hit is None:
@@ -602,12 +609,13 @@ def empirical_deflatability(c: PermClass, cover_len: int, search_len: int) -> Em
             if hit is not None:
                 recent.insert(0, hit)
                 del recent[8:]
-        if hit is None:
-            uncovered_vals.append(vals)
+        for f in symmetries:
+            covered[f(vals)] = hit is not None
 
     blocked = _slot_test(c)
     uncovered = tuple(
         UncoveredMember(Permutation(vals), _locked_strips(vals, blocked))
-        for vals in uncovered_vals
+        for vals in targets
+        if not covered[vals]
     )
     return EmpiricalReport(c, cover_len, search_len, len(targets), uncovered)

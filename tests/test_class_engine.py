@@ -21,13 +21,16 @@ from permdeflate.perm_core import (
     _insert_raw,
     _pattern_of,
 )
+from permdeflate.decomposition import _is_simple
 from permdeflate.class_engine import (
     PermClass,
     ShadingGrid,
     _avoids_raw,
     _candidates,
     _class_levels,
+    _class_symmetries,
     _insertion_creates,
+    _simple_members,
     _slot_test,
     _top_test,
     avoids,
@@ -320,6 +323,67 @@ def test_enumerate_simples():
         "2 4 1 3",
         "3 1 4 2",
     }
+
+
+_SIMPLE_MEMBER_CLASSES = [
+    ("2413", 9),
+    ("25314", 8), ("24153", 8), ("23514", 8), ("24513", 8),
+    ("231", 8), ("21", 8), ("12,21", 6),
+    ("2413,3142", 8), ("251364,214365879", 8),
+]
+
+
+def _random_small_bases(seed: int, count: int) -> list[PermClass]:
+    """``count`` seeded random classes of 1-2 basis elements of length 3-6."""
+    rng = random.Random(seed)
+    return [
+        PermClass(
+            tuple(
+                Permutation(tuple(rng.sample(range(1, k + 1), k)))
+                for k in (rng.randint(3, 6) for _ in range(rng.randint(1, 2)))
+            )
+        )
+        for _ in range(count)
+    ]
+
+
+def test_simple_members_match_is_simple_on_every_level():
+    # the oracle runs ``_is_simple`` on every member; the classes together
+    # give empty levels, levels below length 5 and, from length 5 on,
+    # parents with 0, 1 and 2 or more bonds
+    cases = [(PermClass.of(*b.split(",")), n) for b, n in _SIMPLE_MEMBER_CLASSES]
+    cases += [(c, 7) for c in _random_small_bases(26, 60)]
+    seen = {"empty": 0, "short": 0, 0: 0, 1: 0, 2: 0}
+    for c, max_len in cases:
+        for level in _class_levels(c, max_len):
+            assert _simple_members(level) == [v for v in level if _is_simple(v)], (c, level[:1])
+            if not level:
+                seen["empty"] += 1
+            elif len(level[0]) < 5:
+                seen["short"] += 1
+            else:
+                for vals in level:
+                    n = len(vals)
+                    parent = tuple(v for v in vals if v != n)
+                    seen[min(2, sum(1 for _ in _bond_scan(parent)))] += 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize(
+    "basis, order",
+    [("1342", 1), ("231", 2), ("251364", 2), ("2413", 4), ("2413,3142", 8), ("12,21", 8)],
+)
+def test_class_symmetries_are_the_stabilizer_of_the_basis(basis, order):
+    c = PermClass.of(*basis.split(","))
+    syms = _class_symmetries(c)
+    assert len(syms) == order
+    probe = (1, 3, 4, 2)  # its eight images are distinct
+    assert syms[0](probe) == probe
+    images = {f(probe) for f in syms}
+    assert {g(f(probe)) for f in syms for g in syms} == images
+    basis_set = {b.values for b in c.basis}
+    for f in syms:
+        assert {f(b) for b in basis_set} == basis_set
 
 
 def test_empty_class():

@@ -33,10 +33,15 @@ from permdeflate.class_engine import (
     enumerate_simples,
     shading_grid,
     _avoids_raw,
+    _class_levels,
+    _class_symmetries,
+    _slot_test,
 )
 from permdeflate.deflate_analysis import (
     EMBED_EXCLUDED,
+    EmpiricalReport,
     SimpleExtension,
+    UncoveredMember,
     breaking_extensions,
     classify_principal,
     condition_ddagger,
@@ -54,6 +59,7 @@ from permdeflate.deflate_analysis import (
     _ddagger_raw,
     _form_1n2,
     _has_bond,
+    _locked_strips,
     _one_plus_tail,
     _pred_1n2_no_bond,
     _pred_descent_no_bond,
@@ -745,3 +751,82 @@ def test_empirical_certificates_match_bond_certificate():
     assert sum(u.certificate is not None for u in report.uncovered) == 16
     for u in report.uncovered:
         assert u.certificate == bond_certificate(u.member, c)
+
+
+def _empirical_by_every_target(c: PermClass, cover_len: int, search_len: int) -> EmpiricalReport:
+    """Oracle for orbit settling: the coverage scan before it, which tests
+    every non-simple target for containment in a longer simple member."""
+    targets, simples = [], []
+    for n, level in enumerate(_class_levels(c, search_len), start=1):
+        if n <= cover_len:
+            targets.extend(level)
+        simples.extend(vals for vals in level if _is_simple(vals))
+    recent, uncovered_vals = [], []
+    for vals in targets:
+        if _is_simple(vals):
+            continue
+        hit = next((s for s in recent if len(s) >= len(vals) and _contains_any(vals, s)), None)
+        if hit is None:
+            hit = next((s for s in simples if len(s) > len(vals) and _contains_any(vals, s)), None)
+            if hit is not None:
+                recent.insert(0, hit)
+                del recent[8:]
+        if hit is None:
+            uncovered_vals.append(vals)
+    blocked = _slot_test(c)
+    uncovered = tuple(
+        UncoveredMember(Permutation(vals), _locked_strips(vals, blocked)) for vals in uncovered_vals
+    )
+    return EmpiricalReport(c, cover_len, search_len, len(targets), uncovered)
+
+
+@pytest.mark.parametrize(
+    "basis, cover_len, search_len, order, uncovered",
+    [
+        ("1342", 5, 9, 1, 0),
+        ("231", 4, 10, 2, 19),
+        ("251364", 6, 9, 2, 2),
+        ("2413", 5, 9, 4, 0),
+        ("2413,3142", 5, 8, 8, 118),
+    ],
+)
+def test_orbit_settling_matches_scanning_every_target(basis, cover_len, search_len, order, uncovered):
+    # one scan per orbit of the class's stabilizer gives the same report,
+    # members, order and certificates, as one scan per target
+    c = PermClass.of(*basis.split(","))
+    assert len(_class_symmetries(c)) == order
+    report = empirical_deflatability(c, cover_len, search_len)
+    assert report == _empirical_by_every_target(c, cover_len, search_len)
+    assert len(report.uncovered) == uncovered
+
+
+def test_orbit_settling_matches_scanning_every_target_on_random_bases():
+    rng = random.Random(26)
+    orders, uncovered = set(), 0
+    for _ in range(30):
+        c = PermClass(
+            tuple(
+                Permutation(tuple(rng.sample(range(1, k + 1), k)))
+                for k in (rng.randint(3, 6) for _ in range(rng.randint(1, 2)))
+            )
+        )
+        report = empirical_deflatability(c, 4, 7)
+        assert report == _empirical_by_every_target(c, 4, 7), str(c)
+        orders.add(len(_class_symmetries(c)))
+        uncovered += len(report.uncovered)
+    assert len(orders) > 1 and uncovered > 0
+
+
+def test_orbit_settling_scans_one_target_per_orbit(monkeypatch):
+    # Av(2413) is fixed by 4 symmetries: 291 containment tests here,
+    # against 1 508 when every target is scanned
+    calls = 0
+
+    def counted(pat, host):
+        nonlocal calls
+        calls += 1
+        return _contains_any(pat, host)
+
+    monkeypatch.setattr(deflate_analysis, "_contains_any", counted)
+    assert empirical_deflatability(PermClass.of("2413"), 5, 9).covered
+    assert 0 < calls < 400
