@@ -11,7 +11,9 @@ Inheritance: a slot blocked in the parent stays blocked in the child.
 Second pin: at an inherited open slot, any basis occurrence the new
 maximum completes also uses the member's own maximum, so the two play the
 basis element's values k and k - 1 and only k - 2 indices are free
-(``perm_core._top_kernel``; k >= 9 runs the full slot kernel).
+(``perm_core._top_kernel``).  Each level is kept as its parents and their
+masks, so a level's members are built once, as the next level's parents,
+and the last level's only when a caller iterates it.
 """
 
 from __future__ import annotations
@@ -98,12 +100,33 @@ def _top_test(c: PermClass) -> Callable[[tuple[int, ...], int, int], bool]:
     return _any_of([_top_kernel(b.values) for b in c.basis])
 
 
-class _Level(list):
-    """One length's members, as ``_class_levels`` yields them, and ``masks``:
-    the open-slot mask of each member of the level before, in order.  The
-    members are one run of children per parent, one per set bit of its mask."""
+class _Level:
+    """One length's members, as ``_class_levels`` yields them, kept as
+    ``parents``, the members of the level before, in order, and ``masks``,
+    each parent's open-slot mask.  The members are one run of children per
+    parent, one per set bit of its mask, and are built only when the level
+    is iterated, by ``_candidates``; ``len`` is counted when the tree
+    builds the level.  It reads as a list: equality with a list, indexing
+    and slicing build the members first."""
 
-    masks: list[int]
+    __slots__ = ("parents", "masks", "_size", "__weakref__")
+
+    def __init__(self, parents: list[tuple[int, ...]], masks: list[int], size: int):
+        self.parents, self.masks, self._size = parents, masks, size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return (vals for vals, _, _ in _candidates(self))
+
+    def __getitem__(self, index: Union[int, slice]):
+        return list(self)[index]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, _Level)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def _check_length_bound(name: str, bound: int) -> None:
@@ -124,73 +147,81 @@ def _class_levels(c: PermClass, max_len: int) -> Iterator[_Level]:
     ``_candidates``.  Second pin: at a slot in ``cand``, the parent with a
     new maximum at the matching slot is a member, so a new occurrence uses
     both the new maximum and the member's own, and ``_top_kernel`` tests
-    it with two pins and k - 2 free indices (the full ``_slot_kernel`` for
-    k >= 9).
+    it with two pins and k - 2 free indices.
 
-    The root's one child, (1), is a member iff it avoids the basis.  Each
-    level keeps one mask reference per parent in ``masks``, one list
-    allocated at full size, and equal masks share one int object.  The
-    tree drops a level once it has yielded the next.  It is every walker's
-    one check of the bound: ``max_len`` below 1, or above ``MAX_LENGTH``
-    where no member exists, raises ``ValueError``.
+    The root level is the empty parent with mask 1 if (1) avoids the basis,
+    else 0.  Expanding a level builds its members once, through
+    ``_candidates``, and keeps them as the next level's ``parents``; the
+    loop computes only their masks, one list allocated at full size, and
+    equal masks share one int object.  So the last level's members are
+    never built unless a caller iterates it.  A level holds no reference to
+    the one before, and the tree drops a level once it has yielded the
+    next.  It is every walker's one check of the bound: ``max_len`` below
+    1, or above ``MAX_LENGTH`` where no member exists, raises
+    ``ValueError``.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     _check_length_bound("max_len", max_len)
     blocked = _top_test(c)
-    level = _Level([(1,)] if _avoids_raw((1,), c) else [])
-    level.masks = [len(level)]  # the root's open slots
+    root = 1 if _avoids_raw((1,), c) else 0  # the root's open slots
+    level = _Level([()], [root], root)
     yield level
     for n in range(2, max_len + 1):
-        parents, level = level, _Level()
-        level.masks = opened = [0] * len(parents)  # preallocated: appends raise peak RSS
+        # preallocated: appends raise peak RSS
+        parents: list[tuple[int, ...]] = [()] * len(level)
+        masks = [0] * len(level)
         shared: dict[int, int] = {}  # one int object per distinct mask, not per member
-        for j, (vals, s, cand) in enumerate(_candidates(parents)):
+        size = 0
+        for j, (vals, s, cand) in enumerate(_candidates(level)):
+            parents[j] = vals
             om = 0
             for q in range(n):
                 if cand >> q & 1 and not blocked(vals, q + 1, s):
                     om |= 1 << q
-                    level.append(vals[:q] + (n,) + vals[q:])
-            opened[j] = shared.setdefault(om, om)
-        del parents  # the caller may drop it
+            masks[j] = shared.setdefault(om, om)
+            size += om.bit_count()
+        level = _Level(parents, masks, size)  # the caller may drop the level before
         yield level
 
 
 def _candidates(level: _Level) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """(vals, s, cand) for each member of one ``_class_levels`` level, in
-    order: s is the position of the maximum of ``vals``, and ``cand`` the
-    slots it inherits open from its parent's mask ``pm`` in the level's
-    ``masks``, whose set bits are the members' s in turn.  Inheritance:
-    parent slot q is slot q of the member when q <= s and slot q + 1 when
-    q > s (slot s splits into both), and a blocked slot stays blocked, so
-    ``cand = (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))``.  A slot
-    outside ``cand`` is blocked, and ``_top_test`` decides one inside it."""
-    members = iter(level)
-    for pm in level.masks:
+    order, built from its parent p and the parent's mask ``pm`` in the
+    level's ``parents`` and ``masks``: one member ``p[:s] + (n,) + p[s:]``
+    per set bit s of ``pm``, where n is the member's length and s the
+    position of its maximum.  ``cand`` holds the slots the member inherits
+    open.  Inheritance: parent slot q is slot q of the member when q <= s
+    and slot q + 1 when q > s (slot s splits into both), and a blocked slot
+    stays blocked, so ``cand = (pm & ((2 << s) - 1)) | ((pm >> s) <<
+    (s + 1))``.  A slot outside ``cand`` is blocked, and ``_top_test``
+    decides one inside it."""
+    if not level:
+        return
+    top = (len(level.parents[0]) + 1,)
+    for p, pm in zip(level.parents, level.masks):
         for s in range(pm.bit_length()):
             if pm >> s & 1:
-                yield next(members), s, (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
+                yield p[:s] + top + p[s:], s, (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
 
 
 def _simple_members(level: _Level) -> list[tuple[int, ...]]:
     """The simple members of one ``_class_levels`` level, in order, read off
-    the parents' bonds.  A run's parent is its first child minus the
-    maximum n.  A child is not simple when n lands at an end or next to
-    n - 1, or leaves a bond of the parent unsplit, and n splits at most the
-    bond it falls between.  So a parent with two bonds has no simple
-    child, one with a bond at positions (b - 1, b) at most the child at
-    slot b.  Only the survivors, and levels of length below 5, go to
-    ``_is_simple``."""
-    if not level or len(level[0]) < 5:
+    the bonds of its ``parents``.  A child is not simple when its maximum n
+    lands at an end or next to n - 1, or leaves a bond of the parent
+    unsplit, and n splits at most the bond it falls between.  So a parent
+    with two bonds has no simple child, one with a bond at positions
+    (b - 1, b) at most the child at slot b.  Only the survivors are built
+    and go to ``_is_simple``, besides the members of levels of length
+    below 5, which are all tested."""
+    if not level:
+        return []
+    n = len(level.parents[0]) + 1
+    if n < 5:
         return [vals for vals in level if _is_simple(vals)]
-    n = len(level[0])
     out = []
-    first = 0  # the index in ``level`` of the run's first child
-    for pm in level.masks:
-        if not pm:
-            continue
-        q = (pm & -pm).bit_length() - 1
-        parent = level[first][:q] + level[first][q + 1:]
+    top = (n,)
+    for parent, pm in zip(level.parents, level.masks):
         slots = pm & ~(1 | 1 << (n - 1) | 3 << parent.index(n - 1))  # ends, next to n - 1
         b, prev = 0, parent[0]
         for v in parent:
@@ -201,18 +232,19 @@ def _simple_members(level: _Level) -> list[tuple[int, ...]]:
             b, prev = b + 1, v
         while slots:
             low = slots & -slots
-            vals = level[first + (pm & (low - 1)).bit_count()]
+            b = low.bit_length() - 1
+            vals = parent[:b] + top + parent[b:]
             if _is_simple(vals):
                 out.append(vals)
             slots ^= low
-        first += pm.bit_count()
     return out
 
 
 def enumerate_class(c: PermClass, max_len: int) -> Iterator[Permutation]:
     """Yield every member of ``c`` of length 1..max_len, grouped by length,
-    each exactly once.  Memory stays bounded by one length level plus the
-    parent level's masks."""
+    each exactly once.  Memory stays bounded by the members of the length
+    before and their masks: each length's members are built as they are
+    yielded."""
     for level in _class_levels(c, max_len):
         for vals in level:
             yield Permutation(vals)

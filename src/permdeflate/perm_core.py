@@ -19,19 +19,19 @@ nest exactly when it has at most ``_NEST_LOOPS`` = 6 free loops, one per
 pattern index not pinned.  Three questions follow it.  ``_search_kernel``
 asks whether a host contains the pattern (``_contains_any``): no pin, so
 a nest for k <= 6.  ``_slot_kernel`` asks whether a new entry at a slot
-of a host completes it: every cell question (the generating tree's for
-k >= 9, the interval breaks, the certificate walks, the shading grid and
-the BFS through ``_contains_pinned``) is this one.  The entry is one
-pin, so for k <= 7 it is a nest with the entry virtual and no child
-built; k >= 8 builds the child only when the entry fits some pattern
-index.  ``_top_kernel`` serves the generating tree, where a new maximum
-goes into a member at a slot that the member inherits open from its
-parent.  There a new occurrence must use both the new maximum and the
-member's own, as the pattern's values k and k - 1, so a second-pin nest
-from the same emitter places both and loops over the other k - 2 indices
-only, each in the position zone the two pins fix (a nest for 2 <= k <=
-8; k >= 9 asks ``_slot_kernel``).  Nothing recurses, so pattern length
-is bounded only by ``MAX_LENGTH``.
+of a host completes it: every cell question (the interval breaks, the
+certificate walks, the shading grid and the BFS through
+``_contains_pinned``) is this one.  The entry is one pin, so for k <= 7
+it is a nest with the entry virtual and no child built; k >= 8 builds the
+child only when the entry fits some pattern index.  ``_top_kernel``
+serves the generating tree, where a new maximum goes into a member at a
+slot that the member inherits open from its parent.  There a new
+occurrence must use both the new maximum and the member's own, as the
+pattern's values k and k - 1, so a second-pin nest from the same emitter
+places both and loops over the other k - 2 indices only, each in the
+position zone the two pins fix (a nest for 2 <= k <= 8; for k >= 9 one
+``_forward_check`` on the child with both pins).  Nothing recurses, so
+pattern length is bounded only by ``MAX_LENGTH``.
 """
 
 from __future__ import annotations
@@ -555,15 +555,34 @@ def _top_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], b
     matching slot, avoids ``pat`` too.  Then every new occurrence uses
     both top entries, as ``pat``'s values k and k - 1, and within the loop
     budget (2 <= k <= 8) the test is one ``_emit_kernel`` nest that pins
-    both and loops over the other k - 2 indices.  For k >= 9 it is the
-    full ``_slot_kernel`` at value n + 1, exact on any slot; k = 1 takes
-    that route too, though no host can keep the promise.
+    both and loops over the other k - 2 indices.  For k >= 9 it checks
+    that the two pins, index ``pat.index(k)`` at position q = ps - 1 and
+    index ``pat.index(k - 1)`` at the member's maximum s shifted by the
+    insertion, keep the pattern's left-to-right order with room for the
+    indices left of, between and right of them; only then does it build
+    the child and run one ``_forward_check`` with both pins.  For k = 1
+    every slot is blocked, though no host can keep the promise.
     """
     k = len(pat)
-    if 2 <= k <= _NEST_LOOPS + 2:
+    if k == 1:
+        return lambda host, ps, s: True  # the new maximum alone is an occurrence
+    if k <= _NEST_LOOPS + 2:
         return _emit_kernel(pat, "top")
-    blocked = _slot_kernel(pat)
-    return lambda host, ps, s: blocked(host, ps, len(host) + 1)
+    t, t2 = pat.index(k), pat.index(k - 1)
+    lo, hi = min(t, t2), max(t, t2)
+
+    def blocked_top(host: tuple[int, ...], ps: int, s: int) -> bool:
+        n, q = len(host) + 1, ps - 1
+        q2 = s + (s >= q)  # the member's maximum, in the child
+        a, b = (q, q2) if t < t2 else (q2, q)
+        # the pins in the pattern's order, with room left of, between and
+        # right of them for the indices there
+        if not (a < b and a >= lo and b - a >= hi - lo and n - b >= k - hi):
+            return False
+        child = _insert_raw(host, ps, n)
+        return _forward_check(pat, child, *_value_masks(child, k), t, q, t2, q2)
+
+    return blocked_top
 
 
 def _contains_pinned(pat: tuple[int, ...], host: tuple[int, ...], ps: int, vs: int) -> bool:
@@ -604,24 +623,31 @@ def _value_masks(host: tuple[int, ...], k: int) -> tuple[list[int], list[int]]:
 
 
 def _forward_check(
-    pat: tuple[int, ...], host: tuple[int, ...], le: list[int], ge: list[int], t: int = -1, q: int = 0
+    pat: tuple[int, ...],
+    host: tuple[int, ...],
+    le: list[int],
+    ge: list[int],
+    t: int = -1,
+    q: int = 0,
+    t2: int = -1,
+    q2: int = 0,
 ) -> bool:
     """Does ``host`` contain ``pat`` with index t, if t >= 0, at position
-    q?  ``le`` and ``ge`` are ``_value_masks(host, len(pat))``.  An
-    iterative forward-checking search: each pattern index g keeps the host
-    positions still open to it as one int bit mask, first ``range(g, n -
-    k + 1 + g)``.  Assigning index f to position p drops from every
-    unassigned g the positions r that leave too little room between the
-    two indices, in position (``r >= p + (g - f)`` when g > f, ``r <= p -
-    (f - g)`` when g < f) or in value (``host[r] >= host[p] + d`` when
-    ``d = pat[g] - pat[f]`` is positive, ``host[r] <= host[p] + d`` when
-    it is negative).  Each filter is two ANDs: the position window is one
-    shift of p's bit, and the value bound is a mask from ``ge`` or
-    ``le``.  The search branches on the index with the fewest live
-    positions (the first such in ``free``'s order), trying them left to
-    right (lowest bit first), and backtracks as soon as a mask empties:
-    Haralick and Elliott's forward checking with the fail-first rule,
-    which keeps long rigid patterns cheap.
+    q, and index t2, if t2 >= 0, at position q2?  ``le`` and ``ge`` are
+    ``_value_masks(host, len(pat))``.  An iterative forward-checking
+    search: each pattern index g keeps the host positions still open to it
+    as one int bit mask, first ``range(g, n - k + 1 + g)``.  Assigning
+    index f to position p drops from every unassigned g the positions r
+    that leave too little room between the two indices, in position (``r
+    >= p + (g - f)`` when g > f, ``r <= p - (f - g)`` when g < f) or in
+    value (``host[r] >= host[p] + d`` when ``d = pat[g] - pat[f]`` is
+    positive, ``host[r] <= host[p] + d`` when it is negative).  Each filter
+    is two ANDs: the position window is one shift of p's bit, and the value
+    bound is a mask from ``ge`` or ``le``.  The search branches on the
+    index with the fewest live positions (the first such in ``free``'s
+    order), trying them left to right (lowest bit first), and backtracks as
+    soon as a mask empties: Haralick and Elliott's forward checking with
+    the fail-first rule, which keeps long rigid patterns cheap.
 
     Nothing recurses.  A filter that narrows a mask pushes the old mask
     onto a trail, and undoing an assignment assigns it back, so the trail
@@ -633,6 +659,8 @@ def _forward_check(
     spots = [window << g for g in range(k)]
     if t >= 0:
         spots[t] = 1 << q
+    if t2 >= 0:
+        spots[t2] = 1 << q2
     trail: list[tuple[int, int]] = []  # (index, its mask before a filter narrowed it)
     frames: list[tuple[int, int, int]] = []  # (index, positions left to try, trail length)
     free = set(range(k))

@@ -14,9 +14,11 @@ of which asks the slot kernels once.  ``find_witnesses`` and
 ``verify_corpus`` already hold a membership proof (the generating tree,
 their own ``avoids``), so they hand it the class's ``_slot_test``: the
 same kernels, without the grid's range check and per-cell calls.
-Each tree level carries its parents' open-slot masks, so ``find_witnesses``
-settles the top cell of every bond's vertical strip first, by inheritance
-or ``_top_test``, and walks only the bonds whose top cell is blocked.
+Each tree level is kept as its parents and their open-slot masks, and
+``_candidates`` builds each member with the slots it inherits open, so
+``find_witnesses`` settles the top cell of every bond's vertical strip
+first, by inheritance or ``_top_test``, and walks only the bonds whose top
+cell is blocked.
 
 The bundled corpus (``deflate_analysis.load_corpus``) ships fourteen
 published witness rows (ten sporadic classes and four parallel

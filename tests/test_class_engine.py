@@ -8,7 +8,7 @@ import weakref
 
 import pytest
 
-from permdeflate import perm_core
+from permdeflate import class_engine, perm_core, witness
 from permdeflate.perm_core import (
     MAX_LENGTH,
     Permutation,
@@ -20,6 +20,7 @@ from permdeflate.perm_core import (
     _bond_scan,
     _insert_raw,
     _pattern_of,
+    _slot_kernel,
 )
 from permdeflate.decomposition import _is_simple
 from permdeflate.class_engine import (
@@ -39,6 +40,7 @@ from permdeflate.class_engine import (
     enumerate_simples,
     shading_grid,
 )
+from permdeflate.deflate_analysis import empirical_deflatability
 from permdeflate.witness import find_witnesses
 
 P = parse_permutation
@@ -285,6 +287,90 @@ def test_the_tree_drops_each_level_once_it_yields_the_next():
         previous = weakref.ref(level)
         del level
     assert previous() is None
+
+
+def test_a_level_reads_as_a_list_of_its_members():
+    # a level is kept as its parents and their masks, and reads as the list
+    # of members that one run of children per parent gives
+    c = PermClass.of("2413")
+    oracle = list(_class_levels_by_slot(c, 6))
+    previous = [()]
+    for level, members in zip(_class_levels(c, 6), oracle):
+        assert level.parents == previous
+        assert len(level) == len(members) and bool(level)
+        assert list(level) == members
+        assert level == members and members == level and not level != members
+        assert level[0] == members[0] and level[-1] == members[-1]
+        assert level[:1] == members[:1] and level[2:5] == members[2:5]
+        assert weakref.ref(level)() is level
+        previous = members
+    empty = list(_class_levels(PermClass.of("1"), 3))
+    assert [len(level) for level in empty] == [0, 0, 0]
+    assert empty == [[], [], []] and not any(empty)
+    assert [level.parents for level in empty] == [[()], [], []]
+
+
+def test_the_last_level_is_never_built(monkeypatch):
+    # the members ``_candidates`` yields are every member tuple a walker
+    # builds, apart from ``_simple_members``' survivors, which it builds
+    # from their parents: the counting walkers build each member of length
+    # bound - 1 once and none of the bound's length (``len`` is counted
+    # during the build), and the walkers that read every member see them all
+    c, bound = PermClass.of("2413"), 8
+    sizes = [row[1] for row in count_profile(c, bound)]
+    built = []
+
+    def recorded(level):
+        for vals, s, cand in _candidates(level):
+            built.append(len(vals))
+            yield vals, s, cand
+
+    monkeypatch.setattr(class_engine, "_candidates", recorded)
+    monkeypatch.setattr(witness, "_candidates", recorded)
+    counting = (
+        lambda: count_profile(c, bound),
+        lambda: enumerate_simples(c, bound),
+        lambda: empirical_deflatability(c, 5, bound),
+    )
+    for walk in counting:
+        built.clear()
+        walk()
+        assert max(built) == bound - 1 and built.count(bound - 1) == sizes[-2]
+    built.clear()
+    assert len(list(enumerate_class(c, bound))) == sum(sizes)
+    assert built.count(bound) == sizes[-1]
+    built.clear()
+    assert find_witnesses(c, bound, 1) == []  # no witness: it reads every member
+    assert built.count(bound) == sizes[-1]
+
+
+def test_the_top_test_with_two_pins_matches_the_slot_test_for_k_9_and_10():
+    # k >= 9: one forward check with both pins, after the order and room
+    # checks; at every slot a member inherits open it must agree with the
+    # full slot test at value n + 1.  Each basis pairs a random length-3
+    # element with a random member of its class of length 9 or 10, so both
+    # are kept, and a length-10 element blocks at least its own slot
+    rng = random.Random(27)
+    lengths, long_blocks = set(), 0
+    for _ in range(6):
+        short = tuple(rng.sample(range(1, 4), 3))
+        k = rng.choice((9, 10))
+        for members in _class_levels_by_slot(PermClass.of(" ".join(map(str, short))), k):
+            pass
+        long = rng.choice(members)
+        c = PermClass((Permutation(short), Permutation(long)))
+        assert len(c.basis) == 2
+        top, blocked, by_long = _top_test(c), _slot_test(c), _slot_kernel(long)
+        for level in _class_levels(c, 9):
+            for vals, s, cand in _candidates(level):
+                n = len(vals)
+                for q in range(n + 1):
+                    if cand >> q & 1:
+                        verdict = blocked(vals, q + 1, n + 1)
+                        assert top(vals, q + 1, s) == verdict, (str(c), vals, q)
+                        long_blocks += verdict and by_long(vals, q + 1, n + 1)
+        lengths.add(k)
+    assert lengths == {9, 10} and long_blocks >= 6
 
 
 def test_candidates_and_top_cells_match_the_per_slot_tree_on_random_bases():

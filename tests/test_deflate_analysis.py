@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -731,6 +735,36 @@ def test_empirical_av2413_small_bounds_covered():
     report = empirical_deflatability(PermClass.of("2413"), 4, 8)
     assert report.covered
     assert report.members_checked == 1 + 2 + 6 + 23
+
+
+def test_the_cover_check_to_length_10_stays_small_in_a_subprocess():
+    # the tree keeps its last level as the parents and their masks, so the
+    # paper's check of Av(2413) to length 10 never holds the 555 662 members
+    # of length 10: its peak RSS reads about 30 MiB, against about 100 MiB
+    # when the tree built them.  A process inherits the ``ru_maxrss`` of
+    # the one that forked it, so the check runs as the child of a fresh
+    # interpreter, which reads its peak through RUSAGE_CHILDREN
+    work = (
+        "from permdeflate.class_engine import PermClass\n"
+        "from permdeflate.deflate_analysis import empirical_deflatability\n"
+        "report = empirical_deflatability(PermClass.of('2413'), 6, 10)\n"
+        "print(report.covered, report.members_checked)\n"
+    )
+    launcher = (
+        "import resource, subprocess, sys\n"
+        f"run = subprocess.run([sys.executable, '-c', {work!r}], capture_output=True, text=True)\n"
+        "sys.stderr.write(run.stderr)\n"
+        "peak_kib = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(run.returncode, run.stdout.strip(), peak_kib)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0 and proc.stdout.split()[0] == "0", proc.stderr
+    _, covered, checked, peak_kib = proc.stdout.split()
+    assert covered == "True" and int(checked) == 1 + 2 + 6 + 23 + 103 + 512
+    assert int(peak_kib) < 64 * 1024, f"peak RSS {int(peak_kib) / 1024:.1f} MiB"
 
 
 def test_empirical_validates_bounds():

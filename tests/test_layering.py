@@ -16,8 +16,9 @@ inside ``perm_core``: no other module imports or reads the names in
 ``ENGINE_INTERNALS``.  The slot kernels are reached through
 ``class_engine``: only ``perm_core`` and ``class_engine`` import or read
 the names in ``SLOT_KERNELS``, and the rest ask ``_slot_test`` or
-``_top_test``.  The levels of the generating tree carry their parents'
-open-slot masks, and only ``class_engine`` reads them (``LEVEL_MASKS``).
+``_top_test``.  The levels of the generating tree are kept as their
+parents and the parents' open-slot masks, and only ``class_engine`` reads
+either (``LEVEL_PARENTS``, ``LEVEL_MASKS``).
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ SLOT_KERNELS = {"_slot_kernel", "_top_kernel"}
 #: parents' open-slot masks: the other modules read a level as a list, and
 #: ask ``_candidates`` for each member's inherited open slots.
 LEVEL_MASKS = "masks"
+#: The attribute of a level that holds its parents, the members of the
+#: level before: the other modules read a level as a list of its members.
+LEVEL_PARENTS = "parents"
 
 
 def _relative_imports(tree: ast.Module) -> list[tuple[ast.ImportFrom, bool, list[str]]]:
@@ -144,6 +148,16 @@ def test_level_masks_stay_behind_class_engine(path):
 def test_class_engine_reads_the_level_masks():
     # the restriction above guards the attribute class_engine really reads
     assert LEVEL_MASKS in _reached_names(Path(permdeflate.__file__).parent / "class_engine.py")
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "class_engine"], ids=lambda p: p.name)
+def test_level_parents_stay_behind_class_engine(path):
+    assert LEVEL_PARENTS not in _reached_names(path), f"{path.name} reads a level's parents"
+
+
+def test_class_engine_reads_the_level_parents():
+    # the restriction above guards the attribute class_engine really reads
+    assert LEVEL_PARENTS in _reached_names(Path(permdeflate.__file__).parent / "class_engine.py")
 
 
 def test_checker_finds_unused_imports():
