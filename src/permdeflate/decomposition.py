@@ -239,7 +239,7 @@ def _cut_slot_pairs(
 ) -> Iterator[tuple[int, int]]:
     """(pos_slot, val_slot) of each of ``cut_slots(n, span)`` in sorted order,
     without building the set: the slots left of, inside and right of the
-    span's positions.  Plain ints, as the certificate walk asks per bond."""
+    span's positions.  The oracle of ``deflate_analysis._strips_locked``."""
     inner = range(val_lo + 1, val_hi + 1)
     yield from product(range(1, pos_lo), inner)
     yield from product(range(pos_lo + 1, pos_hi + 1), [*range(1, val_lo), *range(val_hi + 2, n + 2)])

@@ -392,31 +392,48 @@ def _bond_splitting_slots(vals: tuple[int, ...]) -> Iterable[tuple[int, int]]:
     return set.intersection(*(set(_cut_slot_pairs(n, *span)) for span in spans))
 
 
-def _locked_strips(
-    vals: tuple[int, ...],
-    blocked: Callable[[tuple[int, ...], int, int], bool],
-    bonds: Optional[Iterable[tuple[int, str, int]]] = None,
-) -> Optional[BondCertificate]:
-    """The certificate on the first bond of the member ``vals`` whose strip
-    slots, the bond's ``cut_slots`` as a size-2 interval, are all blocked
-    by ``blocked(vals, ps, vs)``: a class's ``_slot_test``, or a grid's.
-    ``bonds`` lists the (left_pos, kind, low_value) triples to try, in
-    order, as ``_bond_scan`` yields them; by default every bond, left to
-    right.  A caller that has already ruled some bonds out passes the rest.
-    Cells are tested in sorted order, a bond is dropped at its first open
-    cell, and objects are built only on success.  A bond certifies nothing
-    only when n = 2: it is the whole permutation, its strips are empty,
-    and the argument needs the surrounding box to be a proper part of any
-    extension.  So members of length <= 2 return None at once."""
-    n = len(vals)
+def _strips_locked(
+    vals: tuple[int, ...], blocked: Callable[[tuple[int, ...], int, int], bool], i: int, w: int
+) -> bool:
+    """Whether ``blocked`` holds on every strip slot of the bond at positions
+    (i, i + 1) with values {w, w + 1}, asked in ``_cut_slot_pairs``' order
+    as four runs (left, below, above, right) up to the first open cell.
+    A bond certifies nothing when n = 2: it is the whole permutation, its
+    strips are empty, and the argument needs the surrounding box to be a
+    proper part of any extension.  So that length returns False at once."""
+    n, across, between = len(vals), w + 1, i + 1
     if n <= 2:
-        return None
-    for i, kind, w in _bond_scan(vals) if bonds is None else bonds:
-        for ps, vs in _cut_slot_pairs(n, i, i + 1, w, w + 1):
-            if not blocked(vals, ps, vs):
-                break  # an open cell
-        else:
-            return BondCertificate(Bond(i, kind, w), cut_slots(n, IntervalSpan(i, i + 1, w, w + 1)))
+        return False
+    for ps in range(1, i):
+        if not blocked(vals, ps, across):
+            return False
+    for vs in range(1, w):
+        if not blocked(vals, between, vs):
+            return False
+    for vs in range(w + 3, n + 2):
+        if not blocked(vals, between, vs):
+            return False
+    for ps in range(i + 3, n + 2):
+        if not blocked(vals, ps, across):
+            return False
+    return True
+
+
+def _certificate(n: int, i: int, kind: str, w: int) -> BondCertificate:
+    """The certificate on the bond (i, kind, w) of a length-``n`` member."""
+    return BondCertificate(Bond(i, kind, w), cut_slots(n, IntervalSpan(i, i + 1, w, w + 1)))
+
+
+def _locked_strips(
+    vals: tuple[int, ...], blocked: Callable[[tuple[int, ...], int, int], bool]
+) -> Optional[BondCertificate]:
+    """The certificate on the first bond of the member ``vals``, left to
+    right, whose strip slots, its ``cut_slots`` as a size-2 interval, are
+    all blocked by ``blocked(vals, ps, vs)`` (a class's ``_slot_test``, or a
+    grid's), walked by ``_strips_locked``."""
+    for i, kind, w in _bond_scan(vals):
+        if _strips_locked(vals, blocked, i, w):
+            return _certificate(len(vals), i, kind, w)
     return None
 
 

@@ -16,9 +16,9 @@ their own ``avoids``), so they hand it the class's ``_slot_test``: the
 same kernels, without the grid's range check and per-cell calls.
 Each tree level is kept as its parents and their open-slot masks, and
 ``_candidates`` builds each member with the slots it inherits open, so
-``find_witnesses`` settles the top cell of every bond's vertical strip
-first, by inheritance or ``_top_test``, and walks only the bonds whose top
-cell is blocked.
+``find_witnesses`` walks a member's bonds one by one: it settles each
+bond's top strip cell by inheritance or ``_top_test``, and hands only a
+bond whose top cell is blocked to the per-bond walk ``_strips_locked``.
 
 The bundled corpus (``deflate_analysis.load_corpus``) ships fourteen
 published witness rows (ten sporadic classes and four parallel
@@ -47,7 +47,9 @@ from .class_engine import (
 )
 from .deflate_analysis import (
     BondCertificate,
+    _certificate,
     _locked_strips,
+    _strips_locked,
     extend_to_simple,
     load_corpus,
 )
@@ -126,42 +128,43 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
     tests raw tuples with the class's slot test, without the guard
     that ``bond_certificate`` keeps, and finds the same certificates.
 
-    A bond at left position i with low value w first has the top cell of
-    its vertical strip, (i + 1, n + 1), settled from ``cand``, the slots
-    the member inherits open, read off its parent's mask by ``_candidates``:
-    exempt when w + 2 > n, blocked when bit i of ``cand`` is clear, else
-    decided by ``_top_test``, whose precondition an open parent slot
-    meets.  Only the bonds whose top cell is blocked go on to the full walk."""
+    Bonds are walked one by one, left to right.  A bond at left position i
+    with low value w first has the top cell of its vertical strip,
+    (i + 1, n + 1), settled from ``cand``, the slots the member inherits
+    open, read off its parent's mask by ``_candidates``: exempt when
+    w + 2 > n, blocked when bit i of ``cand`` is clear, else decided by
+    ``_top_test``, whose precondition an open parent slot meets.  Only
+    then does ``_strips_locked`` walk the bond."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
     reports: list[WitnessReport] = []
     bound = max_len + 2
     blocked = _slot_test(c)
     top = _top_test(c)
-    for level in _class_levels(c, max_len):
+    for n, level in enumerate(_class_levels(c, max_len), start=1):
         for vals, s, cand in _candidates(level):
-            n = len(vals)
-            # the bonds (i, kind, w) whose top strip cell (i + 1, n + 1) is
-            # exempt or blocked, found as ``_bond_scan`` finds them but
-            # without a generator per member
-            bonds = []
+            # the bonds (i, kind, w) left to right, as ``_bond_scan`` finds
+            # them but without a generator per member
             a = vals[0]
             for i in range(1, n):
                 b = vals[i]
                 if b == a + 1:
-                    if a + 2 > n or not cand >> i & 1 or top(vals, i + 1, s):
-                        bonds.append((i, "increasing", a))
+                    kind, w = "increasing", a
                 elif a == b + 1:
-                    if b + 2 > n or not cand >> i & 1 or top(vals, i + 1, s):
-                        bonds.append((i, "decreasing", b))
+                    kind, w = "decreasing", b
+                else:
+                    a = b
+                    continue
                 a = b
-            cert = _locked_strips(vals, blocked, bonds) if bonds else None
-            if cert is None:
+                if w + 2 > n or not cand >> i & 1 or top(vals, i + 1, s):
+                    if _strips_locked(vals, blocked, i, w):
+                        break
+            else:
                 continue
             member = Permutation(vals)
             if extend_to_simple(member, c, bound) is not None:
                 raise AssertionError(f"certificate for {member} contradicted by a simple extension")
-            reports.append(WitnessReport(c.basis, member, cert, bound))
+            reports.append(WitnessReport(c.basis, member, _certificate(n, i, kind, w), bound))
             if len(reports) >= limit:
                 return reports
     return reports
@@ -194,7 +197,7 @@ def inflation_family(theta: Permutation) -> FamilyCheck:
     if vals[i] != 4:
         raise AssertionError(f"expected the {{3,4}} bond to survive inflation in {omega_star}")
     grid = ShadingGrid(omega_star, cls)
-    verified = _locked_strips(vals, _grid_test(grid), [(i, "increasing", 3)]) is not None
+    verified = _strips_locked(vals, _grid_test(grid), i, 3)
     return FamilyCheck(pi_star, omega_star, verified)
 
 

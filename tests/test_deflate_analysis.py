@@ -19,6 +19,7 @@ from permdeflate.perm_core import (
     apply_symmetry,
     insert,
     parse_permutation,
+    _bond_scan,
     _contains_any,
     _insert_raw,
 )
@@ -27,6 +28,7 @@ from permdeflate.decomposition import (
     maximal_intervals,
     sd_measure,
     _components,
+    _cut_slot_pairs,
     _is_decomposable,
     _is_simple,
 )
@@ -72,6 +74,7 @@ from permdeflate.deflate_analysis import (
     _pred_three_sum,
     _pred_two_sum,
     _pred_witness_table,
+    _strips_locked,
 )
 from permdeflate.witness import bond_certificate
 
@@ -785,6 +788,53 @@ def test_empirical_certificates_match_bond_certificate():
     assert sum(u.certificate is not None for u in report.uncovered) == 16
     for u in report.uncovered:
         assert u.certificate == bond_certificate(u.member, c)
+
+
+def _check_strip_walk(vals, i, w):
+    """The walk of the bond (i, w) of ``vals`` against its oracle, the
+    sorted ``_cut_slot_pairs``: with a stub that opens no cell, then each
+    cell in turn, it must ask exactly the oracle's prefix up to and
+    including the open cell, in order, and lock only when none is open.  A
+    bond of length 2 is the whole permutation: nothing asked, no lock."""
+    cells = list(_cut_slot_pairs(len(vals), i, i + 1, w, w + 1))
+    for stop, opened in [(len(cells), None), *enumerate(cells, start=1)]:
+        asked = []
+
+        def blocked(host, ps, vs):
+            assert host is vals
+            asked.append((ps, vs))
+            return (ps, vs) != opened
+
+        locks = opened is None and len(vals) > 2
+        assert _strips_locked(vals, blocked, i, w) is locks, (vals, i, w, opened)
+        assert asked == cells[:stop], (vals, i, w, opened)
+
+
+@pytest.mark.parametrize("basis", ["25314", "2413,3142"])
+def test_strip_walk_asks_the_sorted_cut_slots_on_every_class_bond(basis):
+    walked = 0
+    for level in _class_levels(PermClass.of(*basis.split(",")), 7):
+        for vals in level:
+            for i, _, w in _bond_scan(vals):
+                _check_strip_walk(vals, i, w)
+                walked += 1
+    assert walked > 1000
+
+
+def test_strip_walk_asks_the_sorted_cut_slots_on_random_hosts_with_edge_bonds():
+    # every bond position and low value, both kinds, around seeded random
+    # entries, for n = 2..12: the runs left of i = 1, below w = 1, above
+    # w = n - 1 and right of i = n - 1 are empty
+    rng = random.Random(28)
+    for n in range(2, 13):
+        for i, w in itertools.product(range(1, n), repeat=2):
+            for pair in ((w, w + 1), (w + 1, w)):
+                rest = [v for v in range(1, n + 1) if v not in pair]
+                rng.shuffle(rest)
+                vals = (*rest[: i - 1], *pair, *rest[i - 1 :])
+                kind = "increasing" if pair[0] < pair[1] else "decreasing"
+                assert (i, kind, w) in _bond_scan(vals)
+                _check_strip_walk(vals, i, w)
 
 
 def _empirical_by_every_target(c: PermClass, cover_len: int, search_len: int) -> EmpiricalReport:

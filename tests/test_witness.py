@@ -240,6 +240,10 @@ _PINNED_SEARCHES = [
     ("321", 8, 4),
     ("2413,4135762", 8, 2),
     ("251364,214365879", 8, 2),  # k = 9: the top cells' full slot kernel
+    ("25314", 7, 1),  # the four open length-5 classes: no witness
+    ("24153", 7, 1),
+    ("23514", 7, 1),
+    ("24513", 7, 1),
 ]
 
 
