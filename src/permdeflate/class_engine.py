@@ -106,8 +106,7 @@ class _Level:
     each parent's open-slot mask.  The members are one run of children per
     parent, one per set bit of its mask, and are built only when the level
     is iterated, by ``_candidates``; ``len`` is counted when the tree
-    builds the level.  It reads as a list: equality with a list, indexing
-    and slicing build the members first."""
+    builds the level."""
 
     __slots__ = ("parents", "masks", "_size", "__weakref__")
 
@@ -119,14 +118,6 @@ class _Level:
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         return (vals for vals, _, _ in _candidates(self))
-
-    def __getitem__(self, index: Union[int, slice]):
-        return list(self)[index]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (list, _Level)):
-            return list(self) == list(other)
-        return NotImplemented
 
 
 def _check_length_bound(name: str, bound: int) -> None:

@@ -8,29 +8,30 @@ values can be shared freely between threads or worker processes.
 Hot paths (class enumeration, membership filtering, slot grids) work on
 raw value tuples via the underscore helpers at the bottom of this module;
 the public functions wrap them.  Containment has three engines.  Short
-patterns run nested-loop kernels that one emitter compiles once per
-pattern and mode; longer ones run ``_forward_check``, an iterative
-forward-checking search that keeps, per pattern index, the host positions
-still open to it as one int bit mask and branches on the index with the
-fewest (most constrained first, MRV); ``contains()``, which must report
-positions, runs a left-to-right DFS for the lexicographically least
-occurrence.  One rule picks between the first two: a kernel is an emitted
-nest exactly when it has at most ``_NEST_LOOPS`` = 6 free loops, one per
-pattern index not pinned.  Three questions follow it.  ``_search_kernel``
-asks whether a host contains the pattern (``_contains_any``): no pin, so
-a nest for k <= 6.  ``_slot_kernel`` asks whether a new entry at a slot
-of a host completes it: every cell question (the interval breaks, the
-certificate walks, the shading grid and the BFS through
-``_contains_pinned``) is this one.  The entry is one pin, so for k <= 7
-it is a nest with the entry virtual and no child built; k >= 8 builds the
-child only when the entry fits some pattern index.  ``_top_kernel``
-serves the generating tree, where a new maximum goes into a member at a
-slot that the member inherits open from its parent.  There a new
-occurrence must use both the new maximum and the member's own, as the
-pattern's values k and k - 1, so a second-pin nest from the same emitter
-places both and loops over the other k - 2 indices only, each in the
-position zone the two pins fix (a nest for 2 <= k <= 8; for k >= 9 one
-``_forward_check`` on the child with both pins).  Nothing recurses, so
+patterns run nests of ``for`` loops; longer ones run ``_forward_check``,
+an iterative forward-checking search that keeps, per pattern index, the
+host positions still open to it as one int bit mask and branches on the
+index with the fewest (most constrained first, MRV); ``contains()``,
+which must report positions, runs a left-to-right DFS for the
+lexicographically least occurrence.  One emitter, ``_emit_kernel``,
+compiles every kernel of the first two engines, once per pattern and
+mode, and holds the one rule between them: a kernel is a nest exactly
+when it has at most ``_NEST_LOOPS`` = 6 free loops, one per pattern
+index not pinned, and else a forward check.  Three questions use it.
+``_search_kernel`` asks whether a host contains the pattern
+(``_contains_any``): no pin, so a nest for k <= 6.  ``_slot_kernel``
+asks whether a new entry at a slot of a host completes it: every cell
+question (the interval breaks, the certificate walks, the shading grid
+and the BFS through ``_contains_pinned``) is this one.  The entry is one
+pin, so for k <= 7 it is a nest with the entry virtual and no child
+built; past that the child is built only when the entry has room to
+play some pattern index.  ``_top_kernel`` serves the generating tree,
+where a new maximum goes into a member at a slot that the member
+inherits open from its parent.  There a new occurrence must use both the
+new maximum and the member's own, as the pattern's values k and k - 1,
+so the kernel pins both: a nest over the other k - 2 indices, each in
+the position zone the two pins fix, for 2 <= k <= 8, and one forward
+check on the child with both pins past that.  Nothing recurses, so
 pattern length is bounded only by ``MAX_LENGTH``.
 """
 
@@ -421,37 +422,45 @@ def _find_occurrence(pat: tuple[int, ...], host: tuple[int, ...]) -> Optional[li
 
 
 def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., bool]:
-    """The one kernel emitter: compile nested ``for`` loops that look for
-    ``pat`` in ``host``.  Mode "plain" is one unpinned nest, ``test(host)``.
-    Mode "slot" is the slot test ``test(host, ps, vs)``: one nest per
-    pattern index, behind a room check, each pinning that index on a
-    virtual new entry of value ``vs`` before position ``q = ps - 1``.  A
-    nest places its pin first, then the indices left of the leftmost pin
-    nearest first, then the rest left to right; loop ranges keep each
-    index between its placed neighbours with room for the indices still
-    unplaced (indices right of the entry start at ``q``), and each value
-    is compared only with the nearest placed values below and above (``v``
-    lies above the entry iff ``vs <= v``).  Mode "top", ``test(host, ps,
+    """The one kernel emitter: compile a test for ``pat`` in ``host``.
+    Mode "plain" is the unpinned test ``test(host)``.  Mode "slot" is the
+    slot test ``test(host, ps, vs)``: one block per pattern index, behind
+    a room check, each pinning that index on a virtual new entry of value
+    ``vs`` before position ``q = ps - 1``.  Mode "top", ``test(host, ps,
     s)``, pins the index of value k on the new entry and that of value k -
     1 at host position ``s``: the caller promises that these hold the
-    occurrence's two largest values, so no value is compared with theirs
-    and only the other k - 2 indices loop, each in the position zone the
-    two pins fix.  A nest has one loop per index not pinned; the callers
-    emit one only within ``_NEST_LOOPS``.  The text holds only identifiers
-    and integers, never a host value."""
+    occurrence's two largest values, so no value is compared with theirs.
+    The one test of the loop budget is here: a block is a nest of ``for``
+    loops exactly when its pins leave at most ``_NEST_LOOPS`` indices
+    free.  A nest places its pins first, then the indices left of the
+    leftmost pin nearest first, then the rest left to right; loop ranges
+    keep each index between its placed neighbours with room for the
+    indices still unplaced (indices right of the entry start at ``q``),
+    and each value is compared only with the nearest placed values below
+    and above (``v`` lies above the entry iff ``vs <= v``).  Past the
+    budget a block is ``_contains_mrv`` with no pin, else ``_forward_check``
+    with the pins, on a child built by the first block that has room.  The
+    text holds only identifiers and integers, never a host value, and runs
+    in this module's globals, so a kernel looks up ``_contains_mrv``,
+    ``_forward_check`` and ``_insert_raw`` when it is called."""
     k = len(pat)
     top = mode == "top"
     pins = range(k) if mode == "slot" else [pat.index(k)] if top else ()
+    # the free loops of a nest: one per index that no pin holds
+    nest = k - (1 + top if pins else 0) <= _NEST_LOOPS
     args = "host, ps, s" if top else "host, ps, vs" if pins else "host"
     lines = [f"def test({args}):", "    q = ps - 1"] if pins else [f"def test({args}):"]
     lines.append("    n = len(host)")
+    if not nest:
+        lines.append(f"    pat = {pat}")
+        if pins:
+            lines.append("    child = None")
     for pin_j in pins or [-1]:
         # pinned index -> (host position, 1 if it takes that position, 0 if virtual)
         fixed = {} if pin_j < 0 else {pin_j: ("q", 0)}
         if top:
             fixed[pat.index(k - 1)] = ("s", 1)
         first = min(fixed, default=0)
-        order = [*fixed, *range(first - 1, -1, -1), *(j for j in range(first, k) if j not in fixed)]
         indent = "    "
         if fixed:
             # the host positions left of the first pin, between two pins and
@@ -467,6 +476,20 @@ def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., boo
                 room.append(f"vs >= {pat[pin_j]} and n - vs >= {k - 1 - pat[pin_j]}")
             lines.append(f"    if {' and '.join(room)}:")
             indent += "    "
+        if not nest:
+            check = "_contains_mrv(pat, host)"
+            if fixed:
+                # a pin that takes a host position moves past the entry in the child
+                at = [f"{j}, {p} + ({p} >= q)" if takes else f"{j}, {p}" for j, (p, takes) in fixed.items()]
+                check = f"_forward_check(pat, child, le, ge, {', '.join(at)})"
+                lines += [
+                    f"{indent}if child is None:",
+                    f"{indent}    child = _insert_raw(host, ps, {'n + 1' if top else 'vs'})",
+                    f"{indent}    le, ge = _value_masks(child, {k})",
+                ]
+            lines += [f"{indent}if {check}:", f"{indent}    return True"]
+            continue
+        order = [*fixed, *range(first - 1, -1, -1), *(j for j in range(first, k) if j not in fixed)]
         # the pattern read in placement order: its neighbour refs are, per
         # step, the earlier steps holding the nearest values below and above
         lo_ref, hi_ref = _neighbor_refs(tuple(pat[j] for j in order))
@@ -499,90 +522,46 @@ def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., boo
     # one filename per kernel, so that profilers keep one row per kernel
     filename = f"<kernel {' '.join(map(str, pat))} {mode}>"
     namespace: dict = {}
-    exec(compile("\n".join(lines), filename, "exec"), namespace)
+    exec(compile("\n".join(lines), filename, "exec"), globals(), namespace)
     return namespace["test"]
 
 
 @lru_cache(maxsize=4096)
 def _search_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...]], bool]:
     """The existence test for ``pat``, built once and cached: ``test(host)``
-    is True iff ``host`` contains ``pat``.  Within the loop budget (k <=
-    6) it is ``_emit_kernel``'s unpinned nest.  For k >= 7 it is
-    ``_contains_mrv``, looked up at call time so that a wrapper on the
-    module attribute sees every call."""
-    if len(pat) <= _NEST_LOOPS:
-        return _emit_kernel(pat)
-    return lambda host: _contains_mrv(pat, host)
+    is True iff ``host`` contains ``pat``.  A nest for k <= 6, else
+    ``_contains_mrv``."""
+    return _emit_kernel(pat)
 
 
 @lru_cache(maxsize=4096)
 def _slot_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], bool]:
-    """The slot test for ``pat``, built once and cached: ``blocked(host, ps,
+    """The slot test for ``pat``, built once and cached: ``test(host, ps,
     vs)`` is True iff a new entry at slot (ps, vs) of ``host`` completes an
-    occurrence of ``pat`` through it.  The entry pins one index, so within
-    the loop budget (k <= 7) it is one nest per pattern index from
-    ``_emit_kernel``, with no child built.  For k >= 8 it lists the
-    indices t that the entry, at position q = ps - 1 and of value vs in a
-    child of length n, fits: ``t <= q``, ``k - t <= n - q``, ``pat[t] <=
-    vs`` and ``k - pat[t] <= n - vs``.  It returns False when there is
-    none, and else builds the child and runs ``_forward_check`` once per
-    fitting t, with that index on the entry, on one set of value masks.
-    It never calls ``_contains_mrv``, so that traced slot tests and plain
-    searches stay apart."""
-    k = len(pat)
-    if k - 1 <= _NEST_LOOPS:
-        return _emit_kernel(pat, "slot")
-
-    def blocked(host: tuple[int, ...], ps: int, vs: int) -> bool:
-        n, q = len(host) + 1, ps - 1
-        fits = [t for t in range(k) if t <= q and k - t <= n - q and pat[t] <= vs and k - pat[t] <= n - vs]
-        if not fits:
-            return False
-        child = _insert_raw(host, ps, vs)
-        le, ge = _value_masks(child, k)
-        return any(_forward_check(pat, child, le, ge, t, q) for t in fits)
-
-    return blocked
+    occurrence of ``pat`` through it.  The entry pins one index, so it is
+    one nest per index for k <= 7, with no child built, and else one
+    ``_forward_check`` per index the entry has room to play.  It never
+    calls ``_contains_mrv``, so that traced slot tests and plain searches
+    stay apart."""
+    return _emit_kernel(pat, "slot")
 
 
 @lru_cache(maxsize=4096)
 def _top_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], bool]:
     """The second-pin slot test for ``pat``, built once and cached:
-    ``blocked(host, ps, s)`` is True iff a new maximum at slot ps of
+    ``test(host, ps, s)`` is True iff a new maximum at slot ps of
     ``host``, whose own maximum sits at position s, completes ``pat``.
     The caller promises that ``host`` avoids ``pat`` and that the slot is
     inherited open: ``host`` minus its maximum, with a new maximum at the
     matching slot, avoids ``pat`` too.  Then every new occurrence uses
-    both top entries, as ``pat``'s values k and k - 1, and within the loop
-    budget (2 <= k <= 8) the test is one ``_emit_kernel`` nest that pins
-    both and loops over the other k - 2 indices.  For k >= 9 it checks
-    that the two pins, index ``pat.index(k)`` at position q = ps - 1 and
-    index ``pat.index(k - 1)`` at the member's maximum s shifted by the
-    insertion, keep the pattern's left-to-right order with room for the
-    indices left of, between and right of them; only then does it build
-    the child and run one ``_forward_check`` with both pins.  For k = 1
-    every slot is blocked, though no host can keep the promise.
+    both top entries, as ``pat``'s values k and k - 1, and the test pins
+    both: a nest over the other k - 2 indices for 2 <= k <= 8, else one
+    ``_forward_check`` with both pins.  For k = 1 every slot is blocked,
+    though no host can keep the promise.
     """
-    k = len(pat)
-    if k == 1:
+    if len(pat) == 1:
         return lambda host, ps, s: True  # the new maximum alone is an occurrence
-    if k <= _NEST_LOOPS + 2:
-        return _emit_kernel(pat, "top")
-    t, t2 = pat.index(k), pat.index(k - 1)
-    lo, hi = min(t, t2), max(t, t2)
-
-    def blocked_top(host: tuple[int, ...], ps: int, s: int) -> bool:
-        n, q = len(host) + 1, ps - 1
-        q2 = s + (s >= q)  # the member's maximum, in the child
-        a, b = (q, q2) if t < t2 else (q2, q)
-        # the pins in the pattern's order, with room left of, between and
-        # right of them for the indices there
-        if not (a < b and a >= lo and b - a >= hi - lo and n - b >= k - hi):
-            return False
-        child = _insert_raw(host, ps, n)
-        return _forward_check(pat, child, *_value_masks(child, k), t, q, t2, q2)
-
-    return blocked_top
+    return _emit_kernel(pat, "top")
 
 
 def _contains_pinned(pat: tuple[int, ...], host: tuple[int, ...], ps: int, vs: int) -> bool:

@@ -168,7 +168,7 @@ def _class_levels_by_slot(c: PermClass, max_len: int):
         ("1523764", 8),
         ("2413,4135762", 8),
         ("321", 11),
-        ("321,214365879", 10),  # k = 9: the full slot kernel beside a two-pin nest
+        ("321,214365879", 10),  # k = 9: a two-pin forward check beside a two-pin nest
         ("12", 6),
         ("1", 4),
         ("12,21", 4),
@@ -176,7 +176,7 @@ def _class_levels_by_slot(c: PermClass, max_len: int):
 )
 def test_class_levels_match_the_per_slot_tree(basis, max_len):
     c = PermClass.of(*basis.split(","))
-    assert list(_class_levels(c, max_len)) == list(_class_levels_by_slot(c, max_len))
+    assert [list(level) for level in _class_levels(c, max_len)] == list(_class_levels_by_slot(c, max_len))
 
 
 def test_class_levels_match_the_per_slot_tree_on_random_bases():
@@ -185,7 +185,7 @@ def test_class_levels_match_the_per_slot_tree_on_random_bases():
     for _ in range(200):
         lengths = [rng.randint(1, 8) for _ in range(rng.randint(1, 3))]
         c = PermClass(tuple(Permutation(tuple(rng.sample(range(1, k + 1), k))) for k in lengths))
-        assert list(_class_levels(c, 7)) == list(_class_levels_by_slot(c, 7)), str(c)
+        assert [list(level) for level in _class_levels(c, 7)] == list(_class_levels_by_slot(c, 7)), str(c)
 
 
 @pytest.mark.parametrize("basis", ["2413", "25314", "2413,4135762"])
@@ -237,7 +237,7 @@ def _check_candidates(c: PermClass, max_len: int) -> set[str]:
         assert len(level.masks) == parents, str(c)
         assert sum(pm.bit_count() for pm in level.masks) == len(level), str(c)
         candidates = list(_candidates(level))
-        assert [vals for vals, _, _ in candidates] == level, str(c)
+        assert [vals for vals, _, _ in candidates] == list(level), str(c)
         parents = len(level)
         for vals, s, cand in candidates:
             assert (vals, s, cand) == next(oracle), str(c)
@@ -262,7 +262,7 @@ def _check_candidates(c: PermClass, max_len: int) -> set[str]:
         ("23514", 8),
         ("24513", 8),
         ("2413,3142", 7),
-        ("251364,214365879", 8),  # k = 9: the full slot kernel beside a two-pin nest
+        ("251364,214365879", 8),  # k = 9: a two-pin forward check beside a two-pin nest
     ],
 )
 def test_candidates_and_top_cells_match_the_per_slot_tree(basis, max_len):
@@ -290,8 +290,8 @@ def test_the_tree_drops_each_level_once_it_yields_the_next():
 
 
 def test_a_level_reads_as_a_list_of_its_members():
-    # a level is kept as its parents and their masks, and reads as the list
-    # of members that one run of children per parent gives
+    # a level is kept as its parents and their masks, and iterates as the
+    # members that one run of children per parent gives
     c = PermClass.of("2413")
     oracle = list(_class_levels_by_slot(c, 6))
     previous = [()]
@@ -299,14 +299,11 @@ def test_a_level_reads_as_a_list_of_its_members():
         assert level.parents == previous
         assert len(level) == len(members) and bool(level)
         assert list(level) == members
-        assert level == members and members == level and not level != members
-        assert level[0] == members[0] and level[-1] == members[-1]
-        assert level[:1] == members[:1] and level[2:5] == members[2:5]
         assert weakref.ref(level)() is level
         previous = members
     empty = list(_class_levels(PermClass.of("1"), 3))
     assert [len(level) for level in empty] == [0, 0, 0]
-    assert empty == [[], [], []] and not any(empty)
+    assert [list(level) for level in empty] == [[], [], []] and not any(empty)
     assert [level.parents for level in empty] == [[()], [], []]
 
 
@@ -441,11 +438,11 @@ def test_simple_members_match_is_simple_on_every_level():
     cases += [(c, 7) for c in _random_small_bases(26, 60)]
     seen = {"empty": 0, "short": 0, 0: 0, 1: 0, 2: 0}
     for c, max_len in cases:
-        for level in _class_levels(c, max_len):
-            assert _simple_members(level) == [v for v in level if _is_simple(v)], (c, level[:1])
+        for length, level in enumerate(_class_levels(c, max_len), start=1):
+            assert _simple_members(level) == [v for v in level if _is_simple(v)], (c, length)
             if not level:
                 seen["empty"] += 1
-            elif len(level[0]) < 5:
+            elif length < 5:
                 seen["short"] += 1
             else:
                 for vals in level:

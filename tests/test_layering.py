@@ -35,18 +35,18 @@ SOURCES = sorted(Path(permdeflate.__file__).parent.glob("*.py"))
 CHAIN = ["perm_core", "decomposition", "class_engine", "deflate_analysis", "witness", "cli"]
 EXEMPT = {"__init__", "__main__"}
 #: ``perm_core`` names that only ``perm_core`` may import: other modules ask
-#: ``_contains_any``, whose ``_search_kernel`` picks the engine, or a slot
-#: kernel (``class_engine`` through ``_contains_pinned``), which picks its own.
+#: ``_contains_any`` or a slot kernel (``class_engine`` through
+#: ``_contains_pinned``), whose emitted code holds the engine it runs.
 ENGINE_INTERNALS = {"_contains_mrv", "_forward_check", "_value_masks"}
 #: ``perm_core`` names that only ``perm_core`` and ``class_engine`` may
 #: import: the other modules ask a class's ``_slot_test`` or ``_top_test``.
 SLOT_KERNELS = {"_slot_kernel", "_top_kernel"}
 #: The attribute of a ``class_engine._class_levels`` level that holds its
-#: parents' open-slot masks: the other modules read a level as a list, and
-#: ask ``_candidates`` for each member's inherited open slots.
+#: parents' open-slot masks: the other modules iterate a level as its
+#: members, and ask ``_candidates`` for each member's inherited open slots.
 LEVEL_MASKS = "masks"
 #: The attribute of a level that holds its parents, the members of the
-#: level before: the other modules read a level as a list of its members.
+#: level before: the other modules iterate a level as its members.
 LEVEL_PARENTS = "parents"
 
 
@@ -206,11 +206,18 @@ def _loop_depth(node: ast.AST) -> int:
     return inner + isinstance(node, ast.For)
 
 
+def _called_names(tree: ast.AST) -> set[str]:
+    """The bare names that calls under ``tree`` call."""
+    return {n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+
 def test_kernels_are_nests_within_six_free_loops(monkeypatch):
     """One loop budget for every kernel: the unpinned search kernel is an
     emitted nest exactly for k <= 6, the slot kernel (one pin) for k <= 7
     and the second-pin kernel for 2 <= k <= 8, and no emitted nest runs
-    more than six ``for`` loops deep.  An emitted kernel's code names
+    more than six ``for`` loops deep.  Past the budget a kernel has no
+    ``for`` loop and calls the forward check (``_forward_check``, or
+    ``_contains_mrv`` with no pin).  Every emitted kernel's code names
     itself ``<kernel PAT MODE>``; a compile hook keeps each source."""
     sources = {}
 
@@ -224,19 +231,27 @@ def test_kernels_are_nests_within_six_free_loops(monkeypatch):
         "slot": (perm_core._slot_kernel, lambda k: k <= 7),
         "top": (perm_core._top_kernel, lambda k: 2 <= k <= 8),
     }
-    nests = set()
+    depths = []
     for k in range(1, 11):
         # the alternation 2 4 .. 1 3 .., a rigid pattern of length k
         pat = (*range(2, k + 1, 2), *range(1, k + 1, 2))
         name = " ".join(map(str, pat))
         for mode, (kernel, nest) in kernels.items():
-            # past the cache, so that every nest is compiled here
+            # past the cache, so that every kernel is compiled here
             filename = kernel.__wrapped__(pat).__code__.co_filename
-            assert (filename == f"<kernel {name} {mode}>") == nest(k), (k, mode, filename)
+            if mode == "top" and k == 1:
+                assert filename not in sources  # the one kernel not emitted
+                continue
+            assert filename == f"<kernel {name} {mode}>", (k, mode, filename)
+            tree = ast.parse(sources[filename])
+            searches = _called_names(tree) & {"_forward_check", "_contains_mrv"}
+            depth = _loop_depth(tree)
             if nest(k):
-                nests.add(filename)
-    assert nests <= set(sources)
-    assert max(_loop_depth(ast.parse(source)) for source in sources.values()) == 6
+                assert not searches, (k, mode, searches)
+                depths.append(depth)
+            else:
+                assert searches and depth == 0, (k, mode, searches, depth)
+    assert max(depths) == 6
 
 
 def test_checker_finds_exec_calls():

@@ -616,9 +616,12 @@ def test_top_kernel_matches_itertools():
 
 def test_each_kernel_gets_its_own_profiler_row():
     # cProfile keys a function by (filename, line, name): every kernel is a
-    # ``test`` at line 1, so only its own filename keeps two kernels apart
+    # ``test`` at line 1, so only its own filename keeps two kernels apart,
+    # a forward check past the loop budget as much as a nest
     first = perm_core._emit_kernel((2, 4, 1, 3), "slot")
     second = perm_core._emit_kernel((3, 1, 4, 2), "slot")
+    third = perm_core._emit_kernel((2, 4, 6, 8, 1, 3, 5, 7, 9), "slot")
+    fourth = perm_core._emit_kernel((3, 1, 4, 2, 5, 6, 7, 8, 9), "slot")
     host = (1, 2, 3, 4, 5)
     profiler = cProfile.Profile()
     profiler.enable()
@@ -626,20 +629,53 @@ def test_each_kernel_gets_its_own_profiler_row():
         first(host, 3, 2)
     for _ in range(3000):
         second(host, 3, 2)
+    for _ in range(200):
+        third(host, 3, 2)
+    for _ in range(400):
+        fourth(host, 3, 2)
     profiler.disable()
     stats = pstats.Stats(profiler).stats
     rows = sorted((key[0], calls) for key, (_, calls, *_) in stats.items() if key[2] == "test")
-    assert rows == [("<kernel 2 4 1 3 slot>", 1000), ("<kernel 3 1 4 2 slot>", 3000)]
+    assert rows == [
+        ("<kernel 2 4 1 3 slot>", 1000),
+        ("<kernel 2 4 6 8 1 3 5 7 9 slot>", 200),
+        ("<kernel 3 1 4 2 5 6 7 8 9 slot>", 400),
+        ("<kernel 3 1 4 2 slot>", 3000),
+    ]
 
 
 def test_kernel_filenames_name_pattern_and_mode():
-    pat = (2, 4, 1, 3)
-    names = {
-        perm_core._emit_kernel(pat).__code__.co_filename,
-        perm_core._emit_kernel(pat, "slot").__code__.co_filename,
-        perm_core._emit_kernel(pat, "top").__code__.co_filename,
-    }
-    assert names == {f"<kernel 2 4 1 3 {mode}>" for mode in ("plain", "slot", "top")}
+    # within the loop budget and past it, in every mode
+    for pat in ((2, 4, 1, 3), (2, 4, 6, 8, 1, 3, 5, 7, 9)):
+        names = {perm_core._emit_kernel(pat, mode).__code__.co_filename for mode in ("plain", "slot", "top")}
+        name = " ".join(map(str, pat))
+        assert names == {f"<kernel {name} {mode}>" for mode in ("plain", "slot", "top")}
+
+
+def test_kernels_look_up_the_traced_names_when_called(monkeypatch):
+    # the tracer and the spies wrap module attributes: a kernel compiled
+    # before the wrapper, here through the caches, must still call it
+    search = _search_kernel((2, 4, 6, 1, 3, 5, 7))
+    slot = _slot_kernel((2, 4, 6, 8, 1, 3, 5, 7))
+    top = _top_kernel((2, 4, 6, 8, 1, 3, 5, 7, 9))
+    calls = dict.fromkeys(("_contains_mrv", "_forward_check", "_insert_raw"), 0)
+    for name in calls:
+
+        def counted(*args, _name=name, _real=getattr(perm_core, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(perm_core, name, counted)
+    assert search((2, 4, 6, 1, 3, 5, 7))
+    assert calls == {"_contains_mrv": 1, "_forward_check": 1, "_insert_raw": 0}
+    # no index of 2 4 6 8 1 3 5 7 has room at slot (1, 1): no child is built
+    assert not slot((2, 4, 6, 7, 1, 3, 5), 1, 1)
+    assert calls == {"_contains_mrv": 1, "_forward_check": 1, "_insert_raw": 0}
+    # at slot (8, 7) only the last index has room, and the entry completes it
+    assert slot((2, 4, 6, 7, 1, 3, 5), 8, 7)
+    assert calls == {"_contains_mrv": 1, "_forward_check": 2, "_insert_raw": 1}
+    assert top((2, 4, 6, 8, 1, 3, 5, 7), 9, 3)
+    assert calls == {"_contains_mrv": 1, "_forward_check": 3, "_insert_raw": 2}
 
 
 def test_mrv_handles_patterns_longer_than_the_recursion_limit():

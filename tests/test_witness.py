@@ -239,7 +239,7 @@ _PINNED_SEARCHES = [
     ("12", 5, 3),
     ("321", 8, 4),
     ("2413,4135762", 8, 2),
-    ("251364,214365879", 8, 2),  # k = 9: the top cells' full slot kernel
+    ("251364,214365879", 8, 2),  # k = 9: the top cells' two-pin forward check
     ("25314", 7, 1),  # the four open length-5 classes: no witness
     ("24153", 7, 1),
     ("23514", 7, 1),
