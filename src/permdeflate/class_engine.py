@@ -11,7 +11,9 @@ Inheritance: a slot blocked in the parent stays blocked in the child.
 Second pin: at an inherited open slot, any basis occurrence the new
 maximum completes also uses the member's own maximum, so the two play the
 basis element's values k and k - 1 and only k - 2 indices are free
-(``perm_core._top_kernel``).  Each level is kept as its parents and their
+(``perm_core._top_kernel``, one call per member: it takes the inherited
+open mask and returns the open one, and each occurrence it finds blocks
+its whole range of slots).  Each level is kept as its parents and their
 masks, so a level's members are built once, as the next level's parents,
 and the last level's only when a caller iterates it.
 """
@@ -75,29 +77,49 @@ def _avoids_raw(vals: tuple[int, ...], c: PermClass) -> bool:
     return not any(_contains_any(b.values, vals) for b in c.basis)
 
 
-def _any_of(
-    tests: list[Callable[[tuple[int, ...], int, int], bool]]
+def _fitting(c: PermClass, max_len: Optional[int]) -> list[tuple[int, ...]]:
+    """The basis elements of ``c`` that a new entry in a member of length
+    at most ``max_len`` can complete, all of them when there is no bound:
+    those of length <= max_len + 1.  The others' kernels are never built."""
+    return [b.values for b in c.basis if max_len is None or len(b) <= max_len + 1]
+
+
+def _slot_test(
+    c: PermClass, max_len: Optional[int] = None
 ) -> Callable[[tuple[int, ...], int, int], bool]:
-    """One slot test from the basis elements' own: the element's test for a
-    principal class, else an ``any`` over them."""
+    """The slot test of ``c`` on members of length at most ``max_len``:
+    ``blocked(vals, ps, vs)`` is True iff a new entry at slot (ps, vs) of
+    the member ``vals`` completes a basis occurrence, from the
+    ``_slot_kernel`` of each basis element that fits (the kernel itself
+    for one element, else an ``any`` over them)."""
+    tests = [_slot_kernel(b) for b in _fitting(c, max_len)]
     if len(tests) == 1:
         return tests[0]
-    return lambda vals, ps, x: any(blocked(vals, ps, x) for blocked in tests)
+    return lambda vals, ps, vs: any(blocked(vals, ps, vs) for blocked in tests)
 
 
-def _slot_test(c: PermClass) -> Callable[[tuple[int, ...], int, int], bool]:
-    """The slot test of ``c``: ``blocked(vals, ps, vs)`` is True iff a new
-    entry at slot (ps, vs) of the member ``vals`` completes a basis
-    occurrence, from the basis elements' ``_slot_kernel``."""
-    return _any_of([_slot_kernel(b.values) for b in c.basis])
+def _top_test(
+    c: PermClass, max_len: Optional[int] = None
+) -> Callable[[tuple[int, ...], int, int], int]:
+    """The second-pin test of ``c`` on members of length at most
+    ``max_len``: ``top(vals, s, cand)`` is the mask of the slots in
+    ``cand`` where a new maximum leaves the member ``vals``, whose maximum
+    sits at position s, in the class.  It chains the ``_top_kernel`` of
+    each basis element that fits, each taking the mask the one before
+    left open, until the mask is 0.  Valid only for slots ``vals``
+    inherits open."""
+    tests = [_top_kernel(b) for b in _fitting(c, max_len)]
+    if len(tests) == 1:
+        return tests[0]
 
+    def top(vals: tuple[int, ...], s: int, cand: int) -> int:
+        for test in tests:
+            if not cand:
+                break
+            cand = test(vals, s, cand)
+        return cand
 
-def _top_test(c: PermClass) -> Callable[[tuple[int, ...], int, int], bool]:
-    """The second-pin slot test of ``c``: ``blocked(vals, ps, s)`` is True
-    iff a new maximum at slot ps of the member ``vals``, whose maximum
-    sits at position s, completes a basis occurrence, from the basis
-    elements' ``_top_kernel``.  Valid only at an inherited open slot."""
-    return _any_of([_top_kernel(b.values) for b in c.basis])
+    return top
 
 
 class _Level:
@@ -138,7 +160,9 @@ def _class_levels(c: PermClass, max_len: int) -> Iterator[_Level]:
     ``_candidates``.  Second pin: at a slot in ``cand``, the parent with a
     new maximum at the matching slot is a member, so a new occurrence uses
     both the new maximum and the member's own, and ``_top_kernel`` tests
-    it with two pins and k - 2 free indices.
+    it with two pins and k - 2 free indices.  Each member takes one call
+    of ``_top_test``, mask in and mask out, built only from the basis
+    elements of length <= ``max_len``.
 
     The root level is the empty parent with mask 1 if (1) avoids the basis,
     else 0.  Expanding a level builds its members once, through
@@ -154,7 +178,7 @@ def _class_levels(c: PermClass, max_len: int) -> Iterator[_Level]:
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     _check_length_bound("max_len", max_len)
-    blocked = _top_test(c)
+    top = _top_test(c, max_len - 1)
     root = 1 if _avoids_raw((1,), c) else 0  # the root's open slots
     level = _Level([()], [root], root)
     yield level
@@ -166,10 +190,7 @@ def _class_levels(c: PermClass, max_len: int) -> Iterator[_Level]:
         size = 0
         for j, (vals, s, cand) in enumerate(_candidates(level)):
             parents[j] = vals
-            om = 0
-            for q in range(n):
-                if cand >> q & 1 and not blocked(vals, q + 1, s):
-                    om |= 1 << q
+            om = top(vals, s, cand)
             masks[j] = shared.setdefault(om, om)
             size += om.bit_count()
         level = _Level(parents, masks, size)  # the caller may drop the level before
@@ -185,8 +206,8 @@ def _candidates(level: _Level) -> Iterator[tuple[tuple[int, ...], int, int]]:
     open.  Inheritance: parent slot q is slot q of the member when q <= s
     and slot q + 1 when q > s (slot s splits into both), and a blocked slot
     stays blocked, so ``cand = (pm & ((2 << s) - 1)) | ((pm >> s) <<
-    (s + 1))``.  A slot outside ``cand`` is blocked, and ``_top_test``
-    decides one inside it."""
+    (s + 1))``.  A slot outside ``cand`` is blocked, and one call of
+    ``_top_test`` with ``cand`` returns the member's open slots."""
     if not level:
         return
     top = (len(level.parents[0]) + 1,)

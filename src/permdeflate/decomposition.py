@@ -9,7 +9,8 @@ blocks are the disjoint maximal intervals, while sum- and skew-decomposable
 permutations get a canonical binary tree (first child indecomposable of the
 matching kind), a right comb over the components one scan finds.  Every
 walk of a tree (building, re-inflating, ``repr``, ``==``, ``hash``, the
-CLI's views) is one explicit-stack fold, ``_fold``: no depth recurses.
+CLI's views) is one explicit-stack fold, ``_fold``, and re-inflation adds
+one top-down pass with a stack: no depth recurses.
 
 Proper intervals, simplicity and maximal intervals all read one scan,
 ``_intervals_from``.  Maximal intervals are asked of indecomposable input
@@ -24,9 +25,8 @@ from itertools import product
 from operator import attrgetter
 from typing import Iterator, Optional
 
-from .perm_core import Permutation, Slot, _pattern_of, inflate
+from .perm_core import Permutation, Slot, _pattern_of
 
-_ONE = Permutation((1,))
 _SUMS = (("direct", Permutation((1, 2))), ("skew", Permutation((2, 1))))
 _tree_parts = attrgetter("skeleton", "children")
 
@@ -72,7 +72,8 @@ class DecompositionTree:
     standing for a single entry.
 
     Re-inflation, ``repr``, ``==`` and ``hash`` all walk the tree with
-    ``_fold``, so a deep tree (a long sum's comb) costs no recursion.
+    ``_fold`` (re-inflation then with a stack), so a deep tree (a long
+    sum's comb) costs no recursion.
     """
 
     skeleton: Optional[Permutation]
@@ -83,8 +84,37 @@ class DecompositionTree:
         return not self.children
 
     def reinflate(self) -> Permutation:
-        """Rebuild the permutation this tree decomposes."""
-        return _fold(self, _tree_parts, lambda skel, kids: inflate(skel, kids) if kids else _ONE)
+        """Rebuild the permutation this tree decomposes, in time linear in
+        its length however deep the tree: subtree sizes bottom-up with
+        ``_fold``, then each node's value base top-down with a stack.  A
+        child's base is its parent's plus the sizes of the siblings below
+        it in the skeleton, and each leaf, reached in position order, is
+        the value base + 1."""
+        sizes: dict[int, int] = {}
+
+        def size(node: "DecompositionTree", kids: list[int]) -> int:
+            sizes[id(node)] = total = sum(kids) if kids else 1
+            return total
+
+        _fold(self, lambda node: (node, node.children), size)
+        out: list[int] = []
+        stack = [(self, 0)]
+        while stack:
+            node, base = stack.pop()
+            kids = node.children
+            if not kids:
+                out.append(base + 1)
+                continue
+            skel = node.skeleton.values
+            if len(kids) != len(skel):
+                k = len(skel)
+                raise ValueError(f"inflation of length {k} needs {k} parts, got {len(kids)}")
+            bases = [0] * len(kids)
+            for i in sorted(range(len(skel)), key=skel.__getitem__):
+                bases[i] = base
+                base += sizes[id(kids[i])]
+            stack.extend(zip(reversed(kids), reversed(bases)))
+        return Permutation(tuple(out))
 
     def __repr__(self) -> str:
         def join(skel, kids):

@@ -629,7 +629,7 @@ def empirical_deflatability(c: PermClass, cover_len: int, search_len: int) -> Em
         for f in symmetries:
             covered[f(vals)] = hit is not None
 
-    blocked = _slot_test(c)
+    blocked = _slot_test(c, cover_len)
     uncovered = tuple(
         UncoveredMember(Permutation(vals), _locked_strips(vals, blocked))
         for vals in targets

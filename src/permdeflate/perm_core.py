@@ -25,13 +25,17 @@ question (the interval breaks, the certificate walks, the shading grid
 and the BFS through ``_contains_pinned``) is this one.  The entry is one
 pin, so for k <= 7 it is a nest with the entry virtual and no child
 built; past that the child is built only when the entry has room to
-play some pattern index.  ``_top_kernel`` serves the generating tree,
-where a new maximum goes into a member at a slot that the member
-inherits open from its parent.  There a new occurrence must use both the
-new maximum and the member's own, as the pattern's values k and k - 1,
-so the kernel pins both: a nest over the other k - 2 indices, each in
-the position zone the two pins fix, for 2 <= k <= 8, and one forward
-check on the child with both pins past that.  Nothing recurses, so
+play some pattern index.  ``_top_kernel`` serves the generating tree
+with one call per member, a mask in and a mask out: it takes the slots
+the member inherits open from its parent and returns those where a new
+maximum avoids the pattern.  At an inherited open slot a new occurrence
+must use both the new maximum and the member's own, as the pattern's
+values k and k - 1, so the kernel pins both at each slot of the mask: a
+nest over the other k - 2 indices, each in the position zone the two
+pins fix, for 2 <= k <= 8, and one forward check on the child with both
+pins past that.  An occurrence the nest finds is one wherever the new
+maximum sits between the entries of the pattern's neighbours of k, so
+it clears that whole range of slots at once.  Nothing recurses, so
 pattern length is bounded only by ``MAX_LENGTH``.
 """
 
@@ -421,15 +425,24 @@ def _find_occurrence(pat: tuple[int, ...], host: tuple[int, ...]) -> Optional[li
             pos = chosen[j] + 1
 
 
-def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., bool]:
+def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., object]:
     """The one kernel emitter: compile a test for ``pat`` in ``host``.
     Mode "plain" is the unpinned test ``test(host)``.  Mode "slot" is the
     slot test ``test(host, ps, vs)``: one block per pattern index, behind
     a room check, each pinning that index on a virtual new entry of value
-    ``vs`` before position ``q = ps - 1``.  Mode "top", ``test(host, ps,
-    s)``, pins the index of value k on the new entry and that of value k -
-    1 at host position ``s``: the caller promises that these hold the
-    occurrence's two largest values, so no value is compared with theirs.
+    ``vs`` before position ``q = ps - 1``.  Mode "top", ``test(host, s,
+    cand)``, takes a mask of slots and returns the bits of ``cand`` still
+    open: it walks the set bits q of ``cand`` lowest first and, at each,
+    pins the index t of value k on a new maximum before position q and
+    that of value k - 1 at host position ``s``.  Its room check is one
+    window of slots, cut from ``cand`` once, since a slot outside it stays
+    open.  The caller promises that the two pins hold the occurrence's two
+    largest values, so no value is compared with theirs.  An occurrence
+    found at q is a real one wherever the new maximum sits between the
+    host entries of indices t - 1 and t + 1, so it clears the slots
+    ``p[t-1] + 1`` to ``p[t+1]`` (0 and n where a neighbour is missing)
+    from the result and from the slots left to try.
+
     The one test of the loop budget is here: a block is a nest of ``for``
     loops exactly when its pins leave at most ``_NEST_LOOPS`` indices
     free.  A nest places its pins first, then the indices left of the
@@ -437,44 +450,60 @@ def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., boo
     keep each index between its placed neighbours with room for the
     indices still unplaced (indices right of the entry start at ``q``),
     and each value is compared only with the nearest placed values below
-    and above (``v`` lies above the entry iff ``vs <= v``).  Past the
-    budget a block is ``_contains_mrv`` with no pin, else ``_forward_check``
-    with the pins, on a child built by the first block that has room.  The
-    text holds only identifiers and integers, never a host value, and runs
-    in this module's globals, so a kernel looks up ``_contains_mrv``,
-    ``_forward_check`` and ``_insert_raw`` when it is called."""
+    and above (``v`` lies above the entry iff ``vs <= v``).  A nest
+    returns True on its first occurrence, or in mode "top" leaves through
+    ``for`` ... ``else: continue`` / ``break`` closers to clear the range.
+    Past the budget a block is ``_contains_mrv`` with no pin, else
+    ``_forward_check`` with the pins, on a child built by the first block
+    that has room (in mode "top", one child per slot, and an occurrence
+    clears only its own slot).  The text holds only identifiers and
+    integers, never a host value, and runs in this module's globals, so a
+    kernel looks up ``_contains_mrv``, ``_forward_check`` and
+    ``_insert_raw`` when it is called."""
     k = len(pat)
-    top = mode == "top"
-    pins = range(k) if mode == "slot" else [pat.index(k)] if top else ()
+    slot, top = mode == "slot", mode == "top"
+    pins = range(k) if slot else [pat.index(k)] if top else ()
     # the free loops of a nest: one per index that no pin holds
     nest = k - (1 + top if pins else 0) <= _NEST_LOOPS
-    args = "host, ps, s" if top else "host, ps, vs" if pins else "host"
-    lines = [f"def test({args}):", "    q = ps - 1"] if pins else [f"def test({args}):"]
+    args = "host, s, cand" if top else "host, ps, vs" if slot else "host"
+    lines = [f"def test({args}):", "    q = ps - 1"] if slot else [f"def test({args}):"]
     lines.append("    n = len(host)")
     if not nest:
         lines.append(f"    pat = {pat}")
-        if pins:
+        if slot:
             lines.append("    child = None")
+    base = "    "
+    if top:
+        t, u = pat.index(k), pat.index(k - 1)
+        # the host positions left of, between and right of the two pins
+        # must hold the pattern indices there: one window of slots q
+        lo, hi, room = (
+            (f"{t}", f"s - {u - t - 1}" if u - t > 1 else "s", f"n - s >= {k - u}")
+            if t < u
+            else (f"s + {t - u}", f"n - {k - 1 - t}" if t < k - 1 else "n", f"s >= {u}")
+        )
+        # the slots of ``cand`` in the window, one at a time, lowest first
+        lines += [
+            f"    todo = cand & ((2 << {hi}) - (1 << {lo})) if {lo} <= {hi} and {room} else 0",
+            "    while todo:",
+            "        low = todo & -todo",
+            "        todo ^= low",
+            "        q = low.bit_length() - 1",
+        ]
+        base += "    "
     for pin_j in pins or [-1]:
         # pinned index -> (host position, 1 if it takes that position, 0 if virtual)
         fixed = {} if pin_j < 0 else {pin_j: ("q", 0)}
         if top:
-            fixed[pat.index(k - 1)] = ("s", 1)
+            fixed[u] = ("s", 1)
         first = min(fixed, default=0)
-        indent = "    "
-        if fixed:
-            # the host positions left of the first pin, between two pins and
-            # right of the last must hold the pattern indices there
-            marks = sorted(fixed)
-            last = marks[-1]
-            room = [f"{fixed[first][0]} >= {first}"]
-            for a, b in zip(marks, marks[1:]):
-                room.append(f"{fixed[b][0]} - {fixed[a][0]} >= {b - a - 1 + fixed[a][1]}")
-            room.append(f"n - {fixed[last][0]} >= {k - 1 - last + fixed[last][1]}")
-            if not top:
-                # pat[pin_j]-1 values below vs, k-pat[pin_j] above
-                room.append(f"vs >= {pat[pin_j]} and n - vs >= {k - 1 - pat[pin_j]}")
-            lines.append(f"    if {' and '.join(room)}:")
+        indent = base
+        if slot:
+            # the host positions left and right of the entry must hold the
+            # pattern indices there, pat[pin_j]-1 values lie below vs and
+            # k-pat[pin_j] above
+            room = f"q >= {pin_j} and n - q >= {k - 1 - pin_j}"
+            lines.append(f"    if {room} and vs >= {pat[pin_j]} and n - vs >= {k - 1 - pat[pin_j]}:")
             indent += "    "
         if not nest:
             check = "_contains_mrv(pat, host)"
@@ -482,12 +511,14 @@ def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., boo
                 # a pin that takes a host position moves past the entry in the child
                 at = [f"{j}, {p} + ({p} >= q)" if takes else f"{j}, {p}" for j, (p, takes) in fixed.items()]
                 check = f"_forward_check(pat, child, le, ge, {', '.join(at)})"
-                lines += [
-                    f"{indent}if child is None:",
-                    f"{indent}    child = _insert_raw(host, ps, {'n + 1' if top else 'vs'})",
-                    f"{indent}    le, ge = _value_masks(child, {k})",
+                build = [
+                    f"{indent}child = _insert_raw(host, {'ps, vs' if slot else 'q + 1, n + 1'})",
+                    f"{indent}le, ge = _value_masks(child, {k})",
                 ]
-            lines += [f"{indent}if {check}:", f"{indent}    return True"]
+                if slot:
+                    build = [f"{indent}if child is None:", *("    " + line for line in build)]
+                lines += build
+            lines += [f"{indent}if {check}:", f"{indent}    {'cand ^= low' if top else 'return True'}"]
             continue
         order = [*fixed, *range(first - 1, -1, -1), *(j for j in range(first, k) if j not in fixed)]
         # the pattern read in placement order: its neighbour refs are, per
@@ -496,6 +527,7 @@ def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., boo
         pos = {j: fixed[j][0] if j in fixed else f"p{j}" for j in order}
         # the two largest values of the second-pin mode are never compared
         value = {j: ("" if top else "vs") if j in fixed else f"v{j}" for j in order}
+        loops = []  # the indent of each ``for``, outermost first
         for step, j in enumerate(order):
             if j in fixed:
                 continue
@@ -507,6 +539,7 @@ def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., boo
                 stop = min((f for f in fixed if f > j), default=k)
                 limit = pos[stop] if stop < k else "n"
                 bounds = f"{start}, {limit} - {stop - 1 - j}" if stop - 1 > j else f"{start}, {limit}"
+            loops.append(indent)
             lines.append(f"{indent}for p{j} in range({bounds}):")
             indent += "    "
             lines.append(f"{indent}v{j} = host[p{j}]")
@@ -517,8 +550,21 @@ def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., boo
             if below or above:
                 lines.append(f"{indent}if {below}v{j}{above}:")
                 indent += "    "
-        lines.append(f"{indent}return True")
-    lines.append("    return False")
+        if not top:
+            lines.append(f"{indent}return True")
+            continue
+        # leave the nest on its first occurrence: each loop that ends
+        # without one tries the next position of the loop around it
+        if loops:
+            lines.append(f"{indent}break")
+        for depth, outer in reversed(list(enumerate(loops))):
+            lines += [f"{outer}else:", f"{outer}    continue"] + ([f"{outer}break"] if depth else [])
+        # the occurrence holds wherever the new maximum sits between the
+        # host entries of indices t - 1 and t + 1: clear all those slots
+        left = f"{pos[t - 1]} + 1" if t else "0"
+        right = pos[t + 1] if t < k - 1 else "n"
+        lines += [f"{base}cand &= ~((2 << {right}) - (1 << {left}))", f"{base}todo &= cand"]
+    lines.append("    return cand" if top else "    return False")
     # one filename per kernel, so that profilers keep one row per kernel
     filename = f"<kernel {' '.join(map(str, pat))} {mode}>"
     namespace: dict = {}
@@ -547,20 +593,23 @@ def _slot_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], 
 
 
 @lru_cache(maxsize=4096)
-def _top_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], bool]:
-    """The second-pin slot test for ``pat``, built once and cached:
-    ``test(host, ps, s)`` is True iff a new maximum at slot ps of
-    ``host``, whose own maximum sits at position s, completes ``pat``.
-    The caller promises that ``host`` avoids ``pat`` and that the slot is
-    inherited open: ``host`` minus its maximum, with a new maximum at the
-    matching slot, avoids ``pat`` too.  Then every new occurrence uses
-    both top entries, as ``pat``'s values k and k - 1, and the test pins
-    both: a nest over the other k - 2 indices for 2 <= k <= 8, else one
-    ``_forward_check`` with both pins.  For k = 1 every slot is blocked,
-    though no host can keep the promise.
+def _top_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], int]:
+    """The second-pin test for ``pat``, built once and cached: ``test(host,
+    s, cand)`` is the mask of the slots q in ``cand`` (bit q: the new
+    maximum before position q) where a new maximum leaves ``host``, whose
+    own maximum sits at position s, avoiding ``pat``.  One call per
+    member, a mask in and a mask out.  The caller promises that ``host``
+    avoids ``pat`` and that every slot in ``cand`` is inherited open:
+    ``host`` minus its maximum, with a new maximum at the matching slot,
+    avoids ``pat`` too.  Then every new occurrence uses both top entries,
+    as ``pat``'s values k and k - 1, and the test pins both at each slot:
+    a nest over the other k - 2 indices for 2 <= k <= 8, whose first
+    occurrence clears its whole range of slots, else one
+    ``_forward_check`` with both pins per slot.  For k = 1 every slot is
+    blocked, though no host can keep the promise.
     """
     if len(pat) == 1:
-        return lambda host, ps, s: True  # the new maximum alone is an occurrence
+        return lambda host, s, cand: 0  # the new maximum alone is an occurrence
     return _emit_kernel(pat, "top")
 
 

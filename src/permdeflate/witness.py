@@ -17,8 +17,11 @@ same kernels, without the grid's range check and per-cell calls.
 Each tree level is kept as its parents and their open-slot masks, and
 ``_candidates`` builds each member with the slots it inherits open, so
 ``find_witnesses`` walks a member's bonds one by one: it settles each
-bond's top strip cell by inheritance or ``_top_test``, and hands only a
-bond whose top cell is blocked to the per-bond walk ``_strips_locked``.
+bond's top strip cell by inheritance or by ``_top_test`` asked with that
+slot's one bit, and hands only a bond whose top cell is blocked to the
+per-bond walk ``_strips_locked``.  Its slot and top tests hold only the
+basis elements a member of length <= ``max_len`` can meet with one new
+entry, so a basis element too long to fire compiles no kernel.
 
 The bundled corpus (``deflate_analysis.load_corpus``) ships fourteen
 published witness rows (ten sporadic classes and four parallel
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Union
 
-from .perm_core import Bond, Permutation, Slot, inflate
+from .perm_core import MAX_LENGTH, Bond, Permutation, Slot, inflate
 from .decomposition import IntervalSpan, cut_slots
 from .class_engine import (
     PermClass,
@@ -124,7 +127,8 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
     """Scan class members in enumeration order for bond certificates,
     returning up to ``limit`` reports.  Each witness is cross-checked by an
     exhaustive search for simple extensions up to max_len + 2, which must
-    come back empty.  The scan trusts the tree's membership proof: it
+    come back empty, so a ``max_len`` above ``MAX_LENGTH`` - 2 is refused
+    before the walk.  The scan trusts the tree's membership proof: it
     tests raw tuples with the class's slot test, without the guard
     that ``bond_certificate`` keeps, and finds the same certificates.
 
@@ -133,14 +137,20 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
     (i + 1, n + 1), settled from ``cand``, the slots the member inherits
     open, read off its parent's mask by ``_candidates``: exempt when
     w + 2 > n, blocked when bit i of ``cand`` is clear, else decided by
-    ``_top_test``, whose precondition an open parent slot meets.  Only
-    then does ``_strips_locked`` walk the bond."""
+    ``_top_test`` with the one-bit mask ``1 << i``, whose precondition an
+    open parent slot meets.  Only then does ``_strips_locked`` walk the
+    bond."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
-    reports: list[WitnessReport] = []
     bound = max_len + 2
-    blocked = _slot_test(c)
-    top = _top_test(c)
+    if bound > MAX_LENGTH:
+        raise ValueError(
+            f"max_len {max_len} needs a cross-check to length {bound}, "
+            f"past the supported maximum {MAX_LENGTH}"
+        )
+    reports: list[WitnessReport] = []
+    blocked = _slot_test(c, max_len)
+    top = _top_test(c, max_len)
     for n, level in enumerate(_class_levels(c, max_len), start=1):
         for vals, s, cand in _candidates(level):
             # the bonds (i, kind, w) left to right, as ``_bond_scan`` finds
@@ -156,7 +166,7 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
                     a = b
                     continue
                 a = b
-                if w + 2 > n or not cand >> i & 1 or top(vals, i + 1, s):
+                if w + 2 > n or not cand >> i & 1 or not top(vals, s, 1 << i):
                     if _strips_locked(vals, blocked, i, w):
                         break
             else:

@@ -89,9 +89,18 @@ def test_the_tree_checks_the_length_bound_for_every_walker():
         # a finite class has no member longer than MAX_LENGTH, so a larger
         # bound is refused at once rather than walked level by level
         too_long = rf"^max_len {MAX_LENGTH + 1} exceeds the supported maximum {MAX_LENGTH}$"
-        with pytest.raises(ValueError, match=too_long):
-            walk(MAX_LENGTH + 1)
+        if walk is not walkers[-1]:
+            with pytest.raises(ValueError, match=too_long):
+                walk(MAX_LENGTH + 1)
     assert count_profile(c, MAX_LENGTH)[-1] == (MAX_LENGTH, 0, 0)
+    # the witness scan cross-checks to max_len + 2, so it refuses a bound
+    # that puts the cross-check past MAX_LENGTH before it walks
+    for n in (MAX_LENGTH - 1, MAX_LENGTH, MAX_LENGTH + 1):
+        cross = rf"^max_len {n} needs a cross-check to length {n + 2}, "
+        cross += rf"past the supported maximum {MAX_LENGTH}$"
+        with pytest.raises(ValueError, match=cross):
+            walkers[-1](n)
+    assert find_witnesses(c, MAX_LENGTH - 2, 1) == []
 
 
 def test_avoids_examples():
@@ -246,7 +255,7 @@ def _check_candidates(c: PermClass, max_len: int) -> set[str]:
                 if w + 2 > n:
                     continue  # the top cell is exempt
                 inherited = not cand >> i & 1
-                verdict = inherited or top(vals, i + 1, s)
+                verdict = inherited or not top(vals, s, 1 << i)
                 assert verdict == blocked(vals, i + 1, n + 1), (str(c), vals, i)
                 if verdict:
                     settled.add("inherited" if inherited else "second pin")
@@ -361,11 +370,14 @@ def test_the_top_test_with_two_pins_matches_the_slot_test_for_k_9_and_10():
         for level in _class_levels(c, 9):
             for vals, s, cand in _candidates(level):
                 n = len(vals)
+                opened = 0
                 for q in range(n + 1):
                     if cand >> q & 1:
                         verdict = blocked(vals, q + 1, n + 1)
-                        assert top(vals, q + 1, s) == verdict, (str(c), vals, q)
+                        assert (not top(vals, s, 1 << q)) == verdict, (str(c), vals, q)
+                        opened |= (not verdict) << q
                         long_blocks += verdict and by_long(vals, q + 1, n + 1)
+                assert top(vals, s, cand) == opened, (str(c), vals)
         lengths.add(k)
     assert lengths == {9, 10} and long_blocks >= 6
 

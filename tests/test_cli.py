@@ -317,13 +317,18 @@ def test_bounds_beyond_max_length_exit_2_at_once_in_a_subprocess():
         ["simples", "--basis", "1", "--max-len", "20000000"],
         ["enumerate", "--basis", "12,21", "--max-len", "1000000000", "--json"],
         ["witness", "search", "--basis", "12,21", "--max-len", "2000000"],
+        ["witness", "search", "--basis", "12", "--max-len", str(MAX_LENGTH - 1)],
     ):
         start = time.perf_counter()
         code, out, err = _run_module(*argv)
         assert time.perf_counter() - start < 5
         assert code == 2 and out == ""
         bound = argv[argv.index("--max-len") + 1]
-        assert err == f"error: max_len {bound} exceeds the supported maximum {MAX_LENGTH}\n"
+        if argv[0] == "witness":  # its cross-check searches two entries further
+            past = f"needs a cross-check to length {int(bound) + 2}, past the supported maximum"
+            assert err == f"error: max_len {bound} {past} {MAX_LENGTH}\n"
+        else:
+            assert err == f"error: max_len {bound} exceeds the supported maximum {MAX_LENGTH}\n"
 
 
 def test_extend_beyond_max_length_exits_2_at_once_in_a_subprocess():

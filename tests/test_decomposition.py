@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import random
 import sys
+import threading
 
 import pytest
 
@@ -262,6 +263,41 @@ def test_alternating_sum_of_max_length_decomposes_at_the_default_recursion_limit
         entry, node = node.children if node.skeleton == P("12") else node.children[::-1]
         assert entry.is_leaf
     assert spine == [P("12"), P("21")] * ((MAX_LENGTH - 2) // 2)
+
+
+def test_deep_trees_reinflate_like_the_recursive_reference():
+    # the alternating sum's spine has two children per node and the
+    # identity's comb one leaf per tooth, each about MAX_LENGTH deep; the
+    # reference recurses once per level, so it runs in a thread with room
+    alternating = (1,)
+    while len(alternating) < MAX_LENGTH - 1:
+        alternating = (1, *(v + 2 for v in alternating), 2)
+    trees = [substitution_decompose(Permutation(vals)) for vals in (alternating, range(1, MAX_LENGTH + 1))]
+    expected = []
+
+    def reference():
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(3 * MAX_LENGTH)
+        try:
+            expected.extend(_recursive_reinflate(tree) for tree in trees)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    size = threading.stack_size(256 << 20)
+    try:
+        thread = threading.Thread(target=reference)
+        thread.start()
+        thread.join()
+    finally:
+        threading.stack_size(size)
+    assert [tree.reinflate() for tree in trees] == expected
+    assert [len(p) for p in expected] == [MAX_LENGTH - 1, MAX_LENGTH]
+
+
+def test_reinflate_refuses_a_skeleton_and_children_of_different_lengths():
+    leaf = DecompositionTree(None)
+    with pytest.raises(ValueError, match="^inflation of length 2 needs 2 parts, got 3$"):
+        DecompositionTree(P("12"), (leaf, leaf, leaf)).reinflate()
 
 
 def test_deep_trees_print_compare_and_hash_at_the_default_recursion_limit():

@@ -217,7 +217,10 @@ def test_kernels_are_nests_within_six_free_loops(monkeypatch):
     and the second-pin kernel for 2 <= k <= 8, and no emitted nest runs
     more than six ``for`` loops deep.  Past the budget a kernel has no
     ``for`` loop and calls the forward check (``_forward_check``, or
-    ``_contains_mrv`` with no pin).  Every emitted kernel's code names
+    ``_contains_mrv`` with no pin).  A second-pin kernel takes a mask:
+    it walks the mask's slots in one ``while`` loop, and each ``for`` of
+    its nest has an ``else`` closer, so the nest leaves on its first
+    occurrence without a ``return``.  Every emitted kernel's code names
     itself ``<kernel PAT MODE>``; a compile hook keeps each source."""
     sources = {}
 
@@ -246,6 +249,11 @@ def test_kernels_are_nests_within_six_free_loops(monkeypatch):
             tree = ast.parse(sources[filename])
             searches = _called_names(tree) & {"_forward_check", "_contains_mrv"}
             depth = _loop_depth(tree)
+            if mode == "top":
+                loops = [n for n in ast.walk(tree) if isinstance(n, (ast.For, ast.While))]
+                assert sum(isinstance(n, ast.While) for n in loops) == 1, (k, sources[filename])
+                assert all(n.orelse for n in loops if isinstance(n, ast.For)), (k, sources[filename])
+                assert sum(isinstance(n, ast.Return) for n in ast.walk(tree)) == 1, (k, sources[filename])
             if nest(k):
                 assert not searches, (k, mode, searches)
                 depths.append(depth)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permdeflate import perm_core
+from permdeflate.class_engine import PermClass, _top_test
 from permdeflate.perm_core import (
     Bond,
     MAX_LENGTH,
@@ -579,13 +580,33 @@ def _planted_parent(rng, pat, m):
     return tuple(v for v in child if v <= m)
 
 
+def _members_with_inherited_slots(rng, pat, count=3, longest=8):
+    """(host, s, cand) for each member of a few parents of length up to
+    ``longest`` that avoid ``pat``, most of them planted so that a new
+    maximum sometimes completes it: s is the member's maximum's position
+    and ``cand`` the slots it inherits open, by itertools."""
+    k = len(pat)
+    parents = [_planted_parent(rng, pat, rng.randint(max(0, k - 2), longest)) for _ in range(count)]
+    parents.append(tuple(rng.sample(range(1, longest + 1), rng.randint(0, longest))))
+    for parent in parents:
+        parent = tuple(sorted(parent).index(v) + 1 for v in parent)
+        m = len(parent)
+        if any(_std(sub) == pat for sub in itertools.combinations(parent, k)):
+            continue
+        pm = _open_slots(pat, parent)
+        for s in range(m + 1):
+            if pm >> s & 1:
+                cand = (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
+                yield (*parent[:s], m + 1, *parent[s:]), s, cand
+
+
 def test_top_kernel_matches_itertools():
-    """At every slot a member inherits open, the second-pin test equals
-    itertools' "the new maximum completes ``pat`` through both top
-    entries".  Members come from parents of length up to 8 that avoid
-    ``pat``, most of them planted so that the answer is sometimes yes;
-    k = 7 and 8 run the two-pin nest's deepest loops, k = 9 and 10 the
-    full slot kernel."""
+    """At every slot a member inherits open, the second-pin test asked
+    with that slot's one bit keeps it exactly when itertools finds no
+    occurrence of ``pat`` through both top entries, and asked with the
+    whole inherited mask keeps exactly those slots.  k = 7 and 8 run the
+    two-pin nest's deepest loops, k = 9 and 10 one two-pin forward check
+    per slot."""
     rng = random.Random(15)
     pats = [p for k in range(2, 5) for p in itertools.permutations(range(1, k + 1))]
     for k, count in ((5, 12), (6, 12), (7, 4), (8, 4), (9, 3), (10, 3)):
@@ -593,25 +614,81 @@ def test_top_kernel_matches_itertools():
     hits = {}
     for pat in pats:
         k = len(pat)
-        parents = [_planted_parent(rng, pat, rng.randint(max(0, k - 2), 8)) for _ in range(3)]
-        parents.append(tuple(rng.sample(range(1, 9), rng.randint(0, 8))))
-        for parent in parents:
-            parent = tuple(sorted(parent).index(v) + 1 for v in parent)
-            m = len(parent)
-            if any(_std(sub) == pat for sub in itertools.combinations(parent, k)):
-                continue
-            pm = _open_slots(pat, parent)
-            for s in range(m + 1):
-                if not pm >> s & 1:
-                    continue
-                host = (*parent[:s], m + 1, *parent[s:])
-                cand = (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
-                for t in range(m + 2):
-                    if cand >> t & 1:
-                        expected = _through_top_two(pat, host, t)
-                        assert _top_kernel(pat)(host, t + 1, s) == expected, (pat, host, t, s)
-                        hits[k] = hits.get(k, 0) + expected
+        for host, s, cand in _members_with_inherited_slots(rng, pat):
+            opened = 0
+            for t in range(len(host) + 1):
+                if cand >> t & 1:
+                    expected = _through_top_two(pat, host, t)
+                    assert _top_kernel(pat)(host, s, 1 << t) == (not expected) << t, (pat, host, t, s)
+                    opened |= (not expected) << t
+                    hits[k] = hits.get(k, 0) + expected
+            assert _top_kernel(pat)(host, s, cand) == opened, (pat, host, s, cand)
     assert all(hits[k] for k in range(2, 11)), hits
+
+
+def test_top_kernel_clears_ranges_like_itertools_on_random_masks():
+    """Differential test of the mask-in, mask-out second-pin test against
+    ``_open_slots``: on random subsets of a member's inherited open slots,
+    the slots kept are those in the subset where a new maximum keeps the
+    member avoiding ``pat``, for k = 1 to 10, and for the chained
+    ``_top_test`` of classes with two or three basis elements.  Planted
+    parents make one occurrence block several slots of a subset, so a
+    range cleared one slot too wide or too narrow shows."""
+    assert _top_kernel((1,))((), 0, 1) == 0
+    rng = random.Random(30)
+    pats = [(1, 2), (2, 1)] + [tuple(rng.sample(range(1, k + 1), k)) for k in range(3, 11) for _ in range(5)]
+    wide = {}  # per k: subsets in which one kernel call blocked two or more slots
+    for pat in pats:
+        k = len(pat)
+        for host, s, cand in _members_with_inherited_slots(rng, pat, count=4, longest=max(8, k + 1)):
+            opened = _open_slots(pat, host)
+            for sub in {cand, *(cand & rng.getrandbits(len(host) + 1) for _ in range(4))}:
+                assert _top_kernel(pat)(host, s, sub) == sub & opened, (pat, host, s, sub)
+                wide[k] = wide.get(k, 0) + ((sub & ~opened).bit_count() >= 2)
+    # k = 2 blocks one slot at most: Av(12) keeps only slot 0, Av(21) slot n
+    assert all(wide[k] for k in range(3, 11)), str(sorted(wide.items()))
+    chained = 0  # chained tests that blocked some slot
+    for _ in range(40):
+        basis = [tuple(rng.sample(range(1, k + 1), k)) for k in rng.sample(range(2, 8), rng.randint(2, 3))]
+        c = PermClass(tuple(Permutation(b) for b in basis))
+        basis = [b.values for b in c.basis]
+        top = _top_test(c)
+        for host, s, _ in _members_with_inherited_slots(rng, basis[0], count=2, longest=7):
+            parent = host[:s] + host[s + 1 :]
+            if any(_std(sub) == b for b in basis for sub in itertools.combinations(host, len(b))):
+                continue
+            pm = -1
+            for b in basis:
+                pm &= _open_slots(b, parent)
+            cand = (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
+            opened = -1
+            for b in basis:
+                opened &= _open_slots(b, host)
+            for sub in {cand, cand & rng.getrandbits(len(host) + 1)}:
+                assert top(host, s, sub) == sub & opened, (str(c), host, s, sub)
+                chained += sub & ~opened != 0
+    assert chained >= 100, chained
+
+
+class _CountingHost(tuple):
+    """A host that counts its entry reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        type(self).reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_one_occurrence_blocks_its_whole_slot_range_unsearched(monkeypatch):
+    # in 2 3 1 4 the first occurrence of 2413 found, at slot 1, is 2 . 1 4
+    # with the new maximum anywhere between the 2 and the 1: it blocks
+    # slots 1 and 2, so slot 2 is never searched, and the search at slot 1
+    # reads the three entries left of the 4
+    monkeypatch.setattr(_CountingHost, "reads", 0)
+    host = _CountingHost((2, 3, 1, 4))
+    assert _top_kernel((2, 4, 1, 3))(host, 3, 0b11111) == 0b11001
+    assert _CountingHost.reads == 3
 
 
 def test_each_kernel_gets_its_own_profiler_row():
@@ -650,6 +727,9 @@ def test_kernel_filenames_name_pattern_and_mode():
         names = {perm_core._emit_kernel(pat, mode).__code__.co_filename for mode in ("plain", "slot", "top")}
         name = " ".join(map(str, pat))
         assert names == {f"<kernel {name} {mode}>" for mode in ("plain", "slot", "top")}
+        # the top kernel takes a mask of slots where the others take one
+        args = {mode: perm_core._emit_kernel(pat, mode).__code__.co_varnames[:3] for mode in ("slot", "top")}
+        assert args == {"slot": ("host", "ps", "vs"), "top": ("host", "s", "cand")}
 
 
 def test_kernels_look_up_the_traced_names_when_called(monkeypatch):
@@ -674,7 +754,9 @@ def test_kernels_look_up_the_traced_names_when_called(monkeypatch):
     # at slot (8, 7) only the last index has room, and the entry completes it
     assert slot((2, 4, 6, 7, 1, 3, 5), 8, 7)
     assert calls == {"_contains_mrv": 1, "_forward_check": 2, "_insert_raw": 1}
-    assert top((2, 4, 6, 8, 1, 3, 5, 7), 9, 3)
+    # one child and one forward check per slot in the mask: slot 8 has room
+    # and blocks, slot 2 has none
+    assert top((2, 4, 6, 8, 1, 3, 5, 7), 3, 1 << 8 | 1 << 2) == 1 << 2
     assert calls == {"_contains_mrv": 1, "_forward_check": 3, "_insert_raw": 2}
 
 

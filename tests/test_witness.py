@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 import re
 from functools import lru_cache
 
 import pytest
 
-from permdeflate import witness
+from permdeflate import class_engine, witness
 from permdeflate.cli import run
 from permdeflate.perm_core import (
+    MAX_LENGTH,
     Bond,
     ParseError,
     Permutation,
@@ -169,6 +171,28 @@ def test_find_witnesses_empty_class():
     assert find_witnesses(PermClass.of("1"), 6, limit=3) == []
 
 
+def test_a_bounded_search_compiles_no_kernel_that_cannot_fire(monkeypatch):
+    # a member of length <= max_len with one new entry is at most max_len + 1
+    # long, so a longer basis element's slot and top kernels are never asked
+    # for: compiling those of a length-4096 element takes about half a second
+    rng = random.Random(4096)
+    long = tuple(rng.sample(range(1, MAX_LENGTH + 1), MAX_LENGTH))
+    asked = []
+    for name in ("_slot_kernel", "_top_kernel"):
+        factory = getattr(class_engine, name)
+        monkeypatch.setattr(class_engine, name, lambda pat, f=factory: asked.append(pat) or f(pat))
+    text = " ".join(map(str, long))
+    assert run(["witness", "search", "--basis", text, "--max-len", "4"]) == 1
+    c = PermClass((Permutation(long), P("321")))
+    assert find_witnesses(c, 8, 1) == []
+    assert len(list(_class_levels(c, 8))) == 8
+    assert long not in asked and (3, 2, 1) in asked
+    # an element of length max_len + 1 still fits, and its kernels are asked
+    asked.clear()
+    assert find_witnesses(PermClass.of("2 4 6 1 3 5 7"), 6, 1) == []
+    assert asked.count((2, 4, 6, 1, 3, 5, 7)) == 2
+
+
 def test_find_witnesses_validates_arguments():
     with pytest.raises(ValueError):
         find_witnesses(PermClass.of("321"), 0, 1)
@@ -301,8 +325,8 @@ def test_find_witnesses_settles_top_cells_before_the_walk(monkeypatch):
     calls = 0
     slot_test = witness._slot_test
 
-    def counted(c):
-        blocked = slot_test(c)
+    def counted(c, *bound):
+        blocked = slot_test(c, *bound)
 
         def test(vals, ps, vs):
             nonlocal calls
