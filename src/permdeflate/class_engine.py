@@ -86,16 +86,19 @@ def _fitting(c: PermClass, max_len: Optional[int]) -> list[tuple[int, ...]]:
 
 def _slot_test(
     c: PermClass, max_len: Optional[int] = None
-) -> Callable[[tuple[int, ...], int, int], bool]:
+) -> Callable[[tuple[int, ...], int, int], Union[tuple[int, int], bool]]:
     """The slot test of ``c`` on members of length at most ``max_len``:
-    ``blocked(vals, ps, vs)`` is True iff a new entry at slot (ps, vs) of
-    the member ``vals`` completes a basis occurrence, from the
+    ``blocked(vals, ps, vs)`` is truthy iff a new entry at slot (ps, vs)
+    of the member ``vals`` completes a basis occurrence, from the
     ``_slot_kernel`` of each basis element that fits (the kernel itself
-    for one element, else an ``any`` over them)."""
+    for one element, else the first truthy result over them).  A truthy
+    result is the cell's reach ``(ps_hi, vs_hi)``: one basis element's
+    occurrence blocks every cell from (ps, vs) to it, so the first one
+    found speaks for the class."""
     tests = [_slot_kernel(b) for b in _fitting(c, max_len)]
     if len(tests) == 1:
         return tests[0]
-    return lambda vals, ps, vs: any(blocked(vals, ps, vs) for blocked in tests)
+    return lambda vals, ps, vs: next(filter(None, (blocked(vals, ps, vs) for blocked in tests)), False)
 
 
 def _top_test(
@@ -292,8 +295,11 @@ def _insertion_creates(c: PermClass, vals: tuple[int, ...], ps: int, vs: int) ->
     """Does a new entry at slot (ps, vs) of the member ``vals`` complete a
     basis occurrence?  ``_slot_test``'s question, asked per call through
     ``_contains_pinned`` so that ``perfbench`` can count it: its callers
-    are ``ShadingGrid.is_blocked`` and ``_bfs_extension``."""
-    return any(_contains_pinned(b.values, vals, ps, vs) for b in c.basis)
+    are ``ShadingGrid.is_blocked`` and ``_bfs_extension``.  A basis
+    element longer than ``len(vals) + 1`` cannot be completed, so its
+    kernel is never asked, nor built."""
+    fits = len(vals) + 1
+    return any(_contains_pinned(b.values, vals, ps, vs) for b in c.basis if len(b.values) <= fits)
 
 
 class ShadingGrid:

@@ -260,7 +260,7 @@ def breaking_extensions(w: Permutation, c: PermClass) -> list[BreakReport]:
         raise ValueError(f"{w} is simple; nothing to break")
 
     before = sum(s.size - 1 for s in blocks)
-    blocked = _slot_test(c)
+    blocked = _slot_test(c, len(vals))
     reports = []
     for ps, vs in _cut_slot_pairs(len(vals), alpha.pos_lo, alpha.pos_hi, alpha.val_lo, alpha.val_hi):
         # w avoids c (checked above), so any basis occurrence in the
@@ -392,30 +392,46 @@ def _bond_splitting_slots(vals: tuple[int, ...]) -> Iterable[tuple[int, int]]:
     return set.intersection(*(set(_cut_slot_pairs(n, *span)) for span in spans))
 
 
-def _strips_locked(
-    vals: tuple[int, ...], blocked: Callable[[tuple[int, ...], int, int], bool], i: int, w: int
-) -> bool:
+def _strips_locked(vals: tuple[int, ...], blocked: Callable[..., object], i: int, w: int) -> bool:
     """Whether ``blocked`` holds on every strip slot of the bond at positions
-    (i, i + 1) with values {w, w + 1}, asked in ``_cut_slot_pairs``' order
+    (i, i + 1) with values {w, w + 1}, walked in ``_cut_slot_pairs``' order
     as four runs (left, below, above, right) up to the first open cell.
-    A bond certifies nothing when n = 2: it is the whole permutation, its
-    strips are empty, and the argument needs the surrounding box to be a
-    proper part of any extension.  So that length returns False at once."""
+    ``blocked(vals, ps, vs)`` is falsy on an open cell, and on a blocked
+    one its reach ``(ps_hi, vs_hi)``: every cell from (ps, vs) up to
+    ``ps_hi`` and up to ``vs_hi`` is blocked too, so the walk skips to the
+    cell past the reach along its run.  The run's other coordinate stays
+    fixed, so each skipped cell lies in the rectangle; a test whose reach
+    is the cell itself asks every cell.  A bond certifies nothing when
+    n = 2: it is the whole permutation, its strips are empty, and the
+    argument needs the surrounding box to be a proper part of any
+    extension.  So that length returns False at once."""
     n, across, between = len(vals), w + 1, i + 1
     if n <= 2:
         return False
-    for ps in range(1, i):
-        if not blocked(vals, ps, across):
+    ps = 1
+    while ps < i:
+        reach = blocked(vals, ps, across)
+        if not reach:
             return False
-    for vs in range(1, w):
-        if not blocked(vals, between, vs):
+        ps = reach[0] + 1
+    vs = 1
+    while vs < w:
+        reach = blocked(vals, between, vs)
+        if not reach:
             return False
-    for vs in range(w + 3, n + 2):
-        if not blocked(vals, between, vs):
+        vs = reach[1] + 1
+    vs = w + 3
+    while vs <= n + 1:
+        reach = blocked(vals, between, vs)
+        if not reach:
             return False
-    for ps in range(i + 3, n + 2):
-        if not blocked(vals, ps, across):
+        vs = reach[1] + 1
+    ps = i + 3
+    while ps <= n + 1:
+        reach = blocked(vals, ps, across)
+        if not reach:
             return False
+        ps = reach[0] + 1
     return True
 
 
@@ -424,13 +440,15 @@ def _certificate(n: int, i: int, kind: str, w: int) -> BondCertificate:
     return BondCertificate(Bond(i, kind, w), cut_slots(n, IntervalSpan(i, i + 1, w, w + 1)))
 
 
-def _locked_strips(
-    vals: tuple[int, ...], blocked: Callable[[tuple[int, ...], int, int], bool]
-) -> Optional[BondCertificate]:
+def _locked_strips(vals: tuple[int, ...], blocked: Callable[..., object]) -> Optional[BondCertificate]:
     """The certificate on the first bond of the member ``vals``, left to
     right, whose strip slots, its ``cut_slots`` as a size-2 interval, are
-    all blocked by ``blocked(vals, ps, vs)`` (a class's ``_slot_test``, or a
-    grid's), walked by ``_strips_locked``."""
+    all blocked by ``blocked(vals, ps, vs)``, walked by ``_strips_locked``.
+    A class's ``_slot_test`` answers with each blocked cell's reach, so
+    the walk asks one cell per occurrence; a grid's answers with the cell
+    itself, so every cell is asked.  Skipping is sound because every cell
+    in a reach's rectangle is blocked by the occurrence that gave it, so
+    both walks reach the same verdict and the same certificate."""
     for i, kind, w in _bond_scan(vals):
         if _strips_locked(vals, blocked, i, w):
             return _certificate(len(vals), i, kind, w)

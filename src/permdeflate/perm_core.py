@@ -22,7 +22,10 @@ index not pinned, and else a forward check.  Three questions use it.
 (``_contains_any``): no pin, so a nest for k <= 6.  ``_slot_kernel``
 asks whether a new entry at a slot of a host completes it: every cell
 question (the interval breaks, the certificate walks, the shading grid
-and the BFS through ``_contains_pinned``) is this one.  The entry is one
+and the BFS through ``_contains_pinned``) is this one.  A blocked cell's
+answer is its reach ``(ps_hi, vs_hi)``: the same occurrence blocks every
+cell from it to ``ps_hi`` rightwards and to ``vs_hi`` upwards, so a walk
+along a strip skips what one occurrence settles.  The entry is one
 pin, so for k <= 7 it is a nest with the entry virtual and no child
 built; past that the child is built only when the entry has room to
 play some pattern index.  ``_top_kernel`` serves the generating tree
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 #: Largest supported permutation length.  Everything this package is used
 #: for lives far below this bound (the longest bundled witness has length
@@ -427,10 +430,15 @@ def _find_occurrence(pat: tuple[int, ...], host: tuple[int, ...]) -> Optional[li
 
 def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., object]:
     """The one kernel emitter: compile a test for ``pat`` in ``host``.
-    Mode "plain" is the unpinned test ``test(host)``.  Mode "slot" is the
-    slot test ``test(host, ps, vs)``: one block per pattern index, behind
-    a room check, each pinning that index on a virtual new entry of value
-    ``vs`` before position ``q = ps - 1``.  Mode "top", ``test(host, s,
+    Mode "plain" is the unpinned test ``test(host)``, True or False.  Mode
+    "slot" is the slot test ``test(host, ps, vs)``: one block per pattern
+    index, behind a room check, each pinning that index on a virtual new
+    entry of value ``vs`` before position ``q = ps - 1``.  It returns False
+    on an open cell, and on a blocked one the cell's reach ``(ps_hi,
+    vs_hi)``: the occurrence found, with the entry playing index j, stays
+    one for every entry left of the host entry of index j + 1 and below
+    that of value ``pat[j] + 1`` (slot n + 1 where there is none), so it
+    blocks every cell from (ps, vs) to the reach.  Mode "top", ``test(host, s,
     cand)``, takes a mask of slots and returns the bits of ``cand`` still
     open: it walks the set bits q of ``cand`` lowest first and, at each,
     pins the index t of value k on a new maximum before position q and
@@ -451,12 +459,15 @@ def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., obj
     indices still unplaced (indices right of the entry start at ``q``),
     and each value is compared only with the nearest placed values below
     and above (``v`` lies above the entry iff ``vs <= v``).  A nest
-    returns True on its first occurrence, or in mode "top" leaves through
+    returns on its first occurrence (True, or the reach ``(p{j+1} + 1,
+    v{b})`` with ``pat[b] = pat[j] + 1``), or in mode "top" leaves through
     ``for`` ... ``else: continue`` / ``break`` closers to clear the range.
     Past the budget a block is ``_contains_mrv`` with no pin, else
     ``_forward_check`` with the pins, on a child built by the first block
     that has room (in mode "top", one child per slot, and an occurrence
-    clears only its own slot).  The text holds only identifiers and
+    clears only its own slot).  The forward check returns the child
+    positions ``at`` of its occurrence, so the slot reach is ``(at[j +
+    1], child[at[b]] - 1)``.  The text holds only identifiers and
     integers, never a host value, and runs in this module's globals, so a
     kernel looks up ``_contains_mrv``, ``_forward_check`` and
     ``_insert_raw`` when it is called."""
@@ -505,6 +516,15 @@ def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., obj
             room = f"q >= {pin_j} and n - q >= {k - 1 - pin_j}"
             lines.append(f"    if {room} and vs >= {pat[pin_j]} and n - vs >= {k - 1 - pat[pin_j]}:")
             indent += "    "
+        if slot:
+            # the last slot right of, and the last value above, that the
+            # occurrence still blocks: those of the pin's neighbours
+            b = pat.index(pat[pin_j] + 1) if pat[pin_j] < k else -1
+            if nest:
+                right, above = f"p{pin_j + 1} + 1", f"v{b}"
+            else:
+                right, above = f"at[{pin_j + 1}]", f"child[at[{b}]] - 1"
+            reach = f"({right if pin_j < k - 1 else 'n + 1'}, {above if b >= 0 else 'n + 1'})"
         if not nest:
             check = "_contains_mrv(pat, host)"
             if fixed:
@@ -518,7 +538,12 @@ def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., obj
                 if slot:
                     build = [f"{indent}if child is None:", *("    " + line for line in build)]
                 lines += build
-            lines += [f"{indent}if {check}:", f"{indent}    {'cand ^= low' if top else 'return True'}"]
+            if slot:
+                lines += [f"{indent}at = {check}", f"{indent}if at is not None:"]
+                lines.append(f"{indent}    return {reach}")
+            else:
+                found = f"{check} is not None" if fixed else check
+                lines += [f"{indent}if {found}:", f"{indent}    {'cand ^= low' if top else 'return True'}"]
             continue
         order = [*fixed, *range(first - 1, -1, -1), *(j for j in range(first, k) if j not in fixed)]
         # the pattern read in placement order: its neighbour refs are, per
@@ -551,7 +576,7 @@ def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., obj
                 lines.append(f"{indent}if {below}v{j}{above}:")
                 indent += "    "
         if not top:
-            lines.append(f"{indent}return True")
+            lines.append(f"{indent}return {reach if slot else True}")
             continue
         # leave the nest on its first occurrence: each loop that ends
         # without one tries the next position of the loop around it
@@ -581,11 +606,15 @@ def _search_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...]], bool]:
 
 
 @lru_cache(maxsize=4096)
-def _slot_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], bool]:
+def _slot_kernel(
+    pat: tuple[int, ...]
+) -> Callable[[tuple[int, ...], int, int], Union[tuple[int, int], bool]]:
     """The slot test for ``pat``, built once and cached: ``test(host, ps,
-    vs)`` is True iff a new entry at slot (ps, vs) of ``host`` completes an
-    occurrence of ``pat`` through it.  The entry pins one index, so it is
-    one nest per index for k <= 7, with no child built, and else one
+    vs)`` is truthy iff a new entry at slot (ps, vs) of ``host`` completes
+    an occurrence of ``pat`` through it, and then it is the reach ``(ps_hi,
+    vs_hi)``, with every cell of ``[ps, ps_hi] x [vs, vs_hi]`` blocked by
+    the same occurrence; else it is False.  The entry pins one index, so
+    it is one nest per index for k <= 7, with no child built, and else one
     ``_forward_check`` per index the entry has room to play.  It never
     calls ``_contains_mrv``, so that traced slot tests and plain searches
     stay apart."""
@@ -613,12 +642,15 @@ def _top_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], i
     return _emit_kernel(pat, "top")
 
 
-def _contains_pinned(pat: tuple[int, ...], host: tuple[int, ...], ps: int, vs: int) -> bool:
+def _contains_pinned(
+    pat: tuple[int, ...], host: tuple[int, ...], ps: int, vs: int
+) -> Union[tuple[int, int], bool]:
     """Does a new entry at slot (ps, vs) of ``host`` complete an occurrence
     of ``pat``?  The kernel of ``_slot_kernel`` (a nest with no child
     built for k <= 7), behind one name that a tracer can count: the
     shading grid's cells and the BFS's slot tests reach it through
-    ``class_engine._insertion_creates``."""
+    ``class_engine._insertion_creates``.  Its result is the kernel's: the
+    reach of a blocked cell, False for an open one."""
     return _slot_kernel(pat)(host, ps, vs)
 
 
@@ -631,7 +663,7 @@ def _contains_any(pat: tuple[int, ...], host: tuple[int, ...]) -> bool:
 def _contains_mrv(pat: tuple[int, ...], host: tuple[int, ...]) -> bool:
     """Containment for long patterns: ``_forward_check`` with no index
     pinned."""
-    return len(pat) <= len(host) and _forward_check(pat, host, *_value_masks(host, len(pat)))
+    return len(pat) <= len(host) and _forward_check(pat, host, *_value_masks(host, len(pat))) is not None
 
 
 def _value_masks(host: tuple[int, ...], k: int) -> tuple[list[int], list[int]]:
@@ -659,10 +691,11 @@ def _forward_check(
     q: int = 0,
     t2: int = -1,
     q2: int = 0,
-) -> bool:
-    """Does ``host`` contain ``pat`` with index t, if t >= 0, at position
-    q, and index t2, if t2 >= 0, at position q2?  ``le`` and ``ge`` are
-    ``_value_masks(host, len(pat))``.  An iterative forward-checking
+) -> Optional[list[int]]:
+    """The host positions of an occurrence of ``pat`` in ``host``, one per
+    pattern index, with index t, if t >= 0, at position q, and index t2,
+    if t2 >= 0, at position q2; None when there is none.  ``le`` and
+    ``ge`` are ``_value_masks(host, len(pat))``.  An iterative forward-checking
     search: each pattern index g keeps the host positions still open to it
     as one int bit mask, first ``range(g, n - k + 1 + g)``.  Assigning
     index f to position p drops from every unassigned g the positions r
@@ -680,7 +713,8 @@ def _forward_check(
     Nothing recurses.  A filter that narrows a mask pushes the old mask
     onto a trail, and undoing an assignment assigns it back, so the trail
     holds at most one mask per (frame, index): O(k^2 * n) bits, besides
-    the O(n^2) bits of ``ge`` and ``le``.
+    the O(n^2) bits of ``ge`` and ``le``.  The positions are read off the
+    frames once all k stand, so finding them costs the search nothing.
     """
     k, n = len(pat), len(host)
     window = (1 << (n - k + 1)) - 1
@@ -730,5 +764,10 @@ def _forward_check(
             else:
                 break  # no mask emptied: place the next index
         else:
-            return False
-    return True
+            return None
+    # a frame's mask is fixed while it stands, and its position is the
+    # highest bit it has tried
+    at = [0] * k
+    for f, todo, _ in frames:
+        at[f] = (spots[f] ^ todo).bit_length() - 1
+    return at

@@ -10,10 +10,14 @@ by later insertions, so no extension is simple.
 
 The public ``bond_certificate`` checks membership and hands
 ``deflate_analysis._locked_strips`` the cells of a ``ShadingGrid``, each
-of which asks the slot kernels once.  ``find_witnesses`` and
-``verify_corpus`` already hold a membership proof (the generating tree,
-their own ``avoids``), so they hand it the class's ``_slot_test``: the
-same kernels, without the grid's range check and per-cell calls.
+of which asks the slot kernels once, so that path asks every strip cell.
+``find_witnesses`` and ``verify_corpus`` already hold a membership proof
+(the generating tree, their own ``avoids``), so they hand it the class's
+``_slot_test``: the same kernels, without the grid's range check, and
+each blocked cell answers with its reach, the rectangle of cells that
+one occurrence blocks.  So their walk jumps past every strip cell an
+occurrence already blocks, and asks the kernels once per occurrence,
+not once per cell.
 Each tree level is kept as its parents and their open-slot masks, and
 ``_candidates`` builds each member with the slots it inherits open, so
 ``find_witnesses`` walks a member's bonds one by one: it settles each
@@ -108,9 +112,10 @@ def bond_strip_slots(n: int, bond: Bond) -> frozenset[Slot]:
     return cut_slots(n, IntervalSpan(i, i + 1, w, w + 1))
 
 
-def _grid_test(grid: ShadingGrid) -> Callable[[tuple[int, ...], int, int], bool]:
-    """The cell test of ``grid`` in the slot test's form, ignoring ``vals``."""
-    return lambda _vals, ps, vs: grid.is_blocked(Slot(ps, vs))
+def _grid_test(grid: ShadingGrid) -> Callable[[tuple[int, ...], int, int], Union[tuple[int, int], bool]]:
+    """The cell test of ``grid`` in the slot test's form, ignoring ``vals``:
+    a blocked cell's reach is the cell itself, so a walk asks every cell."""
+    return lambda _vals, ps, vs: grid.is_blocked(Slot(ps, vs)) and (ps, vs)
 
 
 def bond_certificate(p: Permutation, c: PermClass) -> Optional[BondCertificate]:

@@ -256,7 +256,7 @@ def _check_candidates(c: PermClass, max_len: int) -> set[str]:
                     continue  # the top cell is exempt
                 inherited = not cand >> i & 1
                 verdict = inherited or not top(vals, s, 1 << i)
-                assert verdict == blocked(vals, i + 1, n + 1), (str(c), vals, i)
+                assert verdict == bool(blocked(vals, i + 1, n + 1)), (str(c), vals, i)
                 if verdict:
                     settled.add("inherited" if inherited else "second pin")
     assert next(oracle, None) is None, str(c)
@@ -373,10 +373,10 @@ def test_the_top_test_with_two_pins_matches_the_slot_test_for_k_9_and_10():
                 opened = 0
                 for q in range(n + 1):
                     if cand >> q & 1:
-                        verdict = blocked(vals, q + 1, n + 1)
+                        verdict = bool(blocked(vals, q + 1, n + 1))
                         assert (not top(vals, s, 1 << q)) == verdict, (str(c), vals, q)
                         opened |= (not verdict) << q
-                        long_blocks += verdict and by_long(vals, q + 1, n + 1)
+                        long_blocks += verdict and bool(by_long(vals, q + 1, n + 1))
                 assert top(vals, s, cand) == opened, (str(c), vals)
         lengths.add(k)
     assert lengths == {9, 10} and long_blocks >= 6
@@ -656,7 +656,7 @@ def test_insertion_creates_matches_the_slot_test_on_random_classes(monkeypatch):
                     # the oracle's _contains_mrv runs the forward check too
                     before = checks[0]
                     assert _insertion_creates(c, vals, ps, vs) == creates, (c, vals, ps, vs)
-                    assert blocked(vals, ps, vs) == creates, (c, vals, ps, vs)
+                    assert bool(blocked(vals, ps, vs)) == creates, (c, vals, ps, vs)
                     slot_checks += checks[0] - before
                     if not creates:
                         open_slots.append(_insert_raw(vals, ps, vs))

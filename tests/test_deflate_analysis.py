@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from permdeflate import class_engine, deflate_analysis, perm_core
+from permdeflate.cli import run
 from permdeflate.perm_core import (
     Permutation,
     Slot,
@@ -505,6 +506,36 @@ def test_extend_validates_inputs():
         extend_to_simple(P("25173486"), PermClass.of("251364"), perm_core.MAX_LENGTH + 1)
 
 
+def test_extend_compiles_no_kernel_for_a_basis_element_too_long_to_fire(monkeypatch, capsys):
+    # one new entry in a member of length n completes no pattern longer than
+    # n + 1, so neither the greedy breaks nor the breadth-first search may
+    # compile the kernel of a length-4096 basis element (about half a
+    # second); the output is what it was when they did.  "1 2 3" reaches
+    # its simple extension by the search, "2 3 5 1 4" by one break
+    rng = random.Random(4096)
+    long = tuple(rng.sample(range(1, perm_core.MAX_LENGTH + 1), perm_core.MAX_LENGTH))
+    emitted = []
+    emit = perm_core._emit_kernel
+    monkeypatch.setattr(perm_core, "_emit_kernel", lambda pat, *mode: emitted.append(pat) or emit(pat, *mode))
+    text = " ".join(map(str, long))
+    cases = [
+        ("1 2 3", "6", "simple extension: 2 4 1 5 3\n"),
+        ("2 3 5 1 4", "7", "simple extension: 3 1 4 6 2 5\n  break at slot (2 1) -> 3 1 4 6 2 5\n"),
+    ]
+    for perm, max_len, expected in cases:
+        assert run(["extend", "--perm", perm, "--basis", text, "--max-len", max_len]) == 0
+        assert capsys.readouterr().out == expected
+    assert long not in emitted
+    # beside 7654321, which a random element would contain and so drop
+    # from the basis, the identity of length 4096 stays and changes nothing
+    identity = tuple(range(1, perm_core.MAX_LENGTH + 1))
+    c = PermClass((Permutation(identity), P("7654321")))
+    assert len(c.basis) == 2
+    for perm in ("2 3 5 1 4", "2 1 3"):
+        assert extend_to_simple(P(perm), c, 7) == extend_to_simple(P(perm), PermClass.of("7654321"), 7)
+    assert long not in emitted and identity not in emitted
+
+
 def test_extend_agrees_with_simple_containment_search():
     # reachability by one-point extensions == containment in some simple
     # member, thanks to downward closure; spot-check both directions
@@ -803,7 +834,7 @@ def _check_strip_walk(vals, i, w):
         def blocked(host, ps, vs):
             assert host is vals
             asked.append((ps, vs))
-            return (ps, vs) != opened
+            return (ps, vs) != opened and (ps, vs)  # the reach of the cell alone
 
         locks = opened is None and len(vals) > 2
         assert _strips_locked(vals, blocked, i, w) is locks, (vals, i, w, opened)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permdeflate import perm_core
-from permdeflate.class_engine import PermClass, _top_test
+from permdeflate.class_engine import PermClass, _slot_test, _top_test
 from permdeflate.perm_core import (
     Bond,
     MAX_LENGTH,
@@ -197,8 +197,8 @@ def test_find_occurrence_matches_brute_force(case):
     else:
         expected = any(pin in comb for comb in matches)
         parent = _delete_raw(host, pin)
-        assert _slot_kernel(pat)(parent, pin + 1, host[pin]) == expected
-        assert _contains_pinned(pat, parent, pin + 1, host[pin]) == expected
+        assert bool(_slot_kernel(pat)(parent, pin + 1, host[pin])) == expected
+        assert bool(_contains_pinned(pat, parent, pin + 1, host[pin])) == expected
 
 
 @st.composite
@@ -240,7 +240,7 @@ def test_pinned_mrv_matches_brute_force(case):
         assert _contains_mrv_sets(pat, host) == expected
         assert _contains_any(pat, host) == expected
     else:
-        assert _contains_pinned(pat, _delete_raw(host, pin), pin + 1, host[pin]) == expected
+        assert bool(_contains_pinned(pat, _delete_raw(host, pin), pin + 1, host[pin])) == expected
         assert _through_sets(pat, host, pin) == expected
 
 
@@ -314,7 +314,7 @@ def test_mrv_matches_set_oracle_on_long_hosts():
         host = tuple(host)
         if pinned:
             q = rnd.choice((rnd.choice(where), rnd.randrange(n)))
-            got = _contains_pinned(pat, _delete_raw(host, q), q + 1, host[q])
+            got = bool(_contains_pinned(pat, _delete_raw(host, q), q + 1, host[q]))
             assert got == _through_sets(pat, host, q), (pat, host, q)
         else:
             got = _contains_mrv(pat, host)
@@ -407,7 +407,7 @@ def test_slot_kernel_exhaustive_to_pattern_4_host_5():
                         for comb in itertools.combinations(others, j)
                     }
                     for pat in pats:
-                        assert _slot_kernel(pat)(host, ps, vs) == (pat in found), (pat, host, ps, vs)
+                        assert bool(_slot_kernel(pat)(host, ps, vs)) == (pat in found), (pat, host, ps, vs)
                     cells += 1
     assert cells == sum(math.factorial(n) * (n + 1) ** 2 for n in range(6))
 
@@ -439,7 +439,7 @@ def slot_cases(draw):
 @given(slot_cases())
 def test_slot_kernel_matches_literal_insert(case):
     pat, host, ps, vs = case
-    assert _slot_kernel(pat)(host, ps, vs) == _completes(pat, host, ps, vs)
+    assert bool(_slot_kernel(pat)(host, ps, vs)) == _completes(pat, host, ps, vs)
 
 
 def test_slot_kernel_edge_cases(monkeypatch):
@@ -462,7 +462,7 @@ def test_slot_kernel_edge_cases(monkeypatch):
         assert _slot_kernel(pat)(host, t + 1, pat[t])
         for ps in range(1, 8):
             for vs in range(1, 8):
-                assert _slot_kernel(pat)(host, ps, vs) == _completes(pat, host, ps, vs), (t, ps, vs)
+                assert bool(_slot_kernel(pat)(host, ps, vs)) == _completes(pat, host, ps, vs), (t, ps, vs)
     # first in a child of length 7, the entry can only play index 0, of
     # value 2, which leaves no room for 5 values above the top value 7
     assert not _slot_kernel(pat)((1, 2, 3, 4, 5, 6), 1, 7)
@@ -476,7 +476,7 @@ def test_slot_kernel_edge_cases(monkeypatch):
         assert _slot_kernel(pat)(host, t + 1, pat[t])
         for ps in range(1, 9):
             for vs in range(1, 9):
-                assert _slot_kernel(pat)(host, ps, vs) == _completes(pat, host, ps, vs), (t, ps, vs)
+                assert bool(_slot_kernel(pat)(host, ps, vs)) == _completes(pat, host, ps, vs), (t, ps, vs)
     assert built
     # first in a child of length 8, the entry can only play index 0, of
     # value 2, which leaves no room for 6 values above the top value 8
@@ -514,9 +514,90 @@ def test_slot_nest_matches_itertools_at_k_7():
             for ps in range(1, n + 2):
                 for vs in range(1, n + 2):
                     expected = _completes(pat, host, ps, vs)
-                    assert _slot_kernel(pat)(host, ps, vs) == expected, (pat, host, ps, vs)
+                    assert bool(_slot_kernel(pat)(host, ps, vs)) == expected, (pat, host, ps, vs)
                     hits += expected
     assert hits
+
+
+def _blocked_cells(pats, host):
+    """The cells of ``host`` where a new entry completes an occurrence of
+    some pattern in ``pats``: each child is built literally, and itertools
+    lists its patterns through the new entry once for all of them."""
+    n, lengths = len(host), {len(pat) for pat in pats}
+    blocked = set()
+    for ps in range(1, n + 2):
+        for vs in range(1, n + 2):
+            child, q = _literal_insert(host, ps, vs), ps - 1
+            others = [i for i in range(n + 1) if i != q]
+            found = {
+                _std([child[i] for i in sorted((*comb, q))])
+                for k in lengths
+                for comb in itertools.combinations(others, k - 1)
+            }
+            if any(pat in found for pat in pats):
+                blocked.add((ps, vs))
+    return blocked
+
+
+def _assert_reaches(test, host, blocked):
+    """Each cell's result is truthy iff the cell is blocked, and a truthy
+    result is a reach (ps_hi, vs_hi) with every cell from the cell to it
+    blocked.  Returns how many reaches cover more than their own cell."""
+    n, wide = len(host), 0
+    for ps in range(1, n + 2):
+        for vs in range(1, n + 2):
+            reach = test(host, ps, vs)
+            assert bool(reach) == ((ps, vs) in blocked), (host, ps, vs)
+            if reach:
+                ps_hi, vs_hi = reach
+                assert ps <= ps_hi <= n + 1 and vs <= vs_hi <= n + 1, (host, ps, vs, reach)
+                rectangle = itertools.product(range(ps, ps_hi + 1), range(vs, vs_hi + 1))
+                assert blocked.issuperset(rectangle), (host, ps, vs, reach)
+                wide += (ps_hi, vs_hi) != (ps, vs)
+    return wide
+
+
+def _planted_host(rng, pat, n):
+    """A random host of length n, or mostly, when ``pat`` fits in n + 1
+    entries, a child of length n + 1 holding ``pat`` minus one of its
+    entries, so that some cell completes it."""
+    if n + 1 < len(pat) or rng.random() < 0.3:
+        return tuple(rng.sample(range(1, n + 1), n))
+    child = rng.sample(range(1, n + 2), n + 1)
+    where = sorted(rng.sample(range(n + 1), len(pat)))
+    vals = sorted(child[i] for i in where)
+    for i, p in zip(where, pat):
+        child[i] = vals[p - 1]
+    return _delete_raw(tuple(child), rng.choice(where))
+
+
+def test_slot_reach_blocks_its_whole_rectangle_like_itertools():
+    """Every truthy slot test result is a reach whose rectangle of cells
+    the itertools oracle finds blocked, on seeded patterns of length 2 to
+    10: nests for k <= 7, forward checks past that.  Then the same for
+    ``_slot_test`` of classes of 2 or 3 basis elements, whose first
+    truthy reach must lie in the union of their blocked cells."""
+    rng = random.Random(31)
+    wide = {"nest": 0, "forward check": 0}
+    for k in range(2, 11):
+        for _ in range(4 if k <= 7 else 12):
+            pat = tuple(rng.sample(range(1, k + 1), k))
+            host = _planted_host(rng, pat, rng.randint(k - 1, min(k + 3, 12)))
+            engine = "nest" if k <= 7 else "forward check"
+            wide[engine] += _assert_reaches(_slot_kernel(pat), host, _blocked_cells([pat], host))
+    assert all(count >= 20 for count in wide.values()), wide
+    classes = 0
+    while classes < 12:
+        pats = [tuple(rng.sample(range(1, m + 1), m)) for m in rng.sample(range(2, 10), rng.randint(2, 3))]
+        c = PermClass(tuple(map(Permutation, pats)))
+        if len(c.basis) < 2:
+            continue
+        pats = [b.values for b in c.basis]
+        host = _planted_host(rng, rng.choice(pats), rng.randint(6, 10))
+        if any(_std(sub) in pats for m in map(len, pats) for sub in itertools.combinations(host, m)):
+            continue  # not a member
+        classes += 1
+        _assert_reaches(_slot_test(c), host, _blocked_cells(pats, host))
 
 
 def test_through_position_searches_never_call_contains_mrv(monkeypatch):

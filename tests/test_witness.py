@@ -21,6 +21,7 @@ from permdeflate.perm_core import (
     SYMMETRY_ORDER,
     apply_symmetry,
     parse_permutation,
+    _bond_scan,
 )
 from permdeflate.class_engine import (
     PermClass,
@@ -256,6 +257,53 @@ def test_raw_certificate_scan_matches_public_certificate_on_the_corpus():
         assert public is not None, w
         assert _cert_key(witness._locked_strips(w.values, _grid(w.values, c))) == public
         assert _cert_key(witness._locked_strips(w.values, _slot_test(c))) == public
+
+
+#: Each corpus row's certifying bond (left position, kind, low value), as
+#: the cell-by-cell walk found it before slot tests returned their reach.
+_CORPUS_BONDS = {
+    "1 3 4 6 5 2": (4, "increasing", 3),
+    "2 4 6 1 3 5": (6, "increasing", 5),
+    "2 4 6 5 1 3": (8, "increasing", 6),
+    "2 5 1 3 6 4": (5, "increasing", 3),
+    "2 5 1 4 6 3": (5, "decreasing", 3),
+    "2 5 4 6 1 3": (8, "increasing", 6),
+    "2 5 6 4 1 3": (7, "increasing", 5),
+    "1 5 2 3 7 6 4": (7, "increasing", 6),
+    "2 6 1 3 4 7 5": (6, "increasing", 4),
+    "2 6 3 1 5 7 4": (6, "decreasing", 4),
+    "2 4 6 8 1 3 5 7": (10, "increasing", 9),
+    "2 4 6 8 10 1 3 5 7 9": (14, "increasing", 14),
+    "2 4 6 8 10 12 1 3 5 7 9 11": (17, "increasing", 17),
+    "2 4 6 8 10 12 14 1 3 5 7 9 11 13": (21, "increasing", 21),
+}
+
+
+def test_reach_walk_matches_the_cell_walk_on_every_corpus_bond():
+    # the walk that skips each reach against one that asks every cell,
+    # and against every cut slot asked on its own, on every bond of the 14
+    # witnesses; then each certificate is the one published before
+    rows = load_corpus()
+    assert sorted(str(b) for b, _ in rows) == sorted(_CORPUS_BONDS)
+    locked = 0
+    for basis, w in rows:
+        c, vals = PermClass((basis,)), w.values
+        blocked = _slot_test(c)
+
+        def each_cell(host, ps, vs):
+            return bool(blocked(host, ps, vs)) and (ps, vs)
+
+        for i, _, low in _bond_scan(vals):
+            verdict = witness._strips_locked(vals, blocked, i, low)
+            assert verdict == witness._strips_locked(vals, each_cell, i, low), (w, i)
+            cells = bond_strip_slots(len(vals), Bond(i, "increasing", low))
+            assert verdict == all(blocked(vals, s.pos_slot, s.val_slot) for s in cells), (w, i)
+            locked += verdict
+        cert = witness._locked_strips(vals, blocked)
+        bond = (cert.bond.left_pos, cert.bond.kind, cert.bond.low_value)
+        assert bond == _CORPUS_BONDS[str(basis)], w
+        assert cert.checked_slots == bond_strip_slots(len(vals), cert.bond)
+    assert locked >= 14
 
 
 _PINNED_SEARCHES = [
