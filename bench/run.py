@@ -16,7 +16,10 @@ shape quickly; its times mean nothing.
 The record holds:
 
 * ``repeat``, ``tiny`` and ``machine`` (Python, platform, CPU count);
-* ``end_to_end_s``: the five end-to-end cases of the roadmap's north star;
+* ``end_to_end_s``: the five end-to-end cases of the roadmap's north star,
+  the public ``bond_certificate`` of the longest corpus row (the
+  ``witness check`` request) and ``find_witnesses(Av(146523), 9, 1)``, the
+  unit of work of a census of the open classes;
 * ``certificate_walk_s``: the bond certificate walk of each of the four
   parallel-alternation corpus rows, keyed by basis length and witness
   length;
@@ -56,6 +59,7 @@ from permdeflate.deflate_analysis import (  # noqa: E402
     load_corpus,
 )
 from permdeflate.perm_core import Permutation, _slot_kernel, parse_permutation  # noqa: E402
+from permdeflate.witness import bond_certificate, find_witnesses  # noqa: E402
 
 #: The documented top-level keys of a record, in order.
 KEYS = ("repeat", "tiny", "machine", "end_to_end_s", "certificate_walk_s", "rigid_host_s", "src_lines")
@@ -88,6 +92,7 @@ def end_to_end_cases(tiny: bool) -> dict:
     bases = [Permutation(p) for p in permutations(range(1, length + 1))]
     cover = (6, 10) if not tiny else (4, 6)
     extend = 12 if not tiny else 9
+    census = 9 if not tiny else 6
     return {
         "verify_paper": lambda: _quiet_cli(["verify-paper"]),
         "empirical_av2413": lambda: empirical_deflatability(PermClass.of("2413"), *cover),
@@ -96,6 +101,8 @@ def end_to_end_cases(tiny: bool) -> dict:
         ),
         "grid_longest_witness": lambda: ShadingGrid(longest, grid_class).blocked,
         "classify_all_bases": lambda: [classify_principal(b) for b in bases],
+        "certificate_longest_witness": lambda: bond_certificate(longest, grid_class),
+        "find_witnesses_av146523": lambda: find_witnesses(PermClass.of("146523"), census, 1),
     }
 
 
@@ -106,7 +113,9 @@ def certificate_walks() -> dict:
     for basis, w in load_corpus():
         if len(basis) >= 8:
             c = PermClass((basis,))
-            cases[f"k{len(basis)}_n{len(w)}"] = lambda w=w, c=c: _locked_strips(w.values, _slot_test(c))
+            cases[f"k{len(basis)}_n{len(w)}"] = lambda w=w, c=c: _locked_strips(
+                w.values, _slot_test(c, len(w))
+            )
     return cases
 
 

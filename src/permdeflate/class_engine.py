@@ -77,40 +77,41 @@ def _avoids_raw(vals: tuple[int, ...], c: PermClass) -> bool:
     return not any(_contains_any(b.values, vals) for b in c.basis)
 
 
-def _fitting(c: PermClass, max_len: Optional[int]) -> list[tuple[int, ...]]:
+def _fitting(c: PermClass, max_len: int) -> list[tuple[int, ...]]:
     """The basis elements of ``c`` that a new entry in a member of length
-    at most ``max_len`` can complete, all of them when there is no bound:
-    those of length <= max_len + 1.  The others' kernels are never built."""
-    return [b.values for b in c.basis if max_len is None or len(b) <= max_len + 1]
+    at most ``max_len`` can complete: those of length <= max_len + 1, all
+    that the slot test of any certificate asks.  Every caller knows that
+    length; the others' kernels are never built."""
+    return [b.values for b in c.basis if len(b) <= max_len + 1]
 
 
 def _slot_test(
-    c: PermClass, max_len: Optional[int] = None
+    c: PermClass, max_len: int
 ) -> Callable[[tuple[int, ...], int, int], Union[tuple[int, int], bool]]:
-    """The slot test of ``c`` on members of length at most ``max_len``:
-    ``blocked(vals, ps, vs)`` is truthy iff a new entry at slot (ps, vs)
-    of the member ``vals`` completes a basis occurrence, from the
-    ``_slot_kernel`` of each basis element that fits (the kernel itself
-    for one element, else the first truthy result over them).  A truthy
-    result is the cell's reach ``(ps_hi, vs_hi)``: one basis element's
-    occurrence blocks every cell from (ps, vs) to it, so the first one
-    found speaks for the class."""
+    """The slot test of ``c`` on members of length at most ``max_len``, the
+    one cell test of every bond certificate: ``blocked(vals, ps, vs)`` is
+    truthy iff a new entry at slot (ps, vs) of the member ``vals``
+    completes a basis occurrence, from the ``_slot_kernel`` of each basis
+    element that fits (the kernel itself for one element, else the first
+    truthy result over them).  A truthy result is the cell's reach
+    ``(ps_hi, vs_hi)``: one basis element's occurrence blocks every cell
+    from (ps, vs) to it, so the first one found speaks for the class.
+    Unlike ``ShadingGrid`` it checks neither membership nor range."""
     tests = [_slot_kernel(b) for b in _fitting(c, max_len)]
     if len(tests) == 1:
         return tests[0]
     return lambda vals, ps, vs: next(filter(None, (blocked(vals, ps, vs) for blocked in tests)), False)
 
 
-def _top_test(
-    c: PermClass, max_len: Optional[int] = None
-) -> Callable[[tuple[int, ...], int, int], int]:
+def _top_test(c: PermClass, max_len: int) -> Callable[[tuple[int, ...], int, int], int]:
     """The second-pin test of ``c`` on members of length at most
     ``max_len``: ``top(vals, s, cand)`` is the mask of the slots in
     ``cand`` where a new maximum leaves the member ``vals``, whose maximum
     sits at position s, in the class.  It chains the ``_top_kernel`` of
     each basis element that fits, each taking the mask the one before
     left open, until the mask is 0.  Valid only for slots ``vals``
-    inherits open."""
+    inherits open.  ``find_witnesses`` asks it a bond's top strip cell
+    before walking the bond's strips with ``_slot_test``."""
     tests = [_top_kernel(b) for b in _fitting(c, max_len)]
     if len(tests) == 1:
         return tests[0]

@@ -15,8 +15,9 @@ inside a proper subclass — is attacked from two sides here:
 Bounded empirical checks (``empirical_deflatability``) report which short
 members fail to extend to a simple member within a length budget.
 
-Bond certificates (``_locked_strips``) and the bundled witness corpus
-(``load_corpus``) live here as well; ``witness`` builds on them.
+Bond certificates (``bond_strip_slots``, ``_locked_strips``) and the
+bundled witness corpus (``load_corpus``) live here as well; ``witness``
+builds on them.
 """
 
 from __future__ import annotations
@@ -396,12 +397,12 @@ def _strips_locked(vals: tuple[int, ...], blocked: Callable[..., object], i: int
     """Whether ``blocked`` holds on every strip slot of the bond at positions
     (i, i + 1) with values {w, w + 1}, walked in ``_cut_slot_pairs``' order
     as four runs (left, below, above, right) up to the first open cell.
-    ``blocked(vals, ps, vs)`` is falsy on an open cell, and on a blocked
-    one its reach ``(ps_hi, vs_hi)``: every cell from (ps, vs) up to
-    ``ps_hi`` and up to ``vs_hi`` is blocked too, so the walk skips to the
-    cell past the reach along its run.  The run's other coordinate stays
-    fixed, so each skipped cell lies in the rectangle; a test whose reach
-    is the cell itself asks every cell.  A bond certifies nothing when
+    ``blocked`` is the class's ``_slot_test``, the one cell test of every
+    certificate: falsy on an open cell (ps, vs), and on a blocked one its
+    reach ``(ps_hi, vs_hi)``: every cell from (ps, vs) up to ``ps_hi`` and
+    up to ``vs_hi`` is blocked too, so the walk skips to the cell past the
+    reach along its run.  The run's other coordinate stays fixed, so each
+    skipped cell lies in the rectangle.  A bond certifies nothing when
     n = 2: it is the whole permutation, its strips are empty, and the
     argument needs the surrounding box to be a proper part of any
     extension.  So that length returns False at once."""
@@ -435,20 +436,33 @@ def _strips_locked(vals: tuple[int, ...], blocked: Callable[..., object], i: int
     return True
 
 
+def bond_strip_slots(n: int, bond: Bond) -> frozenset[Slot]:
+    """The strip slots a certificate must see blocked, for a bond at
+    positions (i, i+1) with values {w, w+1} in a length-n host: the cut
+    slots of the bond as a size-2 interval.  That is the whole vertical
+    strip pos_slot = i+1 except val_slots {w, w+1, w+2}, plus the whole
+    horizontal strip val_slot = w+1 except pos_slots {i, i+1, i+2}.
+    The exceptions are the crossing cell and the four adjacent cells; the
+    same formula covers both bond orientations.
+    """
+    i, w = bond.left_pos, bond.low_value
+    return cut_slots(n, IntervalSpan(i, i + 1, w, w + 1))
+
+
 def _certificate(n: int, i: int, kind: str, w: int) -> BondCertificate:
     """The certificate on the bond (i, kind, w) of a length-``n`` member."""
-    return BondCertificate(Bond(i, kind, w), cut_slots(n, IntervalSpan(i, i + 1, w, w + 1)))
+    bond = Bond(i, kind, w)
+    return BondCertificate(bond, bond_strip_slots(n, bond))
 
 
 def _locked_strips(vals: tuple[int, ...], blocked: Callable[..., object]) -> Optional[BondCertificate]:
     """The certificate on the first bond of the member ``vals``, left to
-    right, whose strip slots, its ``cut_slots`` as a size-2 interval, are
-    all blocked by ``blocked(vals, ps, vs)``, walked by ``_strips_locked``.
-    A class's ``_slot_test`` answers with each blocked cell's reach, so
-    the walk asks one cell per occurrence; a grid's answers with the cell
-    itself, so every cell is asked.  Skipping is sound because every cell
-    in a reach's rectangle is blocked by the occurrence that gave it, so
-    both walks reach the same verdict and the same certificate."""
+    right, whose strip slots, ``bond_strip_slots``, are all blocked by
+    ``blocked(vals, ps, vs)``, walked by ``_strips_locked``.  Every caller
+    passes the class's ``_slot_test``, bounded by the member's length,
+    which answers with each blocked cell's reach, so the walk asks one
+    cell per occurrence.  Skipping is sound because every cell in a
+    reach's rectangle is blocked by the occurrence that gave it."""
     for i, kind, w in _bond_scan(vals):
         if _strips_locked(vals, blocked, i, w):
             return _certificate(len(vals), i, kind, w)

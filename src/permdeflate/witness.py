@@ -8,16 +8,17 @@ between its values is blocked — excepting only the crossing cell and the
 four cells adjacent to the bond — then the bond can never be split apart
 by later insertions, so no extension is simple.
 
-The public ``bond_certificate`` checks membership and hands
-``deflate_analysis._locked_strips`` the cells of a ``ShadingGrid``, each
-of which asks the slot kernels once, so that path asks every strip cell.
-``find_witnesses`` and ``verify_corpus`` already hold a membership proof
-(the generating tree, their own ``avoids``), so they hand it the class's
-``_slot_test``: the same kernels, without the grid's range check, and
-each blocked cell answers with its reach, the rectangle of cells that
-one occurrence blocks.  So their walk jumps past every strip cell an
-occurrence already blocks, and asks the kernels once per occurrence,
-not once per cell.
+Every certificate asks one cell test, the class's ``_slot_test`` bounded
+by the members' length: the public ``bond_certificate`` proves membership
+with ``avoids`` and hands it to ``deflate_analysis._locked_strips``;
+``verify_corpus`` does the same after its own ``avoids``, and
+``find_witnesses`` trusts the generating tree's membership proof.  Each
+blocked cell answers with its reach, the rectangle of cells that one
+occurrence blocks, so a walk jumps past every strip cell an occurrence
+already blocks, and asks the kernels once per occurrence, not once per
+cell.  The ``ShadingGrid``, which asks each cell it is given, serves
+only the ``shade`` command and ``inflation_family``.
+
 Each tree level is kept as its parents and their open-slot masks, and
 ``_candidates`` builds each member with the slots it inherits open, so
 ``find_witnesses`` walks a member's bonds one by one: it settles each
@@ -38,10 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
-from .perm_core import MAX_LENGTH, Bond, Permutation, Slot, inflate
-from .decomposition import IntervalSpan, cut_slots
+from .perm_core import MAX_LENGTH, Bond, Permutation, inflate
 from .class_engine import (
     PermClass,
     ShadingGrid,
@@ -50,13 +50,13 @@ from .class_engine import (
     _slot_test,
     _top_test,
     avoids,
-    shading_grid,
 )
 from .deflate_analysis import (
     BondCertificate,
     _certificate,
     _locked_strips,
     _strips_locked,
+    bond_strip_slots,
     extend_to_simple,
     load_corpus,
 )
@@ -99,33 +99,16 @@ class CorpusRowResult:
         return self.in_class and self.certified and self.cross_check_passed is not False
 
 
-def bond_strip_slots(n: int, bond: Bond) -> frozenset[Slot]:
-    """The strip slots a certificate must see blocked, for a bond at
-    positions (i, i+1) with values {w, w+1} in a length-n host: the cut
-    slots of the bond as a size-2 interval.  That is the whole vertical
-    strip pos_slot = i+1 except val_slots {w, w+1, w+2}, plus the whole
-    horizontal strip val_slot = w+1 except pos_slots {i, i+1, i+2}.
-    The exceptions are the crossing cell and the four adjacent cells; the
-    same formula covers both bond orientations.
-    """
-    i, w = bond.left_pos, bond.low_value
-    return cut_slots(n, IntervalSpan(i, i + 1, w, w + 1))
-
-
-def _grid_test(grid: ShadingGrid) -> Callable[[tuple[int, ...], int, int], Union[tuple[int, int], bool]]:
-    """The cell test of ``grid`` in the slot test's form, ignoring ``vals``:
-    a blocked cell's reach is the cell itself, so a walk asks every cell."""
-    return lambda _vals, ps, vs: grid.is_blocked(Slot(ps, vs)) and (ps, vs)
-
-
 def bond_certificate(p: Permutation, c: PermClass) -> Optional[BondCertificate]:
     """The certificate on the first certifying bond of ``p`` (left-to-right
     order), or None.  A returned certificate implies ``p`` witnesses the
     deflatability of ``c``.  Raises ValueError when ``p`` is not a member
-    of ``c``: this public entry keeps the membership guard of
-    ``shading_grid`` and tests the grid's cells.
+    of ``c``; a member's strips are walked with the class's slot test,
+    bounded by ``len(p)``, as every certificate is.
     """
-    return _locked_strips(p.values, _grid_test(shading_grid(p, c)))
+    if not avoids(p, c):
+        raise ValueError(f"{p} is not a member of {c}")
+    return _locked_strips(p.values, _slot_test(c, len(p)))
 
 
 def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessReport]:
@@ -134,8 +117,8 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
     exhaustive search for simple extensions up to max_len + 2, which must
     come back empty, so a ``max_len`` above ``MAX_LENGTH`` - 2 is refused
     before the walk.  The scan trusts the tree's membership proof: it
-    tests raw tuples with the class's slot test, without the guard
-    that ``bond_certificate`` keeps, and finds the same certificates.
+    tests raw tuples with the class's slot test, as ``bond_certificate``
+    does after its membership guard, and finds the same certificates.
 
     Bonds are walked one by one, left to right.  A bond at left position i
     with low value w first has the top cell of its vertical strip,
@@ -211,8 +194,8 @@ def inflation_family(theta: Permutation) -> FamilyCheck:
     i = vals.index(3) + 1
     if vals[i] != 4:
         raise AssertionError(f"expected the {{3,4}} bond to survive inflation in {omega_star}")
-    grid = ShadingGrid(omega_star, cls)
-    verified = _strips_locked(vals, _grid_test(grid), i, 3)
+    bond, grid = Bond(i, "increasing", 3), ShadingGrid(omega_star, cls)
+    verified = all(grid.is_blocked(s) for s in bond_strip_slots(len(vals), bond))
     return FamilyCheck(pi_star, omega_star, verified)
 
 
@@ -231,7 +214,7 @@ def verify_corpus(path: Union[str, Path, None] = None) -> list[CorpusRowResult]:
         bound: Optional[int] = None
         cross_ok: Optional[bool] = None
         if in_class:
-            certified = _locked_strips(witness.values, _slot_test(c)) is not None
+            certified = _locked_strips(witness.values, _slot_test(c, len(witness))) is not None
             if len(witness) <= CROSS_CHECK_CAP:
                 bound = len(witness) + 2
                 cross_ok = extend_to_simple(witness, c, bound) is None

@@ -406,8 +406,8 @@ def test_a_cell_whose_parent_image_is_blocked_is_blocked():
     # child plus a point at (ps, vs) onto the parent plus a point at the
     # cell's image, so an occurrence in the latter is one in the former
     c = PermClass.of("24681357")
-    blocked = class_engine._slot_test(c)
     parent = P("5 8 11 2 13 4 14 16 18 9 10 6 1 15 17 3 7 12").values
+    blocked = class_engine._slot_test(c, len(parent) + 1)
     cells = list(itertools.product(range(1, len(parent) + 2), repeat=2))
     parent_blocked = {cell for cell in cells if blocked(parent, *cell)}
     checked = 0
@@ -888,7 +888,7 @@ def _empirical_by_every_target(c: PermClass, cover_len: int, search_len: int) ->
                 del recent[8:]
         if hit is None:
             uncovered_vals.append(vals)
-    blocked = _slot_test(c)
+    blocked = _slot_test(c, cover_len)
     uncovered = tuple(
         UncoveredMember(Permutation(vals), _locked_strips(vals, blocked)) for vals in uncovered_vals
     )

@@ -597,7 +597,7 @@ def test_slot_reach_blocks_its_whole_rectangle_like_itertools():
         if any(_std(sub) in pats for m in map(len, pats) for sub in itertools.combinations(host, m)):
             continue  # not a member
         classes += 1
-        _assert_reaches(_slot_test(c), host, _blocked_cells(pats, host))
+        _assert_reaches(_slot_test(c, len(host)), host, _blocked_cells(pats, host))
 
 
 def test_through_position_searches_never_call_contains_mrv(monkeypatch):
@@ -733,7 +733,7 @@ def test_top_kernel_clears_ranges_like_itertools_on_random_masks():
         basis = [tuple(rng.sample(range(1, k + 1), k)) for k in rng.sample(range(2, 8), rng.randint(2, 3))]
         c = PermClass(tuple(Permutation(b) for b in basis))
         basis = [b.values for b in c.basis]
-        top = _top_test(c)
+        top = _top_test(c, 7)
         for host, s, _ in _members_with_inherited_slots(rng, basis[0], count=2, longest=7):
             parent = host[:s] + host[s + 1 :]
             if any(_std(sub) == b for b in basis for sub in itertools.combinations(host, len(b))):

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 import re
 from functools import lru_cache
 
 import pytest
 
-from permdeflate import class_engine, witness
+from permdeflate import class_engine, perm_core, witness
 from permdeflate.cli import run
 from permdeflate.perm_core import (
     MAX_LENGTH,
@@ -175,19 +174,29 @@ def test_find_witnesses_empty_class():
 def test_a_bounded_search_compiles_no_kernel_that_cannot_fire(monkeypatch):
     # a member of length <= max_len with one new entry is at most max_len + 1
     # long, so a longer basis element's slot and top kernels are never asked
-    # for: compiling those of a length-4096 element takes about half a second
-    rng = random.Random(4096)
-    long = tuple(rng.sample(range(1, MAX_LENGTH + 1), MAX_LENGTH))
+    # for: compiling those of a length-4096 element takes about half a second.
+    # The identity of that length avoids 7654321, so the class keeps both
+    long = tuple(range(1, MAX_LENGTH + 1))
     asked = []
     for name in ("_slot_kernel", "_top_kernel"):
         factory = getattr(class_engine, name)
         monkeypatch.setattr(class_engine, name, lambda pat, f=factory: asked.append(pat) or f(pat))
     text = " ".join(map(str, long))
     assert run(["witness", "search", "--basis", text, "--max-len", "4"]) == 1
-    c = PermClass((Permutation(long), P("321")))
-    assert find_witnesses(c, 8, 1) == []
-    assert len(list(_class_levels(c, 8))) == 8
-    assert long not in asked and (3, 2, 1) in asked
+    c, short = PermClass((Permutation(long), P("7654321"))), PermClass.of("7654321")
+    assert len(c.basis) == 2
+
+    def found(cls):
+        return [(r.witness, r.certificate) for r in find_witnesses(cls, 8, 1)]
+
+    assert found(c) == found(short)
+    assert [len(level) for level in _class_levels(c, 8)] == [
+        len(level) for level in _class_levels(short, 8)
+    ]
+    # the public certificate asks the slot test bounded by the member's length
+    argv = ["witness", "check", "--perm", "6 5 4 3 2 1", "--basis", text + ",7654321"]
+    assert run(argv) == 1
+    assert long not in asked and (7, 6, 5, 4, 3, 2, 1) in asked
     # an element of length max_len + 1 still fits, and its kernels are asked
     asked.clear()
     assert find_witnesses(PermClass.of("2 4 6 1 3 5 7"), 6, 1) == []
@@ -206,9 +215,11 @@ def _cert_key(cert):
 
 
 def _grid(vals, c):
-    """The cell test of an unguarded ``ShadingGrid``: each cell builds its
-    child, the oracle of the slot test."""
-    return witness._grid_test(ShadingGrid(Permutation(vals), c))
+    """The cell test of an unguarded ``ShadingGrid`` in the slot test's form:
+    a blocked cell's reach is the cell itself, so a walk asks every cell.
+    The oracle of the certificate walk, which skips each reach."""
+    grid = ShadingGrid(Permutation(vals), c)
+    return lambda _vals, ps, vs: grid.is_blocked(Slot(ps, vs)) and (ps, vs)
 
 
 @lru_cache(maxsize=None)
@@ -233,17 +244,19 @@ def _public_certificates(basis, max_len):
     ],
 )
 def test_raw_certificate_scan_matches_public_certificate(basis, max_len):
-    # the search path skips the membership guard and the cached grid; on
-    # every tree member it must find the public path's bond and cells
+    # the search path skips the membership guard and bounds its slot test
+    # by max_len; on every tree member it must find the public path's bond
+    # and cells, and both must match a walk that asks every cell of the grid
     c = PermClass.of(basis)
     tree = [vals for level in _class_levels(c, max_len) for vals in level]
     public = _public_certificates(basis, max_len)
     assert [member.values for member, _ in public] == tree
-    blocked = _slot_test(c)
+    blocked = _slot_test(c, max_len)
     certified = 0
     for (_, cert), vals in zip(public, tree):
         raw = witness._locked_strips(vals, blocked)
         assert _cert_key(raw) == _cert_key(cert), vals
+        assert _cert_key(witness._locked_strips(vals, _grid(vals, c))) == _cert_key(cert), vals
         certified += raw is not None
     assert (certified > 0) == (basis == "251364")
 
@@ -256,7 +269,37 @@ def test_raw_certificate_scan_matches_public_certificate_on_the_corpus():
         public = _cert_key(bond_certificate(w, c))
         assert public is not None, w
         assert _cert_key(witness._locked_strips(w.values, _grid(w.values, c))) == public
-        assert _cert_key(witness._locked_strips(w.values, _slot_test(c))) == public
+        assert _cert_key(witness._locked_strips(w.values, _slot_test(c, len(w)))) == public
+
+
+def test_public_certificate_asks_one_cell_per_occurrence(monkeypatch):
+    # the length-35 corpus row: the walk with reaches asks 17 of the 66
+    # strip cells, and they make 89 forward checks; asking every cell made 297
+    basis, w = max(load_corpus(), key=lambda row: len(row[1]))
+    assert len(w) == 35
+    cells, checks = [], []
+    forward_check, slot_test = perm_core._forward_check, witness._slot_test
+
+    def counting_check(*args):
+        checks.append(args)
+        return forward_check(*args)
+
+    def counted(c, max_len):
+        blocked = slot_test(c, max_len)
+
+        def test(vals, ps, vs):
+            cells.append((ps, vs))
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(perm_core, "_forward_check", counting_check)
+                return blocked(vals, ps, vs)
+
+        return test
+
+    monkeypatch.setattr(witness, "_slot_test", counted)
+    cert = bond_certificate(w, PermClass((basis,)))
+    assert len(cert.checked_slots) == 66
+    assert len(cells) == len(set(cells)) == 17
+    assert len(checks) == 89
 
 
 #: Each corpus row's certifying bond (left position, kind, low value), as
@@ -288,7 +331,7 @@ def test_reach_walk_matches_the_cell_walk_on_every_corpus_bond():
     locked = 0
     for basis, w in rows:
         c, vals = PermClass((basis,)), w.values
-        blocked = _slot_test(c)
+        blocked = _slot_test(c, len(vals))
 
         def each_cell(host, ps, vs):
             return bool(blocked(host, ps, vs)) and (ps, vs)
@@ -326,7 +369,7 @@ def test_certificates_check_exactly_the_bond_strip_slots():
     for basis, w in load_corpus():
         c = PermClass((basis,))
         certs.append((w, bond_certificate(w, c)))
-        certs.append((w, witness._locked_strips(w.values, _slot_test(c))))
+        certs.append((w, witness._locked_strips(w.values, _slot_test(c, len(w)))))
     for basis, max_len, limit in _PINNED_SEARCHES:
         reports = find_witnesses(PermClass.of(*basis.split(",")), max_len, limit)
         certs.extend((r.witness, r.certificate) for r in reports)
@@ -340,7 +383,7 @@ def test_class_walk_tries_every_basis_element():
     # a cell is blocked when either kernel says so; in the separable class
     # thousands of strip cells are blocked by 3142 and not by 2413
     c = PermClass.of("2413", "3142")
-    blocked = _slot_test(c)
+    blocked = _slot_test(c, 7)
     certified = 0
     for level in _class_levels(c, 7):
         for vals in level:
@@ -569,12 +612,12 @@ def test_corpus_bad_row_names_its_line(tmp_path):
 
 
 def test_verify_corpus_proves_membership_once(monkeypatch):
-    # verify_corpus proves membership with its own avoids; a second proof
-    # through shading_grid would be wasted work
-    def refuse(p, c):
-        raise AssertionError("verify_corpus re-proved membership through shading_grid")
-
-    monkeypatch.setattr(witness, "shading_grid", refuse)
+    # verify_corpus proves membership with its own avoids, once per row; a
+    # second proof, through bond_certificate's guard, would be wasted work
+    calls = []
+    proof = witness.avoids
+    monkeypatch.setattr(witness, "avoids", lambda p, c: calls.append(p) or proof(p, c))
     rows = verify_corpus()
     assert len(rows) == 14
     assert all(r.passed for r in rows)
+    assert calls == [w for _, w in load_corpus()]
