@@ -26,6 +26,12 @@ The record holds:
 * ``rigid_host_s``: the slot kernel of 1234567 at seeded cells of the
   host of six decreasing runs of 15 (its longest increasing subsequence
   is 6), the worst case of the k = 7 nest;
+* ``kernel_build_s``: one build of each mode's kernel (plain, slot, top),
+  past the factories' caches, for a seeded pattern of length 9 and one
+  of length 4 096, keyed ``<mode>_k<length>``;
+* ``reference_s``: a fixed standard-library loop, timed ``before`` and
+  ``after`` the cases; the machine's speed drifts between runs, so
+  compare two records by their times divided by these;
 * ``src_lines``: the lines of ``src/permdeflate/*.py`` in total, in
   docstrings, and of code (not blank, not only a comment, not a
   docstring).
@@ -58,11 +64,27 @@ from permdeflate.deflate_analysis import (  # noqa: E402
     extend_to_simple,
     load_corpus,
 )
-from permdeflate.perm_core import Permutation, _slot_kernel, parse_permutation  # noqa: E402
+from permdeflate.perm_core import (  # noqa: E402
+    Permutation,
+    _search_kernel,
+    _slot_kernel,
+    _top_kernel,
+    parse_permutation,
+)
 from permdeflate.witness import bond_certificate, find_witnesses  # noqa: E402
 
 #: The documented top-level keys of a record, in order.
-KEYS = ("repeat", "tiny", "machine", "end_to_end_s", "certificate_walk_s", "rigid_host_s", "src_lines")
+KEYS = (
+    "repeat",
+    "tiny",
+    "machine",
+    "reference_s",
+    "end_to_end_s",
+    "certificate_walk_s",
+    "rigid_host_s",
+    "kernel_build_s",
+    "src_lines",
+)
 
 
 def best_of(repeat: int, fn) -> float:
@@ -114,7 +136,7 @@ def certificate_walks() -> dict:
         if len(basis) >= 8:
             c = PermClass((basis,))
             cases[f"k{len(basis)}_n{len(w)}"] = lambda w=w, c=c: _locked_strips(
-                w.values, _slot_test(c, len(w))
+                w.values, _slot_test(c)
             )
     return cases
 
@@ -129,6 +151,25 @@ def rigid_host(tiny: bool) -> tuple[str, object]:
     slots = [(rng.randint(1, n + 1), rng.randint(1, n + 1)) for _ in range(cells)]
     kernel = _slot_kernel(tuple(range(1, 8)))
     return f"runs{runs}x{size}_cells{cells}", lambda: [kernel(host, ps, vs) for ps, vs in slots]
+
+
+def kernel_builds() -> dict:
+    """``<mode>_k<length>`` -> one build of that mode's kernel, through the
+    factory's ``__wrapped__`` so that no cache answers, for a seeded
+    pattern of length 9 and one of length 4 096."""
+    rng = random.Random(9)
+    factories = {"plain": _search_kernel, "slot": _slot_kernel, "top": _top_kernel}
+    cases = {}
+    for k in (9, 4096):
+        pat = tuple(rng.sample(range(1, k + 1), k))
+        for mode, factory in factories.items():
+            cases[f"{mode}_k{k}"] = lambda factory=factory, pat=pat: factory.__wrapped__(pat)
+    return cases
+
+
+def reference() -> int:
+    """The fixed loop that ``reference_s`` times: a sum of squares."""
+    return sum(i * i for i in range(200_000))
 
 
 def src_lines(root: Path = SRC / "permdeflate") -> dict:
@@ -170,15 +211,20 @@ def machine() -> dict:
 def bench(repeat: int, tiny: bool = False) -> dict:
     """One record: every case timed as the best of ``repeat`` runs."""
     rigid_name, rigid = rigid_host(tiny)
-    return {
+    before = best_of(repeat, reference)
+    record = {
         "repeat": repeat,
         "tiny": tiny,
         "machine": machine(),
+        "reference_s": {"before": before},
         "end_to_end_s": {name: best_of(repeat, fn) for name, fn in end_to_end_cases(tiny).items()},
         "certificate_walk_s": {name: best_of(repeat, fn) for name, fn in certificate_walks().items()},
         "rigid_host_s": {rigid_name: best_of(repeat, rigid)},
+        "kernel_build_s": {name: best_of(repeat, fn) for name, fn in kernel_builds().items()},
         "src_lines": src_lines(),
     }
+    record["reference_s"]["after"] = best_of(repeat, reference)
+    return record
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -15,7 +15,9 @@ basis element's values k and k - 1 and only k - 2 indices are free
 open mask and returns the open one, and each occurrence it finds blocks
 its whole range of slots).  Each level is kept as its parents and their
 masks, so a level's members are built once, as the next level's parents,
-and the last level's only when a caller iterates it.
+and the last level's only when a caller iterates it.  A kernel refuses a
+member too short for its pattern, so the slot and top tests hold every
+basis element and take no length bound.
 """
 
 from __future__ import annotations
@@ -77,42 +79,33 @@ def _avoids_raw(vals: tuple[int, ...], c: PermClass) -> bool:
     return not any(_contains_any(b.values, vals) for b in c.basis)
 
 
-def _fitting(c: PermClass, max_len: int) -> list[tuple[int, ...]]:
-    """The basis elements of ``c`` that a new entry in a member of length
-    at most ``max_len`` can complete: those of length <= max_len + 1, all
-    that the slot test of any certificate asks.  Every caller knows that
-    length; the others' kernels are never built."""
-    return [b.values for b in c.basis if len(b) <= max_len + 1]
-
-
-def _slot_test(
-    c: PermClass, max_len: int
-) -> Callable[[tuple[int, ...], int, int], Union[tuple[int, int], bool]]:
-    """The slot test of ``c`` on members of length at most ``max_len``, the
-    one cell test of every bond certificate: ``blocked(vals, ps, vs)`` is
-    truthy iff a new entry at slot (ps, vs) of the member ``vals``
-    completes a basis occurrence, from the ``_slot_kernel`` of each basis
-    element that fits (the kernel itself for one element, else the first
-    truthy result over them).  A truthy result is the cell's reach
-    ``(ps_hi, vs_hi)``: one basis element's occurrence blocks every cell
-    from (ps, vs) to it, so the first one found speaks for the class.
+def _slot_test(c: PermClass) -> Callable[[tuple[int, ...], int, int], Union[tuple[int, int], bool]]:
+    """The slot test of ``c``, the one cell test of every bond certificate:
+    ``blocked(vals, ps, vs)`` is truthy iff a new entry at slot (ps, vs) of
+    the member ``vals`` completes a basis occurrence, from the
+    ``_slot_kernel`` of each basis element (the kernel itself for one
+    element, else the first truthy result over them).  A truthy result is
+    the cell's reach ``(ps_hi, vs_hi)``: one basis element's occurrence
+    blocks every cell from (ps, vs) to it, so the first one found speaks
+    for the class.  A kernel refuses a member too short for its pattern,
+    so a basis element longer than the member plus one costs one call.
     Unlike ``ShadingGrid`` it checks neither membership nor range."""
-    tests = [_slot_kernel(b) for b in _fitting(c, max_len)]
+    tests = [_slot_kernel(b.values) for b in c.basis]
     if len(tests) == 1:
         return tests[0]
     return lambda vals, ps, vs: next(filter(None, (blocked(vals, ps, vs) for blocked in tests)), False)
 
 
-def _top_test(c: PermClass, max_len: int) -> Callable[[tuple[int, ...], int, int], int]:
-    """The second-pin test of ``c`` on members of length at most
-    ``max_len``: ``top(vals, s, cand)`` is the mask of the slots in
-    ``cand`` where a new maximum leaves the member ``vals``, whose maximum
-    sits at position s, in the class.  It chains the ``_top_kernel`` of
-    each basis element that fits, each taking the mask the one before
-    left open, until the mask is 0.  Valid only for slots ``vals``
-    inherits open.  ``find_witnesses`` asks it a bond's top strip cell
-    before walking the bond's strips with ``_slot_test``."""
-    tests = [_top_kernel(b) for b in _fitting(c, max_len)]
+def _top_test(c: PermClass) -> Callable[[tuple[int, ...], int, int], int]:
+    """The second-pin test of ``c``: ``top(vals, s, cand)`` is the mask of
+    the slots in ``cand`` where a new maximum leaves the member ``vals``,
+    whose maximum sits at position s, in the class.  It chains the
+    ``_top_kernel`` of each basis element, each taking the mask the one
+    before left open, until the mask is 0; a kernel whose pattern is too
+    long for the member leaves the mask as it is.  Valid only for slots
+    ``vals`` inherits open.  ``find_witnesses`` asks it a bond's top strip
+    cell before walking the bond's strips with ``_slot_test``."""
+    tests = [_top_kernel(b.values) for b in c.basis]
     if len(tests) == 1:
         return tests[0]
 
@@ -165,8 +158,8 @@ def _class_levels(c: PermClass, max_len: int) -> Iterator[_Level]:
     new maximum at the matching slot is a member, so a new occurrence uses
     both the new maximum and the member's own, and ``_top_kernel`` tests
     it with two pins and k - 2 free indices.  Each member takes one call
-    of ``_top_test``, mask in and mask out, built only from the basis
-    elements of length <= ``max_len``.
+    of ``_top_test``, mask in and mask out; a basis element longer than
+    the member plus one leaves its mask alone.
 
     The root level is the empty parent with mask 1 if (1) avoids the basis,
     else 0.  Expanding a level builds its members once, through
@@ -182,7 +175,7 @@ def _class_levels(c: PermClass, max_len: int) -> Iterator[_Level]:
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     _check_length_bound("max_len", max_len)
-    top = _top_test(c, max_len - 1)
+    top = _top_test(c)
     root = 1 if _avoids_raw((1,), c) else 0  # the root's open slots
     level = _Level([()], [root], root)
     yield level
@@ -297,10 +290,9 @@ def _insertion_creates(c: PermClass, vals: tuple[int, ...], ps: int, vs: int) ->
     basis occurrence?  ``_slot_test``'s question, asked per call through
     ``_contains_pinned`` so that ``perfbench`` can count it: its callers
     are ``ShadingGrid.is_blocked`` and ``_bfs_extension``.  A basis
-    element longer than ``len(vals) + 1`` cannot be completed, so its
-    kernel is never asked, nor built."""
-    fits = len(vals) + 1
-    return any(_contains_pinned(b.values, vals, ps, vs) for b in c.basis if len(b.values) <= fits)
+    element longer than ``len(vals) + 1`` cannot be completed, and its
+    kernel says so: the entry has no room to play any of its indices."""
+    return any(_contains_pinned(b.values, vals, ps, vs) for b in c.basis)
 
 
 class ShadingGrid:

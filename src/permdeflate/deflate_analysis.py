@@ -261,7 +261,7 @@ def breaking_extensions(w: Permutation, c: PermClass) -> list[BreakReport]:
         raise ValueError(f"{w} is simple; nothing to break")
 
     before = sum(s.size - 1 for s in blocks)
-    blocked = _slot_test(c, len(vals))
+    blocked = _slot_test(c)
     reports = []
     for ps, vs in _cut_slot_pairs(len(vals), alpha.pos_lo, alpha.pos_hi, alpha.val_lo, alpha.val_hi):
         # w avoids c (checked above), so any basis occurrence in the
@@ -459,10 +459,11 @@ def _locked_strips(vals: tuple[int, ...], blocked: Callable[..., object]) -> Opt
     """The certificate on the first bond of the member ``vals``, left to
     right, whose strip slots, ``bond_strip_slots``, are all blocked by
     ``blocked(vals, ps, vs)``, walked by ``_strips_locked``.  Every caller
-    passes the class's ``_slot_test``, bounded by the member's length,
-    which answers with each blocked cell's reach, so the walk asks one
-    cell per occurrence.  Skipping is sound because every cell in a
-    reach's rectangle is blocked by the occurrence that gave it."""
+    passes the class's ``_slot_test``, which answers with each blocked
+    cell's reach, so the walk asks one cell per occurrence; a basis
+    element too long for the member answers False at once.  Skipping is
+    sound because every cell in a reach's rectangle is blocked by the
+    occurrence that gave it."""
     for i, kind, w in _bond_scan(vals):
         if _strips_locked(vals, blocked, i, w):
             return _certificate(len(vals), i, kind, w)
@@ -661,7 +662,7 @@ def empirical_deflatability(c: PermClass, cover_len: int, search_len: int) -> Em
         for f in symmetries:
             covered[f(vals)] = hit is not None
 
-    blocked = _slot_test(c, cover_len)
+    blocked = _slot_test(c)
     uncovered = tuple(
         UncoveredMember(Permutation(vals), _locked_strips(vals, blocked))
         for vals in targets

@@ -28,10 +28,11 @@ cell from it to ``ps_hi`` rightwards and to ``vs_hi`` upwards, so a walk
 along a strip skips what one occurrence settles.  The entry is one
 pin, so for k <= 7 it is a nest with the entry virtual and no child
 built; past that the child is built only when the entry has room to
-play some pattern index.  ``_top_kernel`` serves the generating tree
-with one call per member, a mask in and a mask out: it takes the slots
-the member inherits open from its parent and returns those where a new
-maximum avoids the pattern.  At an inherited open slot a new occurrence
+play some pattern index.  So each kernel refuses a host too short for
+its pattern, and callers need no length bound.  ``_top_kernel`` serves
+the generating tree with one call per member, a mask in and a mask out:
+it takes the slots the member inherits open from its parent and returns
+those where a new maximum avoids the pattern.  At an inherited open slot a new occurrence
 must use both the new maximum and the member's own, as the pattern's
 values k and k - 1, so the kernel pins both at each slot of the mask: a
 nest over the other k - 2 indices, each in the position zone the two
@@ -431,9 +432,9 @@ def _find_occurrence(pat: tuple[int, ...], host: tuple[int, ...]) -> Optional[li
 def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., object]:
     """The one kernel emitter: compile a test for ``pat`` in ``host``.
     Mode "plain" is the unpinned test ``test(host)``, True or False.  Mode
-    "slot" is the slot test ``test(host, ps, vs)``: one block per pattern
-    index, behind a room check, each pinning that index on a virtual new
-    entry of value ``vs`` before position ``q = ps - 1``.  It returns False
+    "slot" is the slot test ``test(host, ps, vs)``: for each pattern index
+    the entry has room to play, it pins that index on a virtual new entry
+    of value ``vs`` before position ``q = ps - 1``.  It returns False
     on an open cell, and on a blocked one the cell's reach ``(ps_hi,
     vs_hi)``: the occurrence found, with the entry playing index j, stays
     one for every entry left of the host entry of index j + 1 and below
@@ -462,27 +463,29 @@ def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., obj
     returns on its first occurrence (True, or the reach ``(p{j+1} + 1,
     v{b})`` with ``pat[b] = pat[j] + 1``), or in mode "top" leaves through
     ``for`` ... ``else: continue`` / ``break`` closers to clear the range.
-    Past the budget a block is ``_contains_mrv`` with no pin, else
-    ``_forward_check`` with the pins, on a child built by the first block
-    that has room (in mode "top", one child per slot, and an occurrence
-    clears only its own slot).  The forward check returns the child
-    positions ``at`` of its occurrence, so the slot reach is ``(at[j +
-    1], child[at[b]] - 1)``.  The text holds only identifiers and
-    integers, never a host value, and runs in this module's globals, so a
-    kernel looks up ``_contains_mrv``, ``_forward_check`` and
-    ``_insert_raw`` when it is called."""
+    Past the budget a kernel is ``_contains_mrv`` with no pin, else
+    ``_forward_check`` with the pins on a child: in mode "top" one child
+    per slot, and an occurrence clears only its own slot; in mode "slot"
+    one loop over the indices j in ``range(max(0, q - n + k - 1), min(q,
+    k - 1) + 1)`` with room in value, the first of which builds the child,
+    and the reach is ``(at[j + 1], child[at[b]] - 1)`` from the positions
+    ``at`` the check returns.  The pattern, and ``where`` (the index of
+    each value), are default arguments, so such a text has as many lines
+    for every k.  Every room check refuses a host too short for the
+    pattern: there the kernel answers False, or leaves ``cand`` alone.
+    The text holds only identifiers and integers, never a host value, and
+    runs in this module's globals, so a kernel looks up ``_contains_mrv``,
+    ``_forward_check`` and ``_insert_raw`` when it is called."""
     k = len(pat)
     slot, top = mode == "slot", mode == "top"
     pins = range(k) if slot else [pat.index(k)] if top else ()
     # the free loops of a nest: one per index that no pin holds
     nest = k - (1 + top if pins else 0) <= _NEST_LOOPS
     args = "host, s, cand" if top else "host, ps, vs" if slot else "host"
+    if not nest:
+        args += ", pat=pat, where=where" if slot else ", pat=pat"
     lines = [f"def test({args}):", "    q = ps - 1"] if slot else [f"def test({args}):"]
     lines.append("    n = len(host)")
-    if not nest:
-        lines.append(f"    pat = {pat}")
-        if slot:
-            lines.append("    child = None")
     base = "    "
     if top:
         t, u = pat.index(k), pat.index(k - 1)
@@ -502,7 +505,31 @@ def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., obj
             "        q = low.bit_length() - 1",
         ]
         base += "    "
-    for pin_j in pins or [-1]:
+    if not nest and slot:
+        # the indices with room in position, then in value
+        lines += [
+            "    child = None",
+            f"    for j in range(max(0, q - n + {k - 1}), min(q, {k - 1}) + 1):",
+            "        v = pat[j]",
+            f"        if vs >= v and n - vs >= {k - 1} - v:",
+            "            if child is None:",
+            "                child = _insert_raw(host, ps, vs)",
+            f"                le, ge = _value_masks(child, {k})",
+            "            at = _forward_check(pat, child, le, ge, j, q)",
+            "            if at is not None:",
+            f"                right = at[j + 1] if j < {k - 1} else n + 1",
+            f"                return right, (child[at[where[v]]] - 1 if v < {k} else n + 1)",
+        ]
+    elif not nest and top:
+        lines += [
+            f"{base}child = _insert_raw(host, q + 1, n + 1)",
+            f"{base}le, ge = _value_masks(child, {k})",
+            f"{base}if _forward_check(pat, child, le, ge, {t}, q, {u}, s + (s >= q)) is not None:",
+            f"{base}    cand ^= low",
+        ]
+    elif not nest:
+        lines += ["    if _contains_mrv(pat, host):", "        return True"]
+    for pin_j in (pins or [-1]) if nest else ():
         # pinned index -> (host position, 1 if it takes that position, 0 if virtual)
         fixed = {} if pin_j < 0 else {pin_j: ("q", 0)}
         if top:
@@ -516,35 +543,10 @@ def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., obj
             room = f"q >= {pin_j} and n - q >= {k - 1 - pin_j}"
             lines.append(f"    if {room} and vs >= {pat[pin_j]} and n - vs >= {k - 1 - pat[pin_j]}:")
             indent += "    "
-        if slot:
             # the last slot right of, and the last value above, that the
             # occurrence still blocks: those of the pin's neighbours
             b = pat.index(pat[pin_j] + 1) if pat[pin_j] < k else -1
-            if nest:
-                right, above = f"p{pin_j + 1} + 1", f"v{b}"
-            else:
-                right, above = f"at[{pin_j + 1}]", f"child[at[{b}]] - 1"
-            reach = f"({right if pin_j < k - 1 else 'n + 1'}, {above if b >= 0 else 'n + 1'})"
-        if not nest:
-            check = "_contains_mrv(pat, host)"
-            if fixed:
-                # a pin that takes a host position moves past the entry in the child
-                at = [f"{j}, {p} + ({p} >= q)" if takes else f"{j}, {p}" for j, (p, takes) in fixed.items()]
-                check = f"_forward_check(pat, child, le, ge, {', '.join(at)})"
-                build = [
-                    f"{indent}child = _insert_raw(host, {'ps, vs' if slot else 'q + 1, n + 1'})",
-                    f"{indent}le, ge = _value_masks(child, {k})",
-                ]
-                if slot:
-                    build = [f"{indent}if child is None:", *("    " + line for line in build)]
-                lines += build
-            if slot:
-                lines += [f"{indent}at = {check}", f"{indent}if at is not None:"]
-                lines.append(f"{indent}    return {reach}")
-            else:
-                found = f"{check} is not None" if fixed else check
-                lines += [f"{indent}if {found}:", f"{indent}    {'cand ^= low' if top else 'return True'}"]
-            continue
+            reach = f"({f'p{pin_j + 1} + 1' if pin_j < k - 1 else 'n + 1'}, {f'v{b}' if b >= 0 else 'n + 1'})"
         order = [*fixed, *range(first - 1, -1, -1), *(j for j in range(first, k) if j not in fixed)]
         # the pattern read in placement order: its neighbour refs are, per
         # step, the earlier steps holding the nearest values below and above
@@ -592,7 +594,8 @@ def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., obj
     lines.append("    return cand" if top else "    return False")
     # one filename per kernel, so that profilers keep one row per kernel
     filename = f"<kernel {' '.join(map(str, pat))} {mode}>"
-    namespace: dict = {}
+    # where[v] is the index of value v + 1, the slot reach's upper neighbour
+    namespace = {"pat": pat, "where": tuple(sorted(range(k), key=pat.__getitem__))}
     exec(compile("\n".join(lines), filename, "exec"), globals(), namespace)
     return namespace["test"]
 
@@ -615,9 +618,10 @@ def _slot_kernel(
     vs_hi)``, with every cell of ``[ps, ps_hi] x [vs, vs_hi]`` blocked by
     the same occurrence; else it is False.  The entry pins one index, so
     it is one nest per index for k <= 7, with no child built, and else one
-    ``_forward_check`` per index the entry has room to play.  It never
-    calls ``_contains_mrv``, so that traced slot tests and plain searches
-    stay apart."""
+    loop of ``_forward_check`` over the indices the entry has room to
+    play, none on a host shorter than k - 1.  It never calls
+    ``_contains_mrv``, so that traced slot tests and plain searches stay
+    apart."""
     return _emit_kernel(pat, "slot")
 
 

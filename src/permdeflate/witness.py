@@ -8,9 +8,9 @@ between its values is blocked — excepting only the crossing cell and the
 four cells adjacent to the bond — then the bond can never be split apart
 by later insertions, so no extension is simple.
 
-Every certificate asks one cell test, the class's ``_slot_test`` bounded
-by the members' length: the public ``bond_certificate`` proves membership
-with ``avoids`` and hands it to ``deflate_analysis._locked_strips``;
+Every certificate asks one cell test, the class's ``_slot_test``: the
+public ``bond_certificate`` proves membership with ``avoids`` and hands
+it to ``deflate_analysis._locked_strips``;
 ``verify_corpus`` does the same after its own ``avoids``, and
 ``find_witnesses`` trusts the generating tree's membership proof.  Each
 blocked cell answers with its reach, the rectangle of cells that one
@@ -24,9 +24,9 @@ Each tree level is kept as its parents and their open-slot masks, and
 ``find_witnesses`` walks a member's bonds one by one: it settles each
 bond's top strip cell by inheritance or by ``_top_test`` asked with that
 slot's one bit, and hands only a bond whose top cell is blocked to the
-per-bond walk ``_strips_locked``.  Its slot and top tests hold only the
-basis elements a member of length <= ``max_len`` can meet with one new
-entry, so a basis element too long to fire compiles no kernel.
+per-bond walk ``_strips_locked``.  Its slot and top tests hold every
+basis element: each kernel refuses a member too short for its pattern,
+and one too long to fire builds in a fixed number of lines.
 
 The bundled corpus (``deflate_analysis.load_corpus``) ships fourteen
 published witness rows (ten sporadic classes and four parallel
@@ -103,12 +103,12 @@ def bond_certificate(p: Permutation, c: PermClass) -> Optional[BondCertificate]:
     """The certificate on the first certifying bond of ``p`` (left-to-right
     order), or None.  A returned certificate implies ``p`` witnesses the
     deflatability of ``c``.  Raises ValueError when ``p`` is not a member
-    of ``c``; a member's strips are walked with the class's slot test,
-    bounded by ``len(p)``, as every certificate is.
+    of ``c``; a member's strips are walked with the class's slot test, as
+    every certificate is.
     """
     if not avoids(p, c):
         raise ValueError(f"{p} is not a member of {c}")
-    return _locked_strips(p.values, _slot_test(c, len(p)))
+    return _locked_strips(p.values, _slot_test(c))
 
 
 def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessReport]:
@@ -127,7 +127,8 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
     w + 2 > n, blocked when bit i of ``cand`` is clear, else decided by
     ``_top_test`` with the one-bit mask ``1 << i``, whose precondition an
     open parent slot meets.  Only then does ``_strips_locked`` walk the
-    bond."""
+    bond.  A basis element longer than ``max_len`` + 1 is never met by
+    one new entry, and its kernels refuse every member at once."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
     bound = max_len + 2
@@ -137,8 +138,8 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
             f"past the supported maximum {MAX_LENGTH}"
         )
     reports: list[WitnessReport] = []
-    blocked = _slot_test(c, max_len)
-    top = _top_test(c, max_len)
+    blocked = _slot_test(c)
+    top = _top_test(c)
     for n, level in enumerate(_class_levels(c, max_len), start=1):
         for vals, s, cand in _candidates(level):
             # the bonds (i, kind, w) left to right, as ``_bond_scan`` finds
@@ -214,7 +215,7 @@ def verify_corpus(path: Union[str, Path, None] = None) -> list[CorpusRowResult]:
         bound: Optional[int] = None
         cross_ok: Optional[bool] = None
         if in_class:
-            certified = _locked_strips(witness.values, _slot_test(c, len(witness))) is not None
+            certified = _locked_strips(witness.values, _slot_test(c)) is not None
             if len(witness) <= CROSS_CHECK_CAP:
                 bound = len(witness) + 2
                 cross_ok = extend_to_simple(witness, c, bound) is None

@@ -35,8 +35,13 @@ def test_a_tiny_record_has_the_documented_keys(tmp_path):
     ]
     assert list(record["certificate_walk_s"]) == ["k8_n18", "k10_n24", "k12_n29", "k14_n35"]
     assert list(record["rigid_host_s"]) == ["runs3x4_cells2"]
+    assert list(record["kernel_build_s"]) == [
+        f"{mode}_k{k}" for k in (9, 4096) for mode in ("plain", "slot", "top")
+    ]
+    assert list(record["reference_s"]) == ["before", "after"]
     times = [*record["end_to_end_s"].values(), *record["certificate_walk_s"].values()]
-    times += record["rigid_host_s"].values()
+    times += [*record["rigid_host_s"].values(), *record["kernel_build_s"].values()]
+    times += record["reference_s"].values()
     assert all(isinstance(t, float) and t > 0 for t in times)
     lines = record["src_lines"]
     assert set(lines) == {"total", "docstring", "code"}

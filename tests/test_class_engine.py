@@ -154,7 +154,7 @@ def test_enumeration_matches_filter_all():
 def _class_levels_by_slot(c: PermClass, max_len: int):
     """Oracle: the generating tree before open-slot masks, which asks the
     full slot test at every slot of every member."""
-    blocked = _slot_test(c, max_len - 1)
+    blocked = _slot_test(c)
     level = [()]
     for n in range(1, max_len + 1):
         level = [
@@ -203,7 +203,7 @@ def test_open_slots_are_inherited(basis):
     # open slots carried over: q for q <= s, q + 1 for q >= s, with the
     # member's maximum at s
     c = PermClass.of(*basis.split(","))
-    blocked = _slot_test(c, 8)
+    blocked = _slot_test(c)
     opened = {(): 0 if blocked((), 1, 1) else 1}
     for level in _class_levels(c, 8):
         for vals in level:
@@ -221,7 +221,7 @@ def _candidates_by_slot(c: PermClass, max_len: int):
     per-slot tree, where slot q is in ``cand`` iff the parent slot it
     descends from (q left of the maximum at s, q - 1 right of it) is open
     by the full slot test."""
-    blocked = _slot_test(c, max_len - 1)
+    blocked = _slot_test(c)
     for level in _class_levels_by_slot(c, max_len):
         for vals in level:
             n = len(vals)
@@ -237,7 +237,7 @@ def _check_candidates(c: PermClass, max_len: int) -> set[str]:
     oracle, and the top strip cell (i + 1, n + 1) of every bond whose cell
     it is, settled from ``cand`` and ``_top_test``, against the full slot
     test; return how the blocked cells were settled."""
-    blocked, top = _slot_test(c, max_len), _top_test(c, max_len)
+    blocked, top = _slot_test(c), _top_test(c)
     oracle = _candidates_by_slot(c, max_len)
     settled = set()
     parents = 1  # the root
@@ -366,7 +366,7 @@ def test_the_top_test_with_two_pins_matches_the_slot_test_for_k_9_and_10():
         long = rng.choice(members)
         c = PermClass((Permutation(short), Permutation(long)))
         assert len(c.basis) == 2
-        top, blocked, by_long = _top_test(c, 9), _slot_test(c, 9), _slot_kernel(long)
+        top, blocked, by_long = _top_test(c), _slot_test(c), _slot_kernel(long)
         for level in _class_levels(c, 9):
             for vals, s, cand in _candidates(level):
                 n = len(vals)
@@ -613,7 +613,7 @@ def test_slot_test_matches_the_grid_to_7(basis):
     # nest in one any(), and the last class a k <= 6 nest and the forward
     # check
     c = PermClass.of(*basis.split(","))
-    blocked = _slot_test(c, 7)
+    blocked = _slot_test(c)
     for level in _class_levels(c, 7):
         for vals in level:
             n = len(vals)
@@ -645,7 +645,7 @@ def test_insertion_creates_matches_the_slot_test_on_random_classes(monkeypatch):
             c = PermClass(tuple(Permutation(tuple(rng.sample(range(1, m + 1), m))) for m in lengths))
             if len(c.basis) == 2:  # the long element avoids the short one
                 break
-        blocked = _slot_test(c, 10)
+        blocked = _slot_test(c)
         vals: tuple[int, ...] = (1,)
         while len(vals) <= 10:
             n = len(vals)

@@ -407,7 +407,7 @@ def test_a_cell_whose_parent_image_is_blocked_is_blocked():
     # cell's image, so an occurrence in the latter is one in the former
     c = PermClass.of("24681357")
     parent = P("5 8 11 2 13 4 14 16 18 9 10 6 1 15 17 3 7 12").values
-    blocked = class_engine._slot_test(c, len(parent) + 1)
+    blocked = class_engine._slot_test(c)
     cells = list(itertools.product(range(1, len(parent) + 2), repeat=2))
     parent_blocked = {cell for cell in cells if blocked(parent, *cell)}
     checked = 0
@@ -506,17 +506,15 @@ def test_extend_validates_inputs():
         extend_to_simple(P("25173486"), PermClass.of("251364"), perm_core.MAX_LENGTH + 1)
 
 
-def test_extend_compiles_no_kernel_for_a_basis_element_too_long_to_fire(monkeypatch, capsys):
+def test_extend_refuses_a_basis_element_too_long_to_fire(monkeypatch, capsys):
     # one new entry in a member of length n completes no pattern longer than
-    # n + 1, so neither the greedy breaks nor the breadth-first search may
-    # compile the kernel of a length-4096 basis element (about half a
-    # second); the output is what it was when they did.  "1 2 3" reaches
+    # n + 1, so the kernels of a length-4096 basis element refuse every cell
+    # the greedy breaks and the breadth-first search ask, without building a
+    # child, and their texts are no longer than a length-9 pattern's; the
+    # output is what it was when no kernel of it was built.  "1 2 3" reaches
     # its simple extension by the search, "2 3 5 1 4" by one break
     rng = random.Random(4096)
     long = tuple(rng.sample(range(1, perm_core.MAX_LENGTH + 1), perm_core.MAX_LENGTH))
-    emitted = []
-    emit = perm_core._emit_kernel
-    monkeypatch.setattr(perm_core, "_emit_kernel", lambda pat, *mode: emitted.append(pat) or emit(pat, *mode))
     text = " ".join(map(str, long))
     cases = [
         ("1 2 3", "6", "simple extension: 2 4 1 5 3\n"),
@@ -525,7 +523,6 @@ def test_extend_compiles_no_kernel_for_a_basis_element_too_long_to_fire(monkeypa
     for perm, max_len, expected in cases:
         assert run(["extend", "--perm", perm, "--basis", text, "--max-len", max_len]) == 0
         assert capsys.readouterr().out == expected
-    assert long not in emitted
     # beside 7654321, which a random element would contain and so drop
     # from the basis, the identity of length 4096 stays and changes nothing
     identity = tuple(range(1, perm_core.MAX_LENGTH + 1))
@@ -533,7 +530,23 @@ def test_extend_compiles_no_kernel_for_a_basis_element_too_long_to_fire(monkeypa
     assert len(c.basis) == 2
     for perm in ("2 3 5 1 4", "2 1 3"):
         assert extend_to_simple(P(perm), c, 7) == extend_to_simple(P(perm), PermClass.of("7654321"), 7)
-    assert long not in emitted and identity not in emitted
+    sources = {}
+
+    def keeping_compile(source, filename, mode):
+        sources[filename] = source
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(perm_core, "compile", keeping_compile, raising=False)
+    for factory in (perm_core._search_kernel, perm_core._slot_kernel, perm_core._top_kernel):
+        names = [factory.__wrapped__(pat).__code__.co_filename for pat in (long, identity[:9])]
+        assert len({len(sources[name].splitlines()) for name in names}) == 1, factory
+    inserts = []
+    monkeypatch.setattr(perm_core, "_insert_raw", lambda *args: inserts.append(args) or _insert_raw(*args))
+    slot = perm_core._slot_kernel(long)
+    for _ in range(40):
+        vals = tuple(rng.sample(range(1, 9), 8))
+        assert not any(slot(vals, ps, vs) for ps in range(1, 10) for vs in range(1, 10)), vals
+    assert not inserts
 
 
 def test_extend_agrees_with_simple_containment_search():
@@ -888,7 +901,7 @@ def _empirical_by_every_target(c: PermClass, cover_len: int, search_len: int) ->
                 del recent[8:]
         if hit is None:
             uncovered_vals.append(vals)
-    blocked = _slot_test(c, cover_len)
+    blocked = _slot_test(c)
     uncovered = tuple(
         UncoveredMember(Permutation(vals), _locked_strips(vals, blocked)) for vals in uncovered_vals
     )

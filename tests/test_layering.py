@@ -215,9 +215,10 @@ def test_kernels_are_nests_within_six_free_loops(monkeypatch):
     """One loop budget for every kernel: the unpinned search kernel is an
     emitted nest exactly for k <= 6, the slot kernel (one pin) for k <= 7
     and the second-pin kernel for 2 <= k <= 8, and no emitted nest runs
-    more than six ``for`` loops deep.  Past the budget a kernel has no
-    ``for`` loop and calls the forward check (``_forward_check``, or
-    ``_contains_mrv`` with no pin).  A second-pin kernel takes a mask:
+    more than six ``for`` loops deep.  Past the budget a kernel calls the
+    forward check (``_forward_check``, or ``_contains_mrv`` with no pin),
+    in no ``for`` loop, except that a slot kernel runs it in one loop over
+    the pattern indices.  A second-pin kernel takes a mask:
     it walks the mask's slots in one ``while`` loop, and each ``for`` of
     its nest has an ``else`` closer, so the nest leaves on its first
     occurrence without a ``return``.  Every emitted kernel's code names
@@ -257,6 +258,11 @@ def test_kernels_are_nests_within_six_free_loops(monkeypatch):
             if nest(k):
                 assert not searches, (k, mode, searches)
                 depths.append(depth)
+            elif mode == "slot":
+                # one loop over the pattern indices, with none inside it
+                fors = [n for n in ast.walk(tree) if isinstance(n, ast.For)]
+                assert len(fors) == 1 and depth == 1, (k, sources[filename])
+                assert searches == {"_forward_check"}, (k, searches)
             else:
                 assert searches and depth == 0, (k, mode, searches, depth)
     assert max(depths) == 6

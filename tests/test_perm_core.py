@@ -576,7 +576,8 @@ def test_slot_reach_blocks_its_whole_rectangle_like_itertools():
     the itertools oracle finds blocked, on seeded patterns of length 2 to
     10: nests for k <= 7, forward checks past that.  Then the same for
     ``_slot_test`` of classes of 2 or 3 basis elements, whose first
-    truthy reach must lie in the union of their blocked cells."""
+    truthy reach must lie in the union of their blocked cells.  Last, past
+    the budget, hosts of length 1 to k - 2 leave every cell open."""
     rng = random.Random(31)
     wide = {"nest": 0, "forward check": 0}
     for k in range(2, 11):
@@ -597,7 +598,16 @@ def test_slot_reach_blocks_its_whole_rectangle_like_itertools():
         if any(_std(sub) in pats for m in map(len, pats) for sub in itertools.combinations(host, m)):
             continue  # not a member
         classes += 1
-        _assert_reaches(_slot_test(c, len(host)), host, _blocked_cells(pats, host))
+        _assert_reaches(_slot_test(c), host, _blocked_cells(pats, host))
+    # a host shorter than k - 1 has no room for the pattern: the kernel
+    # itself finds every cell open, as the oracle does
+    rng = random.Random(32)
+    for k in range(8, 11):
+        for n in range(1, k - 1):
+            pat = tuple(rng.sample(range(1, k + 1), k))
+            host = tuple(rng.sample(range(1, n + 1), n))
+            assert _blocked_cells([pat], host) == set()
+            _assert_reaches(_slot_kernel(pat), host, set())
 
 
 def test_through_position_searches_never_call_contains_mrv(monkeypatch):
@@ -733,7 +743,7 @@ def test_top_kernel_clears_ranges_like_itertools_on_random_masks():
         basis = [tuple(rng.sample(range(1, k + 1), k)) for k in rng.sample(range(2, 8), rng.randint(2, 3))]
         c = PermClass(tuple(Permutation(b) for b in basis))
         basis = [b.values for b in c.basis]
-        top = _top_test(c, 7)
+        top = _top_test(c)
         for host, s, _ in _members_with_inherited_slots(rng, basis[0], count=2, longest=7):
             parent = host[:s] + host[s + 1 :]
             if any(_std(sub) == b for b in basis for sub in itertools.combinations(host, len(b))):

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import pytest
 
-from permdeflate import class_engine, perm_core, witness
+from permdeflate import perm_core, witness
 from permdeflate.cli import run
 from permdeflate.perm_core import (
     MAX_LENGTH,
@@ -163,6 +163,18 @@ def test_find_witnesses_in_av251364():
     assert avoids(report.witness, PermClass.of("251364"))
 
 
+@pytest.mark.parametrize("basis, length", [("251364", 8), ("251463", 9)])
+def test_the_short_corpus_witnesses_have_the_least_certified_length(basis, length):
+    # the search walks lengths in order: no member one shorter than the
+    # corpus witness carries a certificate, and the first certified member
+    # of the witness's length is the corpus witness itself
+    c = PermClass.of(basis)
+    w = next(w for b, w in load_corpus() if PermClass((b,)) == c)
+    assert len(w) == length
+    assert find_witnesses(c, length - 1) == []
+    assert [r.witness for r in find_witnesses(c, length, 1)] == [w]
+
+
 def test_find_witnesses_none_in_av321():
     assert find_witnesses(PermClass.of("321"), 8, limit=1) == []
 
@@ -171,16 +183,29 @@ def test_find_witnesses_empty_class():
     assert find_witnesses(PermClass.of("1"), 6, limit=3) == []
 
 
-def test_a_bounded_search_compiles_no_kernel_that_cannot_fire(monkeypatch):
+def _kernel_lines(monkeypatch, pat):
+    """The line count of each mode's kernel text for ``pat``, compiled past
+    the caches, in the order plain, slot, top."""
+    sources = {}
+
+    def keeping_compile(source, filename, mode):
+        sources[filename] = source
+        return compile(source, filename, mode)
+
+    with monkeypatch.context() as m:
+        m.setattr(perm_core, "compile", keeping_compile, raising=False)
+        factories = (perm_core._search_kernel, perm_core._slot_kernel, perm_core._top_kernel)
+        kernels = [factory.__wrapped__(pat) for factory in factories]
+    return [len(sources[kernel.__code__.co_filename].splitlines()) for kernel in kernels]
+
+
+def test_a_bounded_search_refuses_a_basis_element_too_long_to_fire(monkeypatch):
     # a member of length <= max_len with one new entry is at most max_len + 1
-    # long, so a longer basis element's slot and top kernels are never asked
-    # for: compiling those of a length-4096 element takes about half a second.
-    # The identity of that length avoids 7654321, so the class keeps both
+    # long, so a longer basis element never fires: its kernels refuse such a
+    # member without building a child, and their texts are no longer than a
+    # length-9 pattern's.  The identity of length 4096 avoids 7654321, so
+    # the class keeps both, and it must answer as Av(7654321) does
     long = tuple(range(1, MAX_LENGTH + 1))
-    asked = []
-    for name in ("_slot_kernel", "_top_kernel"):
-        factory = getattr(class_engine, name)
-        monkeypatch.setattr(class_engine, name, lambda pat, f=factory: asked.append(pat) or f(pat))
     text = " ".join(map(str, long))
     assert run(["witness", "search", "--basis", text, "--max-len", "4"]) == 1
     c, short = PermClass((Permutation(long), P("7654321"))), PermClass.of("7654321")
@@ -193,14 +218,19 @@ def test_a_bounded_search_compiles_no_kernel_that_cannot_fire(monkeypatch):
     assert [len(level) for level in _class_levels(c, 8)] == [
         len(level) for level in _class_levels(short, 8)
     ]
-    # the public certificate asks the slot test bounded by the member's length
     argv = ["witness", "check", "--perm", "6 5 4 3 2 1", "--basis", text + ",7654321"]
     assert run(argv) == 1
-    assert long not in asked and (7, 6, 5, 4, 3, 2, 1) in asked
-    # an element of length max_len + 1 still fits, and its kernels are asked
-    asked.clear()
     assert find_witnesses(PermClass.of("2 4 6 1 3 5 7"), 6, 1) == []
-    assert asked.count((2, 4, 6, 1, 3, 5, 7)) == 2
+    assert _kernel_lines(monkeypatch, long) == _kernel_lines(monkeypatch, (2, 4, 6, 8, 1, 3, 5, 7, 9))
+    inserts = []
+    insert_raw = perm_core._insert_raw
+    monkeypatch.setattr(perm_core, "_insert_raw", lambda *args: inserts.append(args) or insert_raw(*args))
+    slot, top = perm_core._slot_kernel(long), perm_core._top_kernel(long)
+    members = list(_class_levels(short, 8))[-1]
+    for vals in itertools.islice(members, 40):
+        assert not any(slot(vals, ps, vs) for ps in range(1, 10) for vs in range(1, 10)), vals
+        assert top(vals, vals.index(8), 0b111111111) == 0b111111111, vals
+    assert not inserts
 
 
 def test_find_witnesses_validates_arguments():
@@ -244,14 +274,14 @@ def _public_certificates(basis, max_len):
     ],
 )
 def test_raw_certificate_scan_matches_public_certificate(basis, max_len):
-    # the search path skips the membership guard and bounds its slot test
-    # by max_len; on every tree member it must find the public path's bond
-    # and cells, and both must match a walk that asks every cell of the grid
+    # the search path skips the membership guard; on every tree member it
+    # must find the public path's bond and cells, and both must match a walk
+    # that asks every cell of the grid
     c = PermClass.of(basis)
     tree = [vals for level in _class_levels(c, max_len) for vals in level]
     public = _public_certificates(basis, max_len)
     assert [member.values for member, _ in public] == tree
-    blocked = _slot_test(c, max_len)
+    blocked = _slot_test(c)
     certified = 0
     for (_, cert), vals in zip(public, tree):
         raw = witness._locked_strips(vals, blocked)
@@ -269,7 +299,7 @@ def test_raw_certificate_scan_matches_public_certificate_on_the_corpus():
         public = _cert_key(bond_certificate(w, c))
         assert public is not None, w
         assert _cert_key(witness._locked_strips(w.values, _grid(w.values, c))) == public
-        assert _cert_key(witness._locked_strips(w.values, _slot_test(c, len(w)))) == public
+        assert _cert_key(witness._locked_strips(w.values, _slot_test(c))) == public
 
 
 def test_public_certificate_asks_one_cell_per_occurrence(monkeypatch):
@@ -284,8 +314,8 @@ def test_public_certificate_asks_one_cell_per_occurrence(monkeypatch):
         checks.append(args)
         return forward_check(*args)
 
-    def counted(c, max_len):
-        blocked = slot_test(c, max_len)
+    def counted(c):
+        blocked = slot_test(c)
 
         def test(vals, ps, vs):
             cells.append((ps, vs))
@@ -331,7 +361,7 @@ def test_reach_walk_matches_the_cell_walk_on_every_corpus_bond():
     locked = 0
     for basis, w in rows:
         c, vals = PermClass((basis,)), w.values
-        blocked = _slot_test(c, len(vals))
+        blocked = _slot_test(c)
 
         def each_cell(host, ps, vs):
             return bool(blocked(host, ps, vs)) and (ps, vs)
@@ -369,7 +399,7 @@ def test_certificates_check_exactly_the_bond_strip_slots():
     for basis, w in load_corpus():
         c = PermClass((basis,))
         certs.append((w, bond_certificate(w, c)))
-        certs.append((w, witness._locked_strips(w.values, _slot_test(c, len(w)))))
+        certs.append((w, witness._locked_strips(w.values, _slot_test(c))))
     for basis, max_len, limit in _PINNED_SEARCHES:
         reports = find_witnesses(PermClass.of(*basis.split(",")), max_len, limit)
         certs.extend((r.witness, r.certificate) for r in reports)
@@ -383,7 +413,7 @@ def test_class_walk_tries_every_basis_element():
     # a cell is blocked when either kernel says so; in the separable class
     # thousands of strip cells are blocked by 3142 and not by 2413
     c = PermClass.of("2413", "3142")
-    blocked = _slot_test(c, 7)
+    blocked = _slot_test(c)
     certified = 0
     for level in _class_levels(c, 7):
         for vals in level:
@@ -416,8 +446,8 @@ def test_find_witnesses_settles_top_cells_before_the_walk(monkeypatch):
     calls = 0
     slot_test = witness._slot_test
 
-    def counted(c, *bound):
-        blocked = slot_test(c, *bound)
+    def counted(c):
+        blocked = slot_test(c)
 
         def test(vals, ps, vs):
             nonlocal calls
