@@ -29,6 +29,13 @@ The record holds:
 * ``kernel_build_s``: one build of each mode's kernel (plain, slot, top),
   past the factories' caches, for a seeded pattern of length 9 and one
   of length 4 096, keyed ``<mode>_k<length>``;
+* ``startup_s``: the start-up a fresh interpreter pays, as each command
+  line call of the tool does: ``import_no_bytecode`` is ``python -B -c
+  "import permdeflate.cli"`` with an empty ``PYTHONPYCACHEPREFIX``, so
+  nothing, the standard library included, is read from bytecode;
+  ``import_bytecode`` is the same import with bytecode, in a prefix one
+  untimed run has filled; ``contains_cli`` is one full ``python -m
+  permdeflate contains 132 4132 --json`` with that bytecode;
 * ``reference_s``: a fixed standard-library loop, timed ``before`` and
   ``after`` the cases; the machine's speed drifts between runs, so
   compare two records by their times divided by these;
@@ -47,8 +54,11 @@ import json
 import os
 import platform
 import random
+import subprocess
 import sys
+import tempfile
 import time
+from functools import partial
 from itertools import permutations
 from pathlib import Path
 
@@ -83,6 +93,7 @@ KEYS = (
     "certificate_walk_s",
     "rigid_host_s",
     "kernel_build_s",
+    "startup_s",
     "src_lines",
 )
 
@@ -167,6 +178,25 @@ def kernel_builds() -> dict:
     return cases
 
 
+def startup_cases(cache: Path) -> dict:
+    """name -> one fresh interpreter of each start-up case, importing the
+    package from ``src``; ``cache`` holds two bytecode prefixes, the one under
+    ``empty`` never written, the one under ``warm`` filled by a first run."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = str(SRC)
+    cold = {**env, "PYTHONPYCACHEPREFIX": str(cache / "empty")}
+    warm = {**env, "PYTHONPYCACHEPREFIX": str(cache / "warm")}
+    python = sys.executable
+    commands = {
+        "import_no_bytecode": ([python, "-B", "-c", "import permdeflate.cli"], cold),
+        "import_bytecode": ([python, "-c", "import permdeflate.cli"], warm),
+        "contains_cli": ([python, "-m", "permdeflate", "contains", "132", "4132", "--json"], warm),
+    }
+    run = partial(subprocess.run, stdout=subprocess.DEVNULL, check=True)
+    run(commands["import_bytecode"][0], env=warm)  # fills the warm prefix
+    return {name: partial(run, argv, env=env) for name, (argv, env) in commands.items()}
+
+
 def reference() -> int:
     """The fixed loop that ``reference_s`` times: a sum of squares."""
     return sum(i * i for i in range(200_000))
@@ -221,8 +251,11 @@ def bench(repeat: int, tiny: bool = False) -> dict:
         "certificate_walk_s": {name: best_of(repeat, fn) for name, fn in certificate_walks().items()},
         "rigid_host_s": {rigid_name: best_of(repeat, rigid)},
         "kernel_build_s": {name: best_of(repeat, fn) for name, fn in kernel_builds().items()},
-        "src_lines": src_lines(),
     }
+    with tempfile.TemporaryDirectory() as cache:
+        cases = startup_cases(Path(cache))
+        record["startup_s"] = {name: best_of(repeat, fn) for name, fn in cases.items()}
+    record["src_lines"] = src_lines()
     record["reference_s"]["after"] = best_of(repeat, reference)
     return record
 

@@ -22,7 +22,6 @@ basis element and take no length bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Union
 
 from .perm_core import (
@@ -34,32 +33,46 @@ from .perm_core import (
     _contains_pinned,
     _slot_kernel,
     _top_kernel,
+    contains,
     parse_permutation,
 )
 from .decomposition import _is_simple
 
 
-@dataclass(frozen=True)
 class PermClass:
     """An avoidance class described by its basis.
 
     The basis is normalised on construction: duplicates are dropped, any
-    element containing another basis element is dropped (minimality), and
+    element containing another is dropped (minimality, by ``contains``, whose
+    forward check refutes a short element in a long rigid one at once), and
     the rest are sorted by (length, values) so equal classes compare equal.
     """
 
-    basis: tuple[Permutation, ...]
+    __slots__ = ("basis",)
 
-    def __post_init__(self) -> None:
-        items = sorted(set(self.basis), key=lambda b: (len(b), b.values))
+    def __init__(self, basis: tuple[Permutation, ...]) -> None:
+        items = sorted(set(basis), key=lambda b: (len(b), b.values))
         if not items:
             raise ValueError("a class needs a non-empty basis")
-        minimal = [
-            b
-            for b in items
-            if not any(o is not b and _contains_any(o.values, b.values) for o in items)
-        ]
+        minimal = [b for b in items if not any(o is not b and contains(o, b) for o in items)]
         object.__setattr__(self, "basis", tuple(minimal))
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return PermClass, (self.basis,)
+
+    def __eq__(self, other: object) -> bool:
+        return self.basis == other.basis if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.basis,))
+
+    def __repr__(self) -> str:
+        return f"PermClass(basis={self.basis!r})"
 
     @classmethod
     def of(cls, *items: Union[str, Permutation]) -> "PermClass":

@@ -20,10 +20,9 @@ starts where the previous block ended, or a singleton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from operator import attrgetter
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .perm_core import Permutation, Slot, _pattern_of
 
@@ -52,8 +51,7 @@ def _fold(root, split, join):
             frames[-1][2].append(join(label, values))
 
 
-@dataclass(frozen=True, order=True)
-class IntervalSpan:
+class IntervalSpan(NamedTuple):
     """An interval given by inclusive 1-based position and value ranges."""
 
     pos_lo: int
@@ -66,7 +64,6 @@ class IntervalSpan:
         return self.pos_hi - self.pos_lo + 1
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class DecompositionTree:
     """Substitution-decomposition tree; a node with no children is a leaf
     standing for a single entry.
@@ -76,8 +73,19 @@ class DecompositionTree:
     sum's comb) costs no recursion.
     """
 
-    skeleton: Optional[Permutation]
-    children: tuple["DecompositionTree", ...] = ()
+    __slots__ = ("skeleton", "children")
+
+    def __init__(self, skeleton: Optional[Permutation], children: tuple = ()) -> None:
+        object.__setattr__(self, "skeleton", skeleton)
+        object.__setattr__(self, "children", children)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return DecompositionTree, (self.skeleton, self.children)
 
     @property
     def is_leaf(self) -> bool:
@@ -140,8 +148,7 @@ class DecompositionTree:
         return _fold(self, _tree_parts, lambda skel, kids: hash((skel, tuple(kids))))
 
 
-@dataclass(frozen=True)
-class QuadrantView:
+class QuadrantView(NamedTuple):
     """The four corner regions of a host relative to one of its intervals.
 
     Entries are (position, value) pairs in position order: ``beta`` is left

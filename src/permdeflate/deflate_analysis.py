@@ -22,7 +22,6 @@ builds on them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from importlib import resources
 from itertools import accumulate, product
@@ -77,8 +76,7 @@ STATUS_NON_DEFLATABLE = "non_deflatable"
 STATUS_DEFLATABLE = "deflatable"
 STATUS_UNKNOWN = "unknown"
 
-@dataclass(frozen=True)
-class EmbeddingTrace:
+class EmbeddingTrace(NamedTuple):
     """Stages of the embedding of a member into an indecomposable member.
 
     Corner-point construction: (w, w-with-anchor, doubled, linked); adding
@@ -94,8 +92,7 @@ class EmbeddingTrace:
         return self.stages[-1]
 
 
-@dataclass(frozen=True)
-class BreakReport:
+class BreakReport(NamedTuple):
     """One admissible break of the longest maximal interval: the cut slot,
     and the resulting extension (still in the class, indecomposable, with a
     strictly smaller interval measure)."""
@@ -110,8 +107,7 @@ class SimpleExtension(NamedTuple):
     chain: tuple[BreakReport, ...]
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     """Outcome of the principal-class classifier: a status, the rule that
     decided it, and the symmetry image on which the rule fired."""
 
@@ -124,8 +120,7 @@ class TheoremVerdict:
         return f"{self.status} ({self.rule} {label})" if label else f"{self.status} ({self.rule})"
 
 
-@dataclass(frozen=True)
-class BondCertificate:
+class BondCertificate(NamedTuple):
     """Evidence that a member extends to no simple member of its class:
     every required strip slot around ``bond`` is blocked."""
 
@@ -133,8 +128,7 @@ class BondCertificate:
     checked_slots: frozenset[Slot]
 
 
-@dataclass(frozen=True)
-class UncoveredMember:
+class UncoveredMember(NamedTuple):
     """A member with no simple extension within the search bound, plus the
     bond certificate for it if one exists."""
 
@@ -142,8 +136,7 @@ class UncoveredMember:
     certificate: Optional[BondCertificate]
 
 
-@dataclass(frozen=True)
-class EmpiricalReport:
+class EmpiricalReport(NamedTuple):
     pclass: PermClass
     cover_len: int
     search_len: int
@@ -302,10 +295,7 @@ def extend_to_simple(w: Permutation, c: PermClass, max_len: int) -> Optional[Sim
     if _is_simple(w.values):
         return SimpleExtension(w, ())
 
-    result = _greedy_extension(w, c, max_len)
-    if result is not None:
-        return result
-    return _bfs_extension(w, c, max_len)
+    return _greedy_extension(w, c, max_len) or _bfs_extension(w, c, max_len)
 
 
 def _greedy_extension(w: Permutation, c: PermClass, max_len: int) -> Optional[SimpleExtension]:
@@ -313,8 +303,7 @@ def _greedy_extension(w: Permutation, c: PermClass, max_len: int) -> Optional[Si
     if _is_decomposable(current.values):
         if len(c.basis) != 1 or c.basis[0].values in EMBED_EXCLUDED:
             return None
-        trace = embed_indecomposable(current, c.basis[0])
-        current = trace.result
+        current = embed_indecomposable(current, c.basis[0]).result
         if len(current) > max_len:
             return None
     chain: list[BreakReport] = []

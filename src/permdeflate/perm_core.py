@@ -45,11 +45,10 @@ pattern length is bounded only by ``MAX_LENGTH``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 #: Largest supported permutation length.  Everything this package is used
 #: for lives far below this bound (the longest bundled witness has length
@@ -83,7 +82,6 @@ def _validate_values(values: tuple[int, ...]) -> None:
         seen[v] = True
 
 
-@dataclass(frozen=True)
 class Permutation:
     """A permutation of {1, ..., n} in one-line notation.
 
@@ -93,12 +91,25 @@ class Permutation:
     1
     """
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.values, tuple):
-            object.__setattr__(self, "values", tuple(self.values))
+    def __init__(self, values: Sequence[int]) -> None:
+        object.__setattr__(self, "values", tuple(values))
         _validate_values(self.values)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Permutation, (self.values,)
+
+    def __eq__(self, other: object) -> bool:
+        return self.values == other.values if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -113,15 +124,13 @@ class Permutation:
         return f"Permutation({self})"
 
 
-@dataclass(frozen=True)
-class Occurrence:
+class Occurrence(NamedTuple):
     """Positions (1-based, strictly increasing) of a pattern inside a host."""
 
     positions: tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True)
-class Slot:
+class Slot(NamedTuple):
     """Coordinates of a one-point insertion.
 
     ``pos_slot`` in 1..n+1 puts the new entry immediately before that
@@ -133,8 +142,7 @@ class Slot:
     val_slot: int
 
 
-@dataclass(frozen=True)
-class Bond:
+class Bond(NamedTuple):
     """Two adjacent entries that are also consecutive in value.
 
     ``left_pos`` is the 1-based position of the left entry, ``low_value``
@@ -234,15 +242,14 @@ def format_permutation(p: Permutation) -> str:
 def contains(pattern: Permutation, host: Permutation) -> Optional[Occurrence]:
     """Find the position-lexicographically least occurrence of ``pattern``.
 
-    Returns None when the host avoids the pattern.
+    Returns None when the host avoids the pattern, which ``_contains_mrv``
+    decides first: the left-to-right search is exponential on a long absent one.
 
     >>> contains(parse_permutation("312"), parse_permutation("2531647"))
     Occurrence(positions=(2, 3, 6))
     """
-    occ = _find_occurrence(pattern.values, host.values)
-    if occ is None:
-        return None
-    return Occurrence(tuple(i + 1 for i in occ))
+    occ = _contains_mrv(pattern.values, host.values) and _find_occurrence(pattern.values, host.values)
+    return Occurrence(tuple(i + 1 for i in occ)) if occ else None
 
 
 def apply_symmetry(p: Permutation, sym: Symmetry) -> Permutation:
@@ -397,8 +404,8 @@ def _find_occurrence(pat: tuple[int, ...], host: tuple[int, ...]) -> Optional[li
 
     Depth-first search choosing host positions left to right; the first
     complete assignment found is automatically the lexicographic minimum.
-    Only ``contains()`` needs positions; existence tests use
-    ``_search_kernel``.
+    Only ``contains()`` needs positions, and asks once ``_contains_mrv``
+    finds an occurrence; existence tests use ``_search_kernel``.
     """
     k, n = len(pat), len(host)
     if k > n:

@@ -37,7 +37,6 @@ turns one witness into an infinite family of deflatable principal classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional, Union
 
@@ -69,8 +68,7 @@ _FAMILY_PATTERN = Permutation((2, 5, 1, 3, 6, 4))
 _FAMILY_WITNESS = Permutation((2, 5, 1, 7, 3, 4, 8, 6))
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     class_basis: tuple[Permutation, ...]
     witness: Permutation
     certificate: BondCertificate
@@ -85,8 +83,7 @@ class FamilyCheck(NamedTuple):
     verified: bool
 
 
-@dataclass(frozen=True)
-class CorpusRowResult:
+class CorpusRowResult(NamedTuple):
     basis: Permutation
     witness: Permutation
     in_class: bool

@@ -73,6 +73,38 @@ def test_basis_normalisation():
         PermClass(())
 
 
+def _occurs(pattern: Permutation, host: Permutation) -> bool:
+    """Does ``pattern`` occur in ``host``?  By itertools subsequences."""
+    return any(_pattern_of(s) == pattern.values for s in itertools.combinations(host.values, len(pattern)))
+
+
+def test_basis_normalisation_matches_an_itertools_minimal_basis():
+    rng = random.Random(3402)
+    dropped = kept_several = 0
+    for _ in range(400):
+        lengths = [rng.randint(1, 6) for _ in range(rng.randint(2, 4))]
+        items = [Permutation(tuple(rng.sample(range(1, k + 1), k))) for k in lengths]
+        distinct = sorted(set(items), key=lambda b: (len(b), b.values))
+        expected = [b for b in distinct if not any(o != b and _occurs(o, b) for o in distinct)]
+        assert PermClass(tuple(items)).basis == tuple(expected), items
+        dropped += len(expected) < len(distinct)
+        kept_several += len(expected) > 1
+    assert dropped > 50 and kept_several > 50
+
+
+def test_basis_minimality_asks_no_nest_on_a_long_rigid_element(monkeypatch):
+    # a nest proving that the length-1 024 alternation avoids 321 is cubic
+    # (1.65 s; about 115 s at length 4 096); the forward check is not
+    def no_nest(*args):
+        raise AssertionError("basis minimality asked a nest kernel")
+
+    monkeypatch.setattr(perm_core, "_search_kernel", no_nest)
+    monkeypatch.setattr(class_engine, "_contains_any", no_nest)
+    alternation = witness.parallel_alternation(1024)
+    assert PermClass((alternation, P("321"))).basis == (P("321"), alternation)
+    assert PermClass((alternation, P("21"))).basis == (P("21"),)
+
+
 def test_the_tree_checks_the_length_bound_for_every_walker():
     # one check in ``_class_levels``: the same message from each walker
     c = PermClass.of("12", "21")

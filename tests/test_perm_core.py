@@ -150,6 +150,32 @@ def test_contains_singleton_and_absent():
     assert brute_contains(P("2413"), P("3142")) is False
 
 
+def test_contains_decides_absence_before_the_least_occurrence_search(monkeypatch):
+    # the left-to-right search took 6-13 s on each absent case of this
+    # recipe; the forward check decides each in well under a second
+    calls = []
+    find = perm_core._find_occurrence
+
+    def spy(pat, host):
+        calls.append(pat)
+        assert len(pat) < 20, "an absent pattern was searched left to right"
+        return find(pat, host)
+
+    monkeypatch.setattr(perm_core, "_find_occurrence", spy)
+    absent = 0
+    for seed in range(15):
+        rng = random.Random(seed)
+        pattern = Permutation(tuple(rng.sample(range(1, 21), 20)))
+        host = Permutation(tuple(rng.sample(range(1, 102), 101)))
+        if perm_core._contains_mrv(pattern.values, host.values):
+            continue  # present: the least occurrence is still searched left to right
+        assert contains(pattern, host) is None
+        absent += 1
+    assert absent == 13 and calls == []
+    occ = contains(P("312"), P("2531647"))
+    assert occ.positions == (2, 3, 6) and len(calls) == 1
+
+
 def test_contains_matches_brute_force_randomised():
     rng = random.Random(99)
     for _ in range(300):
