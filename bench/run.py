@@ -18,8 +18,9 @@ The record holds:
 * ``repeat``, ``tiny`` and ``machine`` (Python, platform, CPU count);
 * ``end_to_end_s``: the five end-to-end cases of the roadmap's north star,
   the public ``bond_certificate`` of the longest corpus row (the
-  ``witness check`` request) and ``find_witnesses(Av(146523), 9, 1)``, the
-  unit of work of a census of the open classes;
+  ``witness check`` request), ``find_witnesses(Av(146523), 9, 1)``, the
+  unit of work of a census of the open classes, and ``find_witnesses`` on
+  the four open length-5 classes to length 8, one after another;
 * ``certificate_walk_s``: the bond certificate walk of each of the four
   parallel-alternation corpus rows, keyed by basis length and witness
   length;
@@ -126,6 +127,8 @@ def end_to_end_cases(tiny: bool) -> dict:
     cover = (6, 10) if not tiny else (4, 6)
     extend = 12 if not tiny else 9
     census = 9 if not tiny else 6
+    open5 = [PermClass.of(b) for b in ("25314", "24153", "23514", "24513")]
+    open5_len = 8 if not tiny else 5
     return {
         "verify_paper": lambda: _quiet_cli(["verify-paper"]),
         "empirical_av2413": lambda: empirical_deflatability(PermClass.of("2413"), *cover),
@@ -136,6 +139,7 @@ def end_to_end_cases(tiny: bool) -> dict:
         "classify_all_bases": lambda: [classify_principal(b) for b in bases],
         "certificate_longest_witness": lambda: bond_certificate(longest, grid_class),
         "find_witnesses_av146523": lambda: find_witnesses(PermClass.of("146523"), census, 1),
+        "find_witnesses_open5_l8": lambda: [find_witnesses(c, open5_len, 1) for c in open5],
     }
 
 

@@ -116,8 +116,10 @@ def _top_test(c: PermClass) -> Callable[[tuple[int, ...], int, int], int]:
     ``_top_kernel`` of each basis element, each taking the mask the one
     before left open, until the mask is 0; a kernel whose pattern is too
     long for the member leaves the mask as it is.  Valid only for slots
-    ``vals`` inherits open.  ``find_witnesses`` asks it a bond's top strip
-    cell before walking the bond's strips with ``_slot_test``."""
+    ``vals`` inherits open.  ``_shut_bonds`` asks it once per member of
+    the witness scan's last level, with the bonds whose top strip cells
+    are inherited open, before a bond's strips are walked with
+    ``_slot_test``."""
     tests = [_top_kernel(b.values) for b in c.basis]
     if len(tests) == 1:
         return tests[0]
@@ -225,6 +227,52 @@ def _candidates(level: _Level) -> Iterator[tuple[tuple[int, ...], int, int]]:
         for s in range(pm.bit_length()):
             if pm >> s & 1:
                 yield p[:s] + top + p[s:], s, (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
+
+
+def _shut_bonds(
+    level: _Level, after: Optional[_Level], top: Callable[[tuple[int, ...], int, int], int]
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(vals, shut) for each member of one ``_class_levels`` level with a
+    shut bond, in order.  Bit i of ``shut`` marks a bond, entries i - 1
+    and i of consecutive values, that a new maximum cannot split (slot i
+    is blocked), or the bond of the member's maximum n with n - 1, whose
+    top strip cell a certificate exempts.  A member's bonds are read off
+    its parent p's, found once per parent: the child at slot s keeps
+    those below s, and those past it one bit up, and its maximum makes a
+    new one with n - 1 when the two are adjacent, at bit s or s + 1.  With
+    ``after``, the next level, a kept bond's slot is read off
+    ``after.masks``, whose parents are this level's members in the same
+    order, already built.  Without it, ``top``, the class's
+    ``_top_test``, is asked once per member with the kept bonds the
+    member inherits open, and only a member with a bond is built."""
+    n = len(level.parents[0]) + 1 if level else 0
+    entry = (n,)
+    j = -1
+    for p, pm in zip(level.parents, level.masks):
+        bonds, prev = 0, -1
+        for b, v in enumerate(p):
+            if v - prev in (1, -1):
+                bonds |= 1 << b
+            prev = v
+        t = p.index(n - 1) if n > 1 else -2  # -2 is next to no slot
+        rest = pm
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            s = low.bit_length() - 1
+            j += 1
+            kept = (bonds & (low - 1)) | ((bonds >> (s + 1)) << (s + 2))
+            new = 2 << t if s - 1 <= t <= s else 0
+            if after is not None:
+                shut = kept & ~after.masks[j] | new
+                if shut:
+                    yield after.parents[j], shut
+            elif kept or new:
+                vals = p[:s] + entry + p[s:]
+                ask = kept & ((pm & ((low << 1) - 1)) | ((pm >> s) << (s + 1)))
+                shut = (kept & ~top(vals, s, ask) if ask else kept) | new
+                if shut:
+                    yield vals, shut
 
 
 def _simple_members(level: _Level) -> list[tuple[int, ...]]:

@@ -19,14 +19,13 @@ already blocks, and asks the kernels once per occurrence, not once per
 cell.  The ``ShadingGrid``, which asks each cell it is given, serves
 only the ``shade`` command and ``inflation_family``.
 
-Each tree level is kept as its parents and their open-slot masks, and
-``_candidates`` builds each member with the slots it inherits open, so
-``find_witnesses`` walks a member's bonds one by one: it settles each
-bond's top strip cell by inheritance or by ``_top_test`` asked with that
-slot's one bit, and hands only a bond whose top cell is blocked to the
-per-bond walk ``_strips_locked``.  Its slot and top tests hold every
-basis element: each kernel refuses a member too short for its pattern,
-and one too long to fire builds in a fixed number of lines.
+``find_witnesses`` walks a bond only when the top cell of its vertical
+strip, a new maximum, is not open, as ``class_engine._shut_bonds``
+reports: it reads each member's bonds off its parent's, and their top
+cells off the next level's open-slot masks, or off one ``_top_test``
+call per member on the search's last length.  Its slot and top tests
+hold every basis element: each kernel refuses a member too short for
+its pattern, and one too long to fire builds in a fixed number of lines.
 
 The bundled corpus (``deflate_analysis.load_corpus``) ships fourteen
 published witness rows (ten sporadic classes and four parallel
@@ -44,8 +43,8 @@ from .perm_core import MAX_LENGTH, Bond, Permutation, inflate
 from .class_engine import (
     PermClass,
     ShadingGrid,
-    _candidates,
     _class_levels,
+    _shut_bonds,
     _slot_test,
     _top_test,
     avoids,
@@ -117,15 +116,15 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
     tests raw tuples with the class's slot test, as ``bond_certificate``
     does after its membership guard, and finds the same certificates.
 
-    Bonds are walked one by one, left to right.  A bond at left position i
-    with low value w first has the top cell of its vertical strip,
-    (i + 1, n + 1), settled from ``cand``, the slots the member inherits
-    open, read off its parent's mask by ``_candidates``: exempt when
-    w + 2 > n, blocked when bit i of ``cand`` is clear, else decided by
-    ``_top_test`` with the one-bit mask ``1 << i``, whose precondition an
-    open parent slot meets.  Only then does ``_strips_locked`` walk the
-    bond.  A basis element longer than ``max_len`` + 1 is never met by
-    one new entry, and its kernels refuse every member at once."""
+    The scan runs one level behind ``_class_levels`` and walks only the
+    bonds ``_shut_bonds`` reports: those whose top strip cell, (i + 1,
+    n + 1), is blocked, and the bond of n with n - 1, whose w + 2 > n
+    exempts that cell.  Any other bond fails at its top cell.  A witness
+    found at a length n below ``max_len`` comes after the tree has built
+    the masks of length n + 1.  ``_strips_locked`` walks the bonds left
+    to right, as ``_locked_strips`` does.  A basis element longer than
+    ``max_len`` + 1 is never met by one new entry, and its kernels refuse
+    every member at once."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
     bound = max_len + 2
@@ -137,24 +136,19 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
     reports: list[WitnessReport] = []
     blocked = _slot_test(c)
     top = _top_test(c)
-    for n, level in enumerate(_class_levels(c, max_len), start=1):
-        for vals, s, cand in _candidates(level):
-            # the bonds (i, kind, w) left to right, as ``_bond_scan`` finds
-            # them but without a generator per member
-            a = vals[0]
-            for i in range(1, n):
-                b = vals[i]
-                if b == a + 1:
-                    kind, w = "increasing", a
-                elif a == b + 1:
-                    kind, w = "decreasing", b
-                else:
-                    a = b
-                    continue
-                a = b
-                if w + 2 > n or not cand >> i & 1 or not top(vals, s, 1 << i):
-                    if _strips_locked(vals, blocked, i, w):
-                        break
+    levels = _class_levels(c, max_len)
+    level = next(levels)
+    for n in range(1, max_len + 1):
+        after = next(levels, None)  # None past max_len
+        for vals, walk in _shut_bonds(level, after, top):
+            while walk:
+                bit = walk & -walk
+                walk ^= bit
+                i = bit.bit_length() - 1
+                a, b = vals[i - 1], vals[i]
+                kind, w = ("increasing", a) if b == a + 1 else ("decreasing", b)
+                if _strips_locked(vals, blocked, i, w):
+                    break
             else:
                 continue
             member = Permutation(vals)
@@ -163,6 +157,7 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
             reports.append(WitnessReport(c.basis, member, _certificate(n, i, kind, w), bound))
             if len(reports) >= limit:
                 return reports
+        level = after
     return reports
 
 

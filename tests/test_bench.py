@@ -32,6 +32,7 @@ def test_a_tiny_record_has_the_documented_keys(tmp_path):
         "classify_all_bases",
         "certificate_longest_witness",
         "find_witnesses_av146523",
+        "find_witnesses_open5_l8",
     ]
     assert list(record["certificate_walk_s"]) == ["k8_n18", "k10_n24", "k12_n29", "k14_n35"]
     assert list(record["rigid_host_s"]) == ["runs3x4_cells2"]

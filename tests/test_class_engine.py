@@ -31,6 +31,7 @@ from permdeflate.class_engine import (
     _class_levels,
     _class_symmetries,
     _insertion_creates,
+    _shut_bonds,
     _simple_members,
     _slot_test,
     _top_test,
@@ -311,6 +312,31 @@ def test_candidates_and_top_cells_match_the_per_slot_tree(basis, max_len):
     assert _check_candidates(c, max_len) == {"inherited", "second pin"}
 
 
+@pytest.mark.parametrize(
+    "basis, max_len",
+    [("25314", 7), ("321", 7), ("2413,3142", 7), ("12", 5), ("1", 3), ("123,321", 6)],
+)
+def test_shut_bonds_match_a_per_member_scan(basis, max_len):
+    # each member's bonds read off its parent's, and their slots off the
+    # next level's masks or one top call on the last level, against every
+    # member scanned on its own: a bond with n - 1 is shut, and another is
+    # shut when a new maximum between its entries leaves the class
+    c = PermClass.of(*basis.split(","))
+    levels = list(_class_levels(c, max_len))
+    top = _top_test(c)
+    for n, level in enumerate(levels, start=1):
+        expected = []
+        for vals in level:
+            shut = 0
+            for i, _, w in _bond_scan(vals):
+                if w == n - 1 or not _avoids_raw(vals[:i] + (n + 1,) + vals[i:], c):
+                    shut |= 1 << i
+            if shut:
+                expected.append((vals, shut))
+        after = levels[n] if n < len(levels) else None
+        assert list(_shut_bonds(level, after, top)) == expected, (basis, n)
+
+
 @pytest.mark.parametrize("basis", ["1", "12,21", "12", "123,321"])
 def test_candidates_where_levels_empty_out_or_parents_have_no_open_slot(basis):
     # Av(1) is empty from length 1, Av(12, 21) from length 2 and Av(123, 321)
@@ -350,10 +376,12 @@ def test_a_level_reads_as_a_list_of_its_members():
 
 def test_the_last_level_is_never_built(monkeypatch):
     # the members ``_candidates`` yields are every member tuple a walker
-    # builds, apart from ``_simple_members``' survivors, which it builds
-    # from their parents: the counting walkers build each member of length
-    # bound - 1 once and none of the bound's length (``len`` is counted
-    # during the build), and the walkers that read every member see them all
+    # builds, apart from ``_simple_members``' survivors and the last-level
+    # members with a shut bond that ``_shut_bonds`` builds, both from their
+    # parents: the counting walkers and the witness scan build each member
+    # of length bound - 1 once and none of the bound's length (``len`` is
+    # counted during the build), and the walkers that read every member
+    # see them all
     c, bound = PermClass.of("2413"), 8
     sizes = [row[1] for row in count_profile(c, bound)]
     built = []
@@ -364,11 +392,11 @@ def test_the_last_level_is_never_built(monkeypatch):
             yield vals, s, cand
 
     monkeypatch.setattr(class_engine, "_candidates", recorded)
-    monkeypatch.setattr(witness, "_candidates", recorded)
     counting = (
         lambda: count_profile(c, bound),
         lambda: enumerate_simples(c, bound),
         lambda: empirical_deflatability(c, 5, bound),
+        lambda: find_witnesses(c, bound, 1),
     )
     for walk in counting:
         built.clear()
@@ -377,9 +405,7 @@ def test_the_last_level_is_never_built(monkeypatch):
     built.clear()
     assert len(list(enumerate_class(c, bound))) == sum(sizes)
     assert built.count(bound) == sizes[-1]
-    built.clear()
-    assert find_witnesses(c, bound, 1) == []  # no witness: it reads every member
-    assert built.count(bound) == sizes[-1]
+    assert find_witnesses(c, bound, 1) == []  # no witness: the scan read every level
 
 
 def test_the_top_test_with_two_pins_matches_the_slot_test_for_k_9_and_10():

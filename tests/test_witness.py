@@ -25,13 +25,20 @@ from permdeflate.perm_core import (
 from permdeflate.class_engine import (
     PermClass,
     ShadingGrid,
+    _candidates,
     _class_levels,
     _slot_test,
+    _top_test,
     avoids,
     enumerate_class,
     shading_grid,
 )
-from permdeflate.deflate_analysis import extend_to_simple, known_deflatable_bases
+from permdeflate.deflate_analysis import (
+    _certificate,
+    _strips_locked,
+    extend_to_simple,
+    known_deflatable_bases,
+)
 from permdeflate.witness import (
     bond_certificate,
     bond_strip_slots,
@@ -459,6 +466,112 @@ def test_find_witnesses_settles_top_cells_before_the_walk(monkeypatch):
     monkeypatch.setattr(witness, "_slot_test", counted)
     assert find_witnesses(PermClass.of("25314"), 7, 1) == []
     assert 0 < calls < 4500
+
+
+def _per_bond_witnesses(c, max_len, limit, walked=None):
+    """Test-local oracle: the per-member, per-bond scan.  Each member comes
+    from ``_candidates`` with the slots it inherits open; a bond's top
+    strip cell is exempt when w + 2 > n, else blocked when not inherited
+    open, else asked of ``_top_test`` with that slot's one bit.  A bond
+    whose top cell is not open goes to ``_strips_locked``, and is
+    appended to ``walked`` as (vals, i, w) if given.  No cross-check:
+    the first ``limit`` (witness, certificate, bound)."""
+    blocked, top = _slot_test(c), _top_test(c)
+    found = []
+    for n, level in enumerate(_class_levels(c, max_len), start=1):
+        for vals, s, cand in _candidates(level):
+            for i, kind, w in _bond_scan(vals):
+                if w + 2 > n or not cand >> i & 1 or not top(vals, s, 1 << i):
+                    if walked is not None:
+                        walked.append((vals, i, w))
+                    if _strips_locked(vals, blocked, i, w):
+                        found.append((Permutation(vals), _certificate(n, i, kind, w), max_len + 2))
+                        break
+            if len(found) == limit:
+                return found
+    return found
+
+
+_DIFFERENTIAL_CLASSES = (
+    "1",
+    "12",
+    "321",
+    "251364",
+    "2613475",
+    "2413,3142",
+    "25314",
+    "24153",
+    "23514",
+    "24513",
+)
+
+
+def test_find_witnesses_matches_the_per_bond_scan(monkeypatch):
+    # the scan reads each member's bonds off its parent's and its open
+    # slots off the next level: it must report what the per-bond scan does,
+    # on every length to 8 and every limit to 3
+    early = exempt = 0
+    for basis in _DIFFERENTIAL_CLASSES:
+        c = PermClass.of(*basis.split(","))
+        asked = []
+        with monkeypatch.context() as m:
+            if basis == "2413,3142":
+                # every simple permutation of length >= 4 contains 2413 or
+                # 3142, so the cross-check of a separable witness finds
+                # nothing, after seconds at length 10: record it instead
+                m.setattr(witness, "extend_to_simple", lambda p, c, bound: asked.append((p, bound)))
+            for max_len in range(1, 9):
+                expected = _per_bond_witnesses(c, max_len, 3)
+                for limit in (1, 2, 3):
+                    reports = find_witnesses(c, max_len, limit)
+                    got = [(r.witness, r.certificate, r.cross_check_bound) for r in reports]
+                    assert got == expected[:limit], (basis, max_len, limit)
+                    early += len(got) == limit and len(got[-1][0]) < max_len
+                    exempt += any(len(w) - 1 == cert.bond.low_value for w, cert, _ in got)
+                    if basis == "2413,3142":
+                        assert asked == [(w, bound) for w, _, bound in got]
+                        asked.clear()
+    # a limit reached below max_len, and a certificate on the (n - 1, n)
+    # bond, whose top strip cell is exempt, as Av(12)'s 3 2 1
+    assert early > 0 and exempt > 0
+    (w, cert, _), = _per_bond_witnesses(PermClass.of("12"), 8, 1)
+    assert (w, cert.bond) == (P("321"), Bond(1, "decreasing", 2))
+
+
+@pytest.mark.parametrize(
+    "basis, max_len, limit", [("25314", 7, 1), ("251364", 8, 2), ("321", 7, 1), ("12", 5, 3)]
+)
+def test_find_witnesses_asks_the_top_test_only_on_its_last_level(monkeypatch, basis, max_len, limit):
+    # below max_len the next level's masks settle every top strip cell; on
+    # the last level one call per member settles all of its bonds.  The
+    # bonds walked are the per-bond scan's, in its order
+    asked, walked = [], []
+    top_test = witness._top_test
+
+    def counted(c):
+        top = top_test(c)
+
+        def test(vals, s, cand):
+            asked.append(vals)
+            return top(vals, s, cand)
+
+        return test
+
+    def walk(vals, blocked, i, w):
+        walked.append((vals, i, w))
+        return _strips_locked(vals, blocked, i, w)
+
+    monkeypatch.setattr(witness, "_top_test", counted)
+    monkeypatch.setattr(witness, "_strips_locked", walk)
+    c = PermClass.of(basis)
+    find_witnesses(c, max_len, limit)
+    expected = []
+    _per_bond_witnesses(c, max_len, limit, expected)
+    assert walked == expected
+    assert {len(vals) for vals in asked} <= {max_len}
+    assert len(set(asked)) == len(asked)
+    # a member of Av(12) inherits no bond's slot open, so it asks none
+    assert (len(asked) > 0) == (basis != "12")
 
 
 @pytest.mark.parametrize("basis, max_len, limit, found", [("251364", 8, 2, 1), ("25314", 7, 1, 0)])
