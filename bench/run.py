@@ -21,6 +21,11 @@ The record holds:
   ``witness check`` request), ``find_witnesses(Av(146523), 9, 1)``, the
   unit of work of a census of the open classes, and ``find_witnesses`` on
   the four open length-5 classes to length 8, one after another;
+* ``counts``: for ``verify_paper`` and ``extend_25173486_av251364``,
+  ``bfs_slot_tests``, the slot tests the breadth-first search for a simple
+  extension makes in one untimed run of the case: the calls of
+  ``deflate_analysis._insertion_creates``, which the search asks through
+  its module global, counted by a wrapper put there for the run;
 * ``certificate_walk_s``: the bond certificate walk of each of the four
   parallel-alternation corpus rows, keyed by basis length and witness
   length;
@@ -43,6 +48,12 @@ The record holds:
 * ``src_lines``: the lines of ``src/permdeflate/*.py`` in total, in
   docstrings, and of code (not blank, not only a comment, not a
   docstring).
+
+To compare two records, compare ``counts`` exactly: they repeat from run
+to run, so a change in them is a change in the work done.  Compare times
+divided by ``reference_s``, and only between parent and change runs made
+alternately on the same machine: a time alone cannot tell a 20% change
+from noise.
 """
 
 from __future__ import annotations
@@ -66,7 +77,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from permdeflate import cli  # noqa: E402
+from permdeflate import cli, deflate_analysis  # noqa: E402
 from permdeflate.class_engine import PermClass, ShadingGrid, _slot_test  # noqa: E402
 from permdeflate.deflate_analysis import (  # noqa: E402
     _locked_strips,
@@ -91,6 +102,7 @@ KEYS = (
     "machine",
     "reference_s",
     "end_to_end_s",
+    "counts",
     "certificate_walk_s",
     "rigid_host_s",
     "kernel_build_s",
@@ -141,6 +153,29 @@ def end_to_end_cases(tiny: bool) -> dict:
         "find_witnesses_av146523": lambda: find_witnesses(PermClass.of("146523"), census, 1),
         "find_witnesses_open5_l8": lambda: [find_witnesses(c, open5_len, 1) for c in open5],
     }
+
+
+#: The end-to-end cases whose breadth-first search ``counts`` records.
+COUNTED = ("verify_paper", "extend_25173486_av251364")
+
+
+def bfs_slot_tests(fn) -> int:
+    """The calls of ``deflate_analysis._insertion_creates`` in one call of
+    ``fn``, counted by a wrapper that stands in for it meanwhile."""
+    calls = 0
+    original = deflate_analysis._insertion_creates
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    deflate_analysis._insertion_creates = counting
+    try:
+        fn()
+    finally:
+        deflate_analysis._insertion_creates = original
+    return calls
 
 
 def certificate_walks() -> dict:
@@ -245,13 +280,15 @@ def machine() -> dict:
 def bench(repeat: int, tiny: bool = False) -> dict:
     """One record: every case timed as the best of ``repeat`` runs."""
     rigid_name, rigid = rigid_host(tiny)
+    cases = end_to_end_cases(tiny)
     before = best_of(repeat, reference)
     record = {
         "repeat": repeat,
         "tiny": tiny,
         "machine": machine(),
         "reference_s": {"before": before},
-        "end_to_end_s": {name: best_of(repeat, fn) for name, fn in end_to_end_cases(tiny).items()},
+        "end_to_end_s": {name: best_of(repeat, fn) for name, fn in cases.items()},
+        "counts": {name: {"bfs_slot_tests": bfs_slot_tests(cases[name])} for name in COUNTED},
         "certificate_walk_s": {name: best_of(repeat, fn) for name, fn in certificate_walks().items()},
         "rigid_host_s": {rigid_name: best_of(repeat, rigid)},
         "kernel_build_s": {name: best_of(repeat, fn) for name, fn in kernel_builds().items()},

@@ -280,12 +280,15 @@ def extend_to_simple(w: Permutation, c: PermClass, max_len: int) -> Optional[Sim
     Strategy: embed into an indecomposable member when the class is
     principal, then break the longest interval greedily (each break is
     guaranteed progress); if that stalls or overshoots, fall back to a
-    breadth-first search over one-point extensions.  It skips only cells
-    whose parent image is blocked, which are blocked too, and on its last
-    level slots whose children cannot be simple, so it misses no simple
-    extension, and an absent result genuinely means no simple extension
-    within ``max_len``.  Raises ``ValueError`` when ``w`` is not a member,
-    or ``max_len`` is below its length or above ``MAX_LENGTH``.
+    breadth-first search over one-point extensions.  Below its last level
+    it tries only the slots that split each member's first bond, through
+    which every simple extension of the least length is still reached; it
+    skips cells whose parent image is blocked, which are blocked too; and
+    on its last level it skips slots whose children cannot be simple.  So
+    it misses no least simple extension, and an absent result genuinely
+    means no simple extension within ``max_len``.  Raises ``ValueError``
+    when ``w`` is not a member, or ``max_len`` is below its length or above
+    ``MAX_LENGTH``.
     """
     if not avoids(w, c):
         raise ValueError(f"{w} is not a member of {c}")
@@ -323,42 +326,52 @@ def _bfs_extension(w: Permutation, c: PermClass, max_len: int) -> Optional[Simpl
     extensions, at the shortest length in len(w)+1..max_len that has one;
     else None.
 
-    Every level but the last tries every slot of every frontier member.  The
-    last (children of length max_len) tries only the slots that cut every
-    bond of the parent.  Any other slot either leaves a bond intact, or is
-    the crossing cell of the bond or one of the four cells next to it, where
-    the new entry and the bond form an interval of size 3.  Either way the
-    child is not simple: the interval is proper from length 4 on, and no
-    permutation of length 3 is simple.  So the last level has the same
-    simple children, and the same least one, as the full grid.  Earlier
-    levels keep every slot: a child that keeps a bond may split it later.
-    Each slot is tested on its parent, so only the children kept are built.
+    Every level but the last breaks the first bond of each frontier member:
+    a member with a bond tries only the slots between its two entries, in
+    position or in value (``_first_bond_slots``), and a member without one
+    tries every slot.  This misses no simple member of the least length m
+    that contains ``w``.  Take one, sigma, and add the points of sigma not
+    in ``w`` one at a time.  Each partial permutation is a member, as the
+    class is downward closed.  If it has no bond, any next point is tried.
+    If it has one, sigma (simple, of length at least 3) has none, so some
+    point of sigma not yet added lies strictly between the bond's two
+    entries in position or in value: add that point next.  So every simple
+    member of length m is reached, and the least of them is the one the
+    full grid would return.
+
+    The last level (children of length max_len) tries only the slots that
+    cut every bond of the parent.  Any other slot either leaves a bond
+    intact, or is the crossing cell of the bond or one of the four cells
+    next to it, where the new entry and the bond form an interval of size
+    3.  Either way the child is not simple: the interval is proper from
+    length 4 on, and no permutation of length 3 is simple.  So the last
+    level has the same simple children as the full grid.  Each slot is
+    tested on its parent, so only the children kept are built.
 
     Inheritance: deleting the new entry of a member made at slot (p1, v1)
     maps its cell (ps, vs) to the parent's (ps - [ps > p1], vs - [vs > v1]),
     and a cell whose parent image is blocked is blocked.  ``frontier`` maps
-    each member to its record (p1, v1, the parent's open cells), and only
-    cells with an open image are tested; the root has no record.  The cells
-    that test open are the member's own open set, shared by its children.
-    A child reached from two parents keeps the first record: either is
-    sound.  The last level's children are never expanded.
+    each member to its record (p1, v1, the cells its parent found blocked),
+    and a cell whose image is among them is not tested; the root has no
+    record.  A parent tests only some of its cells, so the record carries
+    the blocked ones: a cell over an untested one is tested.  A child
+    reached from two parents keeps the first record: either is sound.  The
+    last level's children are never expanded.
     """
     frontier: dict = {w.values: None}
     for n in range(len(w), max_len):
         nxt: dict = {}
         for vals, record in frontier.items():
-            if n + 1 < max_len:
-                slots = product(range(1, n + 2), repeat=2)
-            else:
-                slots = _bond_splitting_slots(vals)
+            slots = _first_bond_slots(vals) if n + 1 < max_len else _bond_splitting_slots(vals)
             if record is not None:
                 p1, v1, inherited = record
-                slots = [(ps, vs) for ps, vs in slots if (ps - (ps > p1), vs - (vs > v1)) in inherited]
-            opened: set = set()
+                slots = [(ps, vs) for ps, vs in slots if (ps - (ps > p1), vs - (vs > v1)) not in inherited]
+            closed: set = set()
             for ps, vs in slots:
-                if not _insertion_creates(c, vals, ps, vs):
-                    opened.add((ps, vs))
-                    nxt.setdefault(_insert_raw(vals, ps, vs), (ps, vs, opened))
+                if _insertion_creates(c, vals, ps, vs):
+                    closed.add((ps, vs))
+                else:
+                    nxt.setdefault(_insert_raw(vals, ps, vs), (ps, vs, closed))
         for child in sorted(nxt):
             if _is_simple(child):
                 return SimpleExtension(Permutation(child), ())
@@ -366,6 +379,18 @@ def _bfs_extension(w: Permutation, c: PermClass, max_len: int) -> Optional[Simpl
         if not frontier:
             return None
     return None
+
+
+def _first_bond_slots(vals: tuple[int, ...]) -> Iterable[tuple[int, int]]:
+    """(pos_slot, val_slot) of each slot of ``vals`` strictly between the
+    entries of its first bond (``_bond_scan`` order) in position, the column
+    pos_slot = i + 1, or in value, the row val_slot = lo + 1: 2n + 1 slots.
+    The whole grid when there is no bond."""
+    n = len(vals)
+    for i, _, lo in _bond_scan(vals):
+        column = [(i + 1, vs) for vs in range(1, n + 2)]
+        return column + [(ps, lo + 1) for ps in range(1, n + 2) if ps != i + 1]
+    return product(range(1, n + 2), repeat=2)
 
 
 def _bond_splitting_slots(vals: tuple[int, ...]) -> Iterable[tuple[int, int]]:

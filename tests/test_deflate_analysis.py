@@ -23,6 +23,7 @@ from permdeflate.perm_core import (
     _bond_scan,
     _contains_any,
     _insert_raw,
+    _pattern_of,
 )
 from permdeflate.decomposition import (
     is_simple,
@@ -64,6 +65,7 @@ from permdeflate.deflate_analysis import (
     _bfs_extension,
     _corner_point_stages,
     _ddagger_raw,
+    _first_bond_slots,
     _form_1n2,
     _has_bond,
     _locked_strips,
@@ -341,15 +343,19 @@ def _unpruned_bfs(w, c, max_len):
     return None
 
 
-def _bfs_without_inheritance(w, c, max_len):
-    """Reference for ``_bfs_extension``'s inheritance: the same levels and
-    last-level pruning, but every cell of every frontier member is tested,
-    including those whose parent image is blocked."""
+def _bfs_without_inheritance(w, c, max_len, first_bond=True):
+    """Reference for ``_bfs_extension``'s inheritance: the same levels, the
+    same first-bond rule and last-level pruning, but every such cell of
+    every frontier member is tested, including those whose parent image is
+    blocked.  With ``first_bond=False`` every level but the last tries the
+    whole grid: the search before the first-bond rule."""
     frontier = {w.values}
     for n in range(len(w), max_len):
         nxt = set()
         for vals in frontier:
-            if n + 1 < max_len:
+            if n + 1 < max_len and first_bond:
+                slots = deflate_analysis._first_bond_slots(vals)
+            elif n + 1 < max_len:
                 slots = itertools.product(range(1, n + 2), repeat=2)
             else:
                 slots = deflate_analysis._bond_splitting_slots(vals)
@@ -367,7 +373,8 @@ def _bfs_without_inheritance(w, c, max_len):
 
 def test_bfs_matches_the_search_without_inheritance(monkeypatch):
     # the same result, and the same open cells found: inheritance skips
-    # only blocked cells, so every open cell is still tested
+    # only blocked cells, so every open cell is still tested; and the same
+    # result as the search that tries the whole grid below the last level
     got, want = set(), set()
 
     def recording(opened, creates=class_engine._insertion_creates):
@@ -394,6 +401,7 @@ def test_bfs_matches_the_search_without_inheritance(monkeypatch):
                 res = _bfs_extension(w, c, bound)
                 assert res == _bfs_without_inheritance(w, c, bound), (c, w, bound)
                 assert got == want, (c, w, bound)
+                assert res == _bfs_without_inheritance(w, c, bound, first_bond=False), (c, w, bound)
                 found += res is not None
                 cases += 1
     # 648 of the 900 cases have a simple extension
@@ -422,9 +430,61 @@ def test_a_cell_whose_parent_image_is_blocked_is_blocked():
     assert checked > 20_000
 
 
+def test_a_simple_permutation_splits_the_first_bond_of_each_part():
+    # the lemma behind _bfs_extension's first-bond rule, by brute force: in
+    # a simple permutation of length 4-7, every proper part of length >= 3
+    # with a bond leaves out a point strictly between the first bond's two
+    # entries in position or in value, else they would be a bond of the
+    # whole; and adding any such point to the part lands in one of the
+    # part's first-bond slots
+    checked = 0
+    for n in range(4, 8):
+        for sigma in itertools.permutations(range(1, n + 1)):
+            if not _is_simple(sigma):
+                continue
+            for k in range(3, n):
+                for kept in itertools.combinations(range(n), k):
+                    part = _pattern_of([sigma[q] for q in kept])
+                    bond = next(_bond_scan(part), None)
+                    if bond is None:
+                        continue
+                    left, right = kept[bond[0] - 1], kept[bond[0]]
+                    lo, hi = sorted((sigma[left], sigma[right]))
+                    between = [q for q in range(n) if left < q < right or lo < sigma[q] < hi]
+                    assert between, (sigma, kept)
+                    slots = set(_first_bond_slots(part))
+                    for q in between:
+                        ps = 1 + sum(r < q for r in kept)
+                        vs = 1 + sum(sigma[r] < sigma[q] for r in kept)
+                        assert (ps, vs) in slots, (sigma, kept, q)
+                    checked += 1
+    assert checked > 20_000
+
+
+def test_bfs_breaks_first_bonds_on_two_levels():
+    # at len(w) + 3 the first-bond rule applies to the root and to its
+    # children; few members of a principal class get that far, so six
+    # two-element bases, whose members often have no simple extension
+    # within two points, join the oracle's eight classes
+    bases = [(b,) for b in ("321", "2413", "3142", "4321", "25314", "251364", "1234", "2143")]
+    bases += [("3142", "2314"), ("4132", "2314"), ("1342", "2431"), ("1423", "4132")]
+    bases += [("2413", "2134"), ("2413", "2341")]
+    deep = 0
+    for basis in bases:
+        c = PermClass.of(*basis)
+        for w in enumerate_class(c, 4):
+            if len(w) >= 3:
+                bound = len(w) + 3
+                res = _bfs_extension(w, c, bound)
+                assert res == _unpruned_bfs(w, c, bound), (basis, w)
+                deep += res is None or len(res.simple) == bound
+    assert deep >= 60
+
+
 def test_bfs_tests_only_cells_with_an_open_parent_image(monkeypatch):
-    # the k = 10 corpus row to length 26 takes 674 slot tests; the search
-    # without inheritance makes 16 675, nearly all re-proving its certificate
+    # the k = 10 corpus row to length 26 takes 97 slot tests; the search
+    # without inheritance makes 141, and with the whole grid below the last
+    # level they were 674 and 16 675, nearly all re-proving its certificate
     calls = []
     creates = deflate_analysis._insertion_creates
 
@@ -436,7 +496,7 @@ def test_bfs_tests_only_cells_with_an_open_parent_image(monkeypatch):
     c = PermClass.of("2 4 6 8 10 1 3 5 7 9")
     w = P("2 7 10 13 4 16 9 18 6 20 8 22 24 14 15 11 1 19 21 3 23 5 12 17")
     assert _bfs_extension(w, c, 26) is None
-    assert 0 < len(calls) <= 1000
+    assert 0 < len(calls) <= 110
 
 
 @pytest.mark.parametrize("basis", ["321", "2413", "3142", "4321", "25314", "251364", "1234", "2143"])
