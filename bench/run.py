@@ -26,6 +26,11 @@ The record holds:
   extension makes in one untimed run of the case: the calls of
   ``deflate_analysis._insertion_creates``, which the search asks through
   its module global, counted by a wrapper put there for the run;
+* ``peak_kib``: for ``empirical_av2413`` and ``find_witnesses_av146523``,
+  the ``tracemalloc`` peak, in KiB, of one untimed run of the case, the
+  memory the case allocates past what the process already holds, mostly
+  the generating tree's levels; ``tracemalloc`` slows what it traces
+  several-fold, so it never wraps a timed run;
 * ``certificate_walk_s``: the bond certificate walk of each of the four
   parallel-alternation corpus rows, keyed by basis length and witness
   length;
@@ -49,7 +54,8 @@ The record holds:
   docstrings, and of code (not blank, not only a comment, not a
   docstring).
 
-To compare two records, compare ``counts`` exactly: they repeat from run
+To compare two records, compare ``counts`` exactly and ``peak_kib`` to a
+few KiB: they repeat from run
 to run, so a change in them is a change in the work done.  Compare times
 divided by ``reference_s``, and only between parent and change runs made
 alternately on the same machine: a time alone cannot tell a 20% change
@@ -70,6 +76,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from functools import partial
 from itertools import permutations
 from pathlib import Path
@@ -103,6 +110,7 @@ KEYS = (
     "reference_s",
     "end_to_end_s",
     "counts",
+    "peak_kib",
     "certificate_walk_s",
     "rigid_host_s",
     "kernel_build_s",
@@ -176,6 +184,20 @@ def bfs_slot_tests(fn) -> int:
     finally:
         deflate_analysis._insertion_creates = original
     return calls
+
+
+#: The end-to-end cases whose memory ``peak_kib`` records.
+TRACED = ("empirical_av2413", "find_witnesses_av146523")
+
+
+def peak_kib(fn) -> int:
+    """The ``tracemalloc`` peak, in KiB, of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] // 1024
+    finally:
+        tracemalloc.stop()
 
 
 def certificate_walks() -> dict:
@@ -289,6 +311,7 @@ def bench(repeat: int, tiny: bool = False) -> dict:
         "reference_s": {"before": before},
         "end_to_end_s": {name: best_of(repeat, fn) for name, fn in cases.items()},
         "counts": {name: {"bfs_slot_tests": bfs_slot_tests(cases[name])} for name in COUNTED},
+        "peak_kib": {name: peak_kib(cases[name]) for name in TRACED},
         "certificate_walk_s": {name: best_of(repeat, fn) for name, fn in certificate_walks().items()},
         "rigid_host_s": {rigid_name: best_of(repeat, rigid)},
         "kernel_build_s": {name: best_of(repeat, fn) for name, fn in kernel_builds().items()},

@@ -13,11 +13,11 @@ maximum completes also uses the member's own maximum, so the two play the
 basis element's values k and k - 1 and only k - 2 indices are free
 (``perm_core._top_kernel``, one call per member: it takes the inherited
 open mask and returns the open one, and each occurrence it finds blocks
-its whole range of slots).  Each level is kept as its parents and their
-masks, so a level's members are built once, as the next level's parents,
-and the last level's only when a caller iterates it.  A kernel refuses a
-member too short for its pattern, so the slot and top tests hold every
-basis element and take no length bound.
+its whole range of slots).  A level keeps the members two lengths down,
+and a walker rebuilds a parent only with one of its children, so no
+level holds the members one length short.  A kernel refuses a member too
+short for its pattern, so the slot and top tests hold every basis
+element and take no length bound.
 """
 
 from __future__ import annotations
@@ -134,18 +134,27 @@ def _top_test(c: PermClass) -> Callable[[tuple[int, ...], int, int], int]:
     return top
 
 
+class _SetBits(dict):
+    """mask -> the set bits of the mask, low to high, each found once: one
+    walk of the tree meets few distinct masks."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        bits = self[mask] = tuple(b for b in range(mask.bit_length()) if mask >> b & 1)
+        return bits
+
+
 class _Level:
-    """One length's members, as ``_class_levels`` yields them, kept as
-    ``parents``, the members of the level before, in order, and ``masks``,
-    each parent's open-slot mask.  The members are one run of children per
-    parent, one per set bit of its mask, and are built only when the level
-    is iterated, by ``_candidates``; ``len`` is counted when the tree
-    builds the level."""
+    """One length n's members, as ``_class_levels`` yields them, kept as
+    ``grandparents``, the members of length n - 2, their open-slot masks
+    ``grandmasks``, and ``masks``, those of the members of length n - 1,
+    in order, with the walk's ``bits``; ``len`` is counted in the build.
+    Level 1's grandparent is a stand-in, ``()`` with one open slot."""
 
-    __slots__ = ("parents", "masks", "_size", "__weakref__")
+    __slots__ = ("n", "grandparents", "grandmasks", "masks", "_size", "bits", "__weakref__")
 
-    def __init__(self, parents: list[tuple[int, ...]], masks: list[int], size: int):
-        self.parents, self.masks, self._size = parents, masks, size
+    def __init__(self, n: int, grandparents: list, grandmasks: list, masks: list, size: int, bits):
+        self.n, self.grandparents, self.grandmasks = n, grandparents, grandmasks
+        self.masks, self._size, self.bits = masks, size, bits
 
     def __len__(self) -> int:
         return self._size
@@ -169,7 +178,7 @@ def _class_levels(c: PermClass, max_len: int) -> Iterator[_Level]:
     int bit mask (bit q: the new maximum before position q), computed when
     the member is expanded, from the slots ``cand`` it inherits open and
     the position s of its own maximum, both read off its parent's mask by
-    ``_candidates``.  Second pin: at a slot in ``cand``, the parent with a
+    ``_children``.  Second pin: at a slot in ``cand``, the parent with a
     new maximum at the matching slot is a member, so a new occurrence uses
     both the new maximum and the member's own, and ``_top_kernel`` tests
     it with two pins and k - 2 free indices.  Each member takes one call
@@ -177,56 +186,81 @@ def _class_levels(c: PermClass, max_len: int) -> Iterator[_Level]:
     the member plus one leaves its mask alone.
 
     The root level is the empty parent with mask 1 if (1) avoids the basis,
-    else 0.  Expanding a level builds its members once, through
-    ``_candidates``, and keeps them as the next level's ``parents``; the
-    loop computes only their masks, one list allocated at full size, and
-    equal masks share one int object.  So the last level's members are
-    never built unless a caller iterates it.  A level holds no reference to
-    the one before, and the tree drops a level once it has yielded the
-    next.  It is every walker's one check of the bound: ``max_len`` below
-    1, or above ``MAX_LENGTH`` where no member exists, raises
-    ``ValueError``.
+    else 0.  The tree builds each member once, from its own list of the
+    parents, for its mask, and keeps it for the next expansion but the
+    last.  Masks are one list allocated at full size, and equal masks share
+    one int.  A level holds no reference to the one before, and the tree
+    drops a level once it has yielded the next.  It is every walker's one
+    check of the bound: ``max_len`` below 1, or above ``MAX_LENGTH`` where
+    no member exists, raises ``ValueError``.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     _check_length_bound("max_len", max_len)
     top = _top_test(c)
     root = 1 if _avoids_raw((1,), c) else 0  # the root's open slots
-    level = _Level([()], [root], root)
+    parents, bits = [()], _SetBits()
+    level = _Level(1, parents, [1], [root], root, bits)
     yield level
     for n in range(2, max_len + 1):
         # preallocated: appends raise peak RSS
-        parents: list[tuple[int, ...]] = [()] * len(level)
+        members = [()] * len(level) if n < max_len else None
         masks = [0] * len(level)
         shared: dict[int, int] = {}  # one int object per distinct mask, not per member
         size = 0
-        for j, (vals, s, cand) in enumerate(_candidates(level)):
-            parents[j] = vals
+        for j, (vals, s, cand) in enumerate(_children(zip(parents, level.masks), n - 1, bits)):
+            if members:
+                members[j] = vals
             om = top(vals, s, cand)
             masks[j] = shared.setdefault(om, om)
             size += om.bit_count()
-        level = _Level(parents, masks, size)  # the caller may drop the level before
+        # the caller may drop the level before
+        level = _Level(n, parents, level.masks, masks, size, bits)
+        parents = members
         yield level
 
 
+def _parents(level: _Level) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+    """(g, t, pm, bonds) for each parent of one ``_class_levels`` level
+    with an open slot, in order, not built: it is ``g[:t] + (n - 1,) +
+    g[t:]`` (``()`` at n = 1), ``pm`` is its mask and bit b of ``bonds``
+    marks its entries b - 1 and b of consecutive values.  They are read
+    off g's, found once per grandparent: the parent keeps those below t,
+    and those past it one bit up, and its maximum makes a new one with
+    n - 2 when the two are adjacent, at bit t or t + 1."""
+    n, masks, bits = level.n, iter(level.masks), level.bits
+    for g, gm in zip(level.grandparents, level.grandmasks):
+        if not gm:
+            continue
+        bonds = 0
+        for b in range(1, len(g)):
+            if g[b] - g[b - 1] in (1, -1):
+                bonds |= 1 << b
+        u = g.index(n - 2) if n > 2 else -2  # -2 is next to no slot
+        for t, pm in zip(bits[gm], masks):
+            if pm:
+                kept = (bonds & ((1 << t) - 1)) | ((bonds >> (t + 1)) << (t + 2))
+                yield g, t, pm, kept | (2 << u if t - 1 <= u <= t else 0)
+
+
+def _children(pairs: Iterator, n: int, bits: _SetBits) -> Iterator[tuple]:
+    """(vals, s, cand) for each child ``p[:s] + (n,) + p[s:]`` of each
+    parent p and its mask pm in ``pairs``, in order, one per set bit s of
+    pm.  ``cand`` holds the slots it inherits open: parent slot q is its
+    slot q when q <= s and q + 1 when q > s (slot s splits into both), and
+    a blocked slot stays blocked.  One call of ``_top_test`` with ``cand``
+    returns the member's open slots."""
+    top = (n,)
+    for p, pm in pairs:
+        for s in bits[pm]:
+            yield p[:s] + top + p[s:], s, (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
+
+
 def _candidates(level: _Level) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """(vals, s, cand) for each member of one ``_class_levels`` level, in
-    order, built from its parent p and the parent's mask ``pm`` in the
-    level's ``parents`` and ``masks``: one member ``p[:s] + (n,) + p[s:]``
-    per set bit s of ``pm``, where n is the member's length and s the
-    position of its maximum.  ``cand`` holds the slots the member inherits
-    open.  Inheritance: parent slot q is slot q of the member when q <= s
-    and slot q + 1 when q > s (slot s splits into both), and a blocked slot
-    stays blocked, so ``cand = (pm & ((2 << s) - 1)) | ((pm >> s) <<
-    (s + 1))``.  A slot outside ``cand`` is blocked, and one call of
-    ``_top_test`` with ``cand`` returns the member's open slots."""
-    if not level:
-        return
-    top = (len(level.parents[0]) + 1,)
-    for p, pm in zip(level.parents, level.masks):
-        for s in range(pm.bit_length()):
-            if pm >> s & 1:
-                yield p[:s] + top + p[s:], s, (pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1))
+    """``_children`` of the parents ``_parents`` gives, each built once."""
+    up = (level.n - 1,) if level.n > 1 else ()
+    pairs = ((g[:t] + up + g[t:], pm) for g, t, pm, _ in _parents(level))
+    return _children(pairs, level.n, level.bits)
 
 
 def _shut_bonds(
@@ -237,84 +271,62 @@ def _shut_bonds(
     and i of consecutive values, that a new maximum cannot split (slot i
     is blocked), or the bond of the member's maximum n with n - 1, whose
     top strip cell a certificate exempts.  A member's bonds are read off
-    its parent p's, found once per parent: the child at slot s keeps
-    those below s, and those past it one bit up, and its maximum makes a
-    new one with n - 1 when the two are adjacent, at bit s or s + 1.  With
-    ``after``, the next level, a kept bond's slot is read off
-    ``after.masks``, whose parents are this level's members in the same
-    order, already built.  Without it, ``top``, the class's
-    ``_top_test``, is asked once per member with the kept bonds the
-    member inherits open, and only a member with a bond is built."""
-    n = len(level.parents[0]) + 1 if level else 0
-    entry = (n,)
-    j = -1
-    for p, pm in zip(level.parents, level.masks):
-        bonds, prev = 0, -1
-        for b, v in enumerate(p):
-            if v - prev in (1, -1):
-                bonds |= 1 << b
-            prev = v
-        t = p.index(n - 1) if n > 1 else -2  # -2 is next to no slot
-        rest = pm
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            s = low.bit_length() - 1
+    its parent's from ``_parents`` by the rule it applies one length down.
+    With ``after``, the next level, a kept bond's slot is read off
+    ``after.masks``; without it, ``top``, the class's ``_top_test``, is
+    asked once per member with the kept bonds it inherits open.  Only the
+    members so reported, or without ``after`` with a bond, are built."""
+    n, bits, j = level.n, level.bits, -1
+    up, entry = (n - 1,) if n > 1 else (), (n,)
+    for g, t, pm, bonds in _parents(level):
+        p = None
+        for s in bits[pm]:
             j += 1
-            kept = (bonds & (low - 1)) | ((bonds >> (s + 1)) << (s + 2))
-            new = 2 << t if s - 1 <= t <= s else 0
-            if after is not None:
-                shut = kept & ~after.masks[j] | new
-                if shut:
-                    yield after.parents[j], shut
-            elif kept or new:
-                vals = p[:s] + entry + p[s:]
-                ask = kept & ((pm & ((low << 1) - 1)) | ((pm >> s) << (s + 1)))
-                shut = (kept & ~top(vals, s, ask) if ask else kept) | new
-                if shut:
-                    yield vals, shut
+            kept = (bonds & ((1 << s) - 1)) | ((bonds >> (s + 1)) << (s + 2))
+            new = 2 << t if s - 1 <= t <= s and n > 1 else 0
+            shut = kept | new if after is None else kept & ~after.masks[j] | new
+            if not shut:
+                continue
+            if p is None:
+                p = g[:t] + up + g[t:]
+            vals = p[:s] + entry + p[s:]
+            ask = after is None and kept & ((pm & ((2 << s) - 1)) | ((pm >> s) << (s + 1)))
+            if ask:
+                shut = kept & ~top(vals, s, ask) | new
+            if shut:
+                yield vals, shut
 
 
 def _simple_members(level: _Level) -> list[tuple[int, ...]]:
     """The simple members of one ``_class_levels`` level, in order, read off
-    the bonds of its ``parents``.  A child is not simple when its maximum n
-    lands at an end or next to n - 1, or leaves a bond of the parent
-    unsplit, and n splits at most the bond it falls between.  So a parent
-    with two bonds has no simple child, one with a bond at positions
-    (b - 1, b) at most the child at slot b.  Only the survivors are built
-    and go to ``_is_simple``, besides the members of levels of length
-    below 5, which are all tested."""
-    if not level:
-        return []
-    n = len(level.parents[0]) + 1
+    the bonds of its parents from ``_parents``.  A child is not simple when
+    its maximum n lands at an end or next to n - 1, or leaves a bond of
+    the parent unsplit, and n splits at most the bond it falls between.
+    So a parent with two bonds has no simple child, one with a bond at
+    positions (b - 1, b) at most the child at slot b.  Only the survivors
+    are built and go to ``_is_simple``, besides every member of the
+    levels of length below 5."""
+    n = level.n
     if n < 5:
         return [vals for vals in level if _is_simple(vals)]
-    out = []
-    top = (n,)
-    for parent, pm in zip(level.parents, level.masks):
-        slots = pm & ~(1 | 1 << (n - 1) | 3 << parent.index(n - 1))  # ends, next to n - 1
-        b, prev = 0, parent[0]
-        for v in parent:
-            if not slots:
-                break
-            if v - prev in (1, -1):  # a bond at (b - 1, b): 0 at a second one
-                slots &= 1 << b
-            b, prev = b + 1, v
-        while slots:
-            low = slots & -slots
-            b = low.bit_length() - 1
-            vals = parent[:b] + top + parent[b:]
-            if _is_simple(vals):
-                out.append(vals)
-            slots ^= low
+    out, bits, ends = [], level.bits, 1 | 1 << (n - 1)
+    up, top = (n - 1,), (n,)
+    for g, t, pm, bonds in _parents(level):
+        slots = pm & ~(ends | 3 << t) & (bonds or -1)  # not at an end, next to n - 1, on the bond
+        if slots and not bonds & (bonds - 1):  # two bonds: a child splits at most one
+            p = g[:t] + up + g[t:]
+            for b in bits[slots]:
+                vals = p[:b] + top + p[b:]
+                if _is_simple(vals):
+                    out.append(vals)
     return out
 
 
 def enumerate_class(c: PermClass, max_len: int) -> Iterator[Permutation]:
     """Yield every member of ``c`` of length 1..max_len, grouped by length,
     each exactly once.  Memory stays bounded by the members of the length
-    before and their masks: each length's members are built as they are
-    yielded."""
+    before and their masks, the last length's by those two lengths before:
+    each length's members are built as they are yielded."""
     for level in _class_levels(c, max_len):
         for vals in level:
             yield Permutation(vals)

@@ -121,10 +121,10 @@ def find_witnesses(c: PermClass, max_len: int, limit: int = 1) -> list[WitnessRe
     n + 1), is blocked, and the bond of n with n - 1, whose w + 2 > n
     exempts that cell.  Any other bond fails at its top cell.  A witness
     found at a length n below ``max_len`` comes after the tree has built
-    the masks of length n + 1.  ``_strips_locked`` walks the bonds left
-    to right, as ``_locked_strips`` does.  A basis element longer than
-    ``max_len`` + 1 is never met by one new entry, and its kernels refuse
-    every member at once."""
+    level n + 1's masks, and before it builds a member of length n + 1.
+    ``_strips_locked`` walks the bonds left to right, as ``_locked_strips``
+    does.  A basis element longer than ``max_len`` + 1 is never met by one
+    new entry, and its kernels refuse every member at once."""
     if limit < 1:
         raise ValueError("limit must be at least 1")
     bound = max_len + 2

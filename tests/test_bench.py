@@ -38,6 +38,8 @@ def test_a_tiny_record_has_the_documented_keys(tmp_path):
     assert list(counts) == ["verify_paper", "extend_25173486_av251364"]
     assert all(list(c) == ["bfs_slot_tests"] for c in counts.values())
     assert all(isinstance(c["bfs_slot_tests"], int) and c["bfs_slot_tests"] > 0 for c in counts.values())
+    assert list(record["peak_kib"]) == ["empirical_av2413", "find_witnesses_av146523"]
+    assert all(isinstance(kib, int) and kib > 0 for kib in record["peak_kib"].values())
     assert list(record["certificate_walk_s"]) == ["k8_n18", "k10_n24", "k12_n29", "k14_n35"]
     assert list(record["rigid_host_s"]) == ["runs3x4_cells2"]
     assert list(record["kernel_build_s"]) == [

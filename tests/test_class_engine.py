@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -41,7 +43,7 @@ from permdeflate.class_engine import (
     enumerate_simples,
     shading_grid,
 )
-from permdeflate.deflate_analysis import empirical_deflatability
+from permdeflate.deflate_analysis import _locked_strips, empirical_deflatability
 from permdeflate.witness import find_witnesses
 
 P = parse_permutation
@@ -273,14 +275,16 @@ def _check_candidates(c: PermClass, max_len: int) -> set[str]:
     blocked, top = _slot_test(c), _top_test(c)
     oracle = _candidates_by_slot(c, max_len)
     settled = set()
-    parents = 1  # the root
+    sizes = [1, 1]  # the stand-in grandparent and the root
     for level in _class_levels(c, max_len):
-        # one mask per member of the level before, one set bit per member
-        assert len(level.masks) == parents, str(c)
+        # one grandmask per member two lengths before, one mask per member
+        # of the length before, one set bit per member of the next
+        assert len(level.grandparents) == len(level.grandmasks) == sizes[-2], str(c)
+        assert sum(gm.bit_count() for gm in level.grandmasks) == len(level.masks) == sizes[-1], str(c)
         assert sum(pm.bit_count() for pm in level.masks) == len(level), str(c)
         candidates = list(_candidates(level))
         assert [vals for vals, _, _ in candidates] == list(level), str(c)
-        parents = len(level)
+        sizes.append(len(level))
         for vals, s, cand in candidates:
             assert (vals, s, cand) == next(oracle), str(c)
             n = len(vals)
@@ -357,55 +361,176 @@ def test_the_tree_drops_each_level_once_it_yields_the_next():
 
 
 def test_a_level_reads_as_a_list_of_its_members():
-    # a level is kept as its parents and their masks, and iterates as the
-    # members that one run of children per parent gives
+    # a level is kept as the members two lengths before, their masks and
+    # the masks of the members one length before, on every level, the last
+    # one included, and iterates as the members that one run of children
+    # per parent gives
     c = PermClass.of("2413")
     oracle = list(_class_levels_by_slot(c, 6))
-    previous = [()]
-    for level, members in zip(_class_levels(c, 6), oracle):
-        assert level.parents == previous
+    blocked = _slot_test(c)
+    before = [[()], [()]]  # the stand-in grandparent and the root
+    for n, (level, members) in enumerate(zip(_class_levels(c, 6), oracle), start=1):
+        assert level.n == n and level.grandparents == before[-2]
+        for kept, grown in ((level.grandmasks, before[-2]), (level.masks, before[-1])):
+            assert kept == [
+                sum(1 << q for q in range(len(p) + 1) if not blocked(p, q + 1, len(p) + 1)) for p in grown
+            ]
         assert len(level) == len(members) and bool(level)
         assert list(level) == members
         assert weakref.ref(level)() is level
-        previous = members
+        before.append(members)
     empty = list(_class_levels(PermClass.of("1"), 3))
     assert [len(level) for level in empty] == [0, 0, 0]
     assert [list(level) for level in empty] == [[], [], []] and not any(empty)
-    assert [level.parents for level in empty] == [[()], [], []]
+    assert [level.grandparents for level in empty] == [[()], [()], []]
+    assert [level.masks for level in empty] == [[0], [], []]
+
+
+def _built_parents(c: PermClass, bound: int, walker: str) -> int:
+    """Oracle for the parents a walker builds from ``_parents``, one per
+    distinct parent of the members it builds on each level: every member
+    for ``iterate``, those with a bond for the witness scan's last level
+    (``bonded``), those with a shut bond on its other levels (``shut``),
+    and, from length 5, those with no bond and the maximum inside for
+    ``simple``.  Below length 5 ``simple`` iterates the level."""
+    built = []
+    for n, members in enumerate(_class_levels_by_slot(c, bound), start=1):
+        if walker == "shut" and n == bound:
+            walker = "bonded"
+        keep = []
+        for vals in members:
+            bonds = {i for i, _, _ in _bond_scan(vals)}
+            if walker == "iterate" or walker == "simple" and n < 5:
+                keep.append(vals)
+            elif walker == "bonded" and bonds:
+                keep.append(vals)
+            elif walker == "shut" and any(
+                w == n - 1 or not _avoids_raw(vals[:i] + (n + 1,) + vals[i:], c)
+                for i, _, w in _bond_scan(vals)
+            ):
+                keep.append(vals)
+            elif walker == "simple" and not bonds and 0 < vals.index(n) < n - 1:
+                keep.append(vals)
+        built.append(len({tuple(v for v in vals if v != n) for vals in keep}))
+    return built
 
 
 def test_the_last_level_is_never_built(monkeypatch):
-    # the members ``_candidates`` yields are every member tuple a walker
-    # builds, apart from ``_simple_members``' survivors and the last-level
-    # members with a shut bond that ``_shut_bonds`` builds, both from their
-    # parents: the counting walkers and the witness scan build each member
-    # of length bound - 1 once and none of the bound's length (``len`` is
-    # counted during the build), and the walkers that read every member
-    # see them all
+    # no walker, and not the tree, holds a list of the members of length
+    # bound - 1: the last level keeps those of length bound - 2, and the
+    # generator keeps no list of its own once it has yielded it.  A walker
+    # rebuilds a parent from ``_parents`` only with a child it builds,
+    # counted exactly against the per-slot tree, one length at a time
     c, bound = PermClass.of("2413"), 8
-    sizes = [row[1] for row in count_profile(c, bound)]
+    levels = _class_levels(c, bound)
+    for _ in range(bound):
+        last = next(levels)
+    assert {len(g) for g in last.grandparents} == {bound - 2}
+    lists = [v for v in levels.gi_frame.f_locals.values() if isinstance(v, list)]
+    assert lists and not any(isinstance(v, tuple) for held in lists for v in held)
     built = []
 
-    def recorded(level):
-        for vals, s, cand in _candidates(level):
-            built.append(len(vals))
-            yield vals, s, cand
+    class Counted(tuple):
+        """A grandparent whose parent builds, two slices each, are counted."""
 
-    monkeypatch.setattr(class_engine, "_candidates", recorded)
-    counting = (
-        lambda: count_profile(c, bound),
-        lambda: enumerate_simples(c, bound),
-        lambda: empirical_deflatability(c, 5, bound),
-        lambda: find_witnesses(c, bound, 1),
+        def __getitem__(self, key):
+            built[-1] += 0.5
+            return tuple.__getitem__(self, key)
+
+    parents = class_engine._parents
+
+    def recorded(level):
+        built.append(0)
+        for g, t, pm, bonds in parents(level):
+            yield Counted(g), t, pm, bonds
+
+    monkeypatch.setattr(class_engine, "_parents", recorded)
+    simple = _built_parents(c, bound, "simple")
+    walkers = (
+        (lambda: count_profile(c, bound), simple),
+        (lambda: enumerate_simples(c, bound), simple),
+        (lambda: list(enumerate_class(c, bound)), _built_parents(c, bound, "iterate")),
+        (lambda: find_witnesses(c, bound, 1), _built_parents(c, bound, "shut")),
     )
-    for walk in counting:
+    for walk, expected in walkers:
         built.clear()
         walk()
-        assert max(built) == bound - 1 and built.count(bound - 1) == sizes[-2]
+        assert built == expected
+    # the coverage check iterates each level to length 5 as its targets
     built.clear()
-    assert len(list(enumerate_class(c, bound))) == sum(sizes)
-    assert built.count(bound) == sizes[-1]
+    empirical_deflatability(c, 5, bound)
+    every = _built_parents(c, bound, "iterate")
+    assert built == [x for n in range(1, 6) for x in (every[n - 1], simple[n - 1])] + simple[5:]
     assert find_witnesses(c, bound, 1) == []  # no witness: the scan read every level
+
+
+@pytest.mark.parametrize("basis", ["1", "12,21", "123,321", "12", "2413", "321,214365879"])
+def test_every_reader_of_a_level_matches_the_per_slot_tree(basis):
+    # each reader of the levels kept two lengths down, on every max_len to
+    # 8, against the per-slot oracles: Av(1) empties out at length 1,
+    # Av(12, 21) at 2 and Av(123, 321) at 5, each member of Av(12) has one
+    # open slot, and 214365879, k = 9, takes the top kernels past their
+    # loop budget.  ``_shut_bonds`` must read the same with ``after`` as
+    # with one top call per member
+    c = PermClass.of(*basis.split(","))
+    blocked, top = _slot_test(c), _top_test(c)
+    for max_len in range(1, 9):
+        levels, oracle = list(_class_levels(c, max_len)), list(_class_levels_by_slot(c, max_len))
+        assert [list(level) for level in levels] == oracle, (basis, max_len)
+        assert [len(level) for level in levels] == [len(members) for members in oracle]
+        assert [x for level in levels for x in _candidates(level)] == list(_candidates_by_slot(c, max_len))
+        simples = [[vals for vals in members if _is_simple(vals)] for members in oracle]
+        assert [_simple_members(level) for level in levels] == simples, (basis, max_len)
+        for n, (level, members) in enumerate(zip(levels, oracle), start=1):
+            expected = []
+            for vals in members:
+                shut = sum(
+                    1 << i
+                    for i, _, w in _bond_scan(vals)
+                    if w == n - 1 or not _avoids_raw(vals[:i] + (n + 1,) + vals[i:], c)
+                )
+                if shut:
+                    expected.append((vals, shut))
+            after = levels[n] if n < max_len else None
+            assert list(_shut_bonds(level, after, top)) == expected, (basis, max_len, n)
+            assert list(_shut_bonds(level, None, top)) == expected, (basis, max_len, n)
+        rows = [(n, len(members), len(s)) for n, (members, s) in enumerate(zip(oracle, simples), start=1)]
+        assert count_profile(c, max_len) == rows
+        assert enumerate_simples(c, max_len) == [Permutation(vals) for s in simples for vals in s]
+        assert list(enumerate_class(c, max_len)) == [Permutation(vals) for m in oracle for vals in m]
+        if max_len <= 6:  # each witness is cross-checked to max_len + 2
+            certified = ((vals, _locked_strips(vals, blocked)) for m in oracle for vals in m)
+            found = [(Permutation(vals), cert) for vals, cert in certified if cert]
+            got = [(r.witness, r.certificate) for r in find_witnesses(c, max_len, 2)]
+            assert got == found[:2], (basis, max_len)
+
+
+def test_the_last_level_holds_no_member_one_length_short():
+    # the last level of Av(2413) to 9 reaches members of length 7, never
+    # of length 8, through its lists and tuples
+    *_, last = _class_levels(PermClass.of("2413"), 9)
+    reached, frontier = {}, [last]
+    for _ in range(4):
+        refs = [ref for obj in frontier for ref in gc.get_referents(obj) if isinstance(ref, (list, tuple))]
+        frontier = [reached.setdefault(id(ref), ref) for ref in refs if id(ref) not in reached]
+    lengths = {len(ref) for ref in reached.values() if isinstance(ref, tuple)}
+    assert 7 in lengths and 8 not in lengths
+
+
+def test_count_profile_to_9_peaks_below_one_megabyte():
+    # tracemalloc peak of count_profile(Av(2413), 9): about 0.25 MB warm and
+    # 0.53 MB on a first call, against 1.77 MB while the last level held its
+    # 15 485 members of length 8; the bound leaves about 2x headroom on a
+    # first call and fails the old layout
+    c = PermClass.of("2413")
+    count_profile(c, 5)  # the class's kernels
+    tracemalloc.start()
+    try:
+        assert count_profile(c, 9)[-1] == (9, 91245, 280)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 def test_the_top_test_with_two_pins_matches_the_slot_test_for_k_9_and_10():

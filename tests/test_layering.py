@@ -45,9 +45,9 @@ SLOT_KERNELS = {"_slot_kernel", "_top_kernel"}
 #: parents' open-slot masks: the other modules iterate a level as its
 #: members, and ask ``_candidates`` for each member's inherited open slots.
 LEVEL_MASKS = "masks"
-#: The attribute of a level that holds its parents, the members of the
-#: level before: the other modules iterate a level as its members.
-LEVEL_PARENTS = "parents"
+#: The attribute of a level that holds its grandparents, the members two
+#: lengths before: the other modules iterate a level as its members.
+LEVEL_PARENTS = "grandparents"
 
 
 def _relative_imports(tree: ast.Module) -> list[tuple[ast.ImportFrom, bool, list[str]]]:
@@ -152,7 +152,7 @@ def test_class_engine_reads_the_level_masks():
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "class_engine"], ids=lambda p: p.name)
 def test_level_parents_stay_behind_class_engine(path):
-    assert LEVEL_PARENTS not in _reached_names(path), f"{path.name} reads a level's parents"
+    assert LEVEL_PARENTS not in _reached_names(path), f"{path.name} reads a level's grandparents"
 
 
 def test_class_engine_reads_the_level_parents():
