@@ -40,6 +40,10 @@ The record holds:
 * ``kernel_build_s``: one build of each mode's kernel (plain, slot, top),
   past the factories' caches, for a seeded pattern of length 9 and one
   of length 4 096, keyed ``<mode>_k<length>``;
+* ``contains_s``: ``contains()``, the least occurrence, on the present
+  seeds 3 and 9 of the recipe ``random.Random(seed)``, a pattern of
+  length k drawn first and then a host of length n: k = 20 and n = 101
+  (k = 5 and n = 12 under ``--tiny``), keyed ``k<k>_n<n>_seed<seed>``;
 * ``startup_s``: the start-up a fresh interpreter pays, as each command
   line call of the tool does: ``import_no_bytecode`` is ``python -B -c
   "import permdeflate.cli"`` with an empty ``PYTHONPYCACHEPREFIX``, so
@@ -98,6 +102,7 @@ from permdeflate.perm_core import (  # noqa: E402
     _search_kernel,
     _slot_kernel,
     _top_kernel,
+    contains,
     parse_permutation,
 )
 from permdeflate.witness import bond_certificate, find_witnesses  # noqa: E402
@@ -114,6 +119,7 @@ KEYS = (
     "certificate_walk_s",
     "rigid_host_s",
     "kernel_build_s",
+    "contains_s",
     "startup_s",
     "src_lines",
 )
@@ -239,6 +245,20 @@ def kernel_builds() -> dict:
     return cases
 
 
+def least_occurrences(tiny: bool) -> dict:
+    """``k<k>_n<n>_seed<seed>`` -> one ``contains()`` of the recipe's
+    pattern in its host, for the seeds 3 and 9, where the pattern is
+    present."""
+    k, n = (5, 12) if tiny else (20, 101)
+    cases = {}
+    for seed in (3, 9):
+        rng = random.Random(seed)
+        pattern = Permutation(tuple(rng.sample(range(1, k + 1), k)))
+        host = Permutation(tuple(rng.sample(range(1, n + 1), n)))
+        cases[f"k{k}_n{n}_seed{seed}"] = partial(contains, pattern, host)
+    return cases
+
+
 def startup_cases(cache: Path) -> dict:
     """name -> one fresh interpreter of each start-up case, importing the
     package from ``src``; ``cache`` holds two bytecode prefixes, the one under
@@ -315,6 +335,7 @@ def bench(repeat: int, tiny: bool = False) -> dict:
         "certificate_walk_s": {name: best_of(repeat, fn) for name, fn in certificate_walks().items()},
         "rigid_host_s": {rigid_name: best_of(repeat, rigid)},
         "kernel_build_s": {name: best_of(repeat, fn) for name, fn in kernel_builds().items()},
+        "contains_s": {name: best_of(repeat, fn) for name, fn in least_occurrences(tiny).items()},
     }
     with tempfile.TemporaryDirectory() as cache:
         cases = startup_cases(Path(cache))

@@ -43,8 +43,9 @@ class PermClass:
     """An avoidance class described by its basis.
 
     The basis is normalised on construction: duplicates are dropped, any
-    element containing another is dropped (minimality, by ``contains``, whose
-    forward check refutes a short element in a long rigid one at once), and
+    element containing another is dropped (minimality, by ``contains``:
+    its forward check refutes a short element in a long rigid one at once,
+    and reads a present pair's least occurrence in position order), and
     the rest are sorted by (length, values) so equal classes compare equal.
     """
 

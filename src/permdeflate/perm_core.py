@@ -7,15 +7,15 @@ values can be shared freely between threads or worker processes.
 
 Hot paths (class enumeration, membership filtering, slot grids) work on
 raw value tuples via the underscore helpers at the bottom of this module;
-the public functions wrap them.  Containment has three engines.  Short
+the public functions wrap them.  Containment has two engines.  Short
 patterns run nests of ``for`` loops; longer ones run ``_forward_check``,
 an iterative forward-checking search that keeps, per pattern index, the
 host positions still open to it as one int bit mask and branches on the
-index with the fewest (most constrained first, MRV); ``contains()``,
-which must report positions, runs a left-to-right DFS for the
-lexicographically least occurrence.  One emitter, ``_emit_kernel``,
-compiles every kernel of the first two engines, once per pattern and
-mode, and holds the one rule between them: a kernel is a nest exactly
+index with the fewest (most constrained first, MRV).  ``contains()``,
+which must report the lexicographically least occurrence, runs the same
+search branching in position order instead.  One emitter,
+``_emit_kernel``, compiles every kernel, once per pattern and mode, and
+holds the one rule between them: a kernel is a nest exactly
 when it has at most ``_NEST_LOOPS`` = 6 free loops, one per pattern
 index not pinned, and else a forward check.  Three questions use it.
 ``_search_kernel`` asks whether a host contains the pattern
@@ -243,7 +243,7 @@ def contains(pattern: Permutation, host: Permutation) -> Optional[Occurrence]:
     """Find the position-lexicographically least occurrence of ``pattern``.
 
     Returns None when the host avoids the pattern, which ``_contains_mrv``
-    decides first: the left-to-right search is exponential on a long absent one.
+    decides first: the search in position order is slow on a long absent one.
 
     >>> contains(parse_permutation("312"), parse_permutation("2531647"))
     Occurrence(positions=(2, 3, 6))
@@ -400,40 +400,13 @@ def _neighbor_refs(pat: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
 
 
 def _find_occurrence(pat: tuple[int, ...], host: tuple[int, ...]) -> Optional[list[int]]:
-    """Position-lexicographically least occurrence (0-based), or None.
-
-    Depth-first search choosing host positions left to right; the first
-    complete assignment found is automatically the lexicographic minimum.
-    Only ``contains()`` needs positions, and asks once ``_contains_mrv``
-    finds an occurrence; existence tests use ``_search_kernel``.
-    """
-    k, n = len(pat), len(host)
-    if k > n:
+    """Position-lexicographically least occurrence (0-based), or None:
+    ``_forward_check`` in position order.  Only ``contains()`` needs
+    positions, and asks once ``_contains_mrv`` finds an occurrence;
+    existence tests use ``_search_kernel``."""
+    if len(pat) > len(host):
         return None
-    lo_ref, hi_ref = _neighbor_refs(pat)
-    # index j searches positions below tail + j, which leaves room for the
-    # later indices
-    tail = n - k + 1
-    chosen = [0] * k
-    j = 0
-    pos = 0
-    while True:
-        lo = host[chosen[lo_ref[j]]] if lo_ref[j] >= 0 else 0
-        hi = host[chosen[hi_ref[j]]] if hi_ref[j] >= 0 else n + 1
-        limit = tail + j
-        while pos < limit and not lo < host[pos] < hi:
-            pos += 1
-        if pos < limit:
-            chosen[j] = pos
-            if j == k - 1:
-                return chosen
-            j += 1
-            pos += 1
-        else:
-            j -= 1
-            if j < 0:
-                return None
-            pos = chosen[j] + 1
+    return _forward_check(pat, host, *_value_masks(host, len(pat)), least=True)
 
 
 def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., object]:
@@ -702,6 +675,7 @@ def _forward_check(
     q: int = 0,
     t2: int = -1,
     q2: int = 0,
+    least: bool = False,
 ) -> Optional[list[int]]:
     """The host positions of an occurrence of ``pat`` in ``host``, one per
     pattern index, with index t, if t >= 0, at position q, and index t2,
@@ -719,7 +693,12 @@ def _forward_check(
     index with the fewest live positions (the first such in ``free``'s
     order), trying them left to right (lowest bit first), and backtracks as
     soon as a mask empties: Haralick and Elliott's forward checking with
-    the fail-first rule, which keeps long rigid patterns cheap.
+    the fail-first rule, which keeps long rigid patterns cheap.  With
+    ``least`` it branches on the lowest free index instead, so it places
+    the indices in position order, and its first occurrence is the
+    position-lexicographically least: a filter drops only positions that
+    conflict with the assignment so far, so none it skips starts a smaller
+    occurrence.
 
     Nothing recurses.  A filter that narrows a mask pushes the old mask
     onto a trail, and undoing an assignment assigns it back, so the trail
@@ -738,11 +717,14 @@ def _forward_check(
     frames: list[tuple[int, int, int]] = []  # (index, positions left to try, trail length)
     free = set(range(k))
     while free:
-        f, fewest = -1, n + 1
-        for g in free:
-            live = spots[g].bit_count()
-            if live < fewest:
-                f, fewest = g, live
+        if least:
+            f = min(free)
+        else:
+            f, fewest = -1, n + 1
+            for g in free:
+                live = spots[g].bit_count()
+                if live < fewest:
+                    f, fewest = g, live
         free.remove(f)
         frames.append((f, spots[f], len(trail)))
         # try the newest frame's next position; a frame with none left

@@ -45,10 +45,12 @@ def test_a_tiny_record_has_the_documented_keys(tmp_path):
     assert list(record["kernel_build_s"]) == [
         f"{mode}_k{k}" for k in (9, 4096) for mode in ("plain", "slot", "top")
     ]
+    assert list(record["contains_s"]) == ["k5_n12_seed3", "k5_n12_seed9"]
     assert list(record["startup_s"]) == ["import_no_bytecode", "import_bytecode", "contains_cli"]
     assert list(record["reference_s"]) == ["before", "after"]
     times = [*record["end_to_end_s"].values(), *record["certificate_walk_s"].values()]
     times += [*record["rigid_host_s"].values(), *record["kernel_build_s"].values()]
+    times += record["contains_s"].values()
     times += record["startup_s"].values()
     times += record["reference_s"].values()
     assert all(isinstance(t, float) and t > 0 for t in times)

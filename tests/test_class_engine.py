@@ -815,9 +815,9 @@ def test_insertion_creates_matches_the_slot_test_on_random_classes(monkeypatch):
     forward_check = perm_core._forward_check
     checks = [0]
 
-    def counting_check(*args):
+    def counting_check(*args, **kwargs):
         checks[0] += 1
-        return forward_check(*args)
+        return forward_check(*args, **kwargs)
 
     monkeypatch.setattr(perm_core, "_forward_check", counting_check)
     slot_checks = 0

@@ -151,14 +151,15 @@ def test_contains_singleton_and_absent():
 
 
 def test_contains_decides_absence_before_the_least_occurrence_search(monkeypatch):
-    # the left-to-right search took 6-13 s on each absent case of this
-    # recipe; the forward check decides each in well under a second
+    # the least-occurrence search (the forward check in position order)
+    # takes seconds on the absent cases of this recipe; the forward check
+    # in MRV order decides each in well under a second
     calls = []
     find = perm_core._find_occurrence
 
     def spy(pat, host):
         calls.append(pat)
-        assert len(pat) < 20, "an absent pattern was searched left to right"
+        assert len(pat) < 20, "an absent pattern went to the least-occurrence search"
         return find(pat, host)
 
     monkeypatch.setattr(perm_core, "_find_occurrence", spy)
@@ -168,12 +169,74 @@ def test_contains_decides_absence_before_the_least_occurrence_search(monkeypatch
         pattern = Permutation(tuple(rng.sample(range(1, 21), 20)))
         host = Permutation(tuple(rng.sample(range(1, 102), 101)))
         if perm_core._contains_mrv(pattern.values, host.values):
-            continue  # present: the least occurrence is still searched left to right
+            continue  # present: the least-occurrence search reads its positions
         assert contains(pattern, host) is None
         absent += 1
     assert absent == 13 and calls == []
     occ = contains(P("312"), P("2531647"))
     assert occ.positions == (2, 3, 6) and len(calls) == 1
+
+
+def left_to_right_dfs(pat, host):
+    """The least occurrence (0-based) by a depth-first search that shares
+    nothing with ``_forward_check``: host positions chosen left to right,
+    each value kept between its nearest earlier neighbours in value, so
+    the first complete assignment is the least."""
+    k, n = len(pat), len(host)
+    if k > n:
+        return None
+    lo_ref, hi_ref = perm_core._neighbor_refs(pat)
+    tail = n - k + 1
+    chosen = [0] * k
+    j = pos = 0
+    while True:
+        lo = host[chosen[lo_ref[j]]] if lo_ref[j] >= 0 else 0
+        hi = host[chosen[hi_ref[j]]] if hi_ref[j] >= 0 else n + 1
+        while pos < tail + j and not lo < host[pos] < hi:
+            pos += 1
+        if pos < tail + j:
+            chosen[j] = pos
+            if j == k - 1:
+                return chosen
+            j += 1
+            pos += 1
+        else:
+            j -= 1
+            if j < 0:
+                return None
+            pos = chosen[j] + 1
+
+
+def _assert_least_like_the_dfs(pat, host):
+    expected = left_to_right_dfs(pat, host)
+    assert _find_occurrence(pat, host) == expected, (pat, host)
+    occ = contains(Permutation(pat), Permutation(host))
+    assert occ == (None if expected is None else perm_core.Occurrence(tuple(i + 1 for i in expected)))
+
+
+def test_least_occurrence_matches_the_dfs_for_every_k_to_12():
+    # per (n, k), a pattern drawn from the host (present) and a random one
+    # (mostly absent past k = 5); past k = n both give None
+    rng = random.Random(5)
+    for n in range(1, 13):
+        for k in range(1, n + 3):
+            for _ in range(20):
+                host = tuple(rng.sample(range(1, n + 1), n))
+                if k <= n:
+                    drawn = _pattern_of([host[i] for i in sorted(rng.sample(range(n), k))])
+                    _assert_least_like_the_dfs(drawn, host)
+                _assert_least_like_the_dfs(tuple(rng.sample(range(1, k + 1), k)), host)
+
+
+def test_least_occurrence_matches_the_dfs_on_long_present_patterns():
+    # the present seeds of the k = 20, n = 101 recipe, where the DFS took
+    # 0.3-0.5 s
+    for seed in (3, 9):
+        rng = random.Random(seed)
+        pat = tuple(rng.sample(range(1, 21), 20))
+        host = tuple(rng.sample(range(1, 102), 101))
+        assert _contains_mrv(pat, host)
+        _assert_least_like_the_dfs(pat, host)
 
 
 def test_contains_matches_brute_force_randomised():
@@ -204,10 +267,11 @@ def searches(draw):
 @settings(max_examples=400)
 @given(searches())
 def test_find_occurrence_matches_brute_force(case):
-    """The DFS finds the least occurrence, and the compiled kernels and the
-    entry points that call them find one exactly when itertools does.  A
-    pinned position q is asked in slot form: the entry at q is the new one
-    at slot (q + 1, host[q]) of the host without it."""
+    """The forward check in position order finds the least occurrence, and
+    the compiled kernels and the entry points that call them find one
+    exactly when itertools does.  A pinned position q is asked in slot
+    form: the entry at q is the new one at slot (q + 1, host[q]) of the
+    host without it."""
     pat, host, pin = case
     matches = [
         list(comb)
