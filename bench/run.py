@@ -37,9 +37,10 @@ The record holds:
 * ``rigid_host_s``: the slot kernel of 1234567 at seeded cells of the
   host of six decreasing runs of 15 (its longest increasing subsequence
   is 6), the worst case of the k = 7 nest;
-* ``kernel_build_s``: one build of each mode's kernel (plain, slot, top),
-  past the factories' caches, for a seeded pattern of length 9 and one
-  of length 4 096, keyed ``<mode>_k<length>``;
+* ``kernel_build_s``: one build of each mode's kernel (plain, slot, top)
+  by ``_emit_kernel.__wrapped__(pat, mode)``, past the one kernel cache,
+  for a seeded pattern of length 9 and one of length 4 096, keyed
+  ``<mode>_k<length>``;
 * ``contains_s``: ``contains()``, the least occurrence, on the present
   seeds 3 and 9 of the recipe ``random.Random(seed)``, a pattern of
   length k drawn first and then a host of length n: k = 20 and n = 101
@@ -99,9 +100,7 @@ from permdeflate.deflate_analysis import (  # noqa: E402
 )
 from permdeflate.perm_core import (  # noqa: E402
     Permutation,
-    _search_kernel,
-    _slot_kernel,
-    _top_kernel,
+    _emit_kernel,
     contains,
     parse_permutation,
 )
@@ -227,21 +226,20 @@ def rigid_host(tiny: bool) -> tuple[str, object]:
     rng = random.Random(7)
     n = len(host)
     slots = [(rng.randint(1, n + 1), rng.randint(1, n + 1)) for _ in range(cells)]
-    kernel = _slot_kernel(tuple(range(1, 8)))
+    kernel = _emit_kernel(tuple(range(1, 8)), "slot")
     return f"runs{runs}x{size}_cells{cells}", lambda: [kernel(host, ps, vs) for ps, vs in slots]
 
 
 def kernel_builds() -> dict:
-    """``<mode>_k<length>`` -> one build of that mode's kernel, through the
-    factory's ``__wrapped__`` so that no cache answers, for a seeded
-    pattern of length 9 and one of length 4 096."""
+    """``<mode>_k<length>`` -> one build of that mode's kernel, through
+    ``_emit_kernel.__wrapped__(pat, mode)`` so that no cache answers, for
+    a seeded pattern of length 9 and one of length 4 096."""
     rng = random.Random(9)
-    factories = {"plain": _search_kernel, "slot": _slot_kernel, "top": _top_kernel}
     cases = {}
     for k in (9, 4096):
         pat = tuple(rng.sample(range(1, k + 1), k))
-        for mode, factory in factories.items():
-            cases[f"{mode}_k{k}"] = lambda factory=factory, pat=pat: factory.__wrapped__(pat)
+        for mode in ("plain", "slot", "top"):
+            cases[f"{mode}_k{k}"] = partial(_emit_kernel.__wrapped__, pat, mode)
     return cases
 
 

@@ -11,11 +11,11 @@ Inheritance: a slot blocked in the parent stays blocked in the child.
 Second pin: at an inherited open slot, any basis occurrence the new
 maximum completes also uses the member's own maximum, so the two play the
 basis element's values k and k - 1 and only k - 2 indices are free
-(``perm_core._top_kernel``, one call per member: it takes the inherited
-open mask and returns the open one, and each occurrence it finds blocks
-its whole range of slots).  A level keeps the members two lengths down,
-and a walker rebuilds a parent only with one of its children, so no
-level holds the members one length short.  A kernel refuses a member too
+(``perm_core._emit_kernel``'s mode "top", one call per member: it takes
+the inherited open mask and returns the open one, and each occurrence it
+finds blocks its whole range of slots).  A level keeps the members two
+lengths down, and a walker rebuilds a parent only with one of its
+children, so no level holds the members one length short.  A kernel refuses a member too
 short for its pattern, so the slot and top tests hold every basis
 element and take no length bound.
 """
@@ -31,8 +31,7 @@ from .perm_core import (
     _SYMMETRY_FUNCS,
     _contains_any,
     _contains_pinned,
-    _slot_kernel,
-    _top_kernel,
+    _emit_kernel,
     contains,
     parse_permutation,
 )
@@ -97,14 +96,14 @@ def _slot_test(c: PermClass) -> Callable[[tuple[int, ...], int, int], Union[tupl
     """The slot test of ``c``, the one cell test of every bond certificate:
     ``blocked(vals, ps, vs)`` is truthy iff a new entry at slot (ps, vs) of
     the member ``vals`` completes a basis occurrence, from the
-    ``_slot_kernel`` of each basis element (the kernel itself for one
+    slot kernel of each basis element (the kernel itself for one
     element, else the first truthy result over them).  A truthy result is
     the cell's reach ``(ps_hi, vs_hi)``: one basis element's occurrence
     blocks every cell from (ps, vs) to it, so the first one found speaks
     for the class.  A kernel refuses a member too short for its pattern,
     so a basis element longer than the member plus one costs one call.
     Unlike ``ShadingGrid`` it checks neither membership nor range."""
-    tests = [_slot_kernel(b.values) for b in c.basis]
+    tests = [_emit_kernel(b.values, "slot") for b in c.basis]
     if len(tests) == 1:
         return tests[0]
     return lambda vals, ps, vs: next(filter(None, (blocked(vals, ps, vs) for blocked in tests)), False)
@@ -114,14 +113,14 @@ def _top_test(c: PermClass) -> Callable[[tuple[int, ...], int, int], int]:
     """The second-pin test of ``c``: ``top(vals, s, cand)`` is the mask of
     the slots in ``cand`` where a new maximum leaves the member ``vals``,
     whose maximum sits at position s, in the class.  It chains the
-    ``_top_kernel`` of each basis element, each taking the mask the one
+    top kernel of each basis element, each taking the mask the one
     before left open, until the mask is 0; a kernel whose pattern is too
     long for the member leaves the mask as it is.  Valid only for slots
     ``vals`` inherits open.  ``_shut_bonds`` asks it once per member of
     the witness scan's last level, with the bonds whose top strip cells
     are inherited open, before a bond's strips are walked with
     ``_slot_test``."""
-    tests = [_top_kernel(b.values) for b in c.basis]
+    tests = [_emit_kernel(b.values, "top") for b in c.basis]
     if len(tests) == 1:
         return tests[0]
 
@@ -181,7 +180,7 @@ def _class_levels(c: PermClass, max_len: int) -> Iterator[_Level]:
     the position s of its own maximum, both read off its parent's mask by
     ``_children``.  Second pin: at a slot in ``cand``, the parent with a
     new maximum at the matching slot is a member, so a new occurrence uses
-    both the new maximum and the member's own, and ``_top_kernel`` tests
+    both the new maximum and the member's own, and the top kernel tests
     it with two pins and k - 2 free indices.  Each member takes one call
     of ``_top_test``, mask in and mask out; a basis element longer than
     the member plus one leaves its mask alone.

@@ -14,33 +14,19 @@ host positions still open to it as one int bit mask and branches on the
 index with the fewest (most constrained first, MRV).  ``contains()``,
 which must report the lexicographically least occurrence, runs the same
 search branching in position order instead.  One emitter,
-``_emit_kernel``, compiles every kernel, once per pattern and mode, and
-holds the one rule between them: a kernel is a nest exactly
-when it has at most ``_NEST_LOOPS`` = 6 free loops, one per pattern
-index not pinned, and else a forward check.  Three questions use it.
-``_search_kernel`` asks whether a host contains the pattern
-(``_contains_any``): no pin, so a nest for k <= 6.  ``_slot_kernel``
-asks whether a new entry at a slot of a host completes it: every cell
-question (the interval breaks, the certificate walks, the shading grid
-and the BFS through ``_contains_pinned``) is this one.  A blocked cell's
-answer is its reach ``(ps_hi, vs_hi)``: the same occurrence blocks every
-cell from it to ``ps_hi`` rightwards and to ``vs_hi`` upwards, so a walk
-along a strip skips what one occurrence settles.  The entry is one
-pin, so for k <= 7 it is a nest with the entry virtual and no child
-built; past that the child is built only when the entry has room to
-play some pattern index.  So each kernel refuses a host too short for
-its pattern, and callers need no length bound.  ``_top_kernel`` serves
-the generating tree with one call per member, a mask in and a mask out:
-it takes the slots the member inherits open from its parent and returns
-those where a new maximum avoids the pattern.  At an inherited open slot a new occurrence
-must use both the new maximum and the member's own, as the pattern's
-values k and k - 1, so the kernel pins both at each slot of the mask: a
-nest over the other k - 2 indices, each in the position zone the two
-pins fix, for 2 <= k <= 8, and one forward check on the child with both
-pins past that.  An occurrence the nest finds is one wherever the new
-maximum sits between the entries of the pattern's neighbours of k, so
-it clears that whole range of slots at once.  Nothing recurses, so
-pattern length is bounded only by ``MAX_LENGTH``.
+``_emit_kernel``, compiles and caches every kernel, once per pattern
+and mode, and holds the one rule between them: a kernel is a nest
+exactly when it has at most ``_NEST_LOOPS`` = 6 free loops, one per
+pattern index not pinned, and else a forward check.  Its docstring says
+what each mode answers.  ``_contains_any`` asks mode "plain", whether a
+host contains the pattern.  Every cell question asks mode "slot",
+whether a new entry at a slot of a host completes it: the interval
+breaks and the certificate walks through ``class_engine._slot_test``,
+the shading grid and the BFS through ``_contains_pinned``.  The
+generating tree asks mode "top" through ``class_engine._top_test``, one
+call per member, a mask in and a mask out.  Every kernel refuses a host
+too short for its pattern, so callers need no length bound.  Nothing
+recurses, so pattern length is bounded only by ``MAX_LENGTH``.
 """
 
 from __future__ import annotations
@@ -403,43 +389,59 @@ def _find_occurrence(pat: tuple[int, ...], host: tuple[int, ...]) -> Optional[li
     """Position-lexicographically least occurrence (0-based), or None:
     ``_forward_check`` in position order.  Only ``contains()`` needs
     positions, and asks once ``_contains_mrv`` finds an occurrence;
-    existence tests use ``_search_kernel``."""
+    existence tests use ``_contains_any``."""
     if len(pat) > len(host):
         return None
     return _forward_check(pat, host, *_value_masks(host, len(pat)), least=True)
 
 
-def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., object]:
-    """The one kernel emitter: compile a test for ``pat`` in ``host``.
-    Mode "plain" is the unpinned test ``test(host)``, True or False.  Mode
-    "slot" is the slot test ``test(host, ps, vs)``: for each pattern index
-    the entry has room to play, it pins that index on a virtual new entry
-    of value ``vs`` before position ``q = ps - 1``.  It returns False
-    on an open cell, and on a blocked one the cell's reach ``(ps_hi,
-    vs_hi)``: the occurrence found, with the entry playing index j, stays
-    one for every entry left of the host entry of index j + 1 and below
-    that of value ``pat[j] + 1`` (slot n + 1 where there is none), so it
-    blocks every cell from (ps, vs) to the reach.  Mode "top", ``test(host, s,
-    cand)``, takes a mask of slots and returns the bits of ``cand`` still
-    open: it walks the set bits q of ``cand`` lowest first and, at each,
-    pins the index t of value k on a new maximum before position q and
-    that of value k - 1 at host position ``s``.  Its room check is one
-    window of slots, cut from ``cand`` once, since a slot outside it stays
-    open.  The caller promises that the two pins hold the occurrence's two
-    largest values, so no value is compared with theirs.  An occurrence
-    found at q is a real one wherever the new maximum sits between the
-    host entries of indices t - 1 and t + 1, so it clears the slots
-    ``p[t-1] + 1`` to ``p[t+1]`` (0 and n where a neighbour is missing)
-    from the result and from the slots left to try.
+@lru_cache(maxsize=3 * 4096)
+def _emit_kernel(pat: tuple[int, ...], mode: str) -> Callable[..., object]:
+    """The one kernel emitter, and its one cache: compile a test for
+    ``pat`` in ``host``, once per pattern and mode.
+
+    Mode "plain", ``test(host)``: True iff ``host`` contains ``pat``.
+
+    Mode "slot", ``test(host, ps, vs)``: does a new entry of value ``vs``
+    before position ``q = ps - 1`` complete an occurrence through it?  For
+    each pattern index the entry has room to play, it pins that index on
+    the entry, left virtual.  It returns False on an open cell, and on a
+    blocked one the cell's reach ``(ps_hi, vs_hi)``: the occurrence found,
+    with the entry playing index j, stays one for every entry left of the
+    host entry of index j + 1 and below that of value ``pat[j] + 1`` (slot
+    n + 1 where there is none), so it blocks every cell of ``[ps, ps_hi] x
+    [vs, vs_hi]``, and a walk along a strip skips what one occurrence
+    settles.  It never calls ``_contains_mrv``, so that traced slot tests
+    and plain searches stay apart.
+
+    Mode "top", ``test(host, s, cand)``: the bits of the slot mask
+    ``cand`` (bit q: a new maximum before position q) where a new maximum
+    leaves ``host``, whose own maximum sits at position s, avoiding
+    ``pat``.  The caller promises that ``host`` avoids ``pat`` and that
+    every slot in ``cand`` is inherited open: ``host`` minus its maximum,
+    with a new maximum at the matching slot, avoids ``pat`` too.  So a new
+    occurrence uses both top entries, as the pattern's values k and k - 1
+    (the second pin): the kernel walks the set bits q of ``cand`` lowest
+    first and, at each, pins the index t of value k on the new maximum and
+    that of value k - 1 at host position ``s``, and compares no value with
+    theirs.  Its room check is one window of slots, cut from ``cand``
+    once, since a slot outside it stays open.  An occurrence found at q is
+    a real one wherever the new maximum sits between the host entries of
+    indices t - 1 and t + 1, so it clears the slots ``p[t-1] + 1`` to
+    ``p[t+1]`` (0 and n where a neighbour is missing) from the result and
+    from the slots left to try.  For k = 1 the new maximum alone is an
+    occurrence, so every slot is blocked, though no host can keep the
+    promise; that kernel is the one not emitted.
 
     The one test of the loop budget is here: a block is a nest of ``for``
     loops exactly when its pins leave at most ``_NEST_LOOPS`` indices
-    free.  A nest places its pins first, then the indices left of the
-    leftmost pin nearest first, then the rest left to right; loop ranges
-    keep each index between its placed neighbours with room for the
-    indices still unplaced (indices right of the entry start at ``q``),
-    and each value is compared only with the nearest placed values below
-    and above (``v`` lies above the entry iff ``vs <= v``).  A nest
+    free, so k <= 6 in mode "plain", k <= 7 in mode "slot" and 2 <= k <=
+    8 in mode "top".  A nest places its pins first, then the indices left
+    of the leftmost pin nearest first, then the rest left to right; loop
+    ranges keep each index between its placed neighbours with room for
+    the indices still unplaced (indices right of the entry start at
+    ``q``), and each value is compared only with the nearest placed values
+    below and above (``v`` lies above the entry iff ``vs <= v``).  A nest
     returns on its first occurrence (True, or the reach ``(p{j+1} + 1,
     v{b})`` with ``pat[b] = pat[j] + 1``), or in mode "top" leaves through
     ``for`` ... ``else: continue`` / ``break`` closers to clear the range.
@@ -448,16 +450,19 @@ def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., obj
     per slot, and an occurrence clears only its own slot; in mode "slot"
     one loop over the indices j in ``range(max(0, q - n + k - 1), min(q,
     k - 1) + 1)`` with room in value, the first of which builds the child,
-    and the reach is ``(at[j + 1], child[at[b]] - 1)`` from the positions
-    ``at`` the check returns.  The pattern, and ``where`` (the index of
-    each value), are default arguments, so such a text has as many lines
-    for every k.  Every room check refuses a host too short for the
-    pattern: there the kernel answers False, or leaves ``cand`` alone.
-    The text holds only identifiers and integers, never a host value, and
-    runs in this module's globals, so a kernel looks up ``_contains_mrv``,
+    so a host shorter than k - 1 builds none, and the reach is ``(at[j +
+    1], child[at[b]] - 1)`` from the positions ``at`` the check returns.
+    The pattern, and ``where`` (the index of each value), are default
+    arguments, so such a text has as many lines for every k.  Every room
+    check refuses a host too short for the pattern: there the kernel
+    answers False, or leaves ``cand`` alone.  The text holds only
+    identifiers and integers, never a host value, and runs in this
+    module's globals, so a kernel looks up ``_contains_mrv``,
     ``_forward_check`` and ``_insert_raw`` when it is called."""
     k = len(pat)
     slot, top = mode == "slot", mode == "top"
+    if top and k == 1:
+        return lambda host, s, cand: 0
     pins = range(k) if slot else [pat.index(k)] if top else ()
     # the free loops of a nest: one per index that no pin holds
     nest = k - (1 + top if pins else 0) <= _NEST_LOOPS
@@ -580,68 +585,22 @@ def _emit_kernel(pat: tuple[int, ...], mode: str = "plain") -> Callable[..., obj
     return namespace["test"]
 
 
-@lru_cache(maxsize=4096)
-def _search_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...]], bool]:
-    """The existence test for ``pat``, built once and cached: ``test(host)``
-    is True iff ``host`` contains ``pat``.  A nest for k <= 6, else
-    ``_contains_mrv``."""
-    return _emit_kernel(pat)
-
-
-@lru_cache(maxsize=4096)
-def _slot_kernel(
-    pat: tuple[int, ...]
-) -> Callable[[tuple[int, ...], int, int], Union[tuple[int, int], bool]]:
-    """The slot test for ``pat``, built once and cached: ``test(host, ps,
-    vs)`` is truthy iff a new entry at slot (ps, vs) of ``host`` completes
-    an occurrence of ``pat`` through it, and then it is the reach ``(ps_hi,
-    vs_hi)``, with every cell of ``[ps, ps_hi] x [vs, vs_hi]`` blocked by
-    the same occurrence; else it is False.  The entry pins one index, so
-    it is one nest per index for k <= 7, with no child built, and else one
-    loop of ``_forward_check`` over the indices the entry has room to
-    play, none on a host shorter than k - 1.  It never calls
-    ``_contains_mrv``, so that traced slot tests and plain searches stay
-    apart."""
-    return _emit_kernel(pat, "slot")
-
-
-@lru_cache(maxsize=4096)
-def _top_kernel(pat: tuple[int, ...]) -> Callable[[tuple[int, ...], int, int], int]:
-    """The second-pin test for ``pat``, built once and cached: ``test(host,
-    s, cand)`` is the mask of the slots q in ``cand`` (bit q: the new
-    maximum before position q) where a new maximum leaves ``host``, whose
-    own maximum sits at position s, avoiding ``pat``.  One call per
-    member, a mask in and a mask out.  The caller promises that ``host``
-    avoids ``pat`` and that every slot in ``cand`` is inherited open:
-    ``host`` minus its maximum, with a new maximum at the matching slot,
-    avoids ``pat`` too.  Then every new occurrence uses both top entries,
-    as ``pat``'s values k and k - 1, and the test pins both at each slot:
-    a nest over the other k - 2 indices for 2 <= k <= 8, whose first
-    occurrence clears its whole range of slots, else one
-    ``_forward_check`` with both pins per slot.  For k = 1 every slot is
-    blocked, though no host can keep the promise.
-    """
-    if len(pat) == 1:
-        return lambda host, s, cand: 0  # the new maximum alone is an occurrence
-    return _emit_kernel(pat, "top")
-
-
 def _contains_pinned(
     pat: tuple[int, ...], host: tuple[int, ...], ps: int, vs: int
 ) -> Union[tuple[int, int], bool]:
     """Does a new entry at slot (ps, vs) of ``host`` complete an occurrence
-    of ``pat``?  The kernel of ``_slot_kernel`` (a nest with no child
-    built for k <= 7), behind one name that a tracer can count: the
-    shading grid's cells and the BFS's slot tests reach it through
+    of ``pat``?  The slot kernel (a nest with no child built for k <= 7),
+    behind one name that a tracer can count: the shading grid's cells and
+    the BFS's slot tests reach it through
     ``class_engine._insertion_creates``.  Its result is the kernel's: the
     reach of a blocked cell, False for an open one."""
-    return _slot_kernel(pat)(host, ps, vs)
+    return _emit_kernel(pat, "slot")(host, ps, vs)
 
 
 def _contains_any(pat: tuple[int, ...], host: tuple[int, ...]) -> bool:
-    """Existence-only containment test: the kernel of ``_search_kernel``
-    for this pattern, after a length check."""
-    return len(pat) <= len(host) and _search_kernel(pat)(host)
+    """Existence-only containment test: the plain kernel for this
+    pattern, after a length check."""
+    return len(pat) <= len(host) and _emit_kernel(pat, "plain")(host)
 
 
 def _contains_mrv(pat: tuple[int, ...], host: tuple[int, ...]) -> bool:

@@ -20,9 +20,9 @@ from permdeflate.perm_core import (
     delete,
     parse_permutation,
     _bond_scan,
+    _emit_kernel,
     _insert_raw,
     _pattern_of,
-    _slot_kernel,
 )
 from permdeflate.decomposition import _is_simple
 from permdeflate.class_engine import (
@@ -63,7 +63,7 @@ def _avoids_by_combinations(vals: tuple[int, ...], c: PermClass) -> bool:
 
 def _creates_by_child(c: PermClass, vals: tuple[int, ...], ps: int, vs: int) -> bool:
     """Oracle for the slot kernels on a member ``vals``: build the child and
-    test its membership with the unpinned search kernels (a nest for
+    test its membership with the unpinned plain kernels (a nest for
     k <= 6, ``_contains_mrv`` for k >= 7).  Every new occurrence uses the new entry, since ``vals``
     avoids ``c``."""
     return not _avoids_raw(_insert_raw(vals, ps, vs), c)
@@ -99,9 +99,10 @@ def test_basis_minimality_asks_no_nest_on_a_long_rigid_element(monkeypatch):
     # a nest proving that the length-1 024 alternation avoids 321 is cubic
     # (1.65 s; about 115 s at length 4 096); the forward check is not
     def no_nest(*args):
-        raise AssertionError("basis minimality asked a nest kernel")
+        raise AssertionError("basis minimality asked for a kernel")
 
-    monkeypatch.setattr(perm_core, "_search_kernel", no_nest)
+    monkeypatch.setattr(perm_core, "_emit_kernel", no_nest)
+    monkeypatch.setattr(class_engine, "_emit_kernel", no_nest)
     monkeypatch.setattr(class_engine, "_contains_any", no_nest)
     alternation = witness.parallel_alternation(1024)
     assert PermClass((alternation, P("321"))).basis == (P("321"), alternation)
@@ -549,7 +550,7 @@ def test_the_top_test_with_two_pins_matches_the_slot_test_for_k_9_and_10():
         long = rng.choice(members)
         c = PermClass((Permutation(short), Permutation(long)))
         assert len(c.basis) == 2
-        top, blocked, by_long = _top_test(c), _slot_test(c), _slot_kernel(long)
+        top, blocked, by_long = _top_test(c), _slot_test(c), _emit_kernel(long, "slot")
         for level in _class_levels(c, 9):
             for vals, s, cand in _candidates(level):
                 n = len(vals)

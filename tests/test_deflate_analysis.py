@@ -597,12 +597,13 @@ def test_extend_refuses_a_basis_element_too_long_to_fire(monkeypatch, capsys):
         return compile(source, filename, mode)
 
     monkeypatch.setattr(perm_core, "compile", keeping_compile, raising=False)
-    for factory in (perm_core._search_kernel, perm_core._slot_kernel, perm_core._top_kernel):
-        names = [factory.__wrapped__(pat).__code__.co_filename for pat in (long, identity[:9])]
-        assert len({len(sources[name].splitlines()) for name in names}) == 1, factory
+    for mode in ("plain", "slot", "top"):
+        kernels = [perm_core._emit_kernel.__wrapped__(pat, mode) for pat in (long, identity[:9])]
+        names = [kernel.__code__.co_filename for kernel in kernels]
+        assert len({len(sources[name].splitlines()) for name in names}) == 1, mode
     inserts = []
     monkeypatch.setattr(perm_core, "_insert_raw", lambda *args: inserts.append(args) or _insert_raw(*args))
-    slot = perm_core._slot_kernel(long)
+    slot = perm_core._emit_kernel(long, "slot")
     for _ in range(40):
         vals = tuple(rng.sample(range(1, 9), 8))
         assert not any(slot(vals, ps, vs) for ps in range(1, 10) for vs in range(1, 10)), vals

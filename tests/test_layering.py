@@ -9,16 +9,19 @@ chain module imports from a sibling is used in that module, so a refactor
 cannot leave a dead import behind.  No function calls itself, by its bare
 name or as ``self.<name>`` in a method: a tree is walked with an explicit
 stack, so its depth is never bounded by the recursion limit.
+Every private top-level name of a module is read somewhere under
+``src/``, so a refactor cannot leave a dead helper behind either.
 Generated code has one emitter: the only ``exec`` call under ``src/`` is
 the one in ``perm_core._emit_kernel``.  The containment engine split
 (nest kernels for short patterns, forward checking for long ones) stays
 inside ``perm_core``: no other module imports or reads the names in
-``ENGINE_INTERNALS``.  The slot kernels are reached through
-``class_engine``: only ``perm_core`` and ``class_engine`` import or read
-the names in ``SLOT_KERNELS``, and the rest ask ``_slot_test`` or
-``_top_test``.  The levels of the generating tree are kept as their
-parents and the parents' open-slot masks, and only ``class_engine`` reads
-either (``LEVEL_PARENTS``, ``LEVEL_MASKS``).
+``ENGINE_INTERNALS``.  The kernels are reached through ``perm_core`` and
+``class_engine``: only those two import or read the names in
+``KERNELS``, and the rest ask ``_contains_any``, ``_slot_test`` or
+``_top_test``.  A level of the generating tree is kept two lengths down,
+as its grandparents, their open-slot masks and those of its parents, and
+only ``class_engine`` reads any of them (``LEVEL_PARENTS``,
+``LEVEL_MASKS``).
 """
 
 from __future__ import annotations
@@ -36,15 +39,17 @@ CHAIN = ["perm_core", "decomposition", "class_engine", "deflate_analysis", "witn
 EXEMPT = {"__init__", "__main__"}
 #: ``perm_core`` names that only ``perm_core`` may import: other modules ask
 #: ``_contains_any`` or a slot kernel (``class_engine`` through
-#: ``_contains_pinned``), whose emitted code holds the engine it runs.
+#: ``_contains_pinned`` and ``_emit_kernel``), whose emitted code holds the
+#: engine it runs.
 ENGINE_INTERNALS = {"_contains_mrv", "_forward_check", "_value_masks"}
 #: ``perm_core`` names that only ``perm_core`` and ``class_engine`` may
-#: import: the other modules ask a class's ``_slot_test`` or ``_top_test``.
-SLOT_KERNELS = {"_slot_kernel", "_top_kernel"}
-#: The attribute of a ``class_engine._class_levels`` level that holds its
-#: parents' open-slot masks: the other modules iterate a level as its
-#: members, and ask ``_candidates`` for each member's inherited open slots.
-LEVEL_MASKS = "masks"
+#: import: the other modules ask ``_contains_any``, or a class's
+#: ``_slot_test`` or ``_top_test``.
+KERNELS = {"_emit_kernel"}
+#: The attributes of a ``class_engine._class_levels`` level that hold the
+#: open-slot masks of its parents and of its grandparents: the other
+#: modules iterate a level as its members.
+LEVEL_MASKS = {"masks", "grandmasks"}
 #: The attribute of a level that holds its grandparents, the members two
 #: lengths before: the other modules iterate a level as its members.
 LEVEL_PARENTS = "grandparents"
@@ -113,6 +118,54 @@ def test_sibling_imports_are_used(path):
     assert not unused, f"{path.name} imports {unused} from a sibling and never uses them"
 
 
+def _private_top_level_names(tree: ast.Module) -> list[str]:
+    """The functions, classes and assigned names at the top level of
+    ``tree`` whose names start with ``_`` but not ``__``."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Names that expressions in ``tree`` read, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)) or isinstance(node, ast.Attribute)
+    }
+
+
+def test_private_top_level_names_are_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    read = set().union(*map(_read_names, trees.values()))
+    dead = [
+        f"{name}.{n}" for name, tree in trees.items() for n in _private_top_level_names(tree) if n not in read
+    ]
+    assert not dead, f"private names nothing under src/ reads: {dead}"
+
+
+def test_checker_finds_dead_private_names():
+    source = (
+        "_USED = 1\n"
+        "_DEAD: int = 2\n"
+        "__all__ = ['f']\n"
+        "def _helper():\n"
+        "    _local = _USED\n"
+        "class _Gone:\n"
+        "    pass\n"
+        "def f(x):\n"
+        "    return x._helper()\n"
+    )
+    tree = ast.parse(source)
+    assert _private_top_level_names(tree) == ["_USED", "_DEAD", "_helper", "_Gone"]
+    assert [n for n in _private_top_level_names(tree) if n not in _read_names(tree)] == ["_DEAD", "_Gone"]
+
+
 def _reached_names(path: Path) -> set[str]:
     """Names ``path`` imports from a sibling, and attributes it reads
     (``perm_core.name``)."""
@@ -132,22 +185,23 @@ def test_engine_internals_stay_in_perm_core(path):
 )
 def test_slot_kernels_stay_behind_class_engine(path):
     names = _reached_names(path)
-    assert not names & SLOT_KERNELS, f"{path.name} reaches {names & SLOT_KERNELS}"
+    assert not names & KERNELS, f"{path.name} reaches {names & KERNELS}"
 
 
 def test_class_engine_reaches_the_slot_kernels():
     # the restriction above guards the names class_engine really uses
-    assert SLOT_KERNELS <= _reached_names(Path(permdeflate.__file__).parent / "class_engine.py")
+    assert KERNELS <= _reached_names(Path(permdeflate.__file__).parent / "class_engine.py")
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "class_engine"], ids=lambda p: p.name)
 def test_level_masks_stay_behind_class_engine(path):
-    assert LEVEL_MASKS not in _reached_names(path), f"{path.name} reads a level's masks"
+    reached = LEVEL_MASKS & _reached_names(path)
+    assert not reached, f"{path.name} reads a level's {reached}"
 
 
 def test_class_engine_reads_the_level_masks():
-    # the restriction above guards the attribute class_engine really reads
-    assert LEVEL_MASKS in _reached_names(Path(permdeflate.__file__).parent / "class_engine.py")
+    # the restriction above guards the attributes class_engine really reads
+    assert LEVEL_MASKS <= _reached_names(Path(permdeflate.__file__).parent / "class_engine.py")
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "class_engine"], ids=lambda p: p.name)
@@ -162,7 +216,7 @@ def test_class_engine_reads_the_level_parents():
 
 def test_checker_finds_unused_imports():
     source = (
-        "from .perm_core import Slot, _slot_kernel as kernel, parse_permutation\n"
+        "from .perm_core import Slot, _emit_kernel as kernel, parse_permutation\n"
         "from . import decomposition\n"
         "def f(s: Slot) -> None:\n"
         "    decomposition.cut_slots(parse_permutation('1'))\n"
@@ -212,7 +266,7 @@ def _called_names(tree: ast.AST) -> set[str]:
 
 
 def test_kernels_are_nests_within_six_free_loops(monkeypatch):
-    """One loop budget for every kernel: the unpinned search kernel is an
+    """One loop budget for every kernel: the unpinned plain kernel is an
     emitted nest exactly for k <= 6, the slot kernel (one pin) for k <= 7
     and the second-pin kernel for 2 <= k <= 8, and no emitted nest runs
     more than six ``for`` loops deep.  Past the budget a kernel calls the
@@ -230,19 +284,15 @@ def test_kernels_are_nests_within_six_free_loops(monkeypatch):
         return compile(source, filename, mode)
 
     monkeypatch.setattr(perm_core, "compile", keeping_compile, raising=False)
-    kernels = {
-        "plain": (perm_core._search_kernel, lambda k: k <= 6),
-        "slot": (perm_core._slot_kernel, lambda k: k <= 7),
-        "top": (perm_core._top_kernel, lambda k: 2 <= k <= 8),
-    }
+    nests = {"plain": lambda k: k <= 6, "slot": lambda k: k <= 7, "top": lambda k: 2 <= k <= 8}
     depths = []
     for k in range(1, 11):
         # the alternation 2 4 .. 1 3 .., a rigid pattern of length k
         pat = (*range(2, k + 1, 2), *range(1, k + 1, 2))
         name = " ".join(map(str, pat))
-        for mode, (kernel, nest) in kernels.items():
+        for mode, nest in nests.items():
             # past the cache, so that every kernel is compiled here
-            filename = kernel.__wrapped__(pat).__code__.co_filename
+            filename = perm_core._emit_kernel.__wrapped__(pat, mode).__code__.co_filename
             if mode == "top" and k == 1:
                 assert filename not in sources  # the one kernel not emitted
                 continue

@@ -37,11 +37,9 @@ from permdeflate.perm_core import (
     _contains_mrv,
     _contains_pinned,
     _delete_raw,
+    _emit_kernel,
     _find_occurrence,
     _pattern_of,
-    _search_kernel,
-    _slot_kernel,
-    _top_kernel,
 )
 
 P = parse_permutation
@@ -282,12 +280,12 @@ def test_find_occurrence_matches_brute_force(case):
     assert _find_occurrence(pat, host) == (matches[0] if matches else None)
     if pin is None:
         expected = bool(matches)
-        assert _search_kernel(pat)(host) == expected
+        assert _emit_kernel(pat, "plain")(host) == expected
         assert _contains_any(pat, host) == expected
     else:
         expected = any(pin in comb for comb in matches)
         parent = _delete_raw(host, pin)
-        assert bool(_slot_kernel(pat)(parent, pin + 1, host[pin])) == expected
+        assert bool(_emit_kernel(pat, "slot")(parent, pin + 1, host[pin])) == expected
         assert bool(_contains_pinned(pat, parent, pin + 1, host[pin])) == expected
 
 
@@ -469,7 +467,7 @@ def _literal_insert(host, ps, vs):
 
 
 def _completes(pat, host, ps, vs):
-    """Oracle for ``_slot_kernel``: insert the new entry literally, then
+    """Oracle for the slot kernel: insert the new entry literally, then
     ask itertools for an occurrence of ``pat`` through it."""
     child, q = _literal_insert(host, ps, vs), ps - 1
     others = [i for i in range(len(child)) if i != q]
@@ -497,7 +495,8 @@ def test_slot_kernel_exhaustive_to_pattern_4_host_5():
                         for comb in itertools.combinations(others, j)
                     }
                     for pat in pats:
-                        assert bool(_slot_kernel(pat)(host, ps, vs)) == (pat in found), (pat, host, ps, vs)
+                        blocked = _emit_kernel(pat, "slot")(host, ps, vs)
+                        assert bool(blocked) == (pat in found), (pat, host, ps, vs)
                     cells += 1
     assert cells == sum(math.factorial(n) * (n + 1) ** 2 for n in range(6))
 
@@ -529,19 +528,19 @@ def slot_cases(draw):
 @given(slot_cases())
 def test_slot_kernel_matches_literal_insert(case):
     pat, host, ps, vs = case
-    assert bool(_slot_kernel(pat)(host, ps, vs)) == _completes(pat, host, ps, vs)
+    assert bool(_emit_kernel(pat, "slot")(host, ps, vs)) == _completes(pat, host, ps, vs)
 
 
 def test_slot_kernel_edge_cases(monkeypatch):
     # k = 1: every slot completes it, the empty host's one slot included
-    assert _slot_kernel((1,))((), 1, 1)
-    assert all(_slot_kernel((1,))((2, 1, 3), ps, vs) for ps in range(1, 5) for vs in range(1, 5))
+    assert _emit_kernel((1,), "slot")((), 1, 1)
+    assert all(_emit_kernel((1,), "slot")((2, 1, 3), ps, vs) for ps in range(1, 5) for vs in range(1, 5))
     # the empty host has room for nothing longer
-    assert not _slot_kernel((1, 2))((), 1, 1)
-    assert not _slot_kernel((2, 1))((), 1, 1)
+    assert not _emit_kernel((1, 2), "slot")((), 1, 1)
+    assert not _emit_kernel((2, 1), "slot")((), 1, 1)
     # k > n + 1: no slot has room
     for pat in itertools.permutations(range(1, 5)):
-        assert not any(_slot_kernel(pat)((2, 1), ps, vs) for ps in range(1, 4) for vs in range(1, 4))
+        assert not any(_emit_kernel(pat, "slot")((2, 1), ps, vs) for ps in range(1, 4) for vs in range(1, 4))
     # k = 7 is a slot nest: the entry is virtual, so no child is built
     built = []
     insert_raw = perm_core._insert_raw
@@ -549,13 +548,14 @@ def test_slot_kernel_edge_cases(monkeypatch):
     pat = (2, 4, 6, 1, 3, 5, 7)
     for t in range(7):
         host = tuple(v - 1 if v > pat[t] else v for i, v in enumerate(pat) if i != t)
-        assert _slot_kernel(pat)(host, t + 1, pat[t])
+        assert _emit_kernel(pat, "slot")(host, t + 1, pat[t])
         for ps in range(1, 8):
             for vs in range(1, 8):
-                assert bool(_slot_kernel(pat)(host, ps, vs)) == _completes(pat, host, ps, vs), (t, ps, vs)
+                blocked = _emit_kernel(pat, "slot")(host, ps, vs)
+                assert bool(blocked) == _completes(pat, host, ps, vs), (t, ps, vs)
     # first in a child of length 7, the entry can only play index 0, of
     # value 2, which leaves no room for 5 values above the top value 7
-    assert not _slot_kernel(pat)((1, 2, 3, 4, 5, 6), 1, 7)
+    assert not _emit_kernel(pat, "slot")((1, 2, 3, 4, 5, 6), 1, 7)
     assert not _completes(pat, (1, 2, 3, 4, 5, 6), 1, 7)
     assert not built
     # k >= 8 builds the child for the forward check, and only when the new
@@ -563,15 +563,16 @@ def test_slot_kernel_edge_cases(monkeypatch):
     pat = (2, 4, 6, 8, 1, 3, 5, 7)
     for t in range(8):
         host = tuple(v - 1 if v > pat[t] else v for i, v in enumerate(pat) if i != t)
-        assert _slot_kernel(pat)(host, t + 1, pat[t])
+        assert _emit_kernel(pat, "slot")(host, t + 1, pat[t])
         for ps in range(1, 9):
             for vs in range(1, 9):
-                assert bool(_slot_kernel(pat)(host, ps, vs)) == _completes(pat, host, ps, vs), (t, ps, vs)
+                blocked = _emit_kernel(pat, "slot")(host, ps, vs)
+                assert bool(blocked) == _completes(pat, host, ps, vs), (t, ps, vs)
     assert built
     # first in a child of length 8, the entry can only play index 0, of
     # value 2, which leaves no room for 6 values above the top value 8
     built.clear()
-    assert not _slot_kernel(pat)((1, 2, 3, 4, 5, 6, 7), 1, 8)
+    assert not _emit_kernel(pat, "slot")((1, 2, 3, 4, 5, 6, 7), 1, 8)
     assert not _completes(pat, (1, 2, 3, 4, 5, 6, 7), 1, 8)
     assert not built
 
@@ -604,7 +605,7 @@ def test_slot_nest_matches_itertools_at_k_7():
             for ps in range(1, n + 2):
                 for vs in range(1, n + 2):
                     expected = _completes(pat, host, ps, vs)
-                    assert bool(_slot_kernel(pat)(host, ps, vs)) == expected, (pat, host, ps, vs)
+                    assert bool(_emit_kernel(pat, "slot")(host, ps, vs)) == expected, (pat, host, ps, vs)
                     hits += expected
     assert hits
 
@@ -675,7 +676,7 @@ def test_slot_reach_blocks_its_whole_rectangle_like_itertools():
             pat = tuple(rng.sample(range(1, k + 1), k))
             host = _planted_host(rng, pat, rng.randint(k - 1, min(k + 3, 12)))
             engine = "nest" if k <= 7 else "forward check"
-            wide[engine] += _assert_reaches(_slot_kernel(pat), host, _blocked_cells([pat], host))
+            wide[engine] += _assert_reaches(_emit_kernel(pat, "slot"), host, _blocked_cells([pat], host))
     assert all(count >= 20 for count in wide.values()), wide
     classes = 0
     while classes < 12:
@@ -697,7 +698,7 @@ def test_slot_reach_blocks_its_whole_rectangle_like_itertools():
             pat = tuple(rng.sample(range(1, k + 1), k))
             host = tuple(rng.sample(range(1, n + 1), n))
             assert _blocked_cells([pat], host) == set()
-            _assert_reaches(_slot_kernel(pat), host, set())
+            _assert_reaches(_emit_kernel(pat, "slot"), host, set())
 
 
 def test_through_position_searches_never_call_contains_mrv(monkeypatch):
@@ -712,17 +713,17 @@ def test_through_position_searches_never_call_contains_mrv(monkeypatch):
     for k in range(7, 11):
         pat = tuple(rnd.sample(range(1, k + 1), k))
         host = tuple(v - 1 if v > pat[0] else v for v in pat[1:])
-        assert _slot_kernel(pat)(host, 1, pat[0])
+        assert _emit_kernel(pat, "slot")(host, 1, pat[0])
         assert _contains_pinned(pat, _delete_raw(pat, k - 1), k, pat[k - 1])
         for _ in range(20):
             n = rnd.randint(k - 1, 14)
             host = tuple(rnd.sample(range(1, n + 1), n))
             _contains_pinned(pat, host, rnd.randint(1, n + 1), rnd.randint(1, n + 1))
-            _slot_kernel(pat)(host, rnd.randint(1, n + 1), rnd.randint(1, n + 1))
+            _emit_kernel(pat, "slot")(host, rnd.randint(1, n + 1), rnd.randint(1, n + 1))
 
 
 def _through_top_two(pat, host, t):
-    """Oracle for ``_top_kernel``: put a new maximum at slot t of ``host``
+    """Oracle for the top kernel: put a new maximum at slot t of ``host``
     literally, then ask itertools for an occurrence of ``pat`` through both
     it and the host's own maximum."""
     n = len(host)
@@ -800,10 +801,10 @@ def test_top_kernel_matches_itertools():
             for t in range(len(host) + 1):
                 if cand >> t & 1:
                     expected = _through_top_two(pat, host, t)
-                    assert _top_kernel(pat)(host, s, 1 << t) == (not expected) << t, (pat, host, t, s)
+                    assert _emit_kernel(pat, "top")(host, s, 1 << t) == (not expected) << t, (pat, host, t, s)
                     opened |= (not expected) << t
                     hits[k] = hits.get(k, 0) + expected
-            assert _top_kernel(pat)(host, s, cand) == opened, (pat, host, s, cand)
+            assert _emit_kernel(pat, "top")(host, s, cand) == opened, (pat, host, s, cand)
     assert all(hits[k] for k in range(2, 11)), hits
 
 
@@ -815,7 +816,7 @@ def test_top_kernel_clears_ranges_like_itertools_on_random_masks():
     ``_top_test`` of classes with two or three basis elements.  Planted
     parents make one occurrence block several slots of a subset, so a
     range cleared one slot too wide or too narrow shows."""
-    assert _top_kernel((1,))((), 0, 1) == 0
+    assert _emit_kernel((1,), "top")((), 0, 1) == 0
     rng = random.Random(30)
     pats = [(1, 2), (2, 1)] + [tuple(rng.sample(range(1, k + 1), k)) for k in range(3, 11) for _ in range(5)]
     wide = {}  # per k: subsets in which one kernel call blocked two or more slots
@@ -824,7 +825,7 @@ def test_top_kernel_clears_ranges_like_itertools_on_random_masks():
         for host, s, cand in _members_with_inherited_slots(rng, pat, count=4, longest=max(8, k + 1)):
             opened = _open_slots(pat, host)
             for sub in {cand, *(cand & rng.getrandbits(len(host) + 1) for _ in range(4))}:
-                assert _top_kernel(pat)(host, s, sub) == sub & opened, (pat, host, s, sub)
+                assert _emit_kernel(pat, "top")(host, s, sub) == sub & opened, (pat, host, s, sub)
                 wide[k] = wide.get(k, 0) + ((sub & ~opened).bit_count() >= 2)
     # k = 2 blocks one slot at most: Av(12) keeps only slot 0, Av(21) slot n
     assert all(wide[k] for k in range(3, 11)), str(sorted(wide.items()))
@@ -868,7 +869,7 @@ def test_one_occurrence_blocks_its_whole_slot_range_unsearched(monkeypatch):
     # reads the three entries left of the 4
     monkeypatch.setattr(_CountingHost, "reads", 0)
     host = _CountingHost((2, 3, 1, 4))
-    assert _top_kernel((2, 4, 1, 3))(host, 3, 0b11111) == 0b11001
+    assert _emit_kernel((2, 4, 1, 3), "top")(host, 3, 0b11111) == 0b11001
     assert _CountingHost.reads == 3
 
 
@@ -915,10 +916,10 @@ def test_kernel_filenames_name_pattern_and_mode():
 
 def test_kernels_look_up_the_traced_names_when_called(monkeypatch):
     # the tracer and the spies wrap module attributes: a kernel compiled
-    # before the wrapper, here through the caches, must still call it
-    search = _search_kernel((2, 4, 6, 1, 3, 5, 7))
-    slot = _slot_kernel((2, 4, 6, 8, 1, 3, 5, 7))
-    top = _top_kernel((2, 4, 6, 8, 1, 3, 5, 7, 9))
+    # before the wrapper, here through the cache, must still call it
+    search = _emit_kernel((2, 4, 6, 1, 3, 5, 7), "plain")
+    slot = _emit_kernel((2, 4, 6, 8, 1, 3, 5, 7), "slot")
+    top = _emit_kernel((2, 4, 6, 8, 1, 3, 5, 7, 9), "top")
     calls = dict.fromkeys(("_contains_mrv", "_forward_check", "_insert_raw"), 0)
     for name in calls:
 

@@ -192,7 +192,7 @@ def test_find_witnesses_empty_class():
 
 def _kernel_lines(monkeypatch, pat):
     """The line count of each mode's kernel text for ``pat``, compiled past
-    the caches, in the order plain, slot, top."""
+    the kernel cache, in the order plain, slot, top."""
     sources = {}
 
     def keeping_compile(source, filename, mode):
@@ -201,8 +201,7 @@ def _kernel_lines(monkeypatch, pat):
 
     with monkeypatch.context() as m:
         m.setattr(perm_core, "compile", keeping_compile, raising=False)
-        factories = (perm_core._search_kernel, perm_core._slot_kernel, perm_core._top_kernel)
-        kernels = [factory.__wrapped__(pat) for factory in factories]
+        kernels = [perm_core._emit_kernel.__wrapped__(pat, mode) for mode in ("plain", "slot", "top")]
     return [len(sources[kernel.__code__.co_filename].splitlines()) for kernel in kernels]
 
 
@@ -232,7 +231,7 @@ def test_a_bounded_search_refuses_a_basis_element_too_long_to_fire(monkeypatch):
     inserts = []
     insert_raw = perm_core._insert_raw
     monkeypatch.setattr(perm_core, "_insert_raw", lambda *args: inserts.append(args) or insert_raw(*args))
-    slot, top = perm_core._slot_kernel(long), perm_core._top_kernel(long)
+    slot, top = perm_core._emit_kernel(long, "slot"), perm_core._emit_kernel(long, "top")
     members = list(_class_levels(short, 8))[-1]
     for vals in itertools.islice(members, 40):
         assert not any(slot(vals, ps, vs) for ps in range(1, 10) for vs in range(1, 10)), vals
@@ -680,6 +679,19 @@ def test_inflation_family_is_mechanically_checked():
 
     for slot in sorted(bond_strip_slots(len(vals), Bond(i + 1, "increasing", 3))):
         assert not avoids(insert(check.omega_star, slot), c)
+
+
+def test_the_family_check_agrees_with_the_strip_walk():
+    # every theta of length 1-5: the shading grid's verdict at the {3, 4}
+    # bond is the strip walk's with the slot test of Av(pi*), so a family
+    # check off the grid has an oracle to match
+    thetas = [theta for n in range(1, 6) for theta in itertools.permutations(range(1, n + 1))]
+    assert len(thetas) == 153
+    for theta in thetas:
+        check = inflation_family(Permutation(theta))
+        vals = check.omega_star.values
+        walked = _strips_locked(vals, _slot_test(PermClass((check.pi_star,))), vals.index(3) + 1, 3)
+        assert check.verified and walked == check.verified, theta
 
 
 # ---------------------------------------------------------------------------
